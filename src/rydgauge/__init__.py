@@ -77,7 +77,6 @@ from .spectrum import (
     HamiltonianMatrix,
     LabeledEnergies,
     PairConfiguration,
-    assign_labels,
     bare_state_vector,
     build_hamiltonian,
     dark_state_vector,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .gauge import connection_profile, field_profile, scalar_profile
 from .model import DriveParams, InteractionModel, reduced_parameters
-from .spectrum import LABEL_INDEX, LABELS, labeled_spectrum
+from .spectrum import LABEL_INDEX, LABELS, labeled_spectrum, near_degenerate
 
 # bracketing grid: log-spaced, wide enough for every documented extremum
 # while keeping the vdW peaks resolved
@@ -89,10 +89,7 @@ def scan_1d(
         )
 
     energies, _, _ = labeled_spectrum(reduced.shift_ratio(grid), reduced.detuning_ratio)
-    ladder = np.concatenate([np.zeros((1,) + grid.shape), energies], axis=0)
-    gaps = np.abs(ladder[:, None, :] - ladder[None, :, :])
-    iu, ju = np.triu_indices(4, k=1)
-    keep = gaps[iu, ju, :].min(axis=0) >= 1e-10
+    keep = ~near_degenerate(energies)
     excluded = int(np.count_nonzero(~keep))
     grid = grid[keep]
 

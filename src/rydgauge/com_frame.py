@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gauge import _radial_spectrum, _scalar_terms
 from .model import DriveParams, InteractionModel, reduced_parameters
-from .spectrum import LABEL_INDEX, LABELS, labeled_spectrum
-
-FD_STEP = 1e-6  # separation step for amplitude derivatives, crossover units
+from .spectrum import LABEL_INDEX, LABELS, near_degenerate
 
 
 @dataclass(frozen=True)
@@ -128,41 +127,12 @@ def com_scalar_potentials(
     dm = (m_b - m_a) / (m_a + m_b)
 
     reduced = reduced_parameters(params, model)
-    kappa = reduced.kappa
-    w = reduced.detuning_ratio
-
-    def amplitudes(xq: float):
-        _, ee, gg = labeled_spectrum(reduced.shift_ratio(xq), w)
-        return ee, gg
-
-    x = float(r_ab)
-    ee, gg = amplitudes(x)
-    n2 = 1.0 / (ee * ee + gg * gg + 2.0 * ee * ee * gg * gg)
-    h = min(FD_STEP, x / 8.0)
-    ee_p1, gg_p1 = amplitudes(x + h)
-    ee_m1, gg_m1 = amplitudes(x - h)
-    ee_p2, gg_p2 = amplitudes(x + h / 2)
-    ee_m2, gg_m2 = amplitudes(x - h / 2)
-    dee = (4.0 * (ee_p2 - ee_m2) / h - (ee_p1 - ee_m1) / (2.0 * h)) / 3.0
-    dgg = (4.0 * (gg_p2 - gg_m2) / h - (gg_p1 - gg_m1) / (2.0 * h)) / 3.0
-
-    energies, _, _ = labeled_spectrum(reduced.shift_ratio(x), w)
-    ladder = np.concatenate(([0.0], energies))
-    gaps = np.abs(ladder[:, None] - ladder[None, :])[np.triu_indices(4, k=1)]
-    flags = ("near_degenerate",) if gaps.min() < 1e-10 else ()
-
+    spec = _radial_spectrum(float(r_ab), reduced)
+    flags = ("near_degenerate",) if near_degenerate(spec.energies) else ()
+    dark, radial, phase = _scalar_terms(spec, reduced.kappa)
     i = LABEL_INDEX[label]
-    phi_com = 0.0
-    phi_rel = n2[i] * ee[i] ** 2 * gg[i] ** 2 / 2.0
-    for j in range(3):
-        if j == i:
-            continue
-        c_ee = 1.0 + 2.0 * ee[i] * ee[j]
-        c_gg = 1.0 + 2.0 * gg[i] * gg[j]
-        deriv = (dee[i] * ee[j] * c_gg + c_ee * dgg[i] * gg[j]) ** 2 / kappa**2
-        phase = n2[j] * ee[i] ** 2 * ee[j] ** 2 * (1.0 + gg[i] * gg[j]) ** 2
-        phi_com += 4.0 * n2[i] * phase
-        phi_rel += n2[i] * (n2[j] * deriv + dm * dm * phase)
     return ComScalarPotentials(
-        phi_com=float(phi_com), phi_relative=float(phi_rel), flags=flags
+        phi_com=float(4.0 * phase[i]),
+        phi_relative=float(dark[i] + radial[i] + dm * dm * phase[i]),
+        flags=flags,
     )

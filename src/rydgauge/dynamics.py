@@ -9,12 +9,12 @@ where the adiabatic model itself stops being trustworthy.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ELEMENTARY_CHARGE, HBAR
+from .constants import ELEMENTARY_CHARGE
+from .gauge import _radial_spectrum, scalar_profile
 from .model import (
     DriveParams,
     InteractionModel,
@@ -31,7 +31,7 @@ from .spectrum import (
 )
 
 MIN_SEPARATION_RC = 0.01  # below this the adiabatic pair model is not credible
-FD_STEP = 1e-6  # crossover units, radial stencils and adiabaticity stencil
+FD_STEP = 1e-6  # crossover units, adiabaticity and scalar-slope stencils
 DEGENERACY_GAP = 1e-12
 
 
@@ -127,27 +127,8 @@ def _engine(config: TrajectoryConfig) -> _Engine:
     )
 
 
-def _radial_tables(engine: _Engine, x: float):
-    """Energy, its slope, and the A slope at x from one 5-point stencil."""
-    h = min(FD_STEP, x / 8.0)
-    xs = np.array([x - h, x - h / 2.0, x, x + h / 2.0, x + h])
-    energies, ee, gg = labeled_spectrum(
-        engine.reduced.shift_ratio(xs), engine.reduced.detuning_ratio
-    )
-    n2 = 1.0 / (ee * ee + gg * gg + 2.0 * ee * ee * gg * gg)
-    a_vals = -n2 * ee * ee * (1.0 + gg * gg)
-
-    def richardson(table: np.ndarray) -> np.ndarray:
-        return (4.0 * (table[:, 3] - table[:, 1]) / h
-                - (table[:, 4] - table[:, 0]) / (2.0 * h)) / 3.0
-
-    return energies[:, 2], richardson(energies), richardson(a_vals)
-
-
 def _scalar_slope(engine: _Engine, x: float) -> np.ndarray:
     """Radial slope of the scalar potential, Richardson of the closed form."""
-    from .gauge import scalar_profile
-
     h = min(FD_STEP, x / 8.0)
     xs = np.array([x - h, x - h / 2.0, x + h / 2.0, x + h])
     phi = scalar_profile(xs, engine.reduced)
@@ -165,13 +146,13 @@ def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
         )
     row = LABEL_INDEX[config.label]
     e_r = pos / r_m
-    _, de_dx, da_dx = _radial_tables(engine, x)
+    spec = _radial_spectrum(x, engine.reduced)
     total = np.zeros(3)
     if config.include_lorentz:
-        b_si = engine.field_T * da_dx[row] * np.cross(e_r, engine.khat)
+        b_si = engine.field_T * spec.da_dx[row] * np.cross(e_r, engine.khat)
         total += config.charge_C * np.cross(vel, b_si)
     if config.include_adiabatic_potential:
-        total += -de_dx[row] * (engine.energy_J / engine.r_c_m) * e_r
+        total += -spec.de_dx[row] * (engine.energy_J / engine.r_c_m) * e_r
     if config.include_scalar_gradient:
         dphi_dx = _scalar_slope(engine, x)[row]
         # q normalized by the elementary charge that defines the field unit
@@ -199,9 +180,8 @@ def dressed_energy(config: TrajectoryConfig, position_m) -> float:
     """Dressed-state energy at a position, joules, plus the background."""
     engine = _engine(config)
     x = float(np.linalg.norm(position_m)) / engine.r_c_m
-    energies, _, _ = _radial_tables(engine, x)
-    row = LABEL_INDEX[config.label]
-    return energies[row].item() * engine.energy_J + config.background_energy_J
+    energy = _radial_spectrum(x, engine.reduced).energies[LABEL_INDEX[config.label]]
+    return energy.item() * engine.energy_J + config.background_energy_J
 
 
 def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s) -> float:
@@ -270,12 +250,14 @@ def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s) -> float:
 def integrate(config: TrajectoryConfig) -> Trajectory:
     """Run fixed-step RK4 until max time or a validity abort.
 
+    The last step is shortened so the run ends exactly at ``max_time_s``.
     States are recorded every ``output_stride`` steps plus the final
     one; on abort the partial trajectory is returned with the reason.
     """
     engine = _engine(config)
-    dt = config.time_step_s
-    n_steps = int(round(config.max_time_s / dt))
+    # a ratio within 1e-9 of an integer is that integer, so rounding in
+    # max_time_s/time_step_s never leaves a sliver of a last step
+    n_steps = max(1, int(np.ceil(config.max_time_s / config.time_step_s - 1e-9)))
     row = LABEL_INDEX[config.label]
 
     def acceleration(pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
@@ -283,12 +265,12 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
 
     def record(t: float, pos: np.ndarray, vel: np.ndarray) -> TrajectoryState:
         x = float(np.linalg.norm(pos)) / engine.r_c_m
-        energies, _, _ = _radial_tables(engine, x)
+        energy = _radial_spectrum(x, engine.reduced).energies[row].item()
         return TrajectoryState(
             t_s=t,
             position_m=pos.copy(),
             velocity_m_s=vel.copy(),
-            energy_J=energies[row].item() * engine.energy_J + config.background_energy_J,
+            energy_J=energy * engine.energy_J + config.background_energy_J,
             adiabaticity=adiabaticity(config, pos, vel),
         )
 
@@ -296,6 +278,11 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
     vel = np.asarray(config.initial_velocity_m_s, dtype=float)
     states = [record(0.0, pos, vel)]
     for step in range(1, n_steps + 1):
+        dt = config.time_step_s
+        t = step * dt
+        if step == n_steps:
+            dt = config.max_time_s - (n_steps - 1) * dt
+            t = config.max_time_s
         try:
             k1v = acceleration(pos, vel)
             k1p = vel
@@ -310,7 +297,7 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
         pos = pos + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         vel = vel + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if step % config.output_stride == 0 or step == n_steps:
-            states.append(record(step * dt, pos, vel))
+            states.append(record(t, pos, vel))
     return Trajectory(states=tuple(states))
 
 

@@ -1,8 +1,8 @@
 """Artificial gauge potentials of the dressed atom pair.
 
 Closed-form vector potential, magnetic field and scalar potential for each
-labeled internal state, the single-atom limits, and a finite-difference
-Berry-connection oracle that validates the closed forms.
+labeled internal state, the single-atom limits, and finite-difference
+Berry-connection and overlap oracles that validate the closed forms.
 
 Outputs are in model units: A in hbar·k_L, B in B0 = hbar·k_L/(e·r_c),
 scalar potentials in hbar^2·k_L^2/(2m) of the tagged atom.  Separations
@@ -28,14 +28,85 @@ from .spectrum import (
     bare_state_vector,
     dark_state_vector,
     labeled_spectrum,
+    near_degenerate,
 )
 
-FD_STEP = 1e-6  # default finite-difference step, crossover units
+FD_STEP = 1e-6  # finite-difference step of the oracles, crossover units
 
 
-def _fd_step(step, x):
-    """Cap the step so stencils at small separations stay one-sided safe."""
-    return np.minimum(step, np.asarray(x, dtype=float) / 8.0)
+@dataclass(frozen=True)
+class _RadialSpectrum:
+    """Bright-state quantities at separations x and their exact x-slopes.
+
+    Rows follow spectrum.LABELS.  ``n2`` is the squared normalization
+    1/(ee^2 + gg^2 + 2 ee^2 gg^2); ``de_dx`` is also the slope of ``ee``.
+    """
+
+    energies: np.ndarray
+    ee: np.ndarray
+    gg: np.ndarray
+    n2: np.ndarray
+    de_dx: np.ndarray
+    dgg_dx: np.ndarray
+    da_dx: np.ndarray  # slope of the vector potential a, i.e. B in B0 units
+
+
+def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
+    """One solve of the cubic plus closed-form radial derivatives.
+
+    Hellmann-Feynman with dH/du = |ee><ee| gives dE/du = n2 ee^2, and
+    du/dx = -p u/x.  The ground amplitude's slope is written as
+    -n2 gg^2 (1 + 2 ee^2) du/dx, which keeps its relative precision where
+    dE/du - 1 would cancel.  da/du comes from first-order perturbation
+    theory over the other two bright states,
+
+        da_i/du = -n2_i ee_i sum_{j != i} n2_j ee_j (ee_i ee_j - gg_i gg_j) / (E_i - E_j),
+
+    and the tridiagonal bright block has non-zero couplings, so its
+    energies never coincide.
+    """
+    x = np.asarray(x_over_rc, dtype=float)
+    u = reduced.shift_ratio(x)
+    energies, ee, gg = labeled_spectrum(u, reduced.detuning_ratio)
+    n2 = 1.0 / (ee * ee + gg * gg + 2.0 * ee * ee * gg * gg)
+    du_dx = -reduced.power * u / x
+    weight = n2 * ee
+    gap = energies[:, None] - energies[None, :]  # zero only on the diagonal
+    overlap = ee[:, None] * ee[None, :] - gg[:, None] * gg[None, :]
+    pairs = np.divide(weight[None] * overlap, gap, out=np.zeros_like(gap), where=gap != 0.0)
+    da_du = -weight * pairs.sum(axis=1)
+    return _RadialSpectrum(
+        energies=energies,
+        ee=ee,
+        gg=gg,
+        n2=n2,
+        de_dx=weight * ee * du_dx,
+        dgg_dx=-n2 * gg * gg * (1.0 + 2.0 * ee * ee) * du_dx,
+        da_dx=da_du * du_dx,
+    )
+
+
+def _scalar_terms(spec: _RadialSpectrum, kappa: float):
+    """The three parts of the scalar potential per label, hbar^2·k_L^2/(2m).
+
+    Returns (dark, radial, phase): the dark-state channel, and the sums
+    over the other bright labels of the amplitude-derivative and of the
+    laser-phase-gradient overlaps.
+    """
+    ee, gg, n2 = spec.ee, spec.gg, spec.n2
+    ee_i, ee_j = ee[:, None], ee[None, :]
+    gg_i, gg_j = gg[:, None], gg[None, :]
+    derivative = (
+        spec.de_dx[:, None] * ee_j * (1.0 + 2.0 * gg_i * gg_j)
+        + (1.0 + 2.0 * ee_i * ee_j) * spec.dgg_dx[:, None] * gg_j
+    ) ** 2 / kappa**2
+    phase = ee_i**2 * ee_j**2 * (1.0 + gg_i * gg_j) ** 2
+    diag = np.arange(3)
+    derivative[diag, diag] = 0.0
+    phase[diag, diag] = 0.0
+    dark = n2 * ee * ee * gg * gg / 2.0
+    radial = n2 * np.sum(n2[None] * derivative, axis=1)
+    return dark, radial, n2 * np.sum(n2[None] * phase, axis=1)
 
 
 def connection_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
@@ -44,59 +115,24 @@ def connection_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
     Returns shape (3,) + x.shape, rows ordered per spectrum.LABELS.  The
     full vector potential is a(x)·e_k.
     """
-    u = reduced.shift_ratio(x_over_rc)
-    _, ee, gg = labeled_spectrum(u, reduced.detuning_ratio)
-    n2 = 1.0 / (ee * ee + gg * gg + 2.0 * ee * ee * gg * gg)
-    return -n2 * ee * ee * (1.0 + gg * gg)
+    spec = _radial_spectrum(x_over_rc, reduced)
+    return -spec.n2 * spec.ee * spec.ee * (1.0 + spec.gg * spec.gg)
 
 
-def field_profile(x_over_rc, reduced: ReducedParameters, step: float = FD_STEP) -> np.ndarray:
+def field_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
     """Radial derivative da/dx for all labels (azimuthal field magnitude, B0 units)."""
-    x = np.asarray(x_over_rc, dtype=float)
-    h = _fd_step(step, x)
-    d1 = (connection_profile(x + h, reduced) - connection_profile(x - h, reduced)) / (2.0 * h)
-    d2 = (connection_profile(x + h / 2, reduced) - connection_profile(x - h / 2, reduced)) / h
-    return (4.0 * d2 - d1) / 3.0
+    return _radial_spectrum(x_over_rc, reduced).da_dx
 
 
-def scalar_profile(x_over_rc, reduced: ReducedParameters, step: float = FD_STEP) -> np.ndarray:
+def scalar_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
     """Scalar potential for all labels, units hbar^2·k_L^2/(2m).
 
     Implements the closed form: the dark-state channel plus the cross-label
-    sum of derivative and phase-gradient terms.  The amplitude derivatives
-    are Richardson central differences of the labeled amplitudes.
+    sum of derivative and phase-gradient terms, with the exact amplitude
+    slopes of the radial spectrum.
     """
-    x = np.asarray(x_over_rc, dtype=float)
-    w = reduced.detuning_ratio
-    kappa = reduced.kappa
-
-    def amplitudes(xq):
-        _, ee, gg = labeled_spectrum(reduced.shift_ratio(xq), w)
-        return ee, gg
-
-    ee, gg = amplitudes(x)
-    n2 = 1.0 / (ee * ee + gg * gg + 2.0 * ee * ee * gg * gg)
-    h = _fd_step(step, x)
-    ee_p1, gg_p1 = amplitudes(x + h)
-    ee_m1, gg_m1 = amplitudes(x - h)
-    ee_p2, gg_p2 = amplitudes(x + h / 2)
-    ee_m2, gg_m2 = amplitudes(x - h / 2)
-    dee = (4.0 * (ee_p2 - ee_m2) / h - (ee_p1 - ee_m1) / (2.0 * h)) / 3.0
-    dgg = (4.0 * (gg_p2 - gg_m2) / h - (gg_p1 - gg_m1) / (2.0 * h)) / 3.0
-
-    out = np.empty_like(ee)
-    for i in range(3):
-        acc = ee[i] ** 2 * gg[i] ** 2 / 2.0
-        for j in range(3):
-            if j == i:
-                continue
-            c_ee = 1.0 + 2.0 * ee[i] * ee[j]
-            c_gg = 1.0 + 2.0 * gg[i] * gg[j]
-            deriv = (dee[i] * ee[j] * c_gg + c_ee * dgg[i] * gg[j]) ** 2 / kappa**2
-            phase = ee[i] ** 2 * ee[j] ** 2 * (1.0 + gg[i] * gg[j]) ** 2
-            acc = acc + n2[j] * (deriv + phase)
-        out[i] = n2[i] * acc
-    return out
+    dark, radial, phase = _scalar_terms(_radial_spectrum(x_over_rc, reduced), reduced.kappa)
+    return dark + radial + phase
 
 
 @dataclass(frozen=True)
@@ -166,14 +202,13 @@ def magnetic_field(
     label: str,
     r_vec,
     frame: str = "atom_a",
-    step: float = FD_STEP,
 ) -> np.ndarray:
     """Artificial magnetic field at separation vector r_vec (B0 units).
 
     r_vec points from atom b to atom a; the field for atom b is the exact
-    negative.  The radial derivative of the vector potential is taken by
-    Richardson-extrapolated central differences; separations parallel to
-    the beam give exactly zero (the azimuthal direction degenerates).
+    negative.  The radial derivative of the vector potential is the closed
+    form of :func:`field_profile`; separations parallel to the beam give
+    exactly zero (the azimuthal direction degenerates).
     """
     if frame not in ("atom_a", "atom_b"):
         raise ValueError("frame must be 'atom_a' or 'atom_b'")
@@ -182,7 +217,7 @@ def magnetic_field(
     if not (r > 0.0):
         raise ValueError("magnetic_field requires a nonzero separation")
     reduced = reduced_parameters(params, model)
-    dadx = float(field_profile(r, reduced, step=step)[LABEL_INDEX[label]])
+    dadx = float(field_profile(r, reduced)[LABEL_INDEX[label]])
     khat = np.asarray(params.wavevector_direction, dtype=float)
     azimuthal = np.cross(r_vec / r, khat)  # e_r x e_k, zero when parallel
     b = dadx * azimuthal
@@ -223,9 +258,7 @@ def gauge_sample(
     r = float(np.linalg.norm(r_vec))
     reduced = reduced_parameters(params, model)
     energies, _, _ = labeled_spectrum(reduced.shift_ratio(r), reduced.detuning_ratio)
-    ladder = np.concatenate(([0.0], energies))
-    gaps = np.abs(ladder[:, None] - ladder[None, :])[np.triu_indices(4, k=1)]
-    flags = ("near_degenerate",) if gaps.min() < 1e-10 else ()
+    flags = ("near_degenerate",) if near_degenerate(energies) else ()
     return GaugeSample(
         label=label,
         r_ab=r,

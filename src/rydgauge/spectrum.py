@@ -17,7 +17,6 @@ E_1 >= E_- >= E_+.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -70,6 +69,7 @@ def _roots_deflated(u, w):
     precision; the remaining quadratic pair follows from Vieta.
     """
     t = w + np.zeros_like(u)
+    tol = 4.0 * np.finfo(float).eps  # a few ulp: the smallest step doubles resolve
     for _ in range(40):
         f = u * u * (w - t) + u * (2.0 * t * t - w * t - w * w - 0.5) + t * (
             w * w + 1.0 - t * t
@@ -77,7 +77,7 @@ def _roots_deflated(u, w):
         fp = -u * u + u * (4.0 * t - w) + w * w + 1.0 - 3.0 * t * t
         step = f / fp
         t = t - step
-        if np.all(np.abs(step) <= 1e-17 * np.maximum(1.0, np.abs(t))):
+        if np.all(np.abs(step) <= tol * np.maximum(1.0, np.abs(t))):
             break
     e_big = u - t
     q = -u / (2.0 * (u - t))  # product of the two remaining roots
@@ -153,6 +153,19 @@ def labeled_spectrum(shift_ratio, detuning_ratio):
     if scalar:
         return energies[:, 0], ee_amp[:, 0], gg_amp[:, 0]
     return energies, ee_amp, gg_amp
+
+
+def near_degenerate(energies) -> np.ndarray:
+    """True where two of the four levels lie within DEGENERACY_TOL.
+
+    ``energies`` has the bright energies along its first axis, as
+    returned by :func:`labeled_spectrum`; the dark level at zero is added.
+    The result has the shape of the remaining axes.
+    """
+    energies = np.asarray(energies, dtype=float)
+    ladder = np.concatenate([np.zeros((1,) + energies.shape[1:]), energies])
+    gaps = np.diff(np.sort(ladder, axis=0), axis=0)
+    return gaps.min(axis=0) < DEGENERACY_TOL
 
 
 @dataclass(frozen=True)
@@ -373,11 +386,7 @@ def eigensystem(
     energies, ee_amp, gg_amp = labeled_spectrum(u, w)
 
     norms_sq = ee_amp**2 + gg_amp**2 + 2.0 * ee_amp**2 * gg_amp**2
-    flags: list[str] = []
-    ladder = np.concatenate(([0.0], energies))
-    gaps = np.abs(ladder[:, None] - ladder[None, :])[np.triu_indices(4, k=1)]
-    if gaps.min() < DEGENERACY_TOL:
-        flags.append("near_degenerate")
+    flags = ["near_degenerate"] if near_degenerate(energies) else []
 
     kappa = params.wavenumber_rad_m * r_c
     khat = np.asarray(params.wavevector_direction, dtype=float)
@@ -418,57 +427,3 @@ def eigensystem(
         coefficients=coeff,
         flags=tuple(flags),
     )
-
-
-def assign_labels(
-    roots,
-    rabi_rad_s,
-    detuning_rad_s: float,
-    shift_rad_s: float,
-    previous: dict | None = None,
-):
-    """Map three numeric roots (hbar|Omega| units) onto the labels 1, -, +.
-
-    Evaluates the closed-form root expressions with principal complex
-    cube-root branches, constrained by s_minus = -eta/s_plus, and assigns
-    each label to the nearest numeric root (best bijection over all
-    permutations).  Near a degeneracy the assignment is taken from
-    ``previous`` (label -> energy of the neighboring sample) if given.
-
-    Returns
-    -------
-    (mapping, flags) : dict label -> index into ``roots``, tuple of flags.
-    """
-    roots = np.asarray(roots, dtype=float)
-    if roots.shape != (3,):
-        raise ValueError("assign_labels expects exactly three roots")
-    mag = abs(rabi_rad_s)
-    u = shift_rad_s / mag
-    w = detuning_rad_s / mag
-
-    eta = (4.0 / 3.0) * (w * (u - w) - 1.0 - u * u / 3.0)
-    gam = (u / 3.0) * ((8.0 / 9.0) * u * u - 4.0 * w * (u - w) - 2.0)
-    s_plus = complex(gam * gam + eta**3) ** 0.5
-    s_plus = (gam + s_plus) ** (1.0 / 3.0)
-    s_minus = -eta / s_plus if s_plus != 0 else 0.0j
-    branch = np.exp(2j * np.pi / 3.0)
-    formula = {
-        lab: (u / 3.0 + (branch**k * s_plus + branch ** (-k) * s_minus) / 2.0).real
-        for k, lab in enumerate(("1", "+", "-"))
-    }
-
-    flags: list[str] = []
-    pair_gaps = [abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3)]
-    if min(pair_gaps) < DEGENERACY_TOL:
-        flags.append("degenerate")
-
-    reference = formula
-    if flags and previous is not None:
-        reference = previous
-    best, best_cost = None, np.inf
-    for perm in permutations(range(3)):
-        cost = sum(abs(reference[lab] - roots[perm[i]]) for i, lab in enumerate(LABELS))
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    mapping = {lab: best[i] for i, lab in enumerate(LABELS)}
-    return mapping, tuple(flags)

@@ -93,8 +93,8 @@ def test_scan_table_guards_its_own_rows():
 # reproduce less tightly than the field values
 PEAKS = [
     ("-", "min", 0.9757677718874176, -0.5112994741207633),
-    ("-", "max", 0.4651354028831174, 0.03691165770721335),
-    ("1", "min", 0.9345808233645907, -0.23076980542232248),
+    ("-", "max", 0.4651437752132255, 0.036911657799383296),
+    ("1", "min", 0.9345856251247315, -0.230769805521145),
 ]
 
 

@@ -55,15 +55,21 @@ def test_config_validation():
 
 
 def test_no_forces_gives_a_straight_line():
-    config = _config(include_lorentz=False, include_adiabatic_potential=False)
-    traj = integrate(config)
-    assert not traj.aborted
-    final = traj.states[-1]
-    expected = np.asarray(config.initial_position_m) + final.t_s * np.asarray(
-        config.initial_velocity_m_s
-    )
-    assert final.position_m == pytest.approx(expected, rel=1e-14)
-    assert np.array_equal(final.velocity_m_s, config.initial_velocity_m_s)
+    # max times off the 50 ns grid end with a shortened step, exactly on
+    # max_time_s whether max_time_s/dt rounds down (400.2) or up (400.8)
+    for max_time_s in (20e-6, 20.01e-6, 20.04e-6):
+        config = _config(
+            include_lorentz=False, include_adiabatic_potential=False, max_time_s=max_time_s
+        )
+        traj = integrate(config)
+        assert not traj.aborted
+        final = traj.states[-1]
+        assert final.t_s == max_time_s
+        expected = np.asarray(config.initial_position_m) + max_time_s * np.asarray(
+            config.initial_velocity_m_s
+        )
+        assert final.position_m == pytest.approx(expected, rel=1e-14)
+        assert np.array_equal(final.velocity_m_s, config.initial_velocity_m_s)
 
 
 def test_lorentz_force_is_perpendicular_to_velocity_and_scales_with_charge():

@@ -172,6 +172,26 @@ def test_magnetic_field_divergence_free():
     assert abs(div) < 1e-7  # |B| is ~0.3 here; the floor is FD truncation
 
 
+@pytest.mark.parametrize("preset, x", [("gaetan2009", 0.79378), ("beguin2013", 0.89095)])
+def test_field_matches_difference_of_connection(preset, x):
+    """Closed-form B against a Richardson difference of A at sharp minima.
+
+    The label "-" minima at w = -40 sit on the antiblockade resonance,
+    where B changes fastest, so an error in the derivative shows here first.
+    """
+    exp = get_preset(preset)
+    drive = dataclasses.replace(exp.drive, detuning_rad_s=-40.0 * exp.drive.rabi_magnitude_rad_s)
+    reduced = reduced_parameters(drive, exp.interaction)
+    h = 1e-5 * x
+
+    def a_at(q):
+        return connection_profile(q, reduced)[1]
+
+    d1 = (a_at(x + h) - a_at(x - h)) / (2.0 * h)
+    d2 = (a_at(x + h / 2) - a_at(x - h / 2)) / h
+    assert field_profile(x, reduced)[1] == pytest.approx((4.0 * d2 - d1) / 3.0, rel=1e-3)
+
+
 def test_connection_symmetry_is_bitwise():
     """A^1(V, delta) = A^+(-V, -delta), exact to the last bit."""
     xs = np.geomspace(0.2, 4.0, 9)

@@ -12,7 +12,6 @@ from rydgauge.model import crossover_distance, get_preset, interaction_shift
 from rydgauge.spectrum import (
     LABELS,
     PairConfiguration,
-    assign_labels,
     bare_state_vector,
     build_hamiltonian,
     dark_state_vector,
@@ -99,6 +98,18 @@ def test_hellmann_feynman_slope():
             assert slope[i] == pytest.approx(abs(vec[0]) ** 2, abs=2e-6)
 
 
+@pytest.mark.parametrize("w", [-3.0, -1.0, -0.2, 0.0, 1.0])
+def test_deflated_roots_match_dense(w):
+    """Deep blockade (Newton deflation branch) against eigvalsh of the bright block."""
+    half = np.sqrt(0.5)
+    for magnitude in np.geomspace(1e2, 1e7, 11):
+        for u in (magnitude, -magnitude):
+            block = np.array([[u - w, half, 0.0], [half, 0.0, half], [0.0, half, w]])
+            dense = np.linalg.eigvalsh(block)[::-1]
+            e, _, _ = labeled_spectrum(u, w)
+            np.testing.assert_allclose(e, dense, rtol=1e-13)
+
+
 def test_eigenvector_residual():
     model = GAETAN.interaction
     drive = dataclasses.replace(_drive(-0.8), rabi_phase_rad=0.4)
@@ -148,16 +159,6 @@ def test_dark_state_is_zero_mode():
     # dark state in the blockade basis occupies the first slot
     dark = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     assert np.linalg.norm(h @ dark) == 0.0
-
-
-def test_assign_labels_anchor():
-    roots = np.array([1.0, 0.0, -1.0])
-    mapping, flags = assign_labels(roots, 1.0, 0.0, 0.0)
-    assert mapping == {"1": 0, "-": 1, "+": 2}
-    assert flags == ()
-    # shuffled input: indices follow the values
-    mapping, _ = assign_labels(roots[::-1].copy(), 1.0, 0.0, 0.0)
-    assert mapping == {"1": 2, "-": 1, "+": 0}
 
 
 def test_eigenvalues_numeric_rejects_non_hermitian():
