@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import connection_profile, field_profile, scalar_profile
+from .gauge import _radial_spectrum, field_profile
 from .model import DriveParams, InteractionModel, reduced_parameters
-from .spectrum import LABEL_INDEX, LABELS, labeled_spectrum, near_degenerate
+from .spectrum import LABEL_INDEX, LABELS, near_degenerate
 
 # bracketing grid: log-spaced, wide enough for every documented extremum
 # while keeping the vdW peaks resolved
@@ -55,9 +55,10 @@ def scan_1d(
 ) -> ScanTable:
     """Tabulate A, B_phi and phi for the requested labels.
 
-    Grid points whose dressed ladder is near degenerate are excluded and
-    counted instead of producing unreliable rows.  An empty grid gives
-    an empty table.
+    One cubic solve over the grid gives every row and the degeneracy
+    flag.  Grid points whose dressed ladder is near degenerate are
+    excluded and counted instead of producing unreliable rows.  An empty
+    grid gives an empty table.
     """
     for label in labels:
         if label not in LABELS:
@@ -77,32 +78,22 @@ def scan_1d(
         "labels": ",".join(labels),
     }
     rows = [LABEL_INDEX[label] for label in labels]
-    if grid.size == 0:
-        empty = np.empty((len(labels), 0))
-        return ScanTable(
-            metadata=metadata,
-            labels=tuple(labels),
-            r_over_rc=grid,
-            vector_potential=empty,
-            azimuthal_field=empty.copy(),
-            scalar_potential=empty.copy(),
-        )
-
-    energies, _, _ = labeled_spectrum(reduced.shift_ratio(grid), reduced.detuning_ratio)
-    keep = ~near_degenerate(energies)
+    spec = _radial_spectrum(grid, reduced)
+    keep = ~near_degenerate(spec.energies)
     excluded = int(np.count_nonzero(~keep))
-    grid = grid[keep]
-
-    a_all = connection_profile(grid, reduced)
-    b_all = field_profile(grid, reduced)
-    phi_all = scalar_profile(grid, reduced)
+    # for peak memory: phi first, while the spectrum is the only other large
+    # array alive, and the spectrum dropped before the rows are copied out
+    phi = spec.scalar(reduced.kappa)
+    a, b = spec.connection, spec.da_dx
+    del spec
+    cols = keep if excluded else slice(None)  # a mask copies, a slice does not
     return ScanTable(
         metadata=metadata,
         labels=tuple(labels),
-        r_over_rc=grid,
-        vector_potential=a_all[rows],
-        azimuthal_field=b_all[rows],
-        scalar_potential=phi_all[rows],
+        r_over_rc=grid[cols],
+        vector_potential=a[rows][:, cols],
+        azimuthal_field=b[rows][:, cols],
+        scalar_potential=phi[rows][:, cols],
         excluded_count=excluded,
     )
 

@@ -11,7 +11,7 @@ are in crossover-distance units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,16 @@ class _RadialSpectrum:
     de_dx: np.ndarray
     dgg_dx: np.ndarray
     da_dx: np.ndarray  # slope of the vector potential a, i.e. B in B0 units
+
+    @property
+    def connection(self) -> np.ndarray:
+        """Vector-potential magnitude a per label, units hbar·k_L."""
+        return -self.n2 * self.ee * self.ee * (1.0 + self.gg * self.gg)
+
+    def scalar(self, kappa: float) -> np.ndarray:
+        """Scalar potential per label, units hbar^2·k_L^2/(2m)."""
+        dark, radial, phase = _scalar_terms(self, kappa)
+        return dark + radial + phase
 
 
 def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
@@ -115,8 +125,7 @@ def connection_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
     Returns shape (3,) + x.shape, rows ordered per spectrum.LABELS.  The
     full vector potential is a(x)·e_k.
     """
-    spec = _radial_spectrum(x_over_rc, reduced)
-    return -spec.n2 * spec.ee * spec.ee * (1.0 + spec.gg * spec.gg)
+    return _radial_spectrum(x_over_rc, reduced).connection
 
 
 def field_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
@@ -131,8 +140,7 @@ def scalar_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
     sum of derivative and phase-gradient terms, with the exact amplitude
     slopes of the radial spectrum.
     """
-    dark, radial, phase = _scalar_terms(_radial_spectrum(x_over_rc, reduced), reduced.kappa)
-    return dark + radial + phase
+    return _radial_spectrum(x_over_rc, reduced).scalar(reduced.kappa)
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,37 @@ def single_atom_gauge(params: DriveParams, branch: str) -> SingleAtomGauge:
     )
 
 
+def _check_label(label: str) -> None:
+    if label not in LABELS:
+        raise ValueError(f"label must be one of {LABELS}")
+
+
+def _field_inputs(label: str, r_vec, frame: str):
+    """Check label and frame; return r_vec, shape (3,) or (n, 3), and its lengths.
+
+    A batched matmul gives each length the bits of ``np.linalg.norm`` of
+    its vector alone; ``norm(axis=-1)`` can differ in the last bit.
+    """
+    _check_label(label)
+    if frame not in ("atom_a", "atom_b"):
+        raise ValueError("frame must be 'atom_a' or 'atom_b'")
+    r_vec = np.asarray(r_vec, dtype=float)
+    if r_vec.ndim not in (1, 2) or r_vec.shape[-1] != 3:
+        raise ValueError("r_vec must have shape (3,) or (n, 3)")
+    flat = r_vec.reshape(-1, 3)
+    r = np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(r_vec.shape[:-1])
+    if not np.all(r > 0.0):
+        raise ValueError("every separation in r_vec must be nonzero")
+    return r_vec, r
+
+
+def _azimuthal_field(da_dx, r_vec, r, params: DriveParams, frame: str) -> np.ndarray:
+    """B = da/dx · (e_r x e_k) for atom a, its negative for atom b."""
+    khat = np.asarray(params.wavevector_direction, dtype=float)
+    b = np.asarray(da_dx)[..., None] * np.cross(r_vec / r[..., None], khat)
+    return -b if frame == "atom_b" else b
+
+
 def vector_potential(
     params: DriveParams, model: InteractionModel, label: str, r_ab: float
 ) -> np.ndarray:
@@ -187,8 +226,7 @@ def vector_potential(
     Identical for both atoms and directed along e_k; depends on the
     positions only through their distance.
     """
-    if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}")
+    _check_label(label)
     if not (r_ab > 0.0):
         raise ValueError("vector_potential requires r_ab > 0")
     reduced = reduced_parameters(params, model)
@@ -203,25 +241,16 @@ def magnetic_field(
     r_vec,
     frame: str = "atom_a",
 ) -> np.ndarray:
-    """Artificial magnetic field at separation vector r_vec (B0 units).
+    """Artificial magnetic field at separation vectors r_vec (B0 units).
 
-    r_vec points from atom b to atom a; the field for atom b is the exact
-    negative.  The radial derivative of the vector potential is the closed
-    form of :func:`field_profile`; separations parallel to the beam give
-    exactly zero (the azimuthal direction degenerates).
+    r_vec, of shape (3,) or (n, 3), points from atom b to atom a; the
+    field for atom b is the exact negative.  One closed-form
+    :func:`field_profile` call serves all n; separations parallel to the
+    beam give exactly zero (the azimuthal direction degenerates).
     """
-    if frame not in ("atom_a", "atom_b"):
-        raise ValueError("frame must be 'atom_a' or 'atom_b'")
-    r_vec = np.asarray(r_vec, dtype=float)
-    r = float(np.linalg.norm(r_vec))
-    if not (r > 0.0):
-        raise ValueError("magnetic_field requires a nonzero separation")
-    reduced = reduced_parameters(params, model)
-    dadx = float(field_profile(r, reduced)[LABEL_INDEX[label]])
-    khat = np.asarray(params.wavevector_direction, dtype=float)
-    azimuthal = np.cross(r_vec / r, khat)  # e_r x e_k, zero when parallel
-    b = dadx * azimuthal
-    return -b if frame == "atom_b" else b
+    r_vec, r = _field_inputs(label, r_vec, frame)
+    da_dx = field_profile(r, reduced_parameters(params, model))[LABEL_INDEX[label]]
+    return _azimuthal_field(da_dx, r_vec, r, params, frame)
 
 
 def scalar_potential(
@@ -237,8 +266,7 @@ def scalar_potential(
     ``mass_kg`` (default: atom a); in these units the number itself is
     mass independent, the mass only tags the SI conversion.
     """
-    if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}")
+    _check_label(label)
     if not (r_ab > 0.0):
         raise ValueError("scalar_potential requires r_ab > 0")
     del mass_kg  # unit tag only; see docstring
@@ -253,20 +281,25 @@ def gauge_sample(
     r_vec,
     frame: str = "atom_a",
 ) -> GaugeSample:
-    """Bundle A, phi and B of one labeled state at one separation vector."""
-    r_vec = np.asarray(r_vec, dtype=float)
-    r = float(np.linalg.norm(r_vec))
+    """Bundle A, phi and B of one labeled state at one separation vector.
+
+    All three and the near-degeneracy flag come from one cubic solve.
+    """
+    if np.shape(r_vec) != (3,):
+        raise ValueError("gauge_sample takes one separation vector of shape (3,)")
+    r_vec, r = _field_inputs(label, r_vec, frame)
     reduced = reduced_parameters(params, model)
-    energies, _, _ = labeled_spectrum(reduced.shift_ratio(r), reduced.detuning_ratio)
-    flags = ("near_degenerate",) if near_degenerate(energies) else ()
+    spec = _radial_spectrum(r, reduced)
+    i = LABEL_INDEX[label]
+    khat = np.asarray(params.wavevector_direction, dtype=float)
     return GaugeSample(
         label=label,
-        r_ab=r,
-        vector_potential=vector_potential(params, model, label, r),
-        scalar_potential=scalar_potential(params, model, label, r),
-        magnetic_field=magnetic_field(params, model, label, r_vec, frame=frame),
+        r_ab=float(r),
+        vector_potential=spec.connection[i] * khat,
+        scalar_potential=float(spec.scalar(reduced.kappa)[i]),
+        magnetic_field=_azimuthal_field(spec.da_dx[i], r_vec, r, params, frame),
         frame=frame,
-        flags=flags,
+        flags=("near_degenerate",) if near_degenerate(spec.energies) else (),
     )
 
 
@@ -353,8 +386,7 @@ def scalar_potential_fd(
     third axis contributes nothing at first order in this geometry.
     Units hbar^2*k_L^2/(2m), like :func:`scalar_potential`.
     """
-    if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}")
+    _check_label(label)
     if not (r_ab > 0.0):
         raise ValueError("scalar_potential_fd requires r_ab > 0")
     reduced = reduced_parameters(params, model)
@@ -403,9 +435,9 @@ def scalar_potential_fd(
 class FieldMap:
     """Plane map of the artificial magnetic field around the pinned atom."""
 
-    samples: list[GaugeSample] = field(default_factory=list)
-    positions: tuple = ()  # (x, z) grid point of each sample
-    skipped: tuple = ()  # grid points dropped (atom positions coincide)
+    positions: np.ndarray  # (n, 2): the (x, z) grid point of each row
+    field: np.ndarray  # (n, 3): B at each position, B0 units
+    skipped: tuple = ()  # (x, z) grid points dropped (atom positions coincide)
 
 
 def field_map(
@@ -414,21 +446,19 @@ def field_map(
     """Sample B of one labeled state over an (x, z) grid.
 
     Atom b sits at the origin with the beam along z; atom a is placed at
-    each grid point (crossover units).  Points at the origin are skipped
-    and recorded rather than raised.
+    each grid point (crossover units), x-major.  Points at the origin are
+    skipped and recorded rather than raised; the rest share one solve.
     """
     if tuple(params.wavevector_direction) != (0.0, 0.0, 1.0):
         raise ValueError("field_map assumes the beam along +z")
-    samples = []
-    positions = []
-    skipped = []
-    for x in np.asarray(x_grid, dtype=float):
-        for z in np.asarray(z_grid, dtype=float):
-            if np.hypot(x, z) == 0.0:
-                skipped.append((float(x), float(z)))
-                continue
-            samples.append(
-                gauge_sample(params, model, label, np.array([x, 0.0, z]))
-            )
-            positions.append((float(x), float(z)))
-    return FieldMap(samples=samples, positions=tuple(positions), skipped=tuple(skipped))
+    x, z = np.meshgrid(np.asarray(x_grid, float), np.asarray(z_grid, float), indexing="ij")
+    x, z = x.ravel(), z.ravel()
+    origin = (x == 0.0) & (z == 0.0)
+    skipped = tuple(zip(x[origin].tolist(), z[origin].tolist()))
+    x, z = x[~origin], z[~origin]
+    r_vec = np.stack([x, np.zeros_like(x), z], axis=1)
+    return FieldMap(
+        positions=np.stack([x, z], axis=1),
+        field=magnetic_field(params, model, label, r_vec),
+        skipped=skipped,
+    )

@@ -66,18 +66,24 @@ def _roots_deflated(u, w):
 
     The substitution e = u - t maps the dominant (interaction-like) root to
     t = O(1/u), which Newton iteration from t = w resolves at full relative
-    precision; the remaining quadratic pair follows from Vieta.
+    precision; the remaining quadratic pair follows from Vieta.  Each
+    element stops once its own step is below a few ulp, so its roots do
+    not depend on the rest of the batch.
     """
     t = w + np.zeros_like(u)
     tol = 4.0 * np.finfo(float).eps  # a few ulp: the smallest step doubles resolve
+    active = np.ones(t.shape, dtype=bool)
     for _ in range(40):
-        f = u * u * (w - t) + u * (2.0 * t * t - w * t - w * w - 0.5) + t * (
-            w * w + 1.0 - t * t
+        ua, wa, ta = u[active], w[active], t[active]
+        f = ua * ua * (wa - ta) + ua * (2.0 * ta * ta - wa * ta - wa * wa - 0.5) + ta * (
+            wa * wa + 1.0 - ta * ta
         )
-        fp = -u * u + u * (4.0 * t - w) + w * w + 1.0 - 3.0 * t * t
+        fp = -ua * ua + ua * (4.0 * ta - wa) + wa * wa + 1.0 - 3.0 * ta * ta
         step = f / fp
-        t = t - step
-        if np.all(np.abs(step) <= tol * np.maximum(1.0, np.abs(t))):
+        ta = ta - step
+        t[active] = ta
+        active[active] = np.abs(step) > tol * np.maximum(1.0, np.abs(ta))
+        if not active.any():
             break
     e_big = u - t
     q = -u / (2.0 * (u - t))  # product of the two remaining roots

@@ -10,11 +10,14 @@ from __future__ import annotations
 import json
 import sys
 
+import numpy as np
+
 from .analysis import PeakReport, ScalingFit, ScanTable
 from .dynamics import Trajectory
 from .gauge import FieldMap
 from .model import ModelUnits
 
+SCAN_LABELS = ("1", "+", "-")  # column order of the scan's value blocks
 SCAN_HEADER = (
     "r_over_rc,A1,Aplus,Aminus,Bphi1,Bphiplus,Bphiminus,phi1,phiplus,phiminus"
 )
@@ -29,11 +32,25 @@ def format_float(value: float) -> str:
     return f"{value:.16e}"
 
 
+def _numbers(values) -> list[str]:
+    return [format_float(v) for v in values]
+
+
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row of formatted fields."""
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
+def _json(metadata: dict, rows: list) -> str:
+    return json.dumps({"metadata": metadata, "rows": rows}, sort_keys=True) + "\n"
+
+
 def _scan_columns(table: ScanTable, si: bool, units: ModelUnits | None):
     if si and units is None:
         raise ValueError("SI scan output needs the model units")
-    if tuple(table.labels) != ("1", "+", "-"):
-        raise ValueError("scan serialization expects labels ('1', '+', '-')")
+    if sorted(table.labels) != sorted(SCAN_LABELS):
+        raise ValueError(f"scan serialization expects the labels {SCAN_LABELS} in any order")
+    rows = [table.labels.index(label) for label in SCAN_LABELS]
     r = table.r_over_rc
     a, b, phi = table.vector_potential, table.azimuthal_field, table.scalar_potential
     if si:
@@ -41,40 +58,32 @@ def _scan_columns(table: ScanTable, si: bool, units: ModelUnits | None):
         a = units.to_si(a, "vector_potential")
         b = units.to_si(b, "field")
         phi = units.to_si(phi, "scalar_a")
-    return [r, a[0], a[1], a[2], b[0], b[1], b[2], phi[0], phi[1], phi[2]]
+    return [r] + [block[i] for block in (a, b, phi) for i in rows]
 
 
 def scan_to_csv(table: ScanTable, si: bool = False, units: ModelUnits | None = None) -> str:
     columns = _scan_columns(table, si, units)
-    lines = [SCAN_HEADER_SI if si else SCAN_HEADER]
-    for i in range(table.r_over_rc.size):
-        lines.append(",".join(format_float(col[i]) for col in columns))
-    return "\n".join(lines) + "\n"
+    rows = (_numbers(col[i] for col in columns) for i in range(table.r_over_rc.size))
+    return _csv(SCAN_HEADER_SI if si else SCAN_HEADER, rows)
 
 
 def scan_to_json(table: ScanTable, si: bool = False, units: ModelUnits | None = None) -> str:
     columns = _scan_columns(table, si, units)
     header = SCAN_HEADER_SI if si else SCAN_HEADER
-    metadata = dict(table.metadata)
-    metadata["columns"] = header.split(",")
-    metadata["excluded_rows"] = table.excluded_count
-    rows = [
-        [float(col[i]) for col in columns] for i in range(table.r_over_rc.size)
-    ]
-    return json.dumps({"metadata": metadata, "rows": rows}, sort_keys=True) + "\n"
+    metadata = dict(
+        table.metadata, columns=header.split(","), excluded_rows=table.excluded_count
+    )
+    rows = [[float(col[i]) for col in columns] for i in range(table.r_over_rc.size)]
+    return _json(metadata, rows)
+
+
+def _trajectory_rows(trajectory: Trajectory):
+    for state in trajectory.states:
+        yield [state.t_s, *state.position_m, *state.velocity_m_s, state.adiabaticity]
 
 
 def trajectory_to_csv(trajectory: Trajectory) -> str:
-    lines = [TRAJECTORY_HEADER]
-    for state in trajectory.states:
-        row = (
-            [state.t_s]
-            + list(state.position_m)
-            + list(state.velocity_m_s)
-            + [state.adiabaticity]
-        )
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv(TRAJECTORY_HEADER, map(_numbers, _trajectory_rows(trajectory)))
 
 
 def trajectory_to_json(trajectory: Trajectory) -> str:
@@ -83,33 +92,16 @@ def trajectory_to_json(trajectory: Trajectory) -> str:
         "aborted": trajectory.aborted,
         "reason": trajectory.reason,
     }
-    rows = [
-        [float(state.t_s)]
-        + [float(v) for v in state.position_m]
-        + [float(v) for v in state.velocity_m_s]
-        + [float(state.adiabaticity)]
-        for state in trajectory.states
-    ]
-    return json.dumps({"metadata": metadata, "rows": rows}, sort_keys=True) + "\n"
+    return _json(metadata, [[float(v) for v in row] for row in _trajectory_rows(trajectory)])
 
 
 def peaks_to_csv(reports: list[PeakReport]) -> str:
-    lines = [PEAKS_HEADER]
+    rows = []
     for rep in reports:
-        lines.append(
-            ",".join(
-                [
-                    rep.label,
-                    rep.kind,
-                    format_float(rep.r_peak_over_rc),
-                    format_float(rep.field_peak),
-                    format_float(rep.detuning_ratio),
-                    str(rep.found).lower(),
-                    rep.note.replace(",", ";"),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        values = _numbers([rep.r_peak_over_rc, rep.field_peak, rep.detuning_ratio])
+        note = rep.note.replace(",", ";")
+        rows.append([rep.label, rep.kind, *values, str(rep.found).lower(), note])
+    return _csv(PEAKS_HEADER, rows)
 
 
 def peaks_to_json(reports: list[PeakReport]) -> str:
@@ -125,20 +117,15 @@ def peaks_to_json(reports: list[PeakReport]) -> str:
         }
         for rep in reports
     ]
-    metadata = {"columns": PEAKS_HEADER.split(",")}
-    return json.dumps({"metadata": metadata, "rows": rows}, sort_keys=True) + "\n"
+    return _json({"columns": PEAKS_HEADER.split(",")}, rows)
+
+
+def _map_rows(field_map: FieldMap) -> np.ndarray:
+    return np.column_stack([field_map.positions, field_map.field])
 
 
 def map_to_csv(field_map: FieldMap) -> str:
-    lines = [MAP_HEADER]
-    for (x, z), sample in zip(field_map.positions, field_map.samples):
-        lines.append(
-            ",".join(
-                format_float(v)
-                for v in (x, z, *sample.magnetic_field)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(MAP_HEADER, map(_numbers, _map_rows(field_map)))
 
 
 def map_to_json(field_map: FieldMap) -> str:
@@ -146,30 +133,15 @@ def map_to_json(field_map: FieldMap) -> str:
         "columns": MAP_HEADER.split(","),
         "skipped": [list(point) for point in field_map.skipped],
     }
-    rows = [
-        [float(x), float(z)] + [float(v) for v in sample.magnetic_field]
-        for (x, z), sample in zip(field_map.positions, field_map.samples)
-    ]
-    return json.dumps({"metadata": metadata, "rows": rows}, sort_keys=True) + "\n"
+    return _json(metadata, _map_rows(field_map).tolist())
 
 
 def scaling_to_csv(fits: list[ScalingFit]) -> str:
-    lines = [SCALING_HEADER]
+    rows = []
     for fit in fits:
-        lines.append(
-            ",".join(
-                [
-                    fit.label,
-                    fit.kind,
-                    format_float(fit.exponent),
-                    format_float(fit.coefficient),
-                    format_float(fit.position),
-                    format_float(fit.residual),
-                    ";".join(fit.flags),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        values = _numbers([fit.exponent, fit.coefficient, fit.position, fit.residual])
+        rows.append([fit.label, fit.kind, *values, ";".join(fit.flags)])
+    return _csv(SCALING_HEADER, rows)
 
 
 def scaling_to_json(fits: list[ScalingFit]) -> str:
@@ -185,8 +157,7 @@ def scaling_to_json(fits: list[ScalingFit]) -> str:
         }
         for fit in fits
     ]
-    metadata = {"columns": SCALING_HEADER.split(",")}
-    return json.dumps({"metadata": metadata, "rows": rows}, sort_keys=True) + "\n"
+    return _json({"columns": SCALING_HEADER.split(",")}, rows)
 
 
 def write_text(path: str | None, text: str) -> None:

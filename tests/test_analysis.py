@@ -8,6 +8,7 @@ import pytest
 from rydgauge.analysis import PeakReport, ScanTable, find_peak, scaling_fit, scan_1d
 from rydgauge.gauge import magnetic_field, scalar_potential, vector_potential
 from rydgauge.model import get_preset
+from rydgauge.tables import scan_to_csv, scan_to_json
 
 GAETAN = get_preset("gaetan2009")
 
@@ -57,6 +58,24 @@ def test_scan_excludes_near_degenerate_points():
     assert table.excluded_count == 1
     assert table.r_over_rc.tolist() == [0.5, 1.0]
     assert np.all(np.isfinite(table.vector_potential))
+
+
+def test_scan_is_one_solve_over_the_grid(solves):
+    table = scan_1d(_drive(0.0), GAETAN.interaction, r_grid=np.geomspace(0.5, 5000.0, 50))
+    assert solves == [50]  # the degeneracy flag and every row from one solve
+    assert table.excluded_count > 0
+
+
+def test_default_scan_serializes_like_the_cli_order():
+    """The rows are picked by label, so any order of the three labels writes the same bytes."""
+    drive = _drive(-1.0)
+    grid = np.geomspace(0.3, 3.0, 7)
+    default = scan_1d(drive, GAETAN.interaction, r_grid=grid)
+    cli_order = scan_1d(drive, GAETAN.interaction, labels=("1", "+", "-"), r_grid=grid)
+    assert scan_to_csv(default) == scan_to_csv(cli_order)
+    assert scan_to_json(default).replace('"1,-,+"', '"1,+,-"') == scan_to_json(cli_order)
+    with pytest.raises(ValueError, match="labels"):
+        scan_to_csv(scan_1d(drive, GAETAN.interaction, labels=("1", "+"), r_grid=grid))
 
 
 def test_scan_empty_grid():

@@ -1,6 +1,7 @@
 """Tests for the geometric gauge potentials and the magnetic field."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -226,20 +227,68 @@ def test_gauge_sample_bundles_and_flags():
     assert "near_degenerate" in far.flags
 
 
+def test_gauge_sample_matches_the_single_quantity_calls(solves):
+    """One cubic solve gives the bits of A, phi and B computed one at a time."""
+    drive = _drive(-1.0)
+    for r_vec in ((0.15, 0.0, 0.0), (0.3, 0.2, -0.4), (1.2, 0.0, 0.5)):
+        for frame in ("atom_a", "atom_b"):
+            del solves[:]
+            sample = gauge_sample(drive, GAETAN.interaction, "-", r_vec, frame=frame)
+            assert solves == [1]
+            r = float(np.linalg.norm(r_vec))
+            assert sample.r_ab == r
+            assert np.array_equal(
+                sample.vector_potential, vector_potential(drive, GAETAN.interaction, "-", r)
+            )
+            assert sample.scalar_potential == scalar_potential(drive, GAETAN.interaction, "-", r)
+            b = magnetic_field(drive, GAETAN.interaction, "-", r_vec, frame=frame)
+            assert sample.magnetic_field.tobytes() == b.tobytes()
+
+
 def test_field_map_grid_handling():
     drive = _drive(0.0)
     grid = np.array([-1.0, 0.0, 1.0])
     result = field_map(drive, GAETAN.interaction, "1", grid, grid)
     assert (0.0, 0.0) in result.skipped
-    assert len(result.samples) == len(result.positions) == 8
-    for (x, z), sample in zip(result.positions, result.samples):
-        b = sample.magnetic_field
+    assert result.positions.shape == (8, 2)
+    assert result.field.shape == (8, 3)
+    for (x, z), b in zip(result.positions, result.field):
         assert b[0] == b[2] == 0.0  # azimuthal: only the y component survives
         if x == 0.0:  # separation parallel to the beam
             assert b[1] == 0.0
     tilted = dataclasses.replace(drive, wavevector_direction=(1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="beam"):
         field_map(tilted, GAETAN.interaction, "1", grid, grid)
+
+
+def test_field_map_rows_match_single_points(solves):
+    """The grid is one batch whose rows are the one-point fields bit for bit.
+
+    At w = -1 the points at r = 0.15 have |u| ~ 419, on the Newton
+    deflation branch, and the rest of the grid is on the trigonometric one.
+    """
+    drive = _drive(-1.0)
+    x_grid = np.array([-0.15, 0.0, 0.15, 0.6, 2.0])
+    z_grid = np.array([-0.15, 0.0, 0.15, 1.1])
+    result = field_map(drive, GAETAN.interaction, "+", x_grid, z_grid)
+    assert solves == [19]
+    assert result.skipped == ((0.0, 0.0),)
+    expected = [[x, z] for x in x_grid for z in z_grid if (x, z) != (0.0, 0.0)]
+    assert result.positions.tolist() == expected
+    for (x, z), b in zip(result.positions, result.field):
+        one = magnetic_field(drive, GAETAN.interaction, "+", (x, 0.0, z))
+        assert b.tobytes() == one.tobytes(), (x, z)
+
+
+def test_field_map_empty_and_origin_only_grids():
+    drive = _drive(-1.0)
+    empty = field_map(drive, GAETAN.interaction, "1", [], [])
+    assert empty.positions.shape == (0, 2)
+    assert empty.field.shape == (0, 3)
+    assert empty.skipped == ()
+    origin = field_map(drive, GAETAN.interaction, "1", [0.0], [0.0])
+    assert origin.field.shape == (0, 3)
+    assert origin.skipped == ((0.0, 0.0),)
 
 
 def test_input_validation():
@@ -250,3 +299,12 @@ def test_input_validation():
         vector_potential(drive, GAETAN.interaction, "1", 0.0)
     with pytest.raises(ValueError):
         scalar_potential(drive, GAETAN.interaction, "1", -1.0)
+    # gauge_sample checks its inputs before it solves: no overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="label"):
+            gauge_sample(drive, GAETAN.interaction, "2", (1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="frame"):
+            gauge_sample(drive, GAETAN.interaction, "1", (1.0, 0.0, 0.0), frame="lab")
+        with pytest.raises(ValueError, match="nonzero"):
+            gauge_sample(drive, GAETAN.interaction, "1", (0.0, 0.0, 0.0))

@@ -110,6 +110,24 @@ def test_deflated_roots_match_dense(w):
             np.testing.assert_allclose(e, dense, rtol=1e-13)
 
 
+def test_batch_equals_single_points():
+    """A point's roots and amplitudes do not depend on the rest of its batch.
+
+    Both branches, |u| from 1e2 to 1e12 with both signs; the Newton
+    deflation used to keep stepping converged elements until the whole
+    batch had converged, which moved (-132.26436681992374, -3) by an ulp.
+    """
+    magnitudes = np.geomspace(1e2, 1e12, 150)
+    u_set = np.concatenate([magnitudes, -magnitudes, np.linspace(-99.0, 99.0, 21),
+                            [-132.26436681992374]])
+    u, w = (a.ravel() for a in np.meshgrid(u_set, [-3.0, -1.0, -0.2, 0.0, 1.0]))
+    batch = labeled_spectrum(u, w)
+    for j in range(u.size):
+        single = labeled_spectrum(float(u[j]), float(w[j]))
+        for block, one in zip(batch, single):
+            assert block[:, j].tobytes() == one.tobytes(), (u[j], w[j])
+
+
 def test_eigenvector_residual():
     model = GAETAN.interaction
     drive = dataclasses.replace(_drive(-0.8), rabi_phase_rad=0.4)
