@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     traj.add_argument("--label", default="+", choices=("1", "+", "-"))
     traj.add_argument(
-        "--time-step-s", type=float, default=50e-9, dest="time_step_s",
+        "--time-step-s", type=float, default=dynamics.TrajectoryConfig.time_step_s,
         help="integrator step in seconds",
     )
     _add_output_flags(traj)

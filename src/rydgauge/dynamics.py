@@ -135,6 +135,12 @@ def _scalar_slope(engine: _Engine, x: float) -> np.ndarray:
     return (4.0 * (phi[:, 2] - phi[:, 1]) / h - (phi[:, 3] - phi[:, 0]) / (2.0 * h)) / 3.0
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b of two 3-vectors on Python floats, in np.cross's order of operations (same bits)."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
     pos = np.asarray(position_m, dtype=float)
     vel = np.asarray(velocity_m_s, dtype=float)
@@ -149,8 +155,8 @@ def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
     spec = _radial_spectrum(x, engine.reduced)
     total = np.zeros(3)
     if config.include_lorentz:
-        b_si = engine.field_T * spec.da_dx[row] * np.cross(e_r, engine.khat)
-        total += config.charge_C * np.cross(vel, b_si)
+        b_si = engine.field_T * spec.da_dx[row] * _cross(e_r, engine.khat)
+        total += config.charge_C * _cross(vel, b_si)
     if config.include_adiabatic_potential:
         total += -spec.de_dx[row] * (engine.energy_J / engine.r_c_m) * e_r
     if config.include_scalar_gradient:
@@ -306,7 +312,7 @@ def deflection_scenario(
     speed_m_s: float = 0.10,
     impact_parameter_rc: float = 1.0,
     label: str = "+",
-    time_step_s: float = 50e-9,
+    time_step_s: float = TrajectoryConfig.time_step_s,
     approach_rc: float = 6.0,
     output_stride: int = 200,
 ) -> TrajectoryConfig:

@@ -35,6 +35,8 @@ DEFLATE_AT = 100.0
 
 DEGENERACY_TOL = 1e-10  # model units
 
+_TRIG_OFFSETS = np.array([0.0, -TWOPI / 3.0, TWOPI / 3.0])  # angles of E_1, E_-, E_+
+
 
 def _polish(e, u, w, steps=2):
     """Newton-polish roots of the monic characteristic cubic."""
@@ -48,17 +50,15 @@ def _polish(e, u, w, steps=2):
 
 
 def _roots_trig(u, w):
-    """Three real roots by the trigonometric method, descending order."""
+    """Three real roots by the trigonometric method, shape (3,) + u.shape, descending."""
     eta = (4.0 / 3.0) * (w * (u - w) - 1.0 - u * u / 3.0)
     gam = (u / 3.0) * ((8.0 / 9.0) * u * u - 4.0 * w * (u - w) - 2.0)
     s = np.sqrt(np.maximum(-eta, 0.0))
     s3 = s * s * s
     arg = np.divide(gam, s3, out=np.ones_like(gam + 0.0), where=s3 > 0)
     third = np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0
-    e_hi = s * np.cos(third) + u / 3.0
-    e_lo = s * np.cos(third + TWOPI / 3.0) + u / 3.0
-    e_mid = s * np.cos(third - TWOPI / 3.0) + u / 3.0
-    return _polish(e_hi, u, w), _polish(e_mid, u, w), _polish(e_lo, u, w)
+    offsets = _TRIG_OFFSETS.reshape((3,) + (1,) * u.ndim)
+    return _polish(s * np.cos(third + offsets) + u / 3.0, u, w)
 
 
 def _roots_deflated(u, w):
@@ -88,27 +88,23 @@ def _roots_deflated(u, w):
     e_big = u - t
     q = -u / (2.0 * (u - t))  # product of the two remaining roots
     disc = np.sqrt(t * t - 4.0 * q)
-    r_hi = _polish(0.5 * (t + disc), u, w)
-    r_lo = _polish(0.5 * (t - disc), u, w)
-    e_hi = np.where(u > 0, e_big, r_hi)
-    e_mid = np.where(u > 0, r_hi, r_lo)
-    e_lo = np.where(u > 0, r_lo, e_big)
-    return e_hi, e_mid, e_lo
+    pair = _polish(0.5 * (t + np.stack([disc, -disc])), u, w)
+    # descending: the dominant root leads for u > 0 and trails for u < 0
+    ladder = np.concatenate([e_big[None], pair, e_big[None]])
+    return np.where(u > 0, ladder[:3], ladder[1:])
 
 
 def _roots_canonical_half(u, w):
-    """Descending roots for (u, w) already in the half-plane w < 0 (or w = 0, u <= 0)."""
+    """Descending roots, shape (3,) + u.shape, for w < 0 (or w = 0, u <= 0)."""
     big = np.abs(u) > DEFLATE_AT
-    e_hi = np.empty_like(u)
-    e_mid = np.empty_like(u)
-    e_lo = np.empty_like(u)
-    if np.any(~big):
-        a, b, c = _roots_trig(u[~big], w[~big])
-        e_hi[~big], e_mid[~big], e_lo[~big] = a, b, c
-    if np.any(big):
-        a, b, c = _roots_deflated(u[big], w[big])
-        e_hi[big], e_mid[big], e_lo[big] = a, b, c
-    return e_hi, e_mid, e_lo
+    if not big.any():
+        return _roots_trig(u, w)
+    if big.all():
+        return _roots_deflated(u, w)
+    roots = np.empty((3,) + u.shape)
+    roots[:, ~big] = _roots_trig(u[~big], w[~big])
+    roots[:, big] = _roots_deflated(u[big], w[big])
+    return roots
 
 
 def labeled_spectrum(shift_ratio, detuning_ratio):
@@ -146,11 +142,8 @@ def labeled_spectrum(shift_ratio, detuning_ratio):
     flip = (w > 0.0) | ((w == 0.0) & (u > 0.0))
     uc = np.where(flip, -u, u)
     wc = np.where(flip, -w, w)
-    hi_c, mid_c, lo_c = _roots_canonical_half(uc, wc)
-    e_hi = np.where(flip, -lo_c, hi_c)
-    e_mid = np.where(flip, -mid_c, mid_c)
-    e_lo = np.where(flip, -hi_c, lo_c)
-    energies = np.stack([e_hi, e_mid, e_lo])
+    roots = _roots_canonical_half(uc, wc)
+    energies = np.where(flip, -roots[::-1], roots)
     ee_amp = energies - w
     denom = energies * energies - w * energies - 0.5
     direct = energies + w - u

@@ -26,6 +26,7 @@ TRAJECTORY_HEADER = "t_s,x_m,y_m,z_m,vx,vy,vz,adiabaticity"
 MAP_HEADER = "x_over_rc,z_over_rc,Bx,By,Bz"
 PEAKS_HEADER = "label,kind,r_peak_over_rc,field_peak,detuning_ratio,found,note"
 SCALING_HEADER = "label,kind,exponent,coefficient,position,residual,flags"
+_ROW_BLOCK = 4096  # scan rows per conversion: a whole 1e5-row table as floats raises peak memory
 
 
 def format_float(value: float) -> str:
@@ -45,12 +46,13 @@ def _json(metadata: dict, rows: list) -> str:
     return json.dumps({"metadata": metadata, "rows": rows}, sort_keys=True) + "\n"
 
 
-def _scan_columns(table: ScanTable, si: bool, units: ModelUnits | None):
+def _scan_blocks(table: ScanTable, si: bool, units: ModelUnits | None):
+    """The rows as lists of Python floats, in blocks; the table is checked before the first."""
     if si and units is None:
         raise ValueError("SI scan output needs the model units")
     if sorted(table.labels) != sorted(SCAN_LABELS):
         raise ValueError(f"scan serialization expects the labels {SCAN_LABELS} in any order")
-    rows = [table.labels.index(label) for label in SCAN_LABELS]
+    order = [table.labels.index(label) for label in SCAN_LABELS]
     r = table.r_over_rc
     a, b, phi = table.vector_potential, table.azimuthal_field, table.scalar_potential
     if si:
@@ -58,23 +60,28 @@ def _scan_columns(table: ScanTable, si: bool, units: ModelUnits | None):
         a = units.to_si(a, "vector_potential")
         b = units.to_si(b, "field")
         phi = units.to_si(phi, "scalar_a")
-    return [r] + [block[i] for block in (a, b, phi) for i in rows]
+    columns = [r] + [block[i] for block in (a, b, phi) for i in order]
+    return (
+        np.column_stack([c[start : start + _ROW_BLOCK] for c in columns]).tolist()
+        for start in range(0, r.size, _ROW_BLOCK)
+    )
 
 
 def scan_to_csv(table: ScanTable, si: bool = False, units: ModelUnits | None = None) -> str:
-    columns = _scan_columns(table, si, units)
-    rows = (_numbers(col[i] for col in columns) for i in range(table.r_over_rc.size))
-    return _csv(SCAN_HEADER_SI if si else SCAN_HEADER, rows)
+    rows = (row for block in _scan_blocks(table, si, units) for row in block)
+    return _csv(SCAN_HEADER_SI if si else SCAN_HEADER, map(_numbers, rows))
 
 
 def scan_to_json(table: ScanTable, si: bool = False, units: ModelUnits | None = None) -> str:
-    columns = _scan_columns(table, si, units)
+    blocks = _scan_blocks(table, si, units)
     header = SCAN_HEADER_SI if si else SCAN_HEADER
     metadata = dict(
         table.metadata, columns=header.split(","), excluded_rows=table.excluded_count
     )
-    rows = [[float(col[i]) for col in columns] for i in range(table.r_over_rc.size)]
-    return _json(metadata, rows)
+    # "rows" is the last key: splice its blocks into the document with the
+    # bytes json.dumps gives the whole list
+    head = _json(metadata, [])[: -len("]}\n")]
+    return head + ", ".join(json.dumps(block)[1:-1] for block in blocks) + "]}\n"
 
 
 def _trajectory_rows(trajectory: Trajectory):

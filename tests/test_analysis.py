@@ -1,14 +1,22 @@
 """Tests for scans, field-extremum search, and scaling fits."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from rydgauge import tables
 from rydgauge.analysis import PeakReport, ScanTable, find_peak, scaling_fit, scan_1d
 from rydgauge.gauge import magnetic_field, scalar_potential, vector_potential
 from rydgauge.model import get_preset
-from rydgauge.tables import scan_to_csv, scan_to_json
+from rydgauge.tables import (
+    SCAN_HEADER,
+    SCAN_LABELS,
+    format_float,
+    scan_to_csv,
+    scan_to_json,
+)
 
 GAETAN = get_preset("gaetan2009")
 
@@ -76,6 +84,22 @@ def test_default_scan_serializes_like_the_cli_order():
     assert scan_to_json(default).replace('"1,-,+"', '"1,+,-"') == scan_to_json(cli_order)
     with pytest.raises(ValueError, match="labels"):
         scan_to_csv(scan_1d(drive, GAETAN.interaction, labels=("1", "+"), r_grid=grid))
+
+
+@pytest.mark.parametrize("points", [0, 1, 3, 7])
+def test_scan_serialization_matches_the_per_value_loop(points, monkeypatch):
+    """Rows converted and spliced block by block give the bytes of one value at a time."""
+    monkeypatch.setattr(tables, "_ROW_BLOCK", 3)  # empty, partial, whole and several blocks
+    grid = np.geomspace(0.05, 5.0, points)
+    table = scan_1d(_drive(-1.0), GAETAN.interaction, labels=SCAN_LABELS, r_grid=grid)
+    columns = [table.r_over_rc, *table.vector_potential, *table.azimuthal_field,
+               *table.scalar_potential]
+    lines = [",".join(format_float(col[i]) for col in columns) for i in range(points)]
+    assert scan_to_csv(table) == "\n".join([SCAN_HEADER, *lines]) + "\n"
+    metadata = dict(table.metadata, columns=SCAN_HEADER.split(","), excluded_rows=0)
+    rows = [[float(col[i]) for col in columns] for i in range(points)]
+    document = json.dumps({"metadata": metadata, "rows": rows}, sort_keys=True) + "\n"
+    assert scan_to_json(table) == document
 
 
 def test_scan_empty_grid():

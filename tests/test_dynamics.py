@@ -1,6 +1,7 @@
 """Tests for the semiclassical trajectory integrator."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from rydgauge.constants import ELEMENTARY_CHARGE, TWOPI
 from rydgauge.dynamics import (
     TrajectoryConfig,
+    _cross,
     adiabaticity,
     deflection_scenario,
     dressed_energy,
@@ -15,11 +17,13 @@ from rydgauge.dynamics import (
     integrate,
     traversal_time_s,
 )
+from rydgauge.gauge import field_profile
 from rydgauge.model import (
     InteractionKind,
     InteractionModel,
     ModelUnits,
     get_preset,
+    reduced_parameters,
 )
 
 GAETAN = get_preset("gaetan2009")
@@ -80,6 +84,31 @@ def test_lorentz_force_is_perpendicular_to_velocity_and_scales_with_charge():
     assert abs(np.dot(f1, vel)) <= 1e-12 * np.linalg.norm(f1) * np.linalg.norm(vel)
     doubled = force(dataclasses.replace(config, charge_C=2.0 * ELEMENTARY_CHARGE), pos, vel)
     assert doubled == pytest.approx(2.0 * f1, rel=1e-14)
+
+
+def test_lorentz_force_matches_np_cross_bit_for_bit():
+    """q v x (B0 B_phi e_r x k) on Python floats gives np.cross's bytes, signed zeros included."""
+    signed = (-1.3, -0.0, 0.0, 0.7)
+    vectors = [np.array(c) for c in itertools.product(signed, repeat=3)]
+    for a in vectors:
+        for b in vectors:
+            assert _cross(a, b).tobytes() == np.cross(a, b).tobytes(), (a, b)
+    config = _config(include_adiabatic_potential=False)
+    reduced = reduced_parameters(GAETAN.drive, GAETAN.interaction)
+    field_T = ModelUnits.from_experiment(GAETAN.drive, GAETAN.interaction).field_T
+    khat = np.asarray(GAETAN.drive.wavevector_direction)
+    for pos in vectors:
+        if not np.any(pos):
+            continue
+        pos = pos * R_C
+        r_m = float(np.linalg.norm(pos))
+        da_dx = field_profile(r_m / R_C, reduced)[2]  # label "+"
+        b_si = field_T * da_dx * np.cross(pos / r_m, khat)
+        for vel in vectors:
+            vel = 0.1 * vel
+            expected = np.zeros(3)  # force sums its terms into zeros: -0.0 reads +0.0
+            expected += config.charge_C * np.cross(vel, b_si)
+            assert force(config, pos, vel).tobytes() == expected.tobytes(), (pos, vel)
 
 
 def test_adiabatic_force_is_radial():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rydgauge.constants import HBAR
 from rydgauge.model import crossover_distance, get_preset, interaction_shift
 from rydgauge.spectrum import (
+    DEFLATE_AT,
     LABELS,
     PairConfiguration,
     bare_state_vector,
@@ -113,19 +114,26 @@ def test_deflated_roots_match_dense(w):
 def test_batch_equals_single_points():
     """A point's roots and amplitudes do not depend on the rest of its batch.
 
-    Both branches, |u| from 1e2 to 1e12 with both signs; the Newton
-    deflation used to keep stepping converged elements until the whole
-    batch had converged, which moved (-132.26436681992374, -3) by an ulp.
+    Both branches, |u| from 1e2 to 1e12 with both signs and u = +-0, w in
+    both half-planes; the Newton deflation used to keep stepping converged
+    elements until the whole batch had converged, which moved
+    (-132.26436681992374, -3) by an ulp.  A batch that lies on one branch
+    skips the masked copies and must give the bytes of the mixed batch.
     """
     magnitudes = np.geomspace(1e2, 1e12, 150)
     u_set = np.concatenate([magnitudes, -magnitudes, np.linspace(-99.0, 99.0, 21),
-                            [-132.26436681992374]])
-    u, w = (a.ravel() for a in np.meshgrid(u_set, [-3.0, -1.0, -0.2, 0.0, 1.0]))
+                            [-132.26436681992374, 0.0, -0.0]])
+    w_set = [-3.0, -1.0, -0.2, -0.0, 0.0, 0.3, 1.0, 3.0]
+    u, w = (a.ravel() for a in np.meshgrid(u_set, w_set))
     batch = labeled_spectrum(u, w)
     for j in range(u.size):
         single = labeled_spectrum(float(u[j]), float(w[j]))
         for block, one in zip(batch, single):
             assert block[:, j].tobytes() == one.tobytes(), (u[j], w[j])
+    deflated = np.abs(u) > DEFLATE_AT
+    for branch in (deflated, ~deflated):
+        for block, part in zip(batch, labeled_spectrum(u[branch], w[branch])):
+            assert block[:, branch].tobytes() == part.tobytes()
 
 
 def test_eigenvector_residual():
