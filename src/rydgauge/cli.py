@@ -244,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     traj.add_argument("--label", default="+", choices=("1", "+", "-"))
     traj.add_argument(
-        "--time-step-s", type=float, default=dynamics.TrajectoryConfig.time_step_s,
-        help="integrator step in seconds",
+        "--time-step-s", type=float, default=None,
+        help="fixed RK4 step in seconds (default: adaptive Dormand-Prince 5(4))",
     )
     _add_output_flags(traj)
     traj.set_defaults(handler=_cmd_trajectory)

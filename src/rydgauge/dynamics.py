@@ -3,12 +3,15 @@
 The mobile atom (atom a) feels the artificial Lorentz force of its
 labeled internal state, the gradient of the dressed energy, and
 optionally the gradient of the scalar potential; the partner sits at the
-origin and does not recoil.  Classic fixed-step RK4, with an abort guard
-where the adiabatic model itself stops being trustworthy.
+origin and does not recoil.  By default the motion is integrated with
+adaptive Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6,
+19 (1980)); an explicit time step selects classic fixed-step RK4.  Both
+abort where the adiabatic model itself stops being trustworthy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,30 @@ MIN_SEPARATION_RC = 0.01  # below this the adiabatic pair model is not credible
 FD_STEP = 1e-6  # crossover units, adiabaticity and scalar-slope stencils
 DEGENERACY_GAP = 1e-12
 
+# adaptive path: relative tolerance, absolute floor as a fraction of the
+# problem's scales (r_c, |v0|), floor of the previous error norm in the PI
+# controller; states are recorded on the grid of a RECORD_STEP_S fixed step
+RTOL = 1e-10
+ATOL_FRACTION = 1e-12
+ERR_FLOOR = 1e-4
+RECORD_STEP_S = 50e-9
+
+# Dormand-Prince 5(4): stage matrix (row 6 is the fifth-order solution,
+# so its stage is the next step's first) and fifth minus fourth order weights
+_DP_A = np.zeros((7, 6))
+_DP_A[1, :1] = [1 / 5]
+_DP_A[2, :2] = [3 / 40, 9 / 40]
+_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_DP_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
+_SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 10.0  # step shrinks at most 5x, grows at most 10x
+_PI_BETA = 0.04
+_PI_ALPHA = 0.2 - 0.75 * _PI_BETA
+
 
 class ModelValidityError(RuntimeError):
     """Trajectory entered separations where the pair model breaks down."""
@@ -55,7 +82,7 @@ class TrajectoryConfig:
     max_time_s: float
     label: str = "+"  # connects to |gg> at large separation
     charge_C: float = ELEMENTARY_CHARGE
-    time_step_s: float = 50e-9
+    time_step_s: float | None = None  # None: adaptive Dormand-Prince 5(4)
     include_lorentz: bool = True
     include_adiabatic_potential: bool = True
     include_scalar_gradient: bool = False
@@ -65,7 +92,7 @@ class TrajectoryConfig:
     def __post_init__(self) -> None:
         if self.label not in LABELS:
             raise ValueError(f"label must be one of {LABELS}")
-        if not (self.time_step_s > 0.0):
+        if self.time_step_s is not None and not (self.time_step_s > 0.0):
             raise ValueError("time step must be positive")
         if not (self.max_time_s > 0.0):
             raise ValueError("max time must be positive")
@@ -171,17 +198,6 @@ def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
     return total
 
 
-def force(config: TrajectoryConfig, position_m, velocity_m_s) -> np.ndarray:
-    """Instantaneous force on the mobile atom, newtons.
-
-    Sum of the enabled terms: artificial Lorentz force q v x B, the
-    dressed-energy gradient, and the scalar-potential gradient.  The
-    uniform background energy contributes nothing.  Separations below
-    the validity floor raise :class:`ModelValidityError`.
-    """
-    return _force(config, _engine(config), position_m, velocity_m_s)
-
-
 def dressed_energy(config: TrajectoryConfig, position_m) -> float:
     """Dressed-state energy at a position, joules, plus the background."""
     engine = _engine(config)
@@ -253,21 +269,117 @@ def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s) -> float:
     return worst
 
 
-def integrate(config: TrajectoryConfig) -> Trajectory:
-    """Run fixed-step RK4 until max time or a validity abort.
-
-    The last step is shortened so the run ends exactly at ``max_time_s``.
-    States are recorded every ``output_stride`` steps plus the final
-    one; on abort the partial trajectory is returned with the reason.
-    """
-    engine = _engine(config)
+def _step_count(max_time_s: float, step_s: float) -> int:
+    """Fixed steps to reach max_time_s, the last one shortened to land on it."""
     # a ratio within 1e-9 of an integer is that integer, so rounding in
-    # max_time_s/time_step_s never leaves a sliver of a last step
-    n_steps = max(1, int(np.ceil(config.max_time_s / config.time_step_s - 1e-9)))
-    row = LABEL_INDEX[config.label]
+    # max_time_s/step_s never leaves a sliver of a last step
+    return max(1, int(np.ceil(max_time_s / step_s - 1e-9)))
+
+
+def _record_times(config: TrajectoryConfig, step_s: float) -> list[float]:
+    """Times of the recorded states after t = 0 on the fixed-step grid of
+    ``step_s``: every ``output_stride`` steps and, last, ``max_time_s``."""
+    n_steps = _step_count(config.max_time_s, step_s)
+    stride = config.output_stride
+    return [step * step_s for step in range(stride, n_steps, stride)] + [config.max_time_s]
+
+
+def _rk4_records(config: TrajectoryConfig, engine: _Engine):
+    """Classic fixed-step RK4; yields (t, position, velocity) at each record time."""
+    n_steps = _step_count(config.max_time_s, config.time_step_s)
 
     def acceleration(pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
         return _force(config, engine, pos, vel) / engine.mass_kg
+
+    pos = np.asarray(config.initial_position_m, dtype=float)
+    vel = np.asarray(config.initial_velocity_m_s, dtype=float)
+    for step in range(1, n_steps + 1):
+        dt = config.time_step_s
+        t = step * dt
+        if step == n_steps:
+            dt = config.max_time_s - (n_steps - 1) * dt
+            t = config.max_time_s
+        k1v = acceleration(pos, vel)
+        k1p = vel
+        k2v = acceleration(pos + 0.5 * dt * k1p, vel + 0.5 * dt * k1v)
+        k2p = vel + 0.5 * dt * k1v
+        k3v = acceleration(pos + 0.5 * dt * k2p, vel + 0.5 * dt * k2v)
+        k3p = vel + 0.5 * dt * k2v
+        k4v = acceleration(pos + dt * k3p, vel + dt * k3v)
+        k4p = vel + dt * k3v
+        pos = pos + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        vel = vel + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if step % config.output_stride == 0 or step == n_steps:
+            yield t, pos, vel
+
+
+def _dp54_records(config: TrajectoryConfig, engine: _Engine):
+    """Adaptive Dormand-Prince 5(4); yields (t, position, velocity) at each record time.
+
+    FSAL, the PI step controller of Hairer, Norsett & Wanner (Solving
+    ODEs I, II.4-II.5) on the mixed error norm with scales
+    ``atol_i + RTOL * max(|y_i|, |y_new_i|)``.  The steps up to the next
+    record time split it evenly, so every record is an accepted step
+    that lands on it exactly, with no interpolation.
+    """
+    y = np.array([*config.initial_position_m, *config.initial_velocity_m_s], dtype=float)
+    # absolute floors from the problem's own scales: r_c for positions and
+    # the initial speed (or r_c per run time, starting at rest) for velocities
+    speed = float(np.linalg.norm(y[3:])) or engine.r_c_m / config.max_time_s
+    atol = ATOL_FRACTION * np.repeat([engine.r_c_m, speed], 3)
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        return np.concatenate((y[3:], _force(config, engine, y[:3], y[3:]) / engine.mass_kg))
+
+    def norm(v: np.ndarray, scale: np.ndarray) -> float:
+        return float(np.sqrt(np.mean((v / scale) ** 2)))
+
+    k = np.empty((7, 6))
+    k[0] = rhs(y)
+    # first step: Hairer's guess 0.01 |y| / |y'| in the error norm
+    scale = atol + RTOL * np.abs(y)
+    d0, d1 = norm(y, scale), norm(k[0], scale)
+    h = 0.01 * d0 / d1 if d1 > 0.0 else config.max_time_s
+    t = 0.0
+    err_old = ERR_FLOOR
+    rejected = False
+    for t_record in _record_times(config, RECORD_STEP_S):
+        while t < t_record:
+            n_left = math.ceil((t_record - t) / h)
+            h_step = (t_record - t) / n_left
+            for i in range(1, 7):
+                y_new = y + h_step * (_DP_A[i, :i] @ k[:i])
+                k[i] = rhs(y_new)
+            err = norm(h_step * (_DP_E @ k), atol + RTOL * np.maximum(np.abs(y), np.abs(y_new)))
+            if err <= 1.0:
+                fac = err**_PI_ALPHA / err_old**_PI_BETA / _SAFETY
+                h = h_step / min(1.0 / _FAC_MIN, max(1.0 / _FAC_MAX, fac))
+                if rejected:
+                    h = min(h, h_step)
+                err_old = max(err, ERR_FLOOR)
+                rejected = False
+                t = t_record if n_left == 1 else t + h_step
+                y = y_new
+                k[0] = k[6]
+            else:
+                h = h_step / min(1.0 / _FAC_MIN, err**_PI_ALPHA / _SAFETY)
+                rejected = True
+        yield t, y[:3], y[3:]
+
+
+def integrate(config: TrajectoryConfig) -> Trajectory:
+    """Integrate until max time or a validity abort.
+
+    With ``time_step_s`` unset the default path is adaptive Dormand-Prince
+    5(4) at relative tolerance ``RTOL``; an explicit ``time_step_s`` runs
+    classic fixed-step RK4.  Either way the run ends exactly at
+    ``max_time_s`` and states are recorded at t = 0, at every
+    ``output_stride`` steps of the fixed step (50 ns on the adaptive
+    path), and at the end.  A force evaluation below the validity floor
+    ends the run: the partial trajectory is returned with the reason.
+    """
+    engine = _engine(config)
+    row = LABEL_INDEX[config.label]
 
     def record(t: float, pos: np.ndarray, vel: np.ndarray) -> TrajectoryState:
         x = float(np.linalg.norm(pos)) / engine.r_c_m
@@ -283,27 +395,12 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
     pos = np.asarray(config.initial_position_m, dtype=float)
     vel = np.asarray(config.initial_velocity_m_s, dtype=float)
     states = [record(0.0, pos, vel)]
-    for step in range(1, n_steps + 1):
-        dt = config.time_step_s
-        t = step * dt
-        if step == n_steps:
-            dt = config.max_time_s - (n_steps - 1) * dt
-            t = config.max_time_s
-        try:
-            k1v = acceleration(pos, vel)
-            k1p = vel
-            k2v = acceleration(pos + 0.5 * dt * k1p, vel + 0.5 * dt * k1v)
-            k2p = vel + 0.5 * dt * k1v
-            k3v = acceleration(pos + 0.5 * dt * k2p, vel + 0.5 * dt * k2v)
-            k3p = vel + 0.5 * dt * k2v
-            k4v = acceleration(pos + dt * k3p, vel + dt * k3v)
-            k4p = vel + dt * k3v
-        except ModelValidityError as exc:
-            return Trajectory(states=tuple(states), aborted=True, reason=str(exc))
-        pos = pos + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        vel = vel + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if step % config.output_stride == 0 or step == n_steps:
+    stepper = _dp54_records if config.time_step_s is None else _rk4_records
+    try:
+        for t, pos, vel in stepper(config, engine):
             states.append(record(t, pos, vel))
+    except ModelValidityError as exc:
+        return Trajectory(states=tuple(states), aborted=True, reason=str(exc))
     return Trajectory(states=tuple(states))
 
 
@@ -312,7 +409,7 @@ def deflection_scenario(
     speed_m_s: float = 0.10,
     impact_parameter_rc: float = 1.0,
     label: str = "+",
-    time_step_s: float = TrajectoryConfig.time_step_s,
+    time_step_s: float | None = None,
     approach_rc: float = 6.0,
     output_stride: int = 200,
 ) -> TrajectoryConfig:
@@ -323,7 +420,9 @@ def deflection_scenario(
     the deflection along the beam axis is the integrated signature of
     the azimuthal field.  Only the Lorentz term is enabled: the in-plane
     energy gradient would dominate the motion long before the crossing
-    and bury the transverse signal this scenario measures.
+    and bury the transverse signal this scenario measures.  Without
+    ``time_step_s`` the run uses the adaptive integrator; a step given
+    here selects fixed-step RK4 at that step.
     """
     preset = get_preset(preset_name)
     units = ModelUnits.from_experiment(preset.drive, preset.interaction)

@@ -6,14 +6,16 @@ import itertools
 import numpy as np
 import pytest
 
+from rydgauge import dynamics
 from rydgauge.constants import ELEMENTARY_CHARGE, TWOPI
 from rydgauge.dynamics import (
     TrajectoryConfig,
     _cross,
+    _engine,
+    _force,
     adiabaticity,
     deflection_scenario,
     dressed_energy,
-    force,
     integrate,
     traversal_time_s,
 )
@@ -48,8 +50,10 @@ def _config(**overrides):
 def test_config_validation():
     with pytest.raises(ValueError, match="label"):
         _config(label="x")
-    with pytest.raises(ValueError, match="time step"):
-        _config(time_step_s=0.0)
+    assert _config(time_step_s=None).time_step_s is None  # adaptive
+    for bad_step in (0.0, -50e-9, float("nan")):
+        with pytest.raises(ValueError, match="time step"):
+            _config(time_step_s=bad_step)
     with pytest.raises(ValueError, match="max time"):
         _config(max_time_s=-1.0)
     with pytest.raises(ValueError, match="stride"):
@@ -80,9 +84,10 @@ def test_lorentz_force_is_perpendicular_to_velocity_and_scales_with_charge():
     config = _config(include_adiabatic_potential=False)
     pos = (-1.5 * R_C, 1.0 * R_C, 0.0)
     vel = (0.10, 0.02, 0.0)
-    f1 = force(config, pos, vel)
+    f1 = _force(config, _engine(config), pos, vel)
     assert abs(np.dot(f1, vel)) <= 1e-12 * np.linalg.norm(f1) * np.linalg.norm(vel)
-    doubled = force(dataclasses.replace(config, charge_C=2.0 * ELEMENTARY_CHARGE), pos, vel)
+    doubled_config = dataclasses.replace(config, charge_C=2.0 * ELEMENTARY_CHARGE)
+    doubled = _force(doubled_config, _engine(doubled_config), pos, vel)
     assert doubled == pytest.approx(2.0 * f1, rel=1e-14)
 
 
@@ -94,6 +99,7 @@ def test_lorentz_force_matches_np_cross_bit_for_bit():
         for b in vectors:
             assert _cross(a, b).tobytes() == np.cross(a, b).tobytes(), (a, b)
     config = _config(include_adiabatic_potential=False)
+    engine = _engine(config)
     reduced = reduced_parameters(GAETAN.drive, GAETAN.interaction)
     field_T = ModelUnits.from_experiment(GAETAN.drive, GAETAN.interaction).field_T
     khat = np.asarray(GAETAN.drive.wavevector_direction)
@@ -108,13 +114,14 @@ def test_lorentz_force_matches_np_cross_bit_for_bit():
             vel = 0.1 * vel
             expected = np.zeros(3)  # force sums its terms into zeros: -0.0 reads +0.0
             expected += config.charge_C * np.cross(vel, b_si)
-            assert force(config, pos, vel).tobytes() == expected.tobytes(), (pos, vel)
+            got = _force(config, engine, pos, vel)
+            assert got.tobytes() == expected.tobytes(), (pos, vel)
 
 
 def test_adiabatic_force_is_radial():
     config = _config(include_lorentz=False)
     pos = np.array([-1.5 * R_C, 1.0 * R_C, 0.0])
-    f = force(config, pos, (0.0, 0.0, 0.0))
+    f = _force(config, _engine(config), pos, (0.0, 0.0, 0.0))
     assert np.linalg.norm(np.cross(f, pos)) <= 1e-12 * np.linalg.norm(f) * np.linalg.norm(pos)
 
 
@@ -122,8 +129,8 @@ def test_scalar_gradient_term_toggles():
     off = _config(include_lorentz=False, include_adiabatic_potential=False)
     on = dataclasses.replace(off, include_scalar_gradient=True)
     pos = (-1.2 * R_C, 0.8 * R_C, 0.0)
-    assert np.linalg.norm(force(off, pos, (0.0, 0.0, 0.0))) == 0.0
-    f_on = force(on, pos, (0.0, 0.0, 0.0))
+    assert np.linalg.norm(_force(off, _engine(off), pos, (0.0, 0.0, 0.0))) == 0.0
+    f_on = _force(on, _engine(on), pos, (0.0, 0.0, 0.0))
     assert np.linalg.norm(f_on) > 0.0
     assert np.linalg.norm(np.cross(f_on, pos)) <= 1e-12 * np.linalg.norm(f_on) * np.linalg.norm(pos)
 
@@ -175,6 +182,65 @@ def test_abort_below_the_validity_floor():
     # the recorded path never crosses the floor itself
     for state in traj.states:
         assert np.linalg.norm(state.position_m) / R_C >= 0.01
+
+
+def test_adaptive_run_aborts_below_the_validity_floor():
+    # the drift-in case above without a fixed step
+    config = _config(
+        initial_position_m=(0.05 * R_C, 0.0, 0.0),
+        initial_velocity_m_s=(-0.2, 0.0, 0.0),
+        max_time_s=5e-6,
+        time_step_s=None,
+        include_adiabatic_potential=False,
+        output_stride=50,
+    )
+    traj = integrate(config)
+    assert traj.aborted
+    assert "validity floor" in traj.reason
+    assert len(traj.states) >= 1
+    for state in traj.states:
+        assert np.linalg.norm(state.position_m) / R_C >= 0.01
+
+
+# final z (um) of the DOP853 flyby in bench/reference.py (rtol 1e-13),
+# integrated to each scenario's max_time_s
+@pytest.mark.parametrize(
+    "scenario_args, z_dop853_um",
+    [
+        ({}, 0.7000195652292),  # the README flyby
+        (dict(preset_name="beguin2013", speed_m_s=1.0, impact_parameter_rc=0.5), 0.1126333630437),
+    ],
+    ids=["readme", "beguin2013"],
+)
+def test_adaptive_flyby_matches_the_dop853_reference(monkeypatch, scenario_args, z_dop853_um):
+    scenario = deflection_scenario(**scenario_args)
+    assert scenario.time_step_s is None
+    calls = 0
+
+    def counted_force(*args):
+        nonlocal calls
+        calls += 1
+        return _force(*args)
+
+    monkeypatch.setattr(dynamics, "_force", counted_force)
+    traj = integrate(scenario)
+    assert not traj.aborted, traj.reason
+    # fixed 50 ns RK4 takes 75,800 and 7,342 force evaluations
+    assert calls <= 4000
+    final = traj.states[-1]
+    assert final.t_s == scenario.max_time_s
+    assert abs(final.position_m[2] * 1e6 - z_dop853_um) <= 1e-9
+    speed = np.linalg.norm(scenario.initial_velocity_m_s)
+    drift = max(abs(np.linalg.norm(s.velocity_m_s) / speed - 1.0) for s in traj.states)
+    assert drift < 1e-12
+
+    # the fixed 50 ns path records at the same times, bit for bit; its
+    # record grid does not depend on the force, so a null force builds it
+    monkeypatch.setattr(dynamics, "_force", lambda *args: np.zeros(3))
+    monkeypatch.setattr(dynamics, "adiabaticity", lambda *args: 0.0)
+    fixed = integrate(dataclasses.replace(scenario, time_step_s=50e-9))
+    times = np.array([s.t_s for s in traj.states])
+    assert times.tobytes() == np.array([s.t_s for s in fixed.states]).tobytes()
 
 
 def test_adiabaticity_vanishes_at_rest_and_is_linear_in_speed():
