@@ -73,15 +73,11 @@ from .regimes import (
 )
 from .spectrum import (
     LABELS,
-    EigenSystem,
     HamiltonianMatrix,
-    LabeledEnergies,
     PairConfiguration,
     bare_state_vector,
     build_hamiltonian,
     dark_state_vector,
-    eigensystem,
-    eigenvalues_analytic,
     eigenvalues_numeric,
     labeled_spectrum,
 )

@@ -28,6 +28,8 @@ from .model import (
 from .spectrum import (
     LABEL_INDEX,
     LABELS,
+    _row_dots,
+    _row_norms,
     bare_state_vector,
     dark_state_vector,
     labeled_spectrum,
@@ -179,8 +181,9 @@ def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
         )
     row = LABEL_INDEX[config.label]
     e_r = pos / r_m
-    spec = _radial_spectrum(x, engine.reduced)
     total = np.zeros(3)
+    if config.include_lorentz or config.include_adiabatic_potential:
+        spec = _radial_spectrum(x, engine.reduced)  # solved only for a term that reads it
     if config.include_lorentz:
         b_si = engine.field_T * spec.da_dx[row] * _cross(e_r, engine.khat)
         total += config.charge_C * _cross(vel, b_si)
@@ -212,7 +215,9 @@ def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s) -> float:
     The time derivative is |v| times a directional derivative along the
     velocity, taken by Richardson differences of the gauge-fixed
     eigenvectors with a fixed position step, so the parameter is exactly
-    linear in speed.  Near-degenerate gaps report infinity.
+    linear in speed.  One batched solve gives the eigenvectors of every
+    label at the five stencil points.  Near-degenerate gaps report
+    infinity.
     """
     engine = _engine(config)
     pos = np.asarray(position_m, dtype=float)
@@ -224,26 +229,19 @@ def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s) -> float:
     x_a = pos / engine.r_c_m
     reduced = engine.reduced
     row = LABEL_INDEX[config.label]
-
-    def states_at(displacement_rc: float) -> list[np.ndarray]:
-        pa = x_a + displacement_rc * direction
-        r = float(np.linalg.norm(pa))
-        phase_a = reduced.kappa * float(np.dot(engine.khat, pa))
-        return [
-            bare_state_vector(
-                float(reduced.shift_ratio(r)),
-                reduced.detuning_ratio,
-                lab,
-                phase_a=phase_a,
-                phase_b=0.0,
-                rabi_phase=config.drive.rabi_phase_rad,
-            )
-            for lab in LABELS
-        ]
-
     h = FD_STEP
-    outer_p, outer_m = states_at(h), states_at(-h)
-    inner_p, inner_m = states_at(h / 2.0), states_at(-h / 2.0)
+    # offsets +h, -h, +h/2, -h/2 and 0 along the velocity: one solve gives
+    # every label's eigenvector at all five stencil points
+    pa = x_a + np.array([h, -h, h / 2.0, -h / 2.0, 0.0])[:, None] * direction
+    phase_a = reduced.kappa * _row_dots(pa, engine.khat)
+    outer_p, outer_m, inner_p, inner_m, center = bare_state_vector(
+        reduced.shift_ratio(_row_norms(pa)),
+        reduced.detuning_ratio,
+        np.reshape(LABELS, (3, 1)),
+        phase_a=phase_a,
+        phase_b=0.0,
+        rabi_phase=config.drive.rabi_phase_rad,
+    ).transpose(1, 0, 2)
     dv_i = (
         4.0 * (inner_p[row] - inner_m[row]) / h
         - (outer_p[row] - outer_m[row]) / (2.0 * h)
@@ -251,13 +249,11 @@ def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s) -> float:
 
     r0 = float(np.linalg.norm(x_a))
     energies, _, _ = labeled_spectrum(reduced.shift_ratio(r0), reduced.detuning_ratio)
-    center = states_at(0.0)
     worst = 0.0
     ladder = {lab: energies[LABEL_INDEX[lab]].item() for lab in LABELS}
     ladder["0"] = 0.0
-    phase_a = reduced.kappa * float(np.dot(engine.khat, x_a))
     others = {lab: center[LABEL_INDEX[lab]] for lab in LABELS if lab != config.label}
-    others["0"] = dark_state_vector(phase_a, 0.0)
+    others["0"] = dark_state_vector(phase_a[-1], 0.0)
     for lab, vec in others.items():
         gap = abs(ladder[config.label] - ladder[lab])
         coupling = abs(np.vdot(vec, dv_i))

@@ -24,7 +24,9 @@ from .model import (
 from .spectrum import (
     LABEL_INDEX,
     LABELS,
-    PairConfiguration,
+    _label_rows,
+    _row_dots,
+    _row_norms,
     bare_state_vector,
     dark_state_vector,
     labeled_spectrum,
@@ -195,8 +197,7 @@ def _check_label(label: str) -> None:
 def _field_inputs(label: str, r_vec, frame: str):
     """Check label and frame; return r_vec, shape (3,) or (n, 3), and its lengths.
 
-    A batched matmul gives each length the bits of ``np.linalg.norm`` of
-    its vector alone; ``norm(axis=-1)`` can differ in the last bit.
+    Each length has the bits of ``np.linalg.norm`` of its vector alone.
     """
     _check_label(label)
     if frame not in ("atom_a", "atom_b"):
@@ -204,8 +205,7 @@ def _field_inputs(label: str, r_vec, frame: str):
     r_vec = np.asarray(r_vec, dtype=float)
     if r_vec.ndim not in (1, 2) or r_vec.shape[-1] != 3:
         raise ValueError("r_vec must have shape (3,) or (n, 3)")
-    flat = r_vec.reshape(-1, 3)
-    r = np.sqrt(flat[:, None, :] @ flat[:, :, None]).reshape(r_vec.shape[:-1])
+    r = _row_norms(r_vec)
     if not np.all(r > 0.0):
         raise ValueError("every separation in r_vec must be nonzero")
     return r_vec, r
@@ -305,130 +305,142 @@ def gauge_sample(
 
 @dataclass(frozen=True)
 class BerryConnection:
-    """Finite-difference Berry connection with its quality diagnostics."""
+    """Finite-difference Berry connection with its quality diagnostics.
+
+    Shapes follow the separations: ``vector`` is (3,) or (n, 3), the other
+    two fields () or (n,).
+    """
 
     vector: np.ndarray  # hbar·k_L units
-    imag_residual: float
-    flags: tuple = ()
+    imag_residual: np.ndarray  # largest |imaginary part| over the components
+    gauge_discontinuity: np.ndarray  # step halving never restored a smooth stencil
+
+
+def _eigenvector_field(params: DriveParams, reduced: ReducedParameters):
+    """states(pos_a, label): the gauge-fixed eigenvectors of ``label`` with
+    atom a at ``pos_a`` (..., 3) and atom b at the origin, crossover
+    units, as the finite-difference oracles sample them."""
+    khat = np.asarray(params.wavevector_direction, dtype=float)
+
+    def states(pos_a, label):
+        return bare_state_vector(
+            reduced.shift_ratio(_row_norms(pos_a)),
+            reduced.detuning_ratio,
+            label,
+            phase_a=reduced.kappa * _row_dots(pos_a, khat),
+            phase_b=0.0,
+            rabi_phase=params.rabi_phase_rad,
+        )
+
+    return states
 
 
 def berry_connection_fd(
     params: DriveParams,
     model: InteractionModel,
-    label: str,
-    positions: PairConfiguration,
+    label,
+    r_vec,
     step: float = FD_STEP,
 ) -> BerryConnection:
     """Berry connection i·hbar<chi|grad_a chi> by central differences.
 
-    Differentiates the gauge-fixed eigenvector with respect to the position
-    of atom a, component by component, with Richardson extrapolation.  If
-    the eigenvector field is not smooth across the stencil (overlap of the
-    outer samples < 0.99) the step is halved and the computation retried;
-    persistent failure flags the sample.
+    ``r_vec``, of shape (3,) or (n, 3), is the position of atom a with
+    atom b at the origin; ``label`` is one label or one per separation.
+    Differentiates the gauge-fixed eigenvector with respect to the
+    position of atom a, component by component, with Richardson
+    extrapolation; each stencil offset is one batched
+    :func:`bare_state_vector` call over every sample and component.  If
+    the eigenvector field is not smooth across a component's stencil
+    (overlap of the outer samples < 0.99) that step is halved and the
+    outer pair retried, four attempts in all; persistent failure flags
+    the sample.
     """
+    r_vec = np.asarray(r_vec, dtype=float)
+    if r_vec.ndim not in (1, 2) or r_vec.shape[-1] != 3:
+        raise ValueError("r_vec must have shape (3,) or (n, 3)")
     reduced = reduced_parameters(params, model)
-    khat = np.asarray(params.wavevector_direction, dtype=float)
-    pos_a = np.asarray(positions.position_a, dtype=float)
-    pos_b = np.asarray(positions.position_b, dtype=float)
+    states = _eigenvector_field(params, reduced)
+    label = np.asarray(label)[..., None]  # one label per sample, for all three axes
 
-    def state(displacement):
-        pa = pos_a + displacement
-        r = float(np.linalg.norm(pa - pos_b))
-        return bare_state_vector(
-            float(reduced.shift_ratio(r)),
-            reduced.detuning_ratio,
-            label,
-            phase_a=reduced.kappa * float(np.dot(khat, pa)),
-            phase_b=reduced.kappa * float(np.dot(khat, pos_b)),
-            rabi_phase=params.rabi_phase_rad,
-        )
+    def state(offset):  # offset (..., 3): the displacement along each axis
+        return states(r_vec[..., None, :] + offset[..., None] * np.eye(3), label)
 
-    center = state(np.zeros(3))
-    connection = np.zeros(3)
-    imag_residual = 0.0
-    flags: list[str] = []
-    for axis in range(3):
-        unit = np.zeros(3)
-        unit[axis] = 1.0
-        h = step
-        for attempt in range(4):
-            outer_p, outer_m = state(h * unit), state(-h * unit)
-            if abs(np.vdot(outer_p, outer_m)) >= 0.99:
-                break
-            h = h / 2.0
-        else:
-            flags.append("gauge_discontinuity")
-        inner_p, inner_m = state(h / 2 * unit), state(-h / 2 * unit)
-        d1 = (outer_p - outer_m) / (2.0 * h)
-        d2 = (inner_p - inner_m) / h
-        derivative = (4.0 * d2 - d1) / 3.0
-        value = 1j * np.vdot(center, derivative) / reduced.kappa
-        connection[axis] = value.real
-        imag_residual = max(imag_residual, abs(value.imag))
+    h = np.full(np.broadcast_shapes(r_vec.shape[:-1] + (3,), label.shape), step)
+    for attempt in range(4):
+        outer_p, outer_m = state(h), state(-h)
+        smooth = np.abs(_row_dots(outer_p.conj(), outer_m)) >= 0.99
+        if smooth.all() or attempt == 3:
+            break
+        h = np.where(smooth, h, h / 2.0)
+    inner_p, inner_m = state(h / 2.0), state(-h / 2.0)
+    d1 = (outer_p - outer_m) / (2.0 * h[..., None])
+    d2 = (inner_p - inner_m) / h[..., None]
+    derivative = (4.0 * d2 - d1) / 3.0
+    center = states(r_vec[..., None, :], label)
+    value = 1j * _row_dots(center.conj(), derivative) / reduced.kappa
     return BerryConnection(
-        vector=connection, imag_residual=imag_residual, flags=tuple(flags)
+        vector=value.real,
+        imag_residual=np.abs(value.imag).max(axis=-1),
+        gauge_discontinuity=~smooth.all(axis=-1),
     )
+
+
+def _overlap_sq(bra, ket) -> np.ndarray:
+    """|<bra|ket>|^2 over the last axis, with the bits of abs(np.vdot(...)) ** 2."""
+    z = _row_dots(bra.conj(), ket)
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
 def scalar_potential_fd(
     params: DriveParams,
     model: InteractionModel,
-    label: str,
-    r_ab: float,
+    label,
+    r_ab,
     step: float = 1e-5,
-) -> float:
+):
     """Scalar potential as a summed finite-difference overlap oracle.
 
     Places the separation perpendicular to the beam and accumulates
     |<chi_j|grad_a chi_i>|^2 over the three other internal states (the
     dark state included) for the radial and beam-axis displacements; the
     third axis contributes nothing at first order in this geometry.
-    Units hbar^2*k_L^2/(2m), like :func:`scalar_potential`.
+    ``r_ab`` is one separation or an array of them and ``label`` one label
+    or an array broadcasting against it; each stencil offset is one
+    batched :func:`bare_state_vector` call.  Units hbar^2*k_L^2/(2m), like
+    :func:`scalar_potential`.
     """
-    _check_label(label)
-    if not (r_ab > 0.0):
+    r_ab = np.asarray(r_ab, dtype=float)
+    if not np.all(r_ab > 0.0):
         raise ValueError("scalar_potential_fd requires r_ab > 0")
     reduced = reduced_parameters(params, model)
-    kappa = reduced.kappa
     khat = np.asarray(params.wavevector_direction, dtype=float)
+    rows = _label_rows(label)
+    states = _eigenvector_field(params, reduced)
     helper = np.array([1.0, 0.0, 0.0])
     if abs(np.dot(helper, khat)) > 0.9:
         helper = np.array([0.0, 1.0, 0.0])
     e_sep = helper - np.dot(helper, khat) * khat
     e_sep = e_sep / np.linalg.norm(e_sep)
 
-    def state(pos_a: np.ndarray) -> np.ndarray:
-        r = float(np.linalg.norm(pos_a))
-        return bare_state_vector(
-            float(reduced.shift_ratio(r)),
-            reduced.detuning_ratio,
-            label,
-            phase_a=kappa * float(np.dot(khat, pos_a)),
-            phase_b=0.0,
-            rabi_phase=params.rabi_phase_rad,
-        )
-
-    base = float(r_ab) * e_sep
-    others = [
-        bare_state_vector(
-            float(reduced.shift_ratio(float(r_ab))),
-            reduced.detuning_ratio,
-            other,
-            rabi_phase=params.rabi_phase_rad,
-        )
-        for other in LABELS
-        if other != label
-    ]
-    others.append(dark_state_vector(0.0, 0.0))
-    total = 0.0
+    base = r_ab[..., None] * e_sep
+    bright = bare_state_vector(
+        reduced.shift_ratio(r_ab),
+        reduced.detuning_ratio,
+        np.reshape(LABELS, (3,) + (1,) * r_ab.ndim),
+        rabi_phase=params.rabi_phase_rad,
+    )
+    dark = dark_state_vector(0.0, 0.0)
+    total = np.zeros(np.broadcast_shapes(r_ab.shape, rows.shape))
     for axis in (e_sep, khat):
-        d1 = (state(base + step * axis) - state(base - step * axis)) / (2.0 * step)
-        d2 = (state(base + step / 2 * axis) - state(base - step / 2 * axis)) / step
+        outer = states(base + step * axis, label) - states(base - step * axis, label)
+        inner = states(base + step / 2 * axis, label) - states(base - step / 2 * axis, label)
+        d1 = outer / (2.0 * step)
+        d2 = inner / step
         derivative = (4.0 * d2 - d1) / 3.0
-        for other in others:
-            total += abs(np.vdot(other, derivative)) ** 2
-    return total / kappa**2
+        for row, other in enumerate(bright):  # the other bright labels, then the dark state
+            total += np.where(rows == row, 0.0, _overlap_sq(other, derivative))
+        total += _overlap_sq(dark, derivative)
+    return total / reduced.kappa**2
 
 
 @dataclass(frozen=True)

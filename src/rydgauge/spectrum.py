@@ -168,45 +168,6 @@ def near_degenerate(energies) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LabeledEnergies:
-    """The four internal energies in units of hbar|Omega|."""
-
-    e0: float  # dark state, exactly zero
-    e1: float
-    eminus: float
-    eplus: float
-
-    def by_label(self, label: str) -> float:
-        return {"0": self.e0, "1": self.e1, "-": self.eminus, "+": self.eplus}[label]
-
-
-def eigenvalues_analytic(rabi_rad_s, detuning_rad_s: float, shift_rad_s: float) -> LabeledEnergies:
-    """Closed-form eigenvalues of the full 4x4 problem.
-
-    Parameters
-    ----------
-    rabi_rad_s : complex or float
-        Rabi frequency; only its magnitude enters the spectrum.
-    detuning_rad_s, shift_rad_s : float
-        Laser detuning delta and interaction shift V, in rad/s.
-
-    Returns
-    -------
-    LabeledEnergies in units of hbar|Omega| (dark-state energy exactly 0).
-    """
-    mag = abs(rabi_rad_s)
-    if not mag > 0.0:
-        raise ValueError("eigenvalues_analytic requires |Omega| > 0")
-    energies, _, _ = labeled_spectrum(shift_rad_s / mag, detuning_rad_s / mag)
-    return LabeledEnergies(
-        e0=0.0,
-        e1=float(energies[0]),
-        eminus=float(energies[1]),
-        eplus=float(energies[2]),
-    )
-
-
-@dataclass(frozen=True)
 class PairConfiguration:
     """Positions of the two atoms in crossover-distance units."""
 
@@ -287,39 +248,94 @@ def eigenvalues_numeric(hamiltonian) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def bare_state_vector(
-    shift_ratio: float,
-    detuning_ratio: float,
-    label: str,
-    phase_a: float = 0.0,
-    phase_b: float = 0.0,
-    rabi_phase: float = 0.0,
-) -> np.ndarray:
-    """Normalized, gauge-fixed eigenvector in the bare basis ``BARE_BASIS``.
+def _label_rows(label) -> np.ndarray:
+    """Row of each label in ``LABELS``: one label, or an array of them."""
+    labels = np.asarray(label)
+    rows = [LABEL_INDEX.get(lab) for lab in labels.ravel().tolist()]
+    if None in rows:
+        raise ValueError(f"label must be one of {LABELS}")
+    return np.array(rows, dtype=int).reshape(labels.shape)
 
-    ``phase_a``/``phase_b`` are the accumulated laser phases k_L·r at the
-    two atom positions.  The gauge is fixed so the |gg> coefficient carries
-    the phase of Omega* (real positive for a real drive), which keeps the
-    vector field smooth for finite-difference derivatives.
+
+def _row_dots(a, b) -> np.ndarray:
+    """Dot products over the last axis, broadcast over the leading axes.
+
+    Each row goes through the BLAS dot that ``np.dot``, ``np.vdot`` (pass
+    ``a.conj()``) and ``np.linalg.norm`` use for a single vector, so a row
+    gives the same bits alone or inside a batch; ``einsum`` and
+    ``sum(axis=-1)`` can differ in the last bit.
     """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _row_norms(v) -> np.ndarray:
+    """Euclidean norms over the last axis, with the bits of ``np.linalg.norm`` per row."""
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        return np.sqrt(_row_dots(v.real, v.real) + _row_dots(v.imag, v.imag))
+    return np.sqrt(_row_dots(v, v))
+
+
+def _product(a, b) -> np.ndarray:
+    """a * b of complex arrays, with the operations of numpy's complex scalar
+    multiply; the vectorized complex multiply fuses multiply-adds on some
+    CPUs, which would give a point other bits alone than inside a batch."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def bare_state_vector(
+    shift_ratio,
+    detuning_ratio,
+    label,
+    phase_a=0.0,
+    phase_b=0.0,
+    rabi_phase=0.0,
+) -> np.ndarray:
+    """Normalized, gauge-fixed eigenvectors in the bare basis ``BARE_BASIS``.
+
+    Every argument broadcasts against the others, ``label`` included (one
+    label or an array of them); the result has the broadcast shape plus a
+    last axis of length 4, and a point gives the same bits alone or inside
+    a batch.  ``phase_a``/``phase_b`` are the accumulated laser phases
+    k_L·r at the two atom positions.  The gauge is fixed so the |gg>
+    coefficient carries the phase of Omega* (real positive for a real
+    drive), which keeps the vector field smooth for finite-difference
+    derivatives.
+
+    Raises ValueError where the closed-form vector vanishes, at isolated
+    defective points such as u = 2w for the "-" label; the dense
+    eigenvectors of :func:`build_hamiltonian` still exist there.
+    """
+    rows = _label_rows(label)
     _, ee_amp, gg_amp = labeled_spectrum(shift_ratio, detuning_ratio)
-    idx = LABEL_INDEX[label]
-    ee = float(ee_amp[idx])
-    gg = float(gg_amp[idx])
-    theta = rabi_phase
-    raw = np.array(
+    ee, gg, theta, phase_a, phase_b = np.broadcast_arrays(
+        np.choose(rows, ee_amp), np.choose(rows, gg_amp), rabi_phase, phase_a, phase_b
+    )
+    raw = np.stack(
         [
             ee * np.exp(1j * (theta + phase_a + phase_b)),
             ee * gg * np.exp(1j * phase_a),
             ee * gg * np.exp(1j * phase_b),
             gg * np.exp(-1j * theta),
-        ]
+        ],
+        axis=-1,
     )
-    nrm = np.linalg.norm(raw)
-    if nrm < 1e-13:
-        raise ValueError("eigenvector construction degenerate; use eigensystem()")
-    vec = raw / nrm
-    return _fix_gauge(vec, theta, gg_index=3)
+    nrm = _row_norms(raw)
+    if np.any(nrm < 1e-13):
+        raise ValueError(
+            "closed-form eigenvector vanishes at a defective (u, w); "
+            "diagonalize build_hamiltonian there instead"
+        )
+    vec = raw / nrm[..., None]
+    # rotate the global phase so the |gg> coefficient has the phase of Omega*
+    g = vec[..., 3]
+    size = np.hypot(g.real, g.imag)  # abs() of one complex number, bit for bit
+    fix = size > 1e-12
+    factor = _product(np.exp(-1j * theta), np.conj(g)) / np.where(fix, size, 1.0)
+    return np.where(fix[..., None], vec * factor[..., None], vec)
 
 
 def dark_state_vector(phase_a: float = 0.0, phase_b: float = 0.0) -> np.ndarray:
@@ -327,102 +343,3 @@ def dark_state_vector(phase_a: float = 0.0, phase_b: float = 0.0) -> np.ndarray:
     return np.array(
         [0.0, np.exp(1j * phase_a), -np.exp(1j * phase_b), 0.0]
     ) / np.sqrt(2.0)
-
-
-def _fix_gauge(vec: np.ndarray, rabi_phase: float, gg_index: int) -> np.ndarray:
-    """Rotate a global phase so vec[gg_index] has the phase of Omega*."""
-    g = vec[gg_index]
-    if abs(g) > 1e-12:
-        vec = vec * (np.exp(-1j * rabi_phase) * np.conj(g) / abs(g))
-    return vec
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """One labeled eigenpair plus the full energy ladder.
-
-    Energies are in hbar|Omega| units.  ``ee_amplitude``, ``gg_amplitude``
-    and ``normalization`` are tabulated for all three bright labels;
-    ``coefficients`` is the normalized eigenvector of ``label`` in the
-    bright blockade basis (|ee>, |psi_plus>, |gg>).
-    """
-
-    label: str
-    e0: float
-    e1: float
-    eminus: float
-    eplus: float
-    ee_amplitude: dict
-    gg_amplitude: dict
-    normalization: dict
-    coefficients: np.ndarray
-    flags: tuple = ()
-
-    def energy(self, label: str | None = None) -> float:
-        label = self.label if label is None else label
-        return {"0": self.e0, "1": self.e1, "-": self.eminus, "+": self.eplus}[label]
-
-
-def eigensystem(
-    params: DriveParams,
-    model: InteractionModel,
-    config: PairConfiguration,
-    label: str = "+",
-) -> EigenSystem:
-    """Gauge-fixed eigenpair of the bright block at a pair configuration.
-
-    Falls back to the dense numeric eigenvector (same gauge fix, flagged)
-    when the closed-form coefficient vector degenerates, which happens at
-    isolated defective parameter points.
-    """
-    if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}")
-    mag = params.rabi_magnitude_rad_s
-    r_c = crossover_distance(model, params)
-    shift = interaction_shift(model, config.separation * r_c)
-    u = shift / mag
-    w = params.detuning_ratio
-    energies, ee_amp, gg_amp = labeled_spectrum(u, w)
-
-    norms_sq = ee_amp**2 + gg_amp**2 + 2.0 * ee_amp**2 * gg_amp**2
-    flags = ["near_degenerate"] if near_degenerate(energies) else []
-
-    kappa = params.wavenumber_rad_m * r_c
-    khat = np.asarray(params.wavevector_direction, dtype=float)
-    phase_a = kappa * float(np.dot(khat, config.position_a))
-    phase_b = kappa * float(np.dot(khat, config.position_b))
-    theta = params.rabi_phase_rad
-    idx = LABEL_INDEX[label]
-
-    if np.sqrt(norms_sq[idx]) < 1e-13:
-        # defective closed form: take the dense eigenvector nearest in energy
-        h = build_hamiltonian(params, model, config)
-        evals, evecs = np.linalg.eigh(h.matrix)
-        target = energies[idx] * HBAR * mag
-        col = int(np.argmin(np.abs(evals - target)))
-        coeff = _fix_gauge(evecs[1:, col].copy(), theta, gg_index=2)
-        flags.append("numeric_fallback")
-    else:
-        n = 1.0 / np.sqrt(norms_sq[idx])
-        coeff = n * np.array(
-            [
-                ee_amp[idx] * np.exp(1j * (theta + phase_a + phase_b)),
-                np.sqrt(2.0) * ee_amp[idx] * gg_amp[idx],
-                gg_amp[idx] * np.exp(-1j * theta),
-            ]
-        )
-        coeff = _fix_gauge(coeff, theta, gg_index=2)
-
-    inv_norms = 1.0 / np.sqrt(np.where(norms_sq > 0, norms_sq, np.inf))
-    return EigenSystem(
-        label=label,
-        e0=0.0,
-        e1=float(energies[0]),
-        eminus=float(energies[1]),
-        eplus=float(energies[2]),
-        ee_amplitude={lab: float(ee_amp[i]) for i, lab in enumerate(LABELS)},
-        gg_amplitude={lab: float(gg_amp[i]) for i, lab in enumerate(LABELS)},
-        normalization={lab: float(inv_norms[i]) for i, lab in enumerate(LABELS)},
-        coefficients=coeff,
-        flags=tuple(flags),
-    )

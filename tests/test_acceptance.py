@@ -16,12 +16,10 @@ from rydgauge.com_frame import com_scalar_potentials, com_vector_potentials
 from rydgauge.constants import BOLTZMANN, TWOPI
 from rydgauge.dynamics import deflection_scenario, integrate, traversal_time_s
 from rydgauge.gauge import (
-    berry_connection_fd,
     connection_profile,
     field_profile,
     magnetic_field,
     scalar_potential,
-    scalar_potential_fd,
     vector_potential,
 )
 from rydgauge.model import (
@@ -34,10 +32,7 @@ from rydgauge.model import (
     reduced_parameters,
 )
 from rydgauge.regimes import blockade_correspondence, blockade_gauge, weak_expansion
-from rydgauge.spectrum import PairConfiguration, eigenvalues_analytic
-from rydgauge.validate import report, run_checks
-
-SEED = 20260819
+from rydgauge.validate import _check_berry, _check_eigenvalues, _check_scalar, report, run_checks
 
 GAETAN = get_preset("gaetan2009")
 RDD_ATT = GAETAN.interaction
@@ -57,34 +52,18 @@ def _emit(name: str, ok: bool, detail: str) -> None:
 
 def test_analytic_energies_match_dense_diagonalization():
     started = time.perf_counter()
-    draws = 10_000
-    rng = np.random.default_rng(SEED)
-    w = rng.uniform(-5.0, 5.0, size=draws)
-    u = rng.uniform(-100.0, 100.0, size=draws)
-    phases = rng.uniform(0.0, TWOPI, size=(draws, 2))
-    matrices = np.zeros((draws, 4, 4), dtype=complex)
-    coupling = np.exp(1j * phases[:, 0]) / np.sqrt(2.0)
-    matrices[:, 1, 1] = u - w
-    matrices[:, 3, 3] = w
-    matrices[:, 1, 2] = coupling * np.exp(1j * phases[:, 1])
-    matrices[:, 2, 1] = np.conj(matrices[:, 1, 2])
-    matrices[:, 2, 3] = coupling
-    matrices[:, 3, 2] = np.conj(coupling)
-    analytic = np.empty((draws, 4))
-    for i in range(draws):
-        labeled = eigenvalues_analytic(1.0, w[i], u[i])
-        analytic[i] = np.sort([0.0, labeled.e1, labeled.eminus, labeled.eplus])
-    numeric = np.linalg.eigvalsh(matrices)
-    worst = float((np.abs(numeric - analytic) / np.maximum(1.0, np.abs(analytic))).max())
+    result = _check_eigenvalues(10_000)
     elapsed = time.perf_counter() - started
     _emit(
         "analytic energies vs dense solver",
-        worst < 1e-10 and elapsed < 10.0,
-        f"{draws} draws, worst rel {worst:.2e} (< 1e-10), {elapsed:.1f} s (< 10 s)",
+        result.passed and elapsed < 10.0,
+        f"{result.detail} (< 1e-10), {elapsed:.1f} s (< 10 s)",
     )
 
 
 def _oracle_grid():
+    """(x, w, kind, label) points; the shared checks solve each at the
+    gaetan2009 drive detuned by w, with the attractive interaction of that kind."""
     return [
         (float(x), w, kind, label)
         for x in np.geomspace(0.1, 10.0, 12)
@@ -94,41 +73,21 @@ def _oracle_grid():
     ]
 
 
-def _model_for(kind: InteractionKind) -> InteractionModel:
-    return RDD_ATT if kind is InteractionKind.RDD else VDW_ATT
-
-
 def test_vector_potential_matches_berry_connection_oracle():
-    worst = 0.0
-    grid = _oracle_grid()
-    for x, w, kind, label in grid:
-        drive = _drive(w)
-        model = _model_for(kind)
-        closed = vector_potential(drive, model, label, x)
-        positions = PairConfiguration((x, 0.0, 0.0), (0.0, 0.0, 0.0))
-        oracle = berry_connection_fd(drive, model, label, positions)
-        rel = np.linalg.norm(oracle.vector - closed) / np.linalg.norm(closed)
-        worst = max(worst, float(rel), oracle.imag_residual)
+    result = _check_berry(_oracle_grid())
     _emit(
         "vector potential vs finite-difference geometric connection",
-        worst < 1e-6,
-        f"{len(grid)} grid points, worst rel {worst:.2e} (< 1e-6)",
+        result.passed,
+        f"{result.detail} (< 1e-6)",
     )
 
 
 def test_scalar_potential_matches_summed_overlap_oracle():
-    worst = 0.0
-    grid = _oracle_grid()
-    for x, w, kind, label in grid:
-        drive = _drive(w)
-        model = _model_for(kind)
-        closed = scalar_potential(drive, model, label, x)
-        oracle = scalar_potential_fd(drive, model, label, x)
-        worst = max(worst, abs(oracle - closed) / abs(closed))
+    result = _check_scalar(_oracle_grid())
     _emit(
         "scalar potential vs summed finite-difference overlaps",
-        worst < 1e-6,
-        f"{len(grid)} grid points, worst rel {worst:.2e} (< 1e-6)",
+        result.passed,
+        f"{result.detail} (< 1e-6)",
     )
 
 

@@ -20,6 +20,7 @@ from rydgauge.dynamics import (
     traversal_time_s,
 )
 from rydgauge.gauge import field_profile
+from rydgauge.spectrum import LABELS, bare_state_vector, dark_state_vector, labeled_spectrum
 from rydgauge.model import (
     InteractionKind,
     InteractionModel,
@@ -133,6 +134,23 @@ def test_scalar_gradient_term_toggles():
     f_on = _force(on, _engine(on), pos, (0.0, 0.0, 0.0))
     assert np.linalg.norm(f_on) > 0.0
     assert np.linalg.norm(np.cross(f_on, pos)) <= 1e-12 * np.linalg.norm(f_on) * np.linalg.norm(pos)
+
+
+def test_force_skips_the_solve_when_no_term_needs_it(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return radial(*args)
+
+    radial = dynamics._radial_spectrum
+    monkeypatch.setattr(dynamics, "_radial_spectrum", counted)
+    off = _config(include_lorentz=False, include_adiabatic_potential=False)
+    pos, vel = (-1.2 * R_C, 0.8 * R_C, 0.0), (0.1, 0.05, 0.0)
+    assert _force(off, _engine(off), pos, vel).tobytes() == np.zeros(3).tobytes()
+    assert calls == []
+    _force(_config(include_adiabatic_potential=False), _engine(off), pos, vel)
+    assert len(calls) == 1
 
 
 def test_kinetic_energy_is_conserved_under_lorentz_only():
@@ -251,6 +269,62 @@ def test_adiabaticity_vanishes_at_rest_and_is_linear_in_speed():
     two = adiabaticity(config, pos, (0.20, 0.0, 0.0))
     assert one > 0.0
     assert two == pytest.approx(2.0 * one, rel=1e-12)
+
+
+def _adiabaticity_one_point(config, position_m, velocity_m_s):
+    """The probe with one bare_state_vector call per label and stencil point."""
+    engine = _engine(config)
+    pos = np.asarray(position_m, dtype=float)
+    vel = np.asarray(velocity_m_s, dtype=float)
+    speed = float(np.linalg.norm(vel))
+    direction = vel / speed
+    x_a = pos / engine.r_c_m
+    reduced = engine.reduced
+    row = LABELS.index(config.label)
+
+    def states_at(d):
+        pa = x_a + d * direction
+        return [
+            bare_state_vector(
+                float(reduced.shift_ratio(float(np.linalg.norm(pa)))),
+                reduced.detuning_ratio,
+                label,
+                phase_a=reduced.kappa * float(np.dot(engine.khat, pa)),
+                rabi_phase=config.drive.rabi_phase_rad,
+            )
+            for label in LABELS
+        ]
+
+    h = dynamics.FD_STEP
+    op, om, ip, im, center = (states_at(d) for d in (h, -h, h / 2.0, -h / 2.0, 0.0))
+    dv = (4.0 * (ip[row] - im[row]) / h - (op[row] - om[row]) / (2.0 * h)) / 3.0
+    r0 = float(np.linalg.norm(x_a))
+    energies, _, _ = labeled_spectrum(reduced.shift_ratio(r0), reduced.detuning_ratio)
+    phase = reduced.kappa * float(np.dot(engine.khat, x_a))
+    others = [(energies[j], center[j]) for j in range(3) if j != row]
+    others.append((0.0, dark_state_vector(phase, 0.0)))
+    rabi = abs(config.drive.rabi_complex)
+    return max(
+        speed * abs(np.vdot(vec, dv)) / (engine.r_c_m * abs(energies[row] - energy) * rabi)
+        for energy, vec in others
+    )
+
+
+@pytest.mark.parametrize("label", ["1", "-", "+"])
+def test_batched_adiabaticity_matches_one_point_probe(label):
+    """The one-solve probe gives the bytes of the per-label, per-point probe."""
+    config = dataclasses.replace(
+        _config(label=label), drive=dataclasses.replace(GAETAN.drive, rabi_phase_rad=0.7)
+    )
+    for pos, vel in (
+        ((-1.5 * R_C, 1.0 * R_C, 0.0), (0.1, 0.0, 0.0)),
+        ((0.03 * R_C, 0.02 * R_C, 0.01 * R_C), (0.02, -0.05, 0.3)),  # deflated branch
+        ((4.0 * R_C, -2.0 * R_C, 1.0 * R_C), (-0.2, 0.1, 0.05)),
+    ):
+        got = adiabaticity(config, pos, vel)
+        assert np.float64(got).tobytes() == np.float64(
+            _adiabaticity_one_point(config, pos, vel)
+        ).tobytes()
 
 
 def test_dressed_energy_limits_far_out():

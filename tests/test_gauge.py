@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rydgauge import gauge
 from rydgauge.constants import TWOPI
 from rydgauge.gauge import (
     berry_connection_fd,
@@ -26,7 +27,7 @@ from rydgauge.model import (
     get_preset,
     reduced_parameters,
 )
-from rydgauge.spectrum import LABELS, PairConfiguration
+from rydgauge.spectrum import LABELS
 
 GAETAN = get_preset("gaetan2009")
 VDW_ATT = InteractionModel(kind=InteractionKind.VDW, coefficient=-TWOPI * 300e9 * 1e-36)
@@ -78,10 +79,8 @@ def test_berry_connection_oracle(w, x):
     drive = _drive(w)
     for label in LABELS:
         closed = vector_potential(drive, GAETAN.interaction, label, x)
-        fd = berry_connection_fd(
-            drive, GAETAN.interaction, label, PairConfiguration((x, 0, 0), (0, 0, 0))
-        )
-        assert fd.flags == ()
+        fd = berry_connection_fd(drive, GAETAN.interaction, label, (x, 0, 0))
+        assert not fd.gauge_discontinuity
         assert np.linalg.norm(fd.vector - closed) < 1e-6 * np.linalg.norm(closed)
         assert fd.imag_residual < 1e-6
 
@@ -89,9 +88,7 @@ def test_berry_connection_oracle(w, x):
 def test_berry_connection_oracle_vdw():
     drive = _drive(-1.0)
     closed = vector_potential(drive, VDW_ATT, "+", 0.7)
-    fd = berry_connection_fd(
-        drive, VDW_ATT, "+", PairConfiguration((0.0, 0.7, 0.0), (0.0, 0.0, 0.0))
-    )
+    fd = berry_connection_fd(drive, VDW_ATT, "+", (0.0, 0.7, 0.0))
     assert np.linalg.norm(fd.vector - closed) < 1e-6 * np.linalg.norm(closed)
 
 
@@ -102,6 +99,74 @@ def test_scalar_potential_oracle(w, x):
         closed = scalar_potential(drive, GAETAN.interaction, label, x)
         fd = scalar_potential_fd(drive, GAETAN.interaction, label, x)
         assert fd == pytest.approx(closed, rel=1e-6)
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so each call is recorded; return the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("w", [-1.5, 1.0])
+@pytest.mark.parametrize("step", [1e-6, 3e-3, 1e-2])
+def test_berry_oracle_batch_equals_single_points(monkeypatch, w, step):
+    """Every sample of a batched call has the bytes of its one-point call.
+
+    Separations from 0.05 to 3 r_c reach both solver branches.  The laser
+    phase turns the eigenvectors quickly along the beam (kappa ~ 150), so
+    at 3e-3 r_c some components halve their step while others keep it,
+    and at 1e-2 r_c some samples stay flagged after four attempts.
+    """
+    drive = _drive(w)
+    rng = np.random.default_rng(11)
+    direction = rng.normal(size=(12, 3))
+    r_vec = direction / np.linalg.norm(direction, axis=1)[:, None]
+    r_vec *= np.geomspace(0.05, 3.0, 12)[:, None]
+    labels = np.array(LABELS * 4)
+    calls = _counting(monkeypatch, gauge, "bare_state_vector")
+    batch = berry_connection_fd(drive, GAETAN.interaction, labels, r_vec, step=step)
+    halvings = (len(calls) - 5) // 2  # centre, +-h and +-h/2, plus one +-h pair per retry
+    assert batch.vector.shape == (12, 3)
+    for i, (label, r) in enumerate(zip(labels, r_vec)):
+        one = berry_connection_fd(drive, GAETAN.interaction, label, r, step=step)
+        assert batch.vector[i].tobytes() == one.vector.tobytes()
+        assert batch.imag_residual[i].tobytes() == one.imag_residual.tobytes()
+        assert batch.gauge_discontinuity[i] == one.gauge_discontinuity
+    if step == 1e-6:
+        assert halvings == 0 and not batch.gauge_discontinuity.any()
+    elif step == 3e-3:
+        assert halvings > 0 and not batch.gauge_discontinuity.any()
+    else:
+        assert 0 < batch.gauge_discontinuity.sum() < 12
+
+
+def test_overlap_squares_have_the_bits_of_abs_vdot_squared():
+    rng = np.random.default_rng(2)
+    bra, ket = rng.normal(size=(2, 200, 4)) + 1j * rng.normal(size=(2, 200, 4))
+    ket *= np.geomspace(1e-8, 1e8, 200)[:, None]
+    batch = gauge._overlap_sq(bra, ket)
+    for i in range(200):
+        assert batch[i].tobytes() == (abs(np.vdot(bra[i], ket[i])) ** 2).tobytes()
+
+
+@pytest.mark.parametrize("w", [-1.5, 1.0])
+def test_scalar_oracle_batch_equals_single_points(w):
+    """Both solver branches (0.05 r_c is deflated), every label, one call."""
+    drive = _drive(w)
+    x = np.repeat(np.geomspace(0.05, 20.0, 6), 3)
+    labels = np.array(LABELS * 6)
+    batch = scalar_potential_fd(drive, VDW_ATT, labels, x)
+    assert batch.shape == x.shape
+    for i, (label, r) in enumerate(zip(labels, x)):
+        one = scalar_potential_fd(drive, VDW_ATT, label, float(r))
+        assert batch[i].tobytes() == np.float64(one).tobytes()
 
 
 def test_single_atom_gauge():

@@ -16,10 +16,9 @@ from rydgauge.spectrum import (
     bare_state_vector,
     build_hamiltonian,
     dark_state_vector,
-    eigensystem,
-    eigenvalues_analytic,
     eigenvalues_numeric,
     labeled_spectrum,
+    near_degenerate,
 )
 
 GAETAN = get_preset("gaetan2009")
@@ -79,11 +78,12 @@ def test_analytic_matches_dense_with_phases():
         h = build_hamiltonian(drive, model, config)
         numeric = eigenvalues_numeric(h) / (HBAR * drive.rabi_magnitude_rad_s)
         r_m = config.separation * crossover_distance(model, drive)
-        labeled = eigenvalues_analytic(
-            drive.rabi_complex, drive.detuning_rad_s, interaction_shift(model, r_m)
+        mag = abs(drive.rabi_complex)
+        energies, _, _ = labeled_spectrum(
+            interaction_shift(model, r_m) / mag, drive.detuning_rad_s / mag
         )
         # compare as sorted sets; the dark zero is part of the spectrum
-        analytic = np.sort([0.0, labeled.e1, labeled.eminus, labeled.eplus])
+        analytic = np.sort([0.0, *energies])
         assert np.allclose(numeric, analytic, atol=1e-10 * max(1.0, np.abs(analytic).max()))
 
 
@@ -136,38 +136,100 @@ def test_batch_equals_single_points():
             assert block[:, branch].tobytes() == part.tobytes()
 
 
+def _pair_inputs(drive, model, config):
+    """(u, w, phase_a, phase_b, theta) of a drive at a pair configuration."""
+    r_c = crossover_distance(model, drive)
+    mag = drive.rabi_magnitude_rad_s
+    kappa = drive.wavenumber_rad_m * r_c
+    khat = np.asarray(drive.wavevector_direction, dtype=float)
+    return (
+        interaction_shift(model, config.separation * r_c) / mag,
+        drive.detuning_ratio,
+        kappa * float(np.dot(khat, config.position_a)),
+        kappa * float(np.dot(khat, config.position_b)),
+        drive.rabi_phase_rad,
+    )
+
+
+def _to_blockade_basis(vec, phase_a, phase_b):
+    """Bare-basis coefficients in BLOCKADE_BASIS, where
+    psi_pm = (e^{i phase_a}|eg> +- e^{i phase_b}|ge>)/sqrt(2)."""
+    minus = dark_state_vector(phase_a, phase_b)
+    plus = np.array([0.0, np.exp(1j * phase_a), np.exp(1j * phase_b), 0.0]) / np.sqrt(2.0)
+    return np.array([np.vdot(minus, vec), vec[0], np.vdot(plus, vec), vec[3]])
+
+
 def test_eigenvector_residual():
+    """The gauge-fixed bare vectors are eigenvectors of the dense Hamiltonian."""
     model = GAETAN.interaction
     drive = dataclasses.replace(_drive(-0.8), rabi_phase_rad=0.4)
     config = PairConfiguration((0.9, 0.3, 0.2), (0.0, 0.1, -0.5))
     h = build_hamiltonian(drive, model, config).matrix
     scale = HBAR * drive.rabi_magnitude_rad_s
-    for label in LABELS:
-        sys = eigensystem(drive, model, config, label=label)
-        full = np.zeros(4, dtype=complex)
-        full[1:] = sys.coefficients
-        resid = np.linalg.norm(h @ full - sys.energy() * scale * full)
+    u, w, phase_a, phase_b, theta = _pair_inputs(drive, model, config)
+    energies, _, _ = labeled_spectrum(u, w)
+    assert not near_degenerate(energies)
+    vectors = bare_state_vector(u, w, LABELS, phase_a, phase_b, theta)
+    for energy, vec in zip(energies, vectors):
+        full = _to_blockade_basis(vec, phase_a, phase_b)
+        assert np.linalg.norm(full) == pytest.approx(1.0, abs=1e-14)
+        resid = np.linalg.norm(h @ full - energy * scale * full)
         assert resid < 1e-12 * scale
-        assert sys.flags == ()
+        # gauge fix: the |gg> coefficient carries the phase of Omega*
+        assert np.angle(vec[3]) == pytest.approx(-theta, abs=1e-12)
 
 
 def test_defective_point_falls_back():
-    """At u = 2w the closed-form '-' eigenvector degenerates."""
+    """At u = 2w the closed-form '-' eigenvector degenerates; the dense oracle does not."""
     drive = _drive(-2.0)
     x = (np.hypot(1.0, 2.0) / 4.0) ** (1.0 / 3.0)  # u(x) = -4
     config = PairConfiguration((x, 0.0, 0.0), (0.0, 0.0, 0.0))
-    sys = eigensystem(drive, GAETAN.interaction, config, label="-")
-    assert "numeric_fallback" in sys.flags
-    assert sys.energy() == pytest.approx(-2.0, abs=1e-12)
-    assert np.abs(sys.coefficients) == pytest.approx(
+    u, w, phase_a, phase_b, theta = _pair_inputs(drive, GAETAN.interaction, config)
+    energies, _, _ = labeled_spectrum(u, w)
+    assert energies[1] == pytest.approx(-2.0, abs=1e-12)
+    with pytest.raises(ValueError, match="defective"):
+        bare_state_vector(u, w, "-", phase_a, phase_b, theta)
+    with pytest.raises(ValueError, match="defective"):  # also inside a batch
+        bare_state_vector([0.5, u], w, "-")
+    # the dense eigenpair exists: E = -2 with weight 1/2 on |ee> and on |gg>
+    h = build_hamiltonian(drive, GAETAN.interaction, config).matrix
+    scale = HBAR * drive.rabi_magnitude_rad_s
+    evals, evecs = np.linalg.eigh(h)
+    col = int(np.argmin(np.abs(evals - energies[1] * scale)))
+    vec = evecs[:, col]
+    assert evals[col] / scale == pytest.approx(-2.0, abs=1e-12)
+    assert np.abs(vec[1:]) == pytest.approx(
         [1.0 / np.sqrt(2.0), 0.0, 1.0 / np.sqrt(2.0)], abs=1e-12
     )
-    # the fallback vector is still an exact eigenvector
-    h = build_hamiltonian(drive, GAETAN.interaction, config).matrix
-    full = np.zeros(4, dtype=complex)
-    full[1:] = sys.coefficients
-    scale = HBAR * drive.rabi_magnitude_rad_s
-    assert np.linalg.norm(h @ full - sys.energy() * scale * full) < 1e-12 * scale
+    assert np.linalg.norm(h @ vec - energies[1] * scale * vec) < 1e-12 * scale
+
+
+def test_bare_state_vector_batch_equals_single_points():
+    """A point's eigenvector has the same bytes alone or inside a batch.
+
+    Both solver branches (|u| up to 1e7), both half-planes of w, every
+    label and random laser phases; a label axis broadcasts like the rest.
+    """
+    rng = np.random.default_rng(5)
+    n = 120
+    u = np.concatenate([rng.uniform(-99.0, 99.0, n // 2),
+                        rng.choice([-1.0, 1.0], n // 2) * np.geomspace(1e2, 1e7, n // 2)])
+    w = rng.uniform(-4.0, 4.0, n)
+    labels = rng.choice(LABELS, n)
+    phase_a, phase_b, theta = rng.uniform(-9.0, 9.0, (3, n))
+    batch = bare_state_vector(u, w, labels, phase_a, phase_b, theta)
+    assert batch.shape == (n, 4)
+    for i in range(n):
+        one = bare_state_vector(u[i], w[i], labels[i], phase_a[i], phase_b[i], theta[i])
+        assert one.shape == (4,)
+        assert batch[i].tobytes() == one.tobytes(), (u[i], w[i], labels[i])
+    every = bare_state_vector(u, w, np.reshape(LABELS, (3, 1)), phase_a, phase_b, theta)
+    assert every.shape == (3, n, 4)
+    for row, label in enumerate(LABELS):
+        pick = labels == label
+        assert every[row, pick].tobytes() == batch[pick].tobytes()
+    with pytest.raises(ValueError, match="label"):
+        bare_state_vector(0.3, 0.1, "x")
 
 
 def test_state_vectors_orthonormal():
