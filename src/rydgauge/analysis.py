@@ -14,7 +14,7 @@ import numpy as np
 
 from .gauge import _radial_spectrum, field_profile
 from .model import DriveParams, InteractionModel, reduced_parameters
-from .spectrum import LABEL_INDEX, LABELS, near_degenerate
+from .spectrum import LABEL_INDEX, LABELS, _check_label, near_degenerate
 
 # bracketing grid: log-spaced, wide enough for every documented extremum
 # while keeping the vdW peaks resolved
@@ -61,8 +61,7 @@ def scan_1d(
     grid gives an empty table.
     """
     for label in labels:
-        if label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS}")
+        _check_label(label)
     grid = np.asarray(r_grid, dtype=float)
     if grid.size and not np.all(np.diff(grid) > 0.0):
         raise ValueError("scan grid must be strictly increasing")
@@ -147,8 +146,7 @@ def find_peak(
     bracket a not-found report carries the grid diagnostics instead of
     raising.
     """
-    if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}")
+    _check_label(label)
     if kind not in ("max", "min"):
         raise ValueError("kind must be 'max' or 'min'")
     reduced = reduced_parameters(params, model)

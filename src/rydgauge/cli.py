@@ -14,29 +14,11 @@ import sys
 import numpy as np
 
 from . import analysis, dynamics, tables
-from .config import build_experiment, parse_config
+from .config import KEYS, build_experiment, parse_config, parse_value
 from .gauge import field_map
 from .constants import TWOPI
 from .model import PRESETS, ModelUnits
 from .validate import report, run_checks
-
-# RunConfig keys a subcommand may override from its flags.
-_CONFIG_KEYS = (
-    "preset",
-    "interaction",
-    "c3",
-    "c6",
-    "rabi_mhz",
-    "wavelength_nm",
-    "detuning_ratio",
-    "labels",
-    "rmin",
-    "rmax",
-    "points",
-    "output",
-    "format",
-    "si",
-)
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
@@ -60,14 +42,16 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    values = {
-        key: getattr(args, key) for key in _CONFIG_KEYS if hasattr(args, key)
-    }
+    values = {key: getattr(args, key) for key in KEYS if hasattr(args, key)}
     if values.get("labels") is not None:
-        values["labels"] = tuple(
-            part.strip() for part in values["labels"].split(",") if part.strip()
-        )
+        values["labels"] = parse_value("labels", values["labels"])
     return values
+
+
+def _write(config, table: tables.Table) -> None:
+    """Render a table in the run's format to its output file or stdout."""
+    text = tables.to_json(table) if config.format == "json" else tables.to_csv(table)
+    tables.write_text(config.output, text)
 
 
 def _load_config(args: argparse.Namespace):
@@ -82,11 +66,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # the config only narrows peaks/scaling.
     table = analysis.scan_1d(drive, model, ("1", "+", "-"), grid)
     units = ModelUnits.from_experiment(drive, model) if config.si else None
-    if config.format == "json":
-        text = tables.scan_to_json(table, si=config.si, units=units)
-    else:
-        text = tables.scan_to_csv(table, si=config.si, units=units)
-    tables.write_text(config.output, text)
+    _write(config, tables.scan_table(table, units))
     return 0
 
 
@@ -95,8 +75,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     drive, model = build_experiment(config)
     axis = np.linspace(-args.half_extent, args.half_extent, args.map_points)
     grid = field_map(drive, model, args.label, axis, axis)
-    text = tables.map_to_json(grid) if config.format == "json" else tables.map_to_csv(grid)
-    tables.write_text(config.output, text)
+    _write(config, tables.map_table(grid))
     return 0
 
 
@@ -110,11 +89,7 @@ def _cmd_peaks(args: argparse.Namespace) -> int:
         for label in config.labels
         for kind in ("max", "min")
     ]
-    if config.format == "json":
-        text = tables.peaks_to_json(reports)
-    else:
-        text = tables.peaks_to_csv(reports)
-    tables.write_text(config.output, text)
+    _write(config, tables.peaks_table(reports))
     return 0
 
 
@@ -126,11 +101,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         analysis.scaling_fit(drive, model, label, ratios, kind=args.kind)
         for label in config.labels
     ]
-    if config.format == "json":
-        text = tables.scaling_to_json(fits)
-    else:
-        text = tables.scaling_to_csv(fits)
-    tables.write_text(config.output, text)
+    _write(config, tables.scaling_table(fits))
     return 0
 
 
@@ -143,16 +114,13 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         time_step_s=args.time_step_s,
     )
     trajectory = dynamics.integrate(scenario)
-    if args.format == "json":
-        text = tables.trajectory_to_json(trajectory)
-    else:
-        text = tables.trajectory_to_csv(trajectory)
-    tables.write_text(args.output, text)
+    _write(args, tables.trajectory_table(trajectory))
     if trajectory.aborted:
         print(f"aborted: {trajectory.reason}", file=sys.stderr)
         return 1
     deflection_um = trajectory.states[-1].position_m[2] * 1e6
-    print(f"z-deflection: {deflection_um:.6f} um")
+    # beside a table on stdout the summary goes to stderr: stdout stays one document
+    print(f"z-deflection: {deflection_um:.6f} um", file=sys.stdout if args.output else sys.stderr)
     return 0
 
 
@@ -253,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="run the oracle and invariant suite")
     tier = validate.add_mutually_exclusive_group()
     tier.add_argument("--quick", action="store_true", help="small grids (default)")
-    tier.add_argument("--full", action="store_true", help="acceptance-sized grids")
+    tier.add_argument("--full", action="store_true", help="10,000 spectra and 240 oracle points")
     validate.set_defaults(handler=_cmd_validate)
 
     presets = sub.add_parser("presets", help="list built-in experiment presets")

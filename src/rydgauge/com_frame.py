@@ -15,7 +15,7 @@ import numpy as np
 
 from .gauge import _radial_spectrum, _scalar_terms
 from .model import DriveParams, InteractionModel, reduced_parameters
-from .spectrum import LABEL_INDEX, LABELS, near_degenerate
+from .spectrum import LABEL_INDEX, _check_label, near_degenerate
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,7 @@ def com_scalar_potentials(
     hence the factor 4.  The relative part keeps the amplitude
     derivatives plus the phase terms damped by ((m_b - m_a)/M)^2.
     """
-    if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}")
+    _check_label(label)
     if not (r_ab > 0.0):
         raise ValueError("com_scalar_potentials requires r_ab > 0")
     m_a = params.mass_a_kg if mass_a_kg is None else mass_a_kg

@@ -36,15 +36,6 @@ from .spectrum import LABELS
 DEFAULT_MASS_KG = 87.0 * ATOMIC_MASS
 
 _FLOAT_KEYS = ("c3", "c6", "rabi_mhz", "wavelength_nm", "detuning_ratio", "rmin", "rmax")
-_KNOWN_KEYS = _FLOAT_KEYS + (
-    "preset",
-    "interaction",
-    "labels",
-    "points",
-    "output",
-    "format",
-    "si",
-)
 
 
 @dataclass(frozen=True)
@@ -92,7 +83,11 @@ class RunConfig:
             raise ValueError("wavelength_nm must be positive")
 
 
-def _parse_value(key: str, raw: str):
+KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))  # config-file and flag keys
+
+
+def parse_value(key: str, raw: str):
+    """One config value from its text: a number, an integer, a boolean or labels."""
     raw = raw.strip()
     if key in _FLOAT_KEYS:
         try:
@@ -128,9 +123,9 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = text.split("=", 1)
             key = key.strip()
-            if key not in _KNOWN_KEYS:
+            if key not in KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
-            values[key] = _parse_value(key, raw)
+            values[key] = parse_value(key, raw)
     return values
 
 
@@ -142,7 +137,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     """
     values = read_config_file(path) if path else {}
     for key, value in (overrides or {}).items():
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ValueError(f"unknown key '{key}'")
         if value is not None:
             values[key] = value

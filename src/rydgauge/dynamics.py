@@ -1,12 +1,12 @@
 """Semiclassical motion of one dressed atom past a pinned partner.
 
 The mobile atom (atom a) feels the artificial Lorentz force of its
-labeled internal state, the gradient of the dressed energy, and
-optionally the gradient of the scalar potential; the partner sits at the
-origin and does not recoil.  By default the motion is integrated with
-adaptive Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6,
-19 (1980)); an explicit time step selects classic fixed-step RK4.  Both
-abort where the adiabatic model itself stops being trustworthy.
+labeled internal state and the gradient of the dressed energy; the
+partner sits at the origin and does not recoil.  By default the motion
+is integrated with adaptive Dormand-Prince 5(4) (Dormand & Prince,
+J. Comput. Appl. Math. 6, 19 (1980)); an explicit time step selects
+classic fixed-step RK4.  Both abort where the adiabatic model itself
+stops being trustworthy.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ELEMENTARY_CHARGE
-from .gauge import _radial_spectrum, scalar_profile
+from .gauge import _radial_spectrum
 from .model import (
     DriveParams,
     InteractionModel,
@@ -28,6 +28,7 @@ from .model import (
 from .spectrum import (
     LABEL_INDEX,
     LABELS,
+    _check_label,
     _row_dots,
     _row_norms,
     bare_state_vector,
@@ -36,7 +37,7 @@ from .spectrum import (
 )
 
 MIN_SEPARATION_RC = 0.01  # below this the adiabatic pair model is not credible
-FD_STEP = 1e-6  # crossover units, adiabaticity and scalar-slope stencils
+FD_STEP = 1e-6  # crossover units, adiabaticity stencil
 DEGENERACY_GAP = 1e-12
 
 # adaptive path: relative tolerance, absolute floor as a fraction of the
@@ -73,8 +74,9 @@ class TrajectoryConfig:
     """Everything one integration needs.
 
     Positions and velocities are SI; the pinned atom is at the origin.
-    Switches pick force terms independently; the scalar-gradient term is
-    off by default (recoil scale, usually compensated by light shifts).
+    Switches pick force terms independently.  The scalar potential's
+    gradient is left out: it is of recoil scale and usually compensated
+    by light shifts.
     """
 
     drive: DriveParams
@@ -87,13 +89,11 @@ class TrajectoryConfig:
     time_step_s: float | None = None  # None: adaptive Dormand-Prince 5(4)
     include_lorentz: bool = True
     include_adiabatic_potential: bool = True
-    include_scalar_gradient: bool = False
     background_energy_J: float = 0.0
     output_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS}")
+        _check_label(self.label)
         if self.time_step_s is not None and not (self.time_step_s > 0.0):
             raise ValueError("time step must be positive")
         if not (self.max_time_s > 0.0):
@@ -139,7 +139,6 @@ class _Engine:
     r_c_m: float
     energy_J: float  # hbar*|Omega|
     field_T: float
-    scalar_J: float
     mass_kg: float
 
 
@@ -151,17 +150,8 @@ def _engine(config: TrajectoryConfig) -> _Engine:
         r_c_m=units.length_m,
         energy_J=units.energy_J,
         field_T=units.field_T,
-        scalar_J=units.scalar_a_J,
         mass_kg=config.drive.mass_a_kg,
     )
-
-
-def _scalar_slope(engine: _Engine, x: float) -> np.ndarray:
-    """Radial slope of the scalar potential, Richardson of the closed form."""
-    h = min(FD_STEP, x / 8.0)
-    xs = np.array([x - h, x - h / 2.0, x + h / 2.0, x + h])
-    phi = scalar_profile(xs, engine.reduced)
-    return (4.0 * (phi[:, 2] - phi[:, 1]) / h - (phi[:, 3] - phi[:, 0]) / (2.0 * h)) / 3.0
 
 
 def _cross(a, b) -> np.ndarray:
@@ -189,15 +179,6 @@ def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
         total += config.charge_C * _cross(vel, b_si)
     if config.include_adiabatic_potential:
         total += -spec.de_dx[row] * (engine.energy_J / engine.r_c_m) * e_r
-    if config.include_scalar_gradient:
-        dphi_dx = _scalar_slope(engine, x)[row]
-        # q normalized by the elementary charge that defines the field unit
-        total += (
-            -(config.charge_C / ELEMENTARY_CHARGE)
-            * dphi_dx
-            * (engine.scalar_J / engine.r_c_m)
-            * e_r
-        )
     return total
 
 

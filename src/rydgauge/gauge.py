@@ -24,6 +24,7 @@ from .model import (
 from .spectrum import (
     LABEL_INDEX,
     LABELS,
+    _check_label,
     _label_rows,
     _row_dots,
     _row_norms,
@@ -189,11 +190,6 @@ def single_atom_gauge(params: DriveParams, branch: str) -> SingleAtomGauge:
     )
 
 
-def _check_label(label: str) -> None:
-    if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}")
-
-
 def _field_inputs(label: str, r_vec, frame: str):
     """Check label and frame; return r_vec, shape (3,) or (n, 3), and its lengths.
 
@@ -258,18 +254,15 @@ def scalar_potential(
     model: InteractionModel,
     label: str,
     r_ab: float,
-    mass_kg: float | None = None,
 ) -> float:
     """Two-atom scalar potential at separation r_ab (crossover units).
 
-    The value is reported in units hbar^2·k_L^2/(2m) where m is
-    ``mass_kg`` (default: atom a); in these units the number itself is
-    mass independent, the mass only tags the SI conversion.
+    The value is in units hbar^2·k_L^2/(2m); in these units the number
+    is mass independent.
     """
     _check_label(label)
     if not (r_ab > 0.0):
         raise ValueError("scalar_potential requires r_ab > 0")
-    del mass_kg  # unit tag only; see docstring
     reduced = reduced_parameters(params, model)
     return float(scalar_profile(float(r_ab), reduced)[LABEL_INDEX[label]])
 

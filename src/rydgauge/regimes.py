@@ -22,7 +22,7 @@ from .model import (
     interaction_shift,
     reduced_parameters,
 )
-from .spectrum import LABELS, PairConfiguration
+from .spectrum import PairConfiguration, _check_label
 
 EFFECTIVE_BASIS = ("psi_minus", "psi_plus", "gg")
 
@@ -221,8 +221,7 @@ def weak_expansion(
     the three labels reduce to the single-atom branch values (the '-'
     label to the constant -1/2).
     """
-    if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}")
+    _check_label(label)
     w = params.detuning_ratio
     u = shift_rad_s / abs(params.rabi_complex)
     lam = np.hypot(1.0, w)

@@ -248,13 +248,19 @@ def eigenvalues_numeric(hamiltonian) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
+def _check_label(label) -> None:
+    """Raise unless ``label`` is one of ``LABELS``."""
+    if label not in LABELS:
+        raise ValueError(f"label must be one of {LABELS}")
+
+
 def _label_rows(label) -> np.ndarray:
     """Row of each label in ``LABELS``: one label, or an array of them."""
     labels = np.asarray(label)
-    rows = [LABEL_INDEX.get(lab) for lab in labels.ravel().tolist()]
-    if None in rows:
-        raise ValueError(f"label must be one of {LABELS}")
-    return np.array(rows, dtype=int).reshape(labels.shape)
+    names = labels.ravel().tolist()
+    for name in set(names):
+        _check_label(name)
+    return np.array([LABEL_INDEX[name] for name in names], dtype=int).reshape(labels.shape)
 
 
 def _row_dots(a, b) -> np.ndarray:

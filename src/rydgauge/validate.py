@@ -55,7 +55,7 @@ from .spectrum import (
     eigenvalues_numeric,
     labeled_spectrum,
 )
-from .tables import scan_to_csv
+from .tables import scan_table, to_csv
 
 SEED = 20260819
 
@@ -344,8 +344,8 @@ def _check_determinism() -> CheckResult:
     drive = _drive(0.0)
     model = _model(InteractionKind.RDD, -1.0)
     grid = np.geomspace(0.5, 2.0, 11)
-    first = scan_to_csv(scan_1d(drive, model, ("1", "+", "-"), grid))
-    second = scan_to_csv(scan_1d(drive, model, ("1", "+", "-"), grid))
+    first = to_csv(scan_table(scan_1d(drive, model, ("1", "+", "-"), grid)))
+    second = to_csv(scan_table(scan_1d(drive, model, ("1", "+", "-"), grid)))
     return CheckResult(
         name="scan_serialization_deterministic",
         passed=first == second,
@@ -365,7 +365,6 @@ def run_checks(quick: bool = True) -> list[CheckResult]:
             (0.9427, -1.0, InteractionKind.VDW, "-"),
             (5.0, 1.0, InteractionKind.RDD, "1"),
         ]
-        scalar_points = oracle_points
     else:
         draws = 10000
         oracle_points = [
@@ -375,11 +374,10 @@ def run_checks(quick: bool = True) -> list[CheckResult]:
             for label in LABELS
             for x in np.geomspace(0.1, 10.0, 8)
         ]
-        scalar_points = oracle_points
     return [
         _check_eigenvalues(draws),
         _check_berry(oracle_points),
-        _check_scalar(scalar_points),
+        _check_scalar(oracle_points),
         _check_plateaus(),
         _check_blockade(),
         _check_weak(),

@@ -10,13 +10,7 @@ from rydgauge import tables
 from rydgauge.analysis import PeakReport, ScanTable, find_peak, scaling_fit, scan_1d
 from rydgauge.gauge import magnetic_field, scalar_potential, vector_potential
 from rydgauge.model import get_preset
-from rydgauge.tables import (
-    SCAN_HEADER,
-    SCAN_LABELS,
-    format_float,
-    scan_to_csv,
-    scan_to_json,
-)
+from rydgauge.tables import SCAN_HEADER, SCAN_LABELS, format_float, scan_table, to_csv, to_json
 
 GAETAN = get_preset("gaetan2009")
 
@@ -80,10 +74,11 @@ def test_default_scan_serializes_like_the_cli_order():
     grid = np.geomspace(0.3, 3.0, 7)
     default = scan_1d(drive, GAETAN.interaction, r_grid=grid)
     cli_order = scan_1d(drive, GAETAN.interaction, labels=("1", "+", "-"), r_grid=grid)
-    assert scan_to_csv(default) == scan_to_csv(cli_order)
-    assert scan_to_json(default).replace('"1,-,+"', '"1,+,-"') == scan_to_json(cli_order)
+    assert to_csv(scan_table(default)) == to_csv(scan_table(cli_order))
+    got = to_json(scan_table(default)).replace('"1,-,+"', '"1,+,-"')
+    assert got == to_json(scan_table(cli_order))
     with pytest.raises(ValueError, match="labels"):
-        scan_to_csv(scan_1d(drive, GAETAN.interaction, labels=("1", "+"), r_grid=grid))
+        scan_table(scan_1d(drive, GAETAN.interaction, labels=("1", "+"), r_grid=grid))
 
 
 @pytest.mark.parametrize("points", [0, 1, 3, 7])
@@ -95,11 +90,13 @@ def test_scan_serialization_matches_the_per_value_loop(points, monkeypatch):
     columns = [table.r_over_rc, *table.vector_potential, *table.azimuthal_field,
                *table.scalar_potential]
     lines = [",".join(format_float(col[i]) for col in columns) for i in range(points)]
-    assert scan_to_csv(table) == "\n".join([SCAN_HEADER, *lines]) + "\n"
+    rendered = scan_table(table)
+    assert to_csv(rendered) == "\n".join([SCAN_HEADER, *lines]) + "\n"
+    assert to_csv(rendered) == to_csv(rendered)  # a table renders again with the same bytes
     metadata = dict(table.metadata, columns=SCAN_HEADER.split(","), excluded_rows=0)
     rows = [[float(col[i]) for col in columns] for i in range(points)]
     document = json.dumps({"metadata": metadata, "rows": rows}, sort_keys=True) + "\n"
-    assert scan_to_json(table) == document
+    assert to_json(rendered) == document
 
 
 def test_scan_empty_grid():

@@ -188,6 +188,21 @@ def test_trajectory_subcommand_reports_deflection(capsys):
     assert out.splitlines()[-1].endswith(" um")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trajectory_table_on_stdout_stays_parseable(fmt, capsys):
+    assert main(["trajectory", "--speed", "0.4", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    if fmt == "json":
+        assert len(json.loads(captured.out)["rows"]) > 1
+    else:
+        lines = captured.out.splitlines()
+        assert lines[0] == "t_s,x_m,y_m,z_m,vx,vy,vz,adiabaticity"
+        assert len(lines) > 2
+        for line in lines[1:]:
+            assert len([float(cell) for cell in line.split(",")]) == 8
+    assert captured.err.startswith("z-deflection: ")
+
+
 def test_presets_subcommand(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out

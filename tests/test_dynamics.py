@@ -126,16 +126,6 @@ def test_adiabatic_force_is_radial():
     assert np.linalg.norm(np.cross(f, pos)) <= 1e-12 * np.linalg.norm(f) * np.linalg.norm(pos)
 
 
-def test_scalar_gradient_term_toggles():
-    off = _config(include_lorentz=False, include_adiabatic_potential=False)
-    on = dataclasses.replace(off, include_scalar_gradient=True)
-    pos = (-1.2 * R_C, 0.8 * R_C, 0.0)
-    assert np.linalg.norm(_force(off, _engine(off), pos, (0.0, 0.0, 0.0))) == 0.0
-    f_on = _force(on, _engine(on), pos, (0.0, 0.0, 0.0))
-    assert np.linalg.norm(f_on) > 0.0
-    assert np.linalg.norm(np.cross(f_on, pos)) <= 1e-12 * np.linalg.norm(f_on) * np.linalg.norm(pos)
-
-
 def test_force_skips_the_solve_when_no_term_needs_it(monkeypatch):
     calls = []
 
