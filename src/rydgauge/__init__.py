@@ -7,7 +7,9 @@ peak/scaling analysis tools and a semiclassical trajectory integrator,
 all behind SI-level experiment descriptions.
 """
 
-from .analysis import PeakReport, ScalingFit, ScanTable, find_peak, scaling_fit, scan_1d
+from .analysis import (
+    PeakReport, ScalingFit, ScanTable, find_peak, find_peaks, scaling_fit, scan_1d,
+)
 from .com_frame import (
     ComFrame,
     ComScalarPotentials,

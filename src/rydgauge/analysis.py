@@ -1,8 +1,9 @@
 """Scans, magnetic-field extrema, and large-detuning scaling fits.
 
-The scan table is the data behind every 1D figure; the peak finder
-refines grid-bracketed field extrema by golden section; the scaling fit
-extracts the asymptotic peak coefficients from a list of detunings.
+The scan table is the data behind every 1D figure; ``find_peaks``
+refines grid-bracketed field extrema by golden section, every search of a
+call in lockstep with one field solve per step; the scaling fit extracts
+the asymptotic peak coefficients from a list of detunings in one such call.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import _radial_spectrum, field_profile
-from .model import DriveParams, InteractionModel, reduced_parameters
+from .model import DriveParams, InteractionModel, ReducedParameters, reduced_parameters
 from .spectrum import LABEL_INDEX, LABELS, _check_label, near_degenerate
 
 # bracketing grid: log-spaced, wide enough for every documented extremum
@@ -110,24 +111,99 @@ class PeakReport:
     note: str = ""
 
 
-def _golden_refine(func, lo: float, hi: float, kind: str) -> tuple[float, float]:
-    """Golden-section extremum of a unimodal bracket, signed values."""
-    sgn = 1.0 if kind == "max" else -1.0
-    a, b = lo, hi
+def _golden_refine(func, lo, hi, sgn) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section extrema of k unimodal brackets, advanced in lockstep.
+
+    ``lo``, ``hi`` and ``sgn`` (+1 for a maximum, -1 for a minimum) hold one
+    entry per search; ``func(x, i)`` gives the field of searches ``i`` at
+    ``x``.  Each step is one call over the searches still open, and each
+    search keeps the comparisons, updates and stop rule it has alone, so
+    every abscissa and result is the float a search run by itself gives.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = func(c), func(d)
-    while (b - a) > REFINE_TOL * max(1.0, abs(a)):
-        if sgn * fc > sgn * fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = func(d)
+    every = np.arange(a.size)
+    fc, fd = np.split(func(np.concatenate([c, d]), np.concatenate([every, every])), 2)
+    live = every
+    while True:
+        live = live[(b[live] - a[live]) > REFINE_TOL * np.maximum(1.0, np.abs(a[live]))]
+        if not live.size:
+            break
+        left = sgn[live] * fc[live] > sgn[live] * fd[live]
+        i, j = live[left], live[~left]
+        b[i], d[i], fd[i] = d[i], c[i], fc[i]
+        c[i] = b[i] - GOLDEN * (b[i] - a[i])
+        a[j], c[j], fc[j] = c[j], d[j], fd[j]
+        d[j] = a[j] + GOLDEN * (b[j] - a[j])
+        f = func(np.where(left, c[live], d[live]), live)
+        fc[i], fd[j] = f[left], f[~left]
     mid = 0.5 * (a + b)
-    return mid, func(mid)
+    return mid, func(mid, every)
+
+
+def find_peaks(
+    model: InteractionModel,
+    requests,
+    rmin: float = BRACKET_RMIN,
+    rmax: float = BRACKET_RMAX,
+    points: int = BRACKET_POINTS,
+) -> list[PeakReport]:
+    """Locate extrema of the signed azimuthal field B_phi(r), one per request.
+
+    ``requests`` lists (drive, label, kind) with kind "max" or "min".  A log
+    grid brackets each extremum (interior grid point beating both
+    neighbors), one field solve per distinct drive; golden section then
+    refines all brackets in lockstep, one solve per step.  Without an
+    interior bracket a not-found report carries the grid diagnostics
+    instead of raising.
+    """
+    if not rmin > 0.0:
+        raise ValueError("rmin must be positive")
+    if not rmax > rmin:
+        raise ValueError("rmax must exceed rmin")
+    if points < 3:
+        raise ValueError("points must be >= 3")
+    for _, label, kind in requests:
+        _check_label(label)
+        if kind not in ("max", "min"):
+            raise ValueError("kind must be 'max' or 'min'")
+    grid = np.geomspace(rmin, rmax, points)
+    reduced = {drive: reduced_parameters(drive, model) for drive, _, _ in requests}
+    profiles = {drive: field_profile(grid, rp) for drive, rp in reduced.items()}
+    reports, open_ = [], []  # open_: one row per refined search
+    for drive, label, kind in requests:
+        values = profiles[drive][LABEL_INDEX[label]]
+        idx = int(np.argmax(values)) if kind == "max" else int(np.argmin(values))
+        found = 0 < idx < points - 1
+        if found:
+            rp = reduced[drive]  # each search keeps its own drive's scalar parameters
+            open_.append((len(reports), grid[idx - 1], grid[idx + 1],
+                          1.0 if kind == "max" else -1.0, LABEL_INDEX[label],
+                          rp.detuning_ratio, rp.dressing_ratio, rp.kappa))
+        reports.append(PeakReport(
+            label=label,
+            kind=kind,
+            r_peak_over_rc=float(grid[idx]),
+            field_peak=float(values[idx]),
+            detuning_ratio=drive.detuning_ratio,
+            found=found,
+            note="" if found else (
+                f"no interior bracket on [{rmin}, {rmax}] with {points} points; "
+                f"grid extremum at index {idx}"
+            ),
+        ))
+    if not open_:
+        return reports
+    at, lo, hi, sgn, rows, w, lam, kappa = (np.array(col) for col in zip(*open_))
+
+    def field_at(x: np.ndarray, i: np.ndarray) -> np.ndarray:
+        part = ReducedParameters(w[i], lam[i], model.sign, model.power, kappa[i])
+        return field_profile(x, part)[rows[i], np.arange(i.size)]
+
+    for n, r, b in zip(at, *_golden_refine(field_at, lo, hi, sgn)):
+        reports[n] = dataclasses.replace(reports[n], r_peak_over_rc=float(r), field_peak=float(b))
+    return reports
 
 
 def find_peak(
@@ -139,46 +215,8 @@ def find_peak(
     rmax: float = BRACKET_RMAX,
     points: int = BRACKET_POINTS,
 ) -> PeakReport:
-    """Locate one extremum of the signed azimuthal field B_phi(r).
-
-    A log grid brackets the extremum (interior grid point beating both
-    neighbors), then golden section refines it.  Without an interior
-    bracket a not-found report carries the grid diagnostics instead of
-    raising.
-    """
-    _check_label(label)
-    if kind not in ("max", "min"):
-        raise ValueError("kind must be 'max' or 'min'")
-    reduced = reduced_parameters(params, model)
-    row = LABEL_INDEX[label]
-    grid = np.geomspace(rmin, rmax, points)
-    values = field_profile(grid, reduced)[row]
-    idx = int(np.argmax(values)) if kind == "max" else int(np.argmin(values))
-    if idx == 0 or idx == len(grid) - 1:
-        return PeakReport(
-            label=label,
-            kind=kind,
-            r_peak_over_rc=float(grid[idx]),
-            field_peak=float(values[idx]),
-            detuning_ratio=params.detuning_ratio,
-            found=False,
-            note=(
-                f"no interior bracket on [{rmin}, {rmax}] with {points} points; "
-                f"grid extremum at index {idx}"
-            ),
-        )
-
-    def field_at(x: float) -> float:
-        return field_profile(x, reduced)[row].item()
-
-    r_peak, b_peak = _golden_refine(field_at, grid[idx - 1], grid[idx + 1], kind)
-    return PeakReport(
-        label=label,
-        kind=kind,
-        r_peak_over_rc=float(r_peak),
-        field_peak=float(b_peak),
-        detuning_ratio=params.detuning_ratio,
-    )
+    """Locate one extremum of the signed azimuthal field: find_peaks of one request."""
+    return find_peaks(model, [(params, label, kind)], rmin, rmax, points)[0]
 
 
 @dataclass(frozen=True)
@@ -218,21 +256,18 @@ def scaling_fit(
         raise ValueError("scaling_fit requires |delta/Omega| >= 10")
 
     rabi = abs(params.rabi_complex)
+    drives = [dataclasses.replace(params, detuning_rad_s=w * rabi) for w in ratios]
+    kinds = ("max", "min") if kind is None else (kind,)
+    peaks = find_peaks(model, [(drive, label, k) for drive in drives for k in kinds])
     if kind is None:
-        probe = dataclasses.replace(params, detuning_rad_s=ratios[0] * rabi)
-        candidates = [find_peak(probe, model, label, k) for k in ("max", "min")]
-        candidates = [rep for rep in candidates if rep.found]
+        candidates = [rep for rep in peaks[:2] if rep.found]
         if not candidates:
             raise ValueError("no field extremum found to select a kind")
         kind = max(candidates, key=lambda rep: abs(rep.field_peak)).kind
-
-    reports = []
-    for w in ratios:
-        probe = dataclasses.replace(params, detuning_rad_s=w * rabi)
-        report = find_peak(probe, model, label, kind)
+    reports = [rep for rep in peaks if rep.kind == kind]
+    for w, report in zip(ratios, reports):
         if not report.found:
             raise ValueError(f"no {kind} bracket at detuning ratio {w}: {report.note}")
-        reports.append(report)
 
     log_w = np.log(np.abs(ratios))
     log_b = np.log([abs(rep.field_peak) for rep in reports])

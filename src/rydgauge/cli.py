@@ -82,13 +82,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 def _cmd_peaks(args: argparse.Namespace) -> int:
     config = _load_config(args)
     drive, model = build_experiment(config)
-    reports = [
-        analysis.find_peak(
-            drive, model, label, kind, config.rmin, config.rmax, max(config.points, 3)
-        )
-        for label in config.labels
-        for kind in ("max", "min")
-    ]
+    requests = [(drive, label, kind) for label in config.labels for kind in ("max", "min")]
+    reports = analysis.find_peaks(model, requests, config.rmin, config.rmax, config.points)
     _write(config, tables.peaks_table(reports))
     return 0
 

@@ -184,6 +184,9 @@ class ReducedParameters:
     interaction_sign  +1 repulsive, -1 attractive
     power  3 (RDD) or 6 (vdW)
     kappa  k_L·r_c, laser phase accumulated over one crossover distance
+
+    w, the dressing ratio and kappa may be arrays, one entry per drive, that
+    broadcast against the separations.
     """
 
     detuning_ratio: float

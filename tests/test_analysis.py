@@ -7,9 +7,20 @@ import numpy as np
 import pytest
 
 from rydgauge import tables
-from rydgauge.analysis import PeakReport, ScanTable, find_peak, scaling_fit, scan_1d
-from rydgauge.gauge import magnetic_field, scalar_potential, vector_potential
-from rydgauge.model import get_preset
+from rydgauge.analysis import (
+    GOLDEN,
+    REFINE_TOL,
+    PeakReport,
+    ScanTable,
+    find_peak,
+    find_peaks,
+    scaling_fit,
+    scan_1d,
+)
+from rydgauge.cli import main
+from rydgauge.gauge import field_profile, magnetic_field, scalar_potential, vector_potential
+from rydgauge.model import PRESETS, get_preset, reduced_parameters
+from rydgauge.spectrum import LABEL_INDEX
 from rydgauge.tables import SCAN_HEADER, SCAN_LABELS, format_float, scan_table, to_csv, to_json
 
 GAETAN = get_preset("gaetan2009")
@@ -149,10 +160,6 @@ def test_peak_goldens(label, kind, r_peak, b_peak):
 
 @pytest.mark.parametrize("label, kind, r_peak, b_peak", PEAKS)
 def test_peaks_are_true_local_extrema(label, kind, r_peak, b_peak):
-    from rydgauge.model import reduced_parameters
-    from rydgauge.gauge import field_profile
-    from rydgauge.spectrum import LABEL_INDEX
-
     reduced = reduced_parameters(_drive(0.0), GAETAN.interaction)
     row = LABEL_INDEX[label]
     center = field_profile(r_peak, reduced)[row].item()
@@ -177,6 +184,81 @@ def test_peak_validation():
         find_peak(_drive(0.0), GAETAN.interaction, "x", "max")
     with pytest.raises(ValueError, match="kind"):
         find_peak(_drive(0.0), GAETAN.interaction, "1", "saddle")
+    # a reversed bracket once refined nothing and reported a grid point as found
+    with pytest.raises(ValueError, match="rmax must exceed rmin"):
+        find_peak(_drive(0.0), GAETAN.interaction, "-", "min", rmin=10.0, rmax=0.1)
+    with pytest.raises(ValueError, match="rmax must exceed rmin"):
+        find_peak(_drive(0.0), GAETAN.interaction, "-", "min", rmin=1.0, rmax=1.0)
+    with pytest.raises(ValueError, match="rmin must be positive"):
+        find_peaks(GAETAN.interaction, [(_drive(0.0), "-", "min")], rmin=0.0)
+    for points in (0, 2):
+        with pytest.raises(ValueError, match="points must be >= 3"):
+            find_peak(_drive(0.0), GAETAN.interaction, "-", "min", points=points)
+
+
+def _peak_alone(drive, model, label, kind, rmin, rmax, points):
+    """One search by itself: the scalar golden-section loop, one field solve per step."""
+    reduced = reduced_parameters(drive, model)
+    row = LABEL_INDEX[label]
+    grid = np.geomspace(rmin, rmax, points)
+    values = field_profile(grid, reduced)[row]
+    idx = int(np.argmax(values)) if kind == "max" else int(np.argmin(values))
+    if idx == 0 or idx == points - 1:
+        return False, float(grid[idx]), float(values[idx])
+
+    def func(x):
+        return field_profile(x, reduced)[row].item()
+
+    sgn = 1.0 if kind == "max" else -1.0
+    a, b = grid[idx - 1], grid[idx + 1]
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = func(c), func(d)
+    while (b - a) > REFINE_TOL * max(1.0, abs(a)):
+        if sgn * fc > sgn * fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = func(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = func(d)
+    mid = 0.5 * (a + b)
+    return True, float(mid), func(mid)
+
+
+SWEEP_RATIOS = (-3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("ratios, grid", [
+    (SWEEP_RATIOS, (0.1, 10.0, 200)),  # the peaks command's grid, not-found rows included
+    ((-10.0, -20.0, -40.0), (0.05, 10.0, 400)),  # the scaling fit's ratios and grid
+])
+def test_lockstep_peaks_match_each_search_alone_bit_for_bit(preset, ratios, grid):
+    base, model = PRESETS[preset].drive, PRESETS[preset].interaction
+    drives = [dataclasses.replace(base, detuning_rad_s=w * base.rabi_magnitude_rad_s)
+              for w in ratios]
+    requests = [(drive, label, kind) for drive in drives for label in ("1", "-", "+")
+                for kind in ("max", "min")]
+    reports = find_peaks(model, requests, *grid)
+    assert len(reports) == len(requests)
+    for (drive, label, kind), rep in zip(requests, reports):
+        assert (rep.label, rep.kind, rep.detuning_ratio) == (label, kind, drive.detuning_ratio)
+        got = (rep.found, rep.r_peak_over_rc, rep.field_peak)
+        assert got == _peak_alone(drive, model, label, kind, *grid), (label, kind, rep)
+    if grid[2] == 200:
+        assert not all(rep.found for rep in reports)
+
+
+def test_peaks_and_scaling_commands_solve_once_per_step(solves, capsys):
+    assert main(["peaks", "--preset", "gaetan2009", "--labels", "1,-,+"]) == 0
+    assert len(solves) <= 60  # one bracket, then one solve per golden step for all six
+    solves.clear()
+    assert main(["scaling", "--preset", "beguin2013", "--labels", "-",
+                 "--detuning-ratios=-10,-20,-40"]) == 0
+    assert len(solves) <= 60  # three brackets, then both kinds at every ratio in lockstep
+    capsys.readouterr()
 
 
 def test_scaling_fit_frozen():

@@ -150,6 +150,12 @@ def test_peaks_subcommand(capsys):
     assert cells[0] == "-" and cells[1] == "max"
 
 
+def test_peaks_rejects_a_grid_too_small_to_bracket(capsys):
+    code = main(["peaks", "--preset", "gaetan2009", "--labels", "-", "--points", "2"])
+    assert code == 2
+    assert "error: points must be >= 3" in capsys.readouterr().err
+
+
 def test_scaling_subcommand(capsys):
     # the '=' form keeps argparse from reading the leading '-' as a flag
     code = main(
