@@ -9,6 +9,7 @@ and 1 for failed validations or aborted runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -71,6 +72,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
+    if args.map_points < 0:
+        raise ValueError(f"map points must be >= 0, got {args.map_points}")
+    if not (math.isfinite(args.half_extent) and args.half_extent > 0):
+        raise ValueError(f"half extent must be finite and positive, got {args.half_extent!r}")
     config = _load_config(args)
     drive, model = build_experiment(config)
     axis = np.linspace(-args.half_extent, args.half_extent, args.map_points)

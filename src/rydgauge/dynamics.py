@@ -401,6 +401,12 @@ def deflection_scenario(
     ``time_step_s`` the run uses the adaptive integrator; a step given
     here selects fixed-step RK4 at that step.
     """
+    if not (math.isfinite(speed_m_s) and speed_m_s > 0):
+        raise ValueError(f"speed must be finite and positive, got {speed_m_s!r} m/s")
+    if not math.isfinite(impact_parameter_rc):
+        raise ValueError(f"impact parameter must be finite, got {impact_parameter_rc!r} r_c")
+    if not (math.isfinite(approach_rc) and approach_rc > 0):
+        raise ValueError(f"approach distance must be finite and positive, got {approach_rc!r} r_c")
     preset = get_preset(preset_name)
     units = ModelUnits.from_experiment(preset.drive, preset.interaction)
     r_c = units.length_m

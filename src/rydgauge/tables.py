@@ -2,20 +2,22 @@
 
 Each output is a ``Table`` built by one schema function (scan, trajectory,
 map, peaks, scaling) and rendered by ``to_csv`` or ``to_json``: fixed
-columns, 17-significant-digit floats, newline endings, no timestamps.
-Identical inputs produce byte-identical files, and the JSON rows parse
-back to exactly the CSV values.
+columns, newline endings, no timestamps.  CSV floats carry 17 significant
+digits; JSON numbers are the shortest text that reads back to the same
+double.  Identical inputs produce byte-identical files, and the JSON rows
+parse back to exactly the CSV values.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 import numpy as np
 
+from . import _floattext
 from .analysis import PeakReport, ScalingFit, ScanTable
 from .dynamics import Trajectory
 from .gauge import FieldMap
@@ -25,23 +27,27 @@ SCAN_LABELS = ("1", "+", "-")  # column order of the scan's value blocks
 SCAN_HEADER = (
     "r_over_rc,A1,Aplus,Aminus,Bphi1,Bphiplus,Bphiminus,phi1,phiplus,phiminus"
 )
-_ROW_BLOCK = 4096  # scan rows per conversion: a whole 1e5-row table as floats raises peak memory
+_ROW_BLOCK = 4096  # rows formatted at once: a whole 1e5-row table at once raises peak memory
 
 
 @dataclass(frozen=True)
 class Table:
-    """One output table: column names, rows in blocks, JSON-only metadata.
+    """One output table: column names, its values, JSON-only metadata.
 
-    ``blocks`` returns a fresh iterable of row blocks on every call, so a
-    table renders the same bytes however often it is written.  Rows hold
-    Python floats; a ``keyed`` table also holds text, bools and tuples of
-    flags, and writes its JSON rows as objects keyed by column name.
+    A numeric table holds one float64 array per column in ``values``;
+    ``_floattext`` writes its text ``_ROW_BLOCK`` rows at a time.  A keyed
+    table holds ``rows`` that also carry text, bools and tuples of flags,
+    and writes its JSON rows as objects keyed by column name.
     """
 
     columns: tuple
-    blocks: Callable[[], Iterable[list]]
+    values: tuple = ()
+    rows: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-    keyed: bool = False
+
+    @property
+    def keyed(self) -> bool:
+        return not self.values
 
 
 def format_float(value: float) -> str:
@@ -59,29 +65,43 @@ def _cell(value) -> str:
     return format_float(value)
 
 
+def _numeric_text(table: Table, head: bytes, rows_text, separator: bytes, tail: bytes) -> str:
+    """``head``, the text of each block of rows with ``separator`` between, ``tail``.
+
+    The pieces fill one anonymous map sized for a JSON cell per value, the
+    widest text a value takes: untouched pages cost nothing, and closing it
+    returns every page, wherever the allocator would have placed a buffer
+    that large.
+    """
+    size, columns = table.values[0].size, table.values
+    starts = range(0, size, _ROW_BLOCK)
+    cells = size * len(columns) * _floattext.JSON_CELL + len(separator) * len(starts)
+    with mmap.mmap(-1, len(head) + cells + len(tail)) as out:
+        out.write(head)
+        for start in starts:
+            out.write(separator * (start > 0))
+            out.write(rows_text(np.column_stack([c[start : start + _ROW_BLOCK] for c in columns])))
+        out.write(tail)
+        with memoryview(out)[: out.tell()] as text:
+            return str(text, "utf-8")
+
+
 def to_csv(table: Table) -> str:
     """The header line, then one line per row."""
-    cell = _cell if table.keyed else format_float
-    lines = [",".join(table.columns)]
-    for block in table.blocks():
-        lines.extend([",".join(map(cell, row)) for row in block])
-    lines.append("")  # the final newline, without copying the joined text once more
-    return "\n".join(lines)
+    head = ",".join(table.columns) + "\n"
+    if table.keyed:
+        return head + "".join([",".join(map(_cell, row)) + "\n" for row in table.rows])
+    return _numeric_text(table, head.encode(), _floattext.csv_rows, b"", b"")
 
 
 def to_json(table: Table) -> str:
-    """``{"metadata": ..., "rows": [...]}`` with the rows spliced in block by block.
-
-    "rows" is the last key, and each block is written with the bytes
-    json.dumps gives the whole list.
-    """
+    """``{"metadata": ..., "rows": [...]}``; "rows" is the last key, spliced in as text."""
     metadata = dict(table.metadata, columns=list(table.columns))
     head = json.dumps({"metadata": metadata, "rows": []}, sort_keys=True)[: -len("]}")]
-    blocks = table.blocks()
     if table.keyed:
-        blocks = ([dict(zip(table.columns, row)) for row in block] for block in blocks)
-    # one expression: a named body would stay alive through both concatenations
-    return head + ", ".join(json.dumps(block, sort_keys=True)[1:-1] for block in blocks) + "]}\n"
+        rows = [dict(zip(table.columns, row)) for row in table.rows]
+        return head + json.dumps(rows, sort_keys=True)[1:-1] + "]}\n"
+    return _numeric_text(table, head.encode(), _floattext.json_rows, b", ", b"]}\n")
 
 
 def scan_table(table: ScanTable, units: ModelUnits | None = None) -> Table:
@@ -99,33 +119,25 @@ def scan_table(table: ScanTable, units: ModelUnits | None = None) -> Table:
         b = units.to_si(b, "field")
         phi = units.to_si(phi, "scalar_a")
     columns = [r] + [block[i] for block in (a, b, phi) for i in order]
-
-    def blocks():
-        for start in range(0, r.size, _ROW_BLOCK):
-            yield np.column_stack([c[start : start + _ROW_BLOCK] for c in columns]).tolist()
-
     metadata = dict(table.metadata, excluded_rows=table.excluded_count)
-    return Table(tuple(names), blocks, metadata)
+    return Table(tuple(names), tuple(columns), metadata=metadata)
 
 
 def trajectory_table(trajectory: Trajectory) -> Table:
-    rows = [
-        [float(v) for v in (s.t_s, *s.position_m, *s.velocity_m_s, s.adiabaticity)]
-        for s in trajectory.states
-    ]
+    rows = np.array([(s.t_s, *s.position_m, *s.velocity_m_s, s.adiabaticity)
+                     for s in trajectory.states], float)
     return Table(
         ("t_s", "x_m", "y_m", "z_m", "vx", "vy", "vz", "adiabaticity"),
-        lambda: [rows],
-        {"aborted": trajectory.aborted, "reason": trajectory.reason},
+        tuple(rows.T),
+        metadata={"aborted": trajectory.aborted, "reason": trajectory.reason},
     )
 
 
 def map_table(field_map: FieldMap) -> Table:
-    rows = np.column_stack([field_map.positions, field_map.field]).tolist()
     return Table(
         ("x_over_rc", "z_over_rc", "Bx", "By", "Bz"),
-        lambda: [rows],
-        {"skipped": [list(point) for point in field_map.skipped]},
+        (*field_map.positions.T, *field_map.field.T),
+        metadata={"skipped": [list(point) for point in field_map.skipped]},
     )
 
 
@@ -136,7 +148,7 @@ def peaks_table(reports: list[PeakReport]) -> Table:
         for rep in reports
     ]
     columns = ("label", "kind", "r_peak_over_rc", "field_peak", "detuning_ratio", "found", "note")
-    return Table(columns, lambda: [rows], keyed=True)
+    return Table(columns, rows=rows)
 
 
 def scaling_table(fits: list[ScalingFit]) -> Table:
@@ -146,7 +158,7 @@ def scaling_table(fits: list[ScalingFit]) -> Table:
         for fit in fits
     ]
     columns = ("label", "kind", "exponent", "coefficient", "position", "residual", "flags")
-    return Table(columns, lambda: [rows], keyed=True)
+    return Table(columns, rows=rows)
 
 
 def write_text(path: str | None, text: str) -> None:

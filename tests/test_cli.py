@@ -183,6 +183,25 @@ def test_map_subcommand(capsys):
         assert bx == 0.0 and bz == 0.0  # in-plane separations give By only
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["trajectory", "--speed", "0"], "speed must be finite and positive, got 0.0 m/s"),
+    (["trajectory", "--speed", "nan"], "speed must be finite and positive"),
+    (["trajectory", "--speed", "-0.1"], "speed must be finite and positive"),
+    (["trajectory", "--impact-parameter-rc", "nan"], "impact parameter must be finite"),
+    (["trajectory", "--impact-parameter-rc", "inf"], "impact parameter must be finite"),
+    (["map", "--map-points", "-2"], "map points must be >= 0, got -2"),
+    (["map", "--half-extent", "nan"], "half extent must be finite and positive"),
+    (["map", "--half-extent", "-1"], "half extent must be finite and positive"),
+    (["map", "--half-extent", "0"], "half extent must be finite and positive"),
+    (["map", "--half-extent", "inf"], "half extent must be finite and positive"),
+])
+def test_trajectory_and_map_inputs_are_checked(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
 def test_trajectory_subcommand_reports_deflection(capsys):
     code = main(
         ["trajectory", "--preset", "gaetan2009", "--speed", "0.4",

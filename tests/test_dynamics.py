@@ -383,3 +383,23 @@ def test_deflection_scenario_wiring():
     # smoke: the first microseconds integrate cleanly
     probe = dataclasses.replace(scenario, max_time_s=2e-6, output_stride=10)
     assert not integrate(probe).aborted
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"speed_m_s": 0.0}, "speed must be finite and positive"),
+    ({"speed_m_s": -0.1}, "speed must be finite and positive"),
+    ({"speed_m_s": float("nan")}, "speed must be finite and positive"),
+    ({"speed_m_s": float("inf")}, "speed must be finite and positive"),
+    ({"impact_parameter_rc": float("nan")}, "impact parameter must be finite"),
+    ({"impact_parameter_rc": float("-inf")}, "impact parameter must be finite"),
+    ({"approach_rc": 0.0}, "approach distance must be finite and positive"),
+    ({"approach_rc": float("nan")}, "approach distance must be finite and positive"),
+])
+def test_deflection_scenario_rejects_bad_input(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        deflection_scenario(**kwargs)
+
+
+def test_head_on_deflection_scenario_is_valid():
+    scenario = deflection_scenario(impact_parameter_rc=0.0)
+    assert scenario.initial_position_m[1] == 0.0

@@ -3,13 +3,17 @@
 import json
 
 import numpy as np
+import pytest
 
-from rydgauge.analysis import PeakReport, ScalingFit
+from rydgauge.analysis import PeakReport, ScalingFit, scan_1d
+from rydgauge.cli import main
+from rydgauge.config import RunConfig, build_experiment
 from rydgauge.dynamics import Trajectory, TrajectoryState
 from rydgauge.gauge import FieldMap
 from rydgauge.tables import (
     map_table,
     peaks_table,
+    scan_table,
     scaling_table,
     to_csv,
     to_json,
@@ -88,3 +92,70 @@ def test_documents_of_every_table_kind():
         assert doc["metadata"] == dict(metadata, columns=columns)
         assert rows == expected
         assert doc["rows"] == expected
+
+
+MAP = ["map", "--preset", "gaetan2009", "--detuning-ratio", "-1", "--map-points"]
+MAP_HEAD = '{"metadata": {"columns": ["x_over_rc", "z_over_rc", "Bx", "By", "Bz"], "skipped": []}, '
+SCAN_CSV = "r_over_rc,A1,Aplus,Aminus,Bphi1,Bphiplus,Bphiminus,phi1,phiplus,phiminus\n"
+SCAN_COLUMNS = '"columns": ' + json.dumps(SCAN_CSV.strip().split(","))
+SCAN_HEAD = ('{"metadata": {"coefficient_rad_s_m_p": -2.0106192982974674e-08, ' + SCAN_COLUMNS
+             + ', "detuning_ratio": -1.0, "excluded_rows": 0, "interaction": "rdd", '
+             '"kappa": 149.32368489819723, "labels": "1,+,-", "rabi_rad_s": 40840704.49666731}, ')
+TRAJECTORY_HEAD = '"columns": ["t_s", "x_m", "y_m", "z_m", "vx", "vy", "vz", "adiabaticity"]'
+TRAJECTORY_CSV = "t_s,x_m,y_m,z_m,vx,vy,vz,adiabaticity\n"
+
+# Whole documents of small numeric tables, each value in the builtins' text:
+# empty and one-row tables, zeros of both signs, integral values, and a short
+# and an aborted flyby.
+PINNED = [
+    (MAP + ["0"], "x_over_rc,z_over_rc,Bx,By,Bz\n", MAP_HEAD + '"rows": []}\n'),
+    (MAP + ["1"],
+     "x_over_rc,z_over_rc,Bx,By,Bz\n-3.0000000000000000e+00,-3.0000000000000000e+00,"
+     "-0.0000000000000000e+00,-1.4235247178996705e-03,0.0000000000000000e+00\n",
+     MAP_HEAD + '"rows": [[-3.0, -3.0, -0.0, -0.0014235247178996705, 0.0]]}\n'),
+    (["scan", "--preset", "gaetan2009", "--detuning-ratio", "-1", "--rmin", "0.5", "--points", "1"],
+     SCAN_CSV
+     + "5.0000000000000000e-01,-4.0080366896690872e-01,-9.9763190006015523e-01,"
+     "-1.0156443097293595e-01,-5.3256414871623241e-02,3.1455117360467424e-02,"
+     "2.1801297511155813e-02,2.4016651761627125e-01,2.3718006304226376e-03,"
+     "9.1252554759983964e-02\n",
+     SCAN_HEAD + '"rows": [[0.5, -0.4008036689669087, -0.9976319000601552, '
+     '-0.10156443097293595, -0.05325641487162324, 0.031455117360467424, 0.021801297511155813, '
+     '0.24016651761627125, 0.0023718006304226376, 0.09125255475998396]]}\n'),
+    (["trajectory", "--speed", "10"],
+     TRAJECTORY_CSV
+     + "0.0000000000000000e+00,-4.7376552809965747e-05,7.8960921349942906e-06,"
+     "0.0000000000000000e+00,1.0000000000000000e+01,0.0000000000000000e+00,"
+     "0.0000000000000000e+00,2.3816783952924716e-05\n"
+     "9.4753105619931498e-06,4.7376551806135658e-05,7.8961202472588549e-06,"
+     "6.9214463651817061e-09,9.9999999999982450e+00,5.9337925834906834e-06,"
+     "2.5977860871791711e-09,2.3816774111318528e-05\n",
+     '{"metadata": {"aborted": false, ' + TRAJECTORY_HEAD + ', "reason": ""}, "rows": ['
+     "[0.0, -4.737655280996575e-05, 7.89609213499429e-06, 0.0, 10.0, 0.0, 0.0, "
+     "2.3816783952924716e-05], [9.47531056199315e-06, 4.737655180613566e-05, "
+     "7.896120247258855e-06, 6.921446365181706e-09, 9.999999999998245, 5.933792583490683e-06, "
+     "2.597786087179171e-09, 2.3816774111318528e-05]]}\n"),
+    (["trajectory", "--speed", "10", "--impact-parameter-rc", "0"],
+     TRAJECTORY_CSV
+     + "0.0000000000000000e+00,-4.7376552809965747e-05,0.0000000000000000e+00,"
+     "0.0000000000000000e+00,1.0000000000000000e+01,0.0000000000000000e+00,"
+     "0.0000000000000000e+00,2.5510666717686174e-05\n",
+     '{"metadata": {"aborted": true, ' + TRAJECTORY_HEAD
+     + ', "reason": "separation 0.0087 r_c below validity floor 0.01 r_c"}, "rows": ['
+     "[0.0, -4.737655280996575e-05, 0.0, 0.0, 10.0, 0.0, 0.0, 2.5510666717686174e-05]]}\n"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_text, json_text", PINNED,
+                         ids=["map0", "map1", "scan1", "flyby", "flyby_aborted"])
+def test_small_numeric_tables_keep_their_bytes(argv, csv_text, json_text, capsys):
+    for fmt, expected in (("csv", csv_text), ("json", json_text)):
+        main(argv + ["--format", fmt])
+        assert capsys.readouterr().out == expected
+
+
+def test_empty_scan_keeps_its_bytes():
+    drive, model = build_experiment(RunConfig(preset="gaetan2009", detuning_ratio=-1.0))
+    table = scan_table(scan_1d(drive, model, ("1", "+", "-"), r_grid=()))
+    assert to_csv(table) == SCAN_CSV
+    assert to_json(table) == SCAN_HEAD + '"rows": []}\n'
