@@ -26,7 +26,6 @@ from .dynamics import (
     TrajectoryState,
     adiabaticity,
     deflection_scenario,
-    dressed_energy,
     integrate,
     traversal_time_s,
 )
@@ -35,6 +34,7 @@ from .gauge import (
     FieldMap,
     GaugeSample,
     SingleAtomGauge,
+    adiabaticity_fd,
     berry_connection_fd,
     connection_profile,
     field_map,
@@ -75,7 +75,6 @@ from .regimes import (
 )
 from .spectrum import (
     LABELS,
-    HamiltonianMatrix,
     PairConfiguration,
     bare_state_vector,
     build_hamiltonian,

@@ -6,7 +6,8 @@ partner sits at the origin and does not recoil.  By default the motion
 is integrated with adaptive Dormand-Prince 5(4) (Dormand & Prince,
 J. Comput. Appl. Math. 6, 19 (1980)); an explicit time step selects
 classic fixed-step RK4.  Both abort where the adiabatic model itself
-stops being trustworthy.
+stops being trustworthy.  Each recorded state carries the closed-form
+adiabaticity parameter (Dalibard et al., Rev. Mod. Phys. 83, 1523 (2011)).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ELEMENTARY_CHARGE
-from .gauge import _radial_spectrum
+from .gauge import _pair_amplitudes, _radial_spectrum
 from .model import (
     DriveParams,
     InteractionModel,
@@ -25,19 +26,9 @@ from .model import (
     get_preset,
     reduced_parameters,
 )
-from .spectrum import (
-    LABEL_INDEX,
-    LABELS,
-    _check_label,
-    _row_dots,
-    _row_norms,
-    bare_state_vector,
-    dark_state_vector,
-    labeled_spectrum,
-)
+from .spectrum import LABEL_INDEX, _check_label, _row_dots, _row_norms
 
 MIN_SEPARATION_RC = 0.01  # below this the adiabatic pair model is not credible
-FD_STEP = 1e-6  # crossover units, adiabaticity stencil
 DEGENERACY_GAP = 1e-12
 
 # adaptive path: relative tolerance, absolute floor as a fraction of the
@@ -100,6 +91,10 @@ class TrajectoryConfig:
             raise ValueError("max time must be positive")
         if self.output_stride < 1:
             raise ValueError("output stride must be >= 1")
+        for name, value in (("initial position", self.initial_position_m),
+                            ("initial velocity", self.initial_velocity_m_s)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not np.linalg.norm(self.initial_position_m) > 0.0:
             raise ValueError("initial separation must be nonzero")
 
@@ -182,68 +177,34 @@ def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
     return total
 
 
-def dressed_energy(config: TrajectoryConfig, position_m) -> float:
-    """Dressed-state energy at a position, joules, plus the background."""
-    engine = _engine(config)
-    x = float(np.linalg.norm(position_m)) / engine.r_c_m
-    energy = _radial_spectrum(x, engine.reduced).energies[LABEL_INDEX[config.label]]
-    return energy.item() * engine.energy_J + config.background_energy_J
-
-
-def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s) -> float:
+def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s, spectrum=None):
     """Worst ratio hbar|<chi_j|d/dt chi_i>| / |E_i - E_j| over j != i.
 
-    The time derivative is |v| times a directional derivative along the
-    velocity, taken by Richardson differences of the gauge-fixed
-    eigenvectors with a fixed position step, so the parameter is exactly
-    linear in speed.  One batched solve gives the eigenvectors of every
-    label at the five stencil points.  Near-degenerate gaps report
-    infinity.
+    Positions and velocities are (3,) or (n, 3).  With the couplings of
+    ``gauge._pair_amplitudes``, |<chi_j|d/dt chi_i>| is |v·e_r R_ij +
+    i kappa v·k Q_ij| / r_c for bright j and |kappa v·k D_i| / r_c for the
+    dark state at zero energy.  One solve serves every row, none when
+    ``spectrum`` is ``_radial_spectrum`` at these positions.  A gap below
+    ``DEGENERACY_GAP`` is skipped if its coupling is zero, else infinite.
     """
     engine = _engine(config)
     pos = np.asarray(position_m, dtype=float)
     vel = np.asarray(velocity_m_s, dtype=float)
-    speed = float(np.linalg.norm(vel))
-    if speed == 0.0:
-        return 0.0
-    direction = vel / speed
-    x_a = pos / engine.r_c_m
-    reduced = engine.reduced
+    r_m = _row_norms(pos)
+    if spectrum is None:
+        spectrum = _radial_spectrum(r_m / engine.r_c_m, engine.reduced)
     row = LABEL_INDEX[config.label]
-    h = FD_STEP
-    # offsets +h, -h, +h/2, -h/2 and 0 along the velocity: one solve gives
-    # every label's eigenvector at all five stencil points
-    pa = x_a + np.array([h, -h, h / 2.0, -h / 2.0, 0.0])[:, None] * direction
-    phase_a = reduced.kappa * _row_dots(pa, engine.khat)
-    outer_p, outer_m, inner_p, inner_m, center = bare_state_vector(
-        reduced.shift_ratio(_row_norms(pa)),
-        reduced.detuning_ratio,
-        np.reshape(LABELS, (3, 1)),
-        phase_a=phase_a,
-        phase_b=0.0,
-        rabi_phase=config.drive.rabi_phase_rad,
-    ).transpose(1, 0, 2)
-    dv_i = (
-        4.0 * (inner_p[row] - inner_m[row]) / h
-        - (outer_p[row] - outer_m[row]) / (2.0 * h)
-    ) / 3.0
-
-    r0 = float(np.linalg.norm(x_a))
-    energies, _, _ = labeled_spectrum(reduced.shift_ratio(r0), reduced.detuning_ratio)
-    worst = 0.0
-    ladder = {lab: energies[LABEL_INDEX[lab]].item() for lab in LABELS}
-    ladder["0"] = 0.0
-    others = {lab: center[LABEL_INDEX[lab]] for lab in LABELS if lab != config.label}
-    others["0"] = dark_state_vector(phase_a[-1], 0.0)
-    for lab, vec in others.items():
-        gap = abs(ladder[config.label] - ladder[lab])
-        coupling = abs(np.vdot(vec, dv_i))
-        if gap < DEGENERACY_GAP:
-            if coupling * speed == 0.0:
-                continue
-            return float("inf")
-        worst = max(worst, speed * coupling / (engine.r_c_m * gap * abs(config.drive.rabi_complex)))
-    return worst
+    radial, phase, dark = _pair_amplitudes(spectrum)
+    along_r = _row_dots(vel, pos) / r_m
+    along_k = engine.reduced.kappa * _row_dots(vel, engine.khat)
+    coupling = np.concatenate(
+        [np.hypot(along_r * radial[row], along_k * phase[row]), np.abs(along_k * dark[row])[None]]
+    )
+    energies = spectrum.energies
+    gap = np.abs(energies[row] - np.concatenate([energies, np.zeros_like(energies[:1])]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the label's own zero gap
+        ratio = coupling / (engine.r_c_m * abs(config.drive.rabi_complex) * gap)
+    return np.where(gap < DEGENERACY_GAP, np.where(coupling == 0.0, 0.0, np.inf), ratio).max(axis=0)
 
 
 def _step_count(max_time_s: float, step_s: float) -> int:
@@ -354,31 +315,26 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
     ``output_stride`` steps of the fixed step (50 ns on the adaptive
     path), and at the end.  A force evaluation below the validity floor
     ends the run: the partial trajectory is returned with the reason.
+    The energies and adiabaticity of all recorded states, a partial run's
+    included, come from one solve after the run.
     """
     engine = _engine(config)
-    row = LABEL_INDEX[config.label]
-
-    def record(t: float, pos: np.ndarray, vel: np.ndarray) -> TrajectoryState:
-        x = float(np.linalg.norm(pos)) / engine.r_c_m
-        energy = _radial_spectrum(x, engine.reduced).energies[row].item()
-        return TrajectoryState(
-            t_s=t,
-            position_m=pos.copy(),
-            velocity_m_s=vel.copy(),
-            energy_J=energy * engine.energy_J + config.background_energy_J,
-            adiabaticity=adiabaticity(config, pos, vel),
-        )
-
-    pos = np.asarray(config.initial_position_m, dtype=float)
-    vel = np.asarray(config.initial_velocity_m_s, dtype=float)
-    states = [record(0.0, pos, vel)]
+    records = [(0.0, config.initial_position_m, config.initial_velocity_m_s)]
     stepper = _dp54_records if config.time_step_s is None else _rk4_records
+    aborted, reason = False, ""
     try:
-        for t, pos, vel in stepper(config, engine):
-            states.append(record(t, pos, vel))
+        for record in stepper(config, engine):
+            records.append(record)
     except ModelValidityError as exc:
-        return Trajectory(states=tuple(states), aborted=True, reason=str(exc))
-    return Trajectory(states=tuple(states))
+        aborted, reason = True, str(exc)
+    times, positions, velocities = zip(*records)
+    positions = np.array(positions, dtype=float)
+    velocities = np.array(velocities, dtype=float)
+    spec = _radial_spectrum(_row_norms(positions) / engine.r_c_m, engine.reduced)
+    energies = spec.energies[LABEL_INDEX[config.label]] * engine.energy_J + config.background_energy_J
+    monitor = adiabaticity(config, positions, velocities, spectrum=spec)
+    states = map(TrajectoryState, times, positions, velocities, energies.tolist(), monitor.tolist())
+    return Trajectory(states=tuple(states), aborted=aborted, reason=reason)
 
 
 def deflection_scenario(

@@ -1,8 +1,9 @@
 """Artificial gauge potentials of the dressed atom pair.
 
 Closed-form vector potential, magnetic field and scalar potential for each
-labeled internal state, the single-atom limits, and finite-difference
-Berry-connection and overlap oracles that validate the closed forms.
+labeled internal state, the couplings between labels behind phi and the
+adiabaticity monitor, the single-atom limits, and finite-difference
+Berry-connection, overlap and adiabaticity oracles for the closed forms.
 
 Outputs are in model units: A in hbar·k_L, B in B0 = hbar·k_L/(e·r_c),
 scalar potentials in hbar^2·k_L^2/(2m) of the tagged atom.  Separations
@@ -120,6 +121,29 @@ def _scalar_terms(spec: _RadialSpectrum, kappa: float):
     dark = n2 * ee * ee * gg * gg / 2.0
     radial = n2 * np.sum(n2[None] * derivative, axis=1)
     return dark, radial, n2 * np.sum(n2[None] * phase, axis=1)
+
+
+def _pair_amplitudes(spec: _RadialSpectrum):
+    """Couplings <chi_j|d chi_i> per unit step, up to each vector's gauge sign.
+
+    Returns (radial, phase, dark): ``radial[i, j]`` for a radial step of
+    one r_c; ``phase[i, j]`` and, for the dark state, ``dark[i]`` for a
+    step along the beam, per i·kappa.  Diagonals are zero; the squares,
+    radial over kappa^2, sum to :meth:`_RadialSpectrum.scalar`.
+    """
+    n, ee, gg = np.sqrt(spec.n2), spec.ee, spec.gg
+    ee_i, ee_j = ee[:, None], ee[None, :]
+    gg_i, gg_j = gg[:, None], gg[None, :]
+    norms = n[:, None] * n[None, :]
+    radial = norms * (
+        spec.de_dx[:, None] * ee_j * (1.0 + 2.0 * gg_i * gg_j)
+        + (1.0 + 2.0 * ee_i * ee_j) * spec.dgg_dx[:, None] * gg_j
+    )
+    phase = norms * ee_i * ee_j * (1.0 + gg_i * gg_j)
+    diag = np.arange(3)
+    radial[diag, diag] = 0.0
+    phase[diag, diag] = 0.0
+    return radial, phase, n * ee * gg / np.sqrt(2.0)
 
 
 def connection_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
@@ -328,6 +352,14 @@ def _eigenvector_field(params: DriveParams, reduced: ReducedParameters):
     return states
 
 
+def _richardson(outer_p, outer_m, inner_p, inner_m, h):
+    """Derivative from states at offsets +-h and +-h/2: central differences
+    at both steps, Richardson-extrapolated to (4 d(h/2) - d(h)) / 3."""
+    d1 = (outer_p - outer_m) / (2.0 * h)
+    d2 = (inner_p - inner_m) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
 def berry_connection_fd(
     params: DriveParams,
     model: InteractionModel,
@@ -365,10 +397,7 @@ def berry_connection_fd(
         if smooth.all() or attempt == 3:
             break
         h = np.where(smooth, h, h / 2.0)
-    inner_p, inner_m = state(h / 2.0), state(-h / 2.0)
-    d1 = (outer_p - outer_m) / (2.0 * h[..., None])
-    d2 = (inner_p - inner_m) / h[..., None]
-    derivative = (4.0 * d2 - d1) / 3.0
+    derivative = _richardson(outer_p, outer_m, state(h / 2.0), state(-h / 2.0), h[..., None])
     center = states(r_vec[..., None, :], label)
     value = 1j * _row_dots(center.conj(), derivative) / reduced.kappa
     return BerryConnection(
@@ -425,15 +454,45 @@ def scalar_potential_fd(
     dark = dark_state_vector(0.0, 0.0)
     total = np.zeros(np.broadcast_shapes(r_ab.shape, rows.shape))
     for axis in (e_sep, khat):
-        outer = states(base + step * axis, label) - states(base - step * axis, label)
-        inner = states(base + step / 2 * axis, label) - states(base - step / 2 * axis, label)
-        d1 = outer / (2.0 * step)
-        d2 = inner / step
-        derivative = (4.0 * d2 - d1) / 3.0
+        derivative = _richardson(
+            *(states(base + offset * axis, label) for offset in (step, -step, step / 2, -step / 2)),
+            step,
+        )
         for row, other in enumerate(bright):  # the other bright labels, then the dark state
             total += np.where(rows == row, 0.0, _overlap_sq(other, derivative))
         total += _overlap_sq(dark, derivative)
     return total / reduced.kappa**2
+
+
+def adiabaticity_fd(
+    params: DriveParams, model: InteractionModel, label: str, r_vec, velocity, step: float = FD_STEP
+) -> np.ndarray:
+    """Adiabaticity hbar|<chi_j|d/dt chi_i>| / |E_i - E_j|, worst over j != i, by central differences.
+
+    ``r_vec``, of shape (3,) or (n, 3), places atom a with atom b at the
+    origin, crossover units; ``velocity``, of the same shape, is nonzero
+    and in r_c·|Omega|.  The eigenvector is differentiated along the
+    velocity at a fixed step and projected on the other bright states and
+    on the dark state at zero energy.  Oracle for ``dynamics.adiabaticity``.
+    """
+    r_vec, velocity = np.asarray(r_vec, dtype=float), np.asarray(velocity, dtype=float)
+    reduced = reduced_parameters(params, model)
+    states = _eigenvector_field(params, reduced)
+    speed = _row_norms(velocity)
+    direction = velocity / speed[..., None]
+    derivative = _richardson(
+        *(states(r_vec + offset * direction, label) for offset in (step, -step, step / 2, -step / 2)),
+        step,
+    )
+    bright = states(r_vec, np.reshape(LABELS, (3,) + (1,) * (r_vec.ndim - 1)))
+    phase = reduced.kappa * _row_dots(r_vec, np.asarray(params.wavevector_direction, dtype=float))
+    dark = np.abs(np.exp(-1j * phase) * derivative[..., 1] - derivative[..., 2]) / np.sqrt(2.0)
+    energies, _, _ = labeled_spectrum(reduced.shift_ratio(_row_norms(r_vec)), reduced.detuning_ratio)
+    row = LABEL_INDEX[label]
+    gaps = np.abs(energies[row] - energies)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the label's own zero gap
+        worst = np.delete(np.abs(_row_dots(bright.conj(), derivative)) / gaps, row, axis=0)
+    return speed * np.maximum(worst.max(axis=0), dark / np.abs(energies[row]))
 
 
 @dataclass(frozen=True)

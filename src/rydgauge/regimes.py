@@ -24,8 +24,6 @@ from .model import (
 )
 from .spectrum import PairConfiguration, _check_label
 
-EFFECTIVE_BASIS = ("psi_minus", "psi_plus", "gg")
-
 # advisory threshold: the elimination of the doubly excited state needs
 # the interaction to dominate the drive
 VALIDITY_RATIO = 0.2

@@ -27,7 +27,6 @@ LABELS = ("1", "-", "+")
 LABEL_INDEX = {"1": 0, "-": 1, "+": 2}
 
 BLOCKADE_BASIS = ("psi_minus", "ee", "psi_plus", "gg")
-BARE_BASIS = ("ee", "eg", "ge", "gg")
 
 # Beyond this |u| the trigonometric cubic loses relative accuracy on the
 # small roots; switch to Newton deflation of the dominant root.
@@ -186,35 +185,15 @@ class PairConfiguration:
         return float(np.sqrt(np.dot(d, d)))
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """4x4 internal Hamiltonian in the ordered basis ``BLOCKADE_BASIS``.
-
-    Entries are in joules and the laser phase factors appear explicitly on
-    the couplings.  The first row and column (antisymmetric state) vanish
-    identically.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError("HamiltonianMatrix must be 4x4")
-        scale = np.linalg.norm(m)
-        if scale > 0 and np.linalg.norm(m - m.conj().T) > 1e-14 * scale:
-            raise ValueError("HamiltonianMatrix must be Hermitian")
-        object.__setattr__(self, "matrix", m)
-
-
 def build_hamiltonian(
     params: DriveParams, model: InteractionModel, config: PairConfiguration
-) -> HamiltonianMatrix:
-    """Assemble the two-atom Hamiltonian at the configured positions.
+) -> np.ndarray:
+    """The 4x4 two-atom Hamiltonian at the configured positions, in joules.
 
-    The diagonal is {0, hbar(V - delta), 0, hbar·delta}; the doubly excited
-    state couples to the symmetric singly excited state with the two-photon
-    phase exp(i k_L·(r_a + r_b)) attached.
+    The basis is ``BLOCKADE_BASIS``, whose antisymmetric state's row and
+    column vanish.  The diagonal is {0, hbar(V - delta), 0, hbar·delta};
+    the doubly excited state couples to the symmetric singly excited state
+    with the two-photon phase exp(i k_L·(r_a + r_b)) attached.
     """
     r_c = crossover_distance(model, params)
     shift = interaction_shift(model, config.separation * r_c)
@@ -230,18 +209,15 @@ def build_hamiltonian(
     h[2, 1] = np.conj(h[1, 2])
     h[2, 3] = coupling
     h[3, 2] = np.conj(h[2, 3])
-    return HamiltonianMatrix(matrix=h)
+    return h
 
 
 def eigenvalues_numeric(hamiltonian) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending (dense solver oracle).
 
-    Accepts a HamiltonianMatrix or a plain array.  Raises if the input is
-    not Hermitian within 1e-12 relative.
+    Raises if the input is not Hermitian within 1e-12 relative.
     """
-    m = hamiltonian.matrix if isinstance(hamiltonian, HamiltonianMatrix) else np.asarray(
-        hamiltonian, dtype=complex
-    )
+    m = np.asarray(hamiltonian, dtype=complex)
     scale = np.linalg.norm(m)
     if scale > 0 and np.linalg.norm(m - m.conj().T) > 1e-12 * scale:
         raise ValueError("eigenvalues_numeric requires a Hermitian matrix")
@@ -300,7 +276,7 @@ def bare_state_vector(
     phase_b=0.0,
     rabi_phase=0.0,
 ) -> np.ndarray:
-    """Normalized, gauge-fixed eigenvectors in the bare basis ``BARE_BASIS``.
+    """Normalized, gauge-fixed eigenvectors in the bare basis (ee, eg, ge, gg).
 
     Every argument broadcasts against the others, ``label`` included (one
     label or an array of them); the result has the broadcast shape plus a

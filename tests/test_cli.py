@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -234,6 +236,16 @@ def test_presets_subcommand(capsys):
     assert "gaetan2009" in out
     assert "beguin2013" in out
     assert "r_c" in out and "B0" in out
+
+
+def test_python_m_rydgauge_runs_the_cli(monkeypatch, capsys):
+    main(["presets"])
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["rydgauge", "presets"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("rydgauge", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_validate_quick_summary(capsys):

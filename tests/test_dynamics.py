@@ -1,6 +1,7 @@
 """Tests for the semiclassical trajectory integrator."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -15,11 +16,16 @@ from rydgauge.dynamics import (
     _force,
     adiabaticity,
     deflection_scenario,
-    dressed_energy,
     integrate,
     traversal_time_s,
 )
-from rydgauge.gauge import field_profile
+from rydgauge.gauge import (
+    FD_STEP,
+    _pair_amplitudes,
+    _radial_spectrum,
+    adiabaticity_fd,
+    field_profile,
+)
 from rydgauge.spectrum import LABELS, bare_state_vector, dark_state_vector, labeled_spectrum
 from rydgauge.model import (
     InteractionKind,
@@ -30,6 +36,7 @@ from rydgauge.model import (
 )
 
 GAETAN = get_preset("gaetan2009")
+BEGUIN = get_preset("beguin2013")
 RDD_REP = InteractionModel(kind=InteractionKind.RDD, coefficient=+TWOPI * 3200e6 * 1e-18)
 R_C = ModelUnits.from_experiment(GAETAN.drive, GAETAN.interaction).length_m
 
@@ -61,6 +68,17 @@ def test_config_validation():
         _config(output_stride=0)
     with pytest.raises(ValueError, match="separation"):
         _config(initial_position_m=(0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"initial_velocity_m_s": (float("nan"), 0.0, 0.0)}, "initial velocity must be finite"),
+    ({"initial_velocity_m_s": (0.1, float("inf"), 0.0)}, "initial velocity must be finite"),
+    ({"initial_position_m": (float("-inf"), R_C, 0.0)}, "initial position must be finite"),
+    ({"initial_position_m": (-R_C, 0.0, float("nan"))}, "initial position must be finite"),
+], ids=["nan-velocity", "inf-velocity", "inf-position", "nan-position"])
+def test_config_rejects_a_non_finite_start(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        _config(time_step_s=None, **overrides)
 
 
 def test_no_forces_gives_a_straight_line():
@@ -245,20 +263,93 @@ def test_adaptive_flyby_matches_the_dop853_reference(monkeypatch, scenario_args,
     # the fixed 50 ns path records at the same times, bit for bit; its
     # record grid does not depend on the force, so a null force builds it
     monkeypatch.setattr(dynamics, "_force", lambda *args: np.zeros(3))
-    monkeypatch.setattr(dynamics, "adiabaticity", lambda *args: 0.0)
     fixed = integrate(dataclasses.replace(scenario, time_step_s=50e-9))
     times = np.array([s.t_s for s in traj.states])
     assert times.tobytes() == np.array([s.t_s for s in fixed.states]).tobytes()
+
+
+def test_readme_flyby_keeps_the_bytes_of_its_path():
+    """t_s, positions and velocities of the README flyby, as written before
+    the adiabaticity monitor went closed-form (SHA-256 of the float64 rows)."""
+    traj = integrate(deflection_scenario())
+    rows = np.array([[s.t_s, *s.position_m, *s.velocity_m_s] for s in traj.states])
+    assert rows.shape == (96, 7)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+        "82227cc0a5f0a5a50ba601849b055f6dab759a742c30bad34418c4f379c00e14"
+    )
 
 
 def test_adiabaticity_vanishes_at_rest_and_is_linear_in_speed():
     config = _config()
     pos = (-1.5 * R_C, 1.0 * R_C, 0.0)
     assert adiabaticity(config, pos, (0.0, 0.0, 0.0)) == 0.0
-    one = adiabaticity(config, pos, (0.10, 0.0, 0.0))
-    two = adiabaticity(config, pos, (0.20, 0.0, 0.0))
-    assert one > 0.0
-    assert two == pytest.approx(2.0 * one, rel=1e-12)
+    vel = np.array([0.10, -0.03, 0.02])
+    batch = adiabaticity(config, np.tile(pos, (4, 1)), np.outer([0.0, 1.0, 2.0, 4.0], vel))
+    assert batch[0] == 0.0 and batch[1] > 0.0
+    assert batch[2:] == pytest.approx([2.0 * batch[1], 4.0 * batch[1]], rel=1e-14, abs=0.0)
+
+
+def _oracle_cases():
+    """(preset, label, positions / r_c, velocities in m/s): in-plane motion,
+    motion with a beam-axis component, and the deflated branch at 0.03 r_c."""
+    positions = np.array([
+        [-1.5, 1.0, 0.0], [0.6, -0.2, 0.0], [1.2, 0.5, 0.0],
+        [0.8, 0.3, 0.5], [-0.4, 0.9, -1.2], [1.7, -1.1, 0.8],
+        [0.012, 0.02, 0.019], [0.0, 0.03, 0.0],
+    ])
+    velocities = np.array([
+        [0.1, -0.08, 0.0], [0.07, 0.02, 0.0], [0.1, 0.05, 0.0],
+        [0.1, 0.0, 0.05], [0.03, -0.02, 0.3], [-0.2, 0.1, 0.05],
+        [0.02, -0.05, 0.3], [0.01, 0.02, 0.1],
+    ])
+    for preset, label in itertools.product((GAETAN, BEGUIN), LABELS):
+        yield preset, label, positions, velocities
+
+
+def test_adiabaticity_matches_the_fd_oracle():
+    """Closed form against the FD probe: 8 points x 3 labels on each preset.
+
+    In-plane motion in deep blockade is left out: there the couplings are
+    ~1e-7 of the eigenvector's scale, below what a 1e-6 stencil resolves."""
+    for preset, label, positions, velocities in _oracle_cases():
+        units = ModelUnits.from_experiment(preset.drive, preset.interaction)
+        config = _config(drive=preset.drive, interaction=preset.interaction, label=label)
+        closed = adiabaticity(config, positions * units.length_m, velocities)
+        reduced_velocity = velocities / (units.length_m * abs(preset.drive.rabi_complex))
+        oracle = adiabaticity_fd(preset.drive, preset.interaction, label, positions, reduced_velocity)
+        assert closed == pytest.approx(oracle, rel=1e-8, abs=0.0), (preset.name, label)
+
+
+def test_adiabaticity_of_a_row_alone_has_the_bits_it_has_in_the_batch():
+    for preset, label, positions, velocities in _oracle_cases():
+        r_c = ModelUnits.from_experiment(preset.drive, preset.interaction).length_m
+        config = _config(drive=preset.drive, interaction=preset.interaction, label=label)
+        batch = adiabaticity(config, positions * r_c, velocities)
+        for i, (pos, vel) in enumerate(zip(positions * r_c, velocities)):
+            assert np.float64(adiabaticity(config, pos, vel)).tobytes() == batch[i].tobytes()
+
+
+def test_adiabaticity_at_a_bright_dark_crossing():
+    """Far out the '-' level (w = 0) sinks below DEGENERACY_GAP of the dark
+    state, which couples only through motion along the beam."""
+    config = _config(label="-")
+    far = np.array([1e5 * R_C, 0.0, 0.0])
+    energy = _radial_spectrum(1e5, reduced_parameters(GAETAN.drive, GAETAN.interaction)).energies[1]
+    assert abs(energy) < dynamics.DEGENERACY_GAP
+    in_plane = adiabaticity(config, far, (0.1, 0.05, 0.0))
+    assert np.isfinite(in_plane) and in_plane > 0.0
+    assert adiabaticity(config, far, (0.1, 0.05, 1e-3)) == np.inf
+
+
+def test_pair_amplitudes_square_to_the_scalar_potential():
+    x = np.geomspace(0.02, 20.0, 40)
+    for preset, w in itertools.product((GAETAN, BEGUIN), (-2.0, 0.0, 1.5)):
+        drive = dataclasses.replace(preset.drive, detuning_rad_s=w * preset.drive.rabi_magnitude_rad_s)
+        reduced = reduced_parameters(drive, preset.interaction)
+        spec = _radial_spectrum(x, reduced)
+        radial, phase, dark = _pair_amplitudes(spec)
+        summed = np.sum(radial**2 / reduced.kappa**2 + phase**2, axis=1) + dark**2
+        assert summed == pytest.approx(spec.scalar(reduced.kappa), rel=1e-14, abs=0.0)
 
 
 def _adiabaticity_one_point(config, position_m, velocity_m_s):
@@ -285,7 +376,7 @@ def _adiabaticity_one_point(config, position_m, velocity_m_s):
             for label in LABELS
         ]
 
-    h = dynamics.FD_STEP
+    h = FD_STEP
     op, om, ip, im, center = (states_at(d) for d in (h, -h, h / 2.0, -h / 2.0, 0.0))
     dv = (4.0 * (ip[row] - im[row]) / h - (op[row] - om[row]) / (2.0 * h)) / 3.0
     r0 = float(np.linalg.norm(x_a))
@@ -302,30 +393,33 @@ def _adiabaticity_one_point(config, position_m, velocity_m_s):
 
 @pytest.mark.parametrize("label", ["1", "-", "+"])
 def test_batched_adiabaticity_matches_one_point_probe(label):
-    """The one-solve probe gives the bytes of the per-label, per-point probe."""
-    config = dataclasses.replace(
-        _config(label=label), drive=dataclasses.replace(GAETAN.drive, rabi_phase_rad=0.7)
+    """The batched FD oracle gives each row the value of the per-label, per-point probe."""
+    drive = dataclasses.replace(GAETAN.drive, rabi_phase_rad=0.7)
+    config = _config(drive=drive, label=label)
+    positions = np.array([[-1.5, 1.0, 0.0], [0.03, 0.02, 0.01], [4.0, -2.0, 1.0]])  # 0.03: deflated
+    velocities = np.array([[0.1, 0.0, 0.0], [0.02, -0.05, 0.3], [-0.2, 0.1, 0.05]])
+    batch = adiabaticity_fd(
+        drive, GAETAN.interaction, label, positions, velocities / (R_C * abs(drive.rabi_complex))
     )
-    for pos, vel in (
-        ((-1.5 * R_C, 1.0 * R_C, 0.0), (0.1, 0.0, 0.0)),
-        ((0.03 * R_C, 0.02 * R_C, 0.01 * R_C), (0.02, -0.05, 0.3)),  # deflated branch
-        ((4.0 * R_C, -2.0 * R_C, 1.0 * R_C), (-0.2, 0.1, 0.05)),
-    ):
-        got = adiabaticity(config, pos, vel)
-        assert np.float64(got).tobytes() == np.float64(
-            _adiabaticity_one_point(config, pos, vel)
-        ).tobytes()
+    one = [_adiabaticity_one_point(config, p * R_C, v) for p, v in zip(positions, velocities)]
+    assert batch == pytest.approx(one, rel=1e-13, abs=0.0)
 
 
 def test_dressed_energy_limits_far_out():
-    # '+' connects to |gg> (zero energy), '1' to the upper dressed branch
-    far = (-100.0 * R_C, 0.0, 0.0)
+    # w = 0: far out the labels '1', '-', '+' tend to +1, 0 and -1 hbar|Omega|
+    # (|gg> mixes evenly with |ee> in '-'); each record carries its energy
+    # plus the uniform background
     hbar_omega = ModelUnits.from_experiment(GAETAN.drive, GAETAN.interaction).energy_J
-    config = _config(background_energy_J=1e-27)
-    assert dressed_energy(config, far) == pytest.approx(1e-27, rel=1e-4)
-    lam = np.hypot(1.0, GAETAN.drive.detuning_ratio)
-    upper = dressed_energy(dataclasses.replace(config, label="1"), far)
-    assert upper == pytest.approx(lam * hbar_omega + 1e-27, rel=1e-4)
+    far = _config(
+        initial_position_m=(-100.0 * R_C, 0.0, 0.0),
+        max_time_s=50e-9,
+        include_lorentz=False,
+        include_adiabatic_potential=False,
+        background_energy_J=1e-27,
+    )
+    for label, limit in (("1", 1.0), ("-", 0.0), ("+", -1.0)):
+        energy = integrate(dataclasses.replace(far, label=label)).states[0].energy_J
+        assert energy == pytest.approx(limit * hbar_omega + 1e-27, rel=1e-4, abs=0.0), label
 
 
 def test_label_swap_matches_between_branches():

@@ -164,7 +164,7 @@ def test_eigenvector_residual():
     model = GAETAN.interaction
     drive = dataclasses.replace(_drive(-0.8), rabi_phase_rad=0.4)
     config = PairConfiguration((0.9, 0.3, 0.2), (0.0, 0.1, -0.5))
-    h = build_hamiltonian(drive, model, config).matrix
+    h = build_hamiltonian(drive, model, config)
     scale = HBAR * drive.rabi_magnitude_rad_s
     u, w, phase_a, phase_b, theta = _pair_inputs(drive, model, config)
     energies, _, _ = labeled_spectrum(u, w)
@@ -192,7 +192,7 @@ def test_defective_point_falls_back():
     with pytest.raises(ValueError, match="defective"):  # also inside a batch
         bare_state_vector([0.5, u], w, "-")
     # the dense eigenpair exists: E = -2 with weight 1/2 on |ee> and on |gg>
-    h = build_hamiltonian(drive, GAETAN.interaction, config).matrix
+    h = build_hamiltonian(drive, GAETAN.interaction, config)
     scale = HBAR * drive.rabi_magnitude_rad_s
     evals, evecs = np.linalg.eigh(h)
     col = int(np.argmin(np.abs(evals - energies[1] * scale)))
@@ -243,7 +243,7 @@ def test_state_vectors_orthonormal():
 def test_dark_state_is_zero_mode():
     drive = dataclasses.replace(_drive(1.1), rabi_phase_rad=1.0)
     config = PairConfiguration((0.7, 0.0, 0.4), (0.0, 0.0, 0.0))
-    h = build_hamiltonian(drive, GAETAN.interaction, config).matrix
+    h = build_hamiltonian(drive, GAETAN.interaction, config)
     # dark state in the blockade basis occupies the first slot
     dark = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     assert np.linalg.norm(h @ dark) == 0.0

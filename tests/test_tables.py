@@ -107,6 +107,11 @@ TRAJECTORY_CSV = "t_s,x_m,y_m,z_m,vx,vy,vz,adiabaticity\n"
 # Whole documents of small numeric tables, each value in the builtins' text:
 # empty and one-row tables, zeros of both signs, integral values, and a short
 # and an aborted flyby.
+# The adiabaticity cells are the closed-form monitor's; the earlier FD probe
+# (step 1e-6 r_c) read 2.3816783952924716e-05, 2.3816774111318528e-05 and
+# 2.5510666717686174e-05, off by 2e-8 to 8e-8 relative in its round-off,
+# where the same probe at step 1e-4 r_c reads 2.3816784532e-05,
+# 2.3816776108e-05 and 2.5510665639e-05.
 PINNED = [
     (MAP + ["0"], "x_over_rc,z_over_rc,Bx,By,Bz\n", MAP_HEAD + '"rows": []}\n'),
     (MAP + ["1"],
@@ -126,23 +131,23 @@ PINNED = [
      TRAJECTORY_CSV
      + "0.0000000000000000e+00,-4.7376552809965747e-05,7.8960921349942906e-06,"
      "0.0000000000000000e+00,1.0000000000000000e+01,0.0000000000000000e+00,"
-     "0.0000000000000000e+00,2.3816783952924716e-05\n"
+     "0.0000000000000000e+00,2.3816784517516732e-05\n"
      "9.4753105619931498e-06,4.7376551806135658e-05,7.8961202472588549e-06,"
      "6.9214463651817061e-09,9.9999999999982450e+00,5.9337925834906834e-06,"
-     "2.5977860871791711e-09,2.3816774111318528e-05\n",
+     "2.5977860871791711e-09,2.3816776102320919e-05\n",
      '{"metadata": {"aborted": false, ' + TRAJECTORY_HEAD + ', "reason": ""}, "rows": ['
      "[0.0, -4.737655280996575e-05, 7.89609213499429e-06, 0.0, 10.0, 0.0, 0.0, "
-     "2.3816783952924716e-05], [9.47531056199315e-06, 4.737655180613566e-05, "
+     "2.3816784517516732e-05], [9.47531056199315e-06, 4.737655180613566e-05, "
      "7.896120247258855e-06, 6.921446365181706e-09, 9.999999999998245, 5.933792583490683e-06, "
-     "2.597786087179171e-09, 2.3816774111318528e-05]]}\n"),
+     "2.597786087179171e-09, 2.381677610232092e-05]]}\n"),
     (["trajectory", "--speed", "10", "--impact-parameter-rc", "0"],
      TRAJECTORY_CSV
      + "0.0000000000000000e+00,-4.7376552809965747e-05,0.0000000000000000e+00,"
      "0.0000000000000000e+00,1.0000000000000000e+01,0.0000000000000000e+00,"
-     "0.0000000000000000e+00,2.5510666717686174e-05\n",
+     "0.0000000000000000e+00,2.5510665636262070e-05\n",
      '{"metadata": {"aborted": true, ' + TRAJECTORY_HEAD
      + ', "reason": "separation 0.0087 r_c below validity floor 0.01 r_c"}, "rows": ['
-     "[0.0, -4.737655280996575e-05, 0.0, 0.0, 10.0, 0.0, 0.0, 2.5510666717686174e-05]]}\n"),
+     "[0.0, -4.737655280996575e-05, 0.0, 0.0, 10.0, 0.0, 0.0, 2.551066563626207e-05]]}\n"),
 ]
 
 
