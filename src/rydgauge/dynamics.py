@@ -177,22 +177,20 @@ def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
     return total
 
 
-def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s, spectrum=None):
+def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s):
     """Worst ratio hbar|<chi_j|d/dt chi_i>| / |E_i - E_j| over j != i.
 
     Positions and velocities are (3,) or (n, 3).  With the couplings of
     ``gauge._pair_amplitudes``, |<chi_j|d/dt chi_i>| is |v·e_r R_ij +
     i kappa v·k Q_ij| / r_c for bright j and |kappa v·k D_i| / r_c for the
-    dark state at zero energy.  One solve serves every row, none when
-    ``spectrum`` is ``_radial_spectrum`` at these positions.  A gap below
+    dark state at zero energy.  One solve serves every row.  A gap below
     ``DEGENERACY_GAP`` is skipped if its coupling is zero, else infinite.
     """
     engine = _engine(config)
     pos = np.asarray(position_m, dtype=float)
     vel = np.asarray(velocity_m_s, dtype=float)
     r_m = _row_norms(pos)
-    if spectrum is None:
-        spectrum = _radial_spectrum(r_m / engine.r_c_m, engine.reduced)
+    spectrum = _radial_spectrum(r_m / engine.r_c_m, engine.reduced)
     row = LABEL_INDEX[config.label]
     radial, phase, dark = _pair_amplitudes(spectrum)
     along_r = _row_dots(vel, pos) / r_m
@@ -316,7 +314,7 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
     path), and at the end.  A force evaluation below the validity floor
     ends the run: the partial trajectory is returned with the reason.
     The energies and adiabaticity of all recorded states, a partial run's
-    included, come from one solve after the run.
+    included, come from batched calls after the run.
     """
     engine = _engine(config)
     records = [(0.0, config.initial_position_m, config.initial_velocity_m_s)]
@@ -332,7 +330,7 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
     velocities = np.array(velocities, dtype=float)
     spec = _radial_spectrum(_row_norms(positions) / engine.r_c_m, engine.reduced)
     energies = spec.energies[LABEL_INDEX[config.label]] * engine.energy_J + config.background_energy_J
-    monitor = adiabaticity(config, positions, velocities, spectrum=spec)
+    monitor = adiabaticity(config, positions, velocities)
     states = map(TrajectoryState, times, positions, velocities, energies.tolist(), monitor.tolist())
     return Trajectory(states=tuple(states), aborted=aborted, reason=reason)
 

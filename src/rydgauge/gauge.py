@@ -100,6 +100,17 @@ def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
     )
 
 
+def _radial_bracket(spec: _RadialSpectrum) -> np.ndarray:
+    """[i, j]: de_dx_i ee_j (1 + 2 gg_i gg_j) + (1 + 2 ee_i ee_j) dgg_dx_i gg_j,
+    the radial coupling of labels i and j without the norms n_i n_j."""
+    ee_i, ee_j = spec.ee[:, None], spec.ee[None, :]
+    gg_i, gg_j = spec.gg[:, None], spec.gg[None, :]
+    return (
+        spec.de_dx[:, None] * ee_j * (1.0 + 2.0 * gg_i * gg_j)
+        + (1.0 + 2.0 * ee_i * ee_j) * spec.dgg_dx[:, None] * gg_j
+    )
+
+
 def _scalar_terms(spec: _RadialSpectrum, kappa: float):
     """The three parts of the scalar potential per label, hbar^2·k_L^2/(2m).
 
@@ -110,10 +121,7 @@ def _scalar_terms(spec: _RadialSpectrum, kappa: float):
     ee, gg, n2 = spec.ee, spec.gg, spec.n2
     ee_i, ee_j = ee[:, None], ee[None, :]
     gg_i, gg_j = gg[:, None], gg[None, :]
-    derivative = (
-        spec.de_dx[:, None] * ee_j * (1.0 + 2.0 * gg_i * gg_j)
-        + (1.0 + 2.0 * ee_i * ee_j) * spec.dgg_dx[:, None] * gg_j
-    ) ** 2 / kappa**2
+    derivative = _radial_bracket(spec) ** 2 / kappa**2
     phase = ee_i**2 * ee_j**2 * (1.0 + gg_i * gg_j) ** 2
     diag = np.arange(3)
     derivative[diag, diag] = 0.0
@@ -132,14 +140,9 @@ def _pair_amplitudes(spec: _RadialSpectrum):
     radial over kappa^2, sum to :meth:`_RadialSpectrum.scalar`.
     """
     n, ee, gg = np.sqrt(spec.n2), spec.ee, spec.gg
-    ee_i, ee_j = ee[:, None], ee[None, :]
-    gg_i, gg_j = gg[:, None], gg[None, :]
     norms = n[:, None] * n[None, :]
-    radial = norms * (
-        spec.de_dx[:, None] * ee_j * (1.0 + 2.0 * gg_i * gg_j)
-        + (1.0 + 2.0 * ee_i * ee_j) * spec.dgg_dx[:, None] * gg_j
-    )
-    phase = norms * ee_i * ee_j * (1.0 + gg_i * gg_j)
+    radial = norms * _radial_bracket(spec)
+    phase = norms * ee[:, None] * ee[None, :] * (1.0 + gg[:, None] * gg[None, :])
     diag = np.arange(3)
     radial[diag, diag] = 0.0
     phase[diag, diag] = 0.0
@@ -407,10 +410,15 @@ def berry_connection_fd(
     )
 
 
+def _overlap(bra, ket) -> np.ndarray:
+    """|<bra|ket>| over the last axis, with the bits of abs(np.vdot(...)) per row."""
+    z = _row_dots(bra.conj(), ket)
+    return np.hypot(z.real, z.imag)
+
+
 def _overlap_sq(bra, ket) -> np.ndarray:
     """|<bra|ket>|^2 over the last axis, with the bits of abs(np.vdot(...)) ** 2."""
-    z = _row_dots(bra.conj(), ket)
-    return np.float_power(np.hypot(z.real, z.imag), 2)
+    return np.float_power(_overlap(bra, ket), 2)
 
 
 def scalar_potential_fd(
@@ -486,12 +494,13 @@ def adiabaticity_fd(
     )
     bright = states(r_vec, np.reshape(LABELS, (3,) + (1,) * (r_vec.ndim - 1)))
     phase = reduced.kappa * _row_dots(r_vec, np.asarray(params.wavevector_direction, dtype=float))
-    dark = np.abs(np.exp(-1j * phase) * derivative[..., 1] - derivative[..., 2]) / np.sqrt(2.0)
+    z = np.exp(-1j * phase) * derivative[..., 1] - derivative[..., 2]  # sqrt(2) <dark|d chi>
+    dark = np.hypot(z.real, z.imag) / np.sqrt(2.0)
     energies, _, _ = labeled_spectrum(reduced.shift_ratio(_row_norms(r_vec)), reduced.detuning_ratio)
     row = LABEL_INDEX[label]
     gaps = np.abs(energies[row] - energies)
     with np.errstate(divide="ignore", invalid="ignore"):  # the label's own zero gap
-        worst = np.delete(np.abs(_row_dots(bright.conj(), derivative)) / gaps, row, axis=0)
+        worst = np.delete(_overlap(bright, derivative) / gaps, row, axis=0)
     return speed * np.maximum(worst.max(axis=0), dark / np.abs(energies[row]))
 
 

@@ -26,7 +26,7 @@ from rydgauge.gauge import (
     adiabaticity_fd,
     field_profile,
 )
-from rydgauge.spectrum import LABELS, bare_state_vector, dark_state_vector, labeled_spectrum
+from rydgauge.spectrum import LABELS, bare_state_vector, labeled_spectrum
 from rydgauge.model import (
     InteractionKind,
     InteractionModel,
@@ -321,12 +321,16 @@ def test_adiabaticity_matches_the_fd_oracle():
 
 
 def test_adiabaticity_of_a_row_alone_has_the_bits_it_has_in_the_batch():
+    """Both the closed form and the FD oracle."""
     for preset, label, positions, velocities in _oracle_cases():
         r_c = ModelUnits.from_experiment(preset.drive, preset.interaction).length_m
         config = _config(drive=preset.drive, interaction=preset.interaction, label=label)
         batch = adiabaticity(config, positions * r_c, velocities)
-        for i, (pos, vel) in enumerate(zip(positions * r_c, velocities)):
-            assert np.float64(adiabaticity(config, pos, vel)).tobytes() == batch[i].tobytes()
+        oracle = adiabaticity_fd(preset.drive, preset.interaction, label, positions, velocities)
+        for i, (pos, vel) in enumerate(zip(positions, velocities)):
+            assert np.float64(adiabaticity(config, pos * r_c, vel)).tobytes() == batch[i].tobytes()
+            alone = adiabaticity_fd(preset.drive, preset.interaction, label, pos, vel)
+            assert alone.tobytes() == oracle[i].tobytes()
 
 
 def test_adiabaticity_at_a_bright_dark_crossing():
@@ -352,57 +356,50 @@ def test_pair_amplitudes_square_to_the_scalar_potential():
         assert summed == pytest.approx(spec.scalar(reduced.kappa), rel=1e-14, abs=0.0)
 
 
-def _adiabaticity_one_point(config, position_m, velocity_m_s):
-    """The probe with one bare_state_vector call per label and stencil point."""
-    engine = _engine(config)
-    pos = np.asarray(position_m, dtype=float)
-    vel = np.asarray(velocity_m_s, dtype=float)
-    speed = float(np.linalg.norm(vel))
-    direction = vel / speed
-    x_a = pos / engine.r_c_m
-    reduced = engine.reduced
-    row = LABELS.index(config.label)
+def _adiabaticity_one_point(params, model, label, r_vec, velocity):
+    """adiabaticity_fd at one point, with one bare_state_vector call per
+    label and stencil point and the oracle's order of operations."""
+    reduced = reduced_parameters(params, model)
+    khat = np.asarray(params.wavevector_direction, dtype=float)
+    r_vec, velocity = np.asarray(r_vec, dtype=float), np.asarray(velocity, dtype=float)
+    row = LABELS.index(label)
 
-    def states_at(d):
-        pa = x_a + d * direction
-        return [
-            bare_state_vector(
-                float(reduced.shift_ratio(float(np.linalg.norm(pa)))),
-                reduced.detuning_ratio,
-                label,
-                phase_a=reduced.kappa * float(np.dot(engine.khat, pa)),
-                rabi_phase=config.drive.rabi_phase_rad,
-            )
-            for label in LABELS
-        ]
+    def state(pos, lab):
+        return bare_state_vector(
+            float(reduced.shift_ratio(float(np.linalg.norm(pos)))),
+            reduced.detuning_ratio,
+            lab,
+            phase_a=reduced.kappa * float(np.dot(pos, khat)),
+            rabi_phase=params.rabi_phase_rad,
+        )
 
+    speed = float(np.linalg.norm(velocity))
+    direction = velocity / speed
     h = FD_STEP
-    op, om, ip, im, center = (states_at(d) for d in (h, -h, h / 2.0, -h / 2.0, 0.0))
-    dv = (4.0 * (ip[row] - im[row]) / h - (op[row] - om[row]) / (2.0 * h)) / 3.0
-    r0 = float(np.linalg.norm(x_a))
-    energies, _, _ = labeled_spectrum(reduced.shift_ratio(r0), reduced.detuning_ratio)
-    phase = reduced.kappa * float(np.dot(engine.khat, x_a))
-    others = [(energies[j], center[j]) for j in range(3) if j != row]
-    others.append((0.0, dark_state_vector(phase, 0.0)))
-    rabi = abs(config.drive.rabi_complex)
-    return max(
-        speed * abs(np.vdot(vec, dv)) / (engine.r_c_m * abs(energies[row] - energy) * rabi)
-        for energy, vec in others
+    op, om, ip, im = (state(r_vec + d * direction, label) for d in (h, -h, h / 2, -h / 2))
+    dv = (4.0 * ((ip - im) / h) - (op - om) / (2.0 * h)) / 3.0
+    phase = reduced.kappa * float(np.dot(r_vec, khat))
+    dark = abs(np.exp(-1j * phase) * dv[1] - dv[2]) / np.sqrt(2.0)
+    energies, _, _ = labeled_spectrum(
+        reduced.shift_ratio(float(np.linalg.norm(r_vec))), reduced.detuning_ratio
     )
+    worst = max(
+        abs(np.vdot(state(r_vec, LABELS[j]), dv)) / abs(energies[row] - energies[j])
+        for j in range(3) if j != row
+    )
+    return speed * max(worst, dark / abs(energies[row]))
 
 
 @pytest.mark.parametrize("label", ["1", "-", "+"])
 def test_batched_adiabaticity_matches_one_point_probe(label):
-    """The batched FD oracle gives each row the value of the per-label, per-point probe."""
+    """The batched FD oracle gives each row the bytes of the per-label, per-point probe."""
     drive = dataclasses.replace(GAETAN.drive, rabi_phase_rad=0.7)
-    config = _config(drive=drive, label=label)
     positions = np.array([[-1.5, 1.0, 0.0], [0.03, 0.02, 0.01], [4.0, -2.0, 1.0]])  # 0.03: deflated
     velocities = np.array([[0.1, 0.0, 0.0], [0.02, -0.05, 0.3], [-0.2, 0.1, 0.05]])
-    batch = adiabaticity_fd(
-        drive, GAETAN.interaction, label, positions, velocities / (R_C * abs(drive.rabi_complex))
-    )
-    one = [_adiabaticity_one_point(config, p * R_C, v) for p, v in zip(positions, velocities)]
-    assert batch == pytest.approx(one, rel=1e-13, abs=0.0)
+    batch = adiabaticity_fd(drive, GAETAN.interaction, label, positions, velocities)
+    for i, (pos, vel) in enumerate(zip(positions, velocities)):
+        one = _adiabaticity_one_point(drive, GAETAN.interaction, label, pos, vel)
+        assert np.float64(one).tobytes() == batch[i].tobytes()
 
 
 def test_dressed_energy_limits_far_out():

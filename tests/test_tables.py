@@ -107,11 +107,7 @@ TRAJECTORY_CSV = "t_s,x_m,y_m,z_m,vx,vy,vz,adiabaticity\n"
 # Whole documents of small numeric tables, each value in the builtins' text:
 # empty and one-row tables, zeros of both signs, integral values, and a short
 # and an aborted flyby.
-# The adiabaticity cells are the closed-form monitor's; the earlier FD probe
-# (step 1e-6 r_c) read 2.3816783952924716e-05, 2.3816774111318528e-05 and
-# 2.5510666717686174e-05, off by 2e-8 to 8e-8 relative in its round-off,
-# where the same probe at step 1e-4 r_c reads 2.3816784532e-05,
-# 2.3816776108e-05 and 2.5510665639e-05.
+# The adiabaticity cells are the closed-form monitor's (CHANGES.md compares them with the FD probe).
 PINNED = [
     (MAP + ["0"], "x_over_rc,z_over_rc,Bx,By,Bz\n", MAP_HEAD + '"rows": []}\n'),
     (MAP + ["1"],
