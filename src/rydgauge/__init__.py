@@ -2,21 +2,21 @@
 
 The package exposes the internal pair spectrum in closed form, the
 geometric vector, scalar and magnetic potentials that emerge from it,
-the blockade and weak-dressing limits, center-of-mass decompositions,
 peak/scaling analysis tools and a semiclassical trajectory integrator,
-all behind SI-level experiment descriptions.
+behind SI-level experiment descriptions.  All of them rest on one
+dimensionless solve in (u, w) = (V, delta)/|Omega|; the blockade,
+weak-dressing, single-atom and antiblockade limits (``regimes``) are array
+functions of the same reduced inputs, and ``com_frame`` splits the
+potentials into center-of-mass and relative parts.
 """
 
 from .analysis import (
     PeakReport, ScalingFit, ScanTable, find_peak, find_peaks, scaling_fit, scan_1d,
 )
 from .com_frame import (
-    ComFrame,
     ComScalarPotentials,
     com_scalar_potentials,
     com_vector_potentials,
-    lab_vector_potentials,
-    to_com,
 )
 from .config import RunConfig, build_experiment, parse_config, read_config_file
 from .dynamics import (
@@ -33,7 +33,6 @@ from .gauge import (
     BerryConnection,
     FieldMap,
     GaugeSample,
-    SingleAtomGauge,
     adiabaticity_fd,
     berry_connection_fd,
     connection_profile,
@@ -44,7 +43,6 @@ from .gauge import (
     scalar_potential,
     scalar_potential_fd,
     scalar_profile,
-    single_atom_gauge,
     vector_potential,
 )
 from .model import (
@@ -63,14 +61,13 @@ from .model import (
     reduced_parameters,
 )
 from .regimes import (
-    AntiblockadeDistances,
-    BlockadeEffective,
-    BlockadeGauge,
     antiblockade_distances,
     blockade_correspondence,
     blockade_effective,
     blockade_gauge,
     effective_hamiltonian,
+    single_atom_gauge,
+    validity_advisory,
     weak_expansion,
 )
 from .spectrum import (

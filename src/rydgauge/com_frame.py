@@ -18,49 +18,9 @@ from .model import DriveParams, InteractionModel, reduced_parameters
 from .spectrum import LABEL_INDEX, _check_label, near_degenerate
 
 
-@dataclass(frozen=True)
-class ComFrame:
-    """Mass-weighted coordinates of the pair."""
-
-    mass_a_kg: float
-    mass_b_kg: float
-    total_mass_kg: float
-    reduced_mass_kg: float
-    com_position: np.ndarray
-    relative_position: np.ndarray  # points from atom b to atom a
-
-    def __post_init__(self) -> None:
-        m_sum = self.mass_a_kg + self.mass_b_kg
-        mu = self.mass_a_kg * self.mass_b_kg / m_sum
-        # atol=0: masses in kg are ~1e-25, the default atol would mask any error
-        if not np.isclose(self.total_mass_kg, m_sum, rtol=1e-12, atol=0.0):
-            raise ValueError("total mass inconsistent with per-atom masses")
-        if not np.isclose(self.reduced_mass_kg, mu, rtol=1e-12, atol=0.0):
-            raise ValueError("reduced mass inconsistent with per-atom masses")
-
-    def lab_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Invert back to (position_a, position_b)."""
-        frac_a = self.mass_a_kg / self.total_mass_kg
-        pos_a = self.com_position + (1.0 - frac_a) * self.relative_position
-        pos_b = self.com_position - frac_a * self.relative_position
-        return pos_a, pos_b
-
-
-def to_com(position_a, position_b, mass_a_kg: float, mass_b_kg: float) -> ComFrame:
-    """Build the COM description of a pair of lab positions."""
-    if mass_a_kg <= 0.0 or mass_b_kg <= 0.0:
-        raise ValueError("masses must be positive")
-    pos_a = np.asarray(position_a, dtype=float)
-    pos_b = np.asarray(position_b, dtype=float)
-    total = mass_a_kg + mass_b_kg
-    return ComFrame(
-        mass_a_kg=mass_a_kg,
-        mass_b_kg=mass_b_kg,
-        total_mass_kg=total,
-        reduced_mass_kg=mass_a_kg * mass_b_kg / total,
-        com_position=(mass_a_kg * pos_a + mass_b_kg * pos_b) / total,
-        relative_position=pos_a - pos_b,
-    )
+def _check_masses(mass_a_kg: float, mass_b_kg: float) -> None:
+    if not (0.0 < mass_a_kg < np.inf and 0.0 < mass_b_kg < np.inf):
+        raise ValueError("masses must be finite and positive")
 
 
 def com_vector_potentials(
@@ -71,20 +31,11 @@ def com_vector_potentials(
     Same mass weights as the momentum map: the COM potential is the
     plain sum, the relative one is the mass-weighted difference.
     """
+    _check_masses(mass_a_kg, mass_b_kg)
     a_vec = np.asarray(vector_a, dtype=float)
     b_vec = np.asarray(vector_b, dtype=float)
     total = mass_a_kg + mass_b_kg
     return a_vec + b_vec, (mass_b_kg * a_vec - mass_a_kg * b_vec) / total
-
-
-def lab_vector_potentials(
-    vector_com, vector_rel, mass_a_kg: float, mass_b_kg: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`com_vector_potentials`."""
-    com = np.asarray(vector_com, dtype=float)
-    rel = np.asarray(vector_rel, dtype=float)
-    total = mass_a_kg + mass_b_kg
-    return mass_a_kg / total * com + rel, mass_b_kg / total * com - rel
 
 
 @dataclass(frozen=True)
@@ -117,12 +68,11 @@ def com_scalar_potentials(
     derivatives plus the phase terms damped by ((m_b - m_a)/M)^2.
     """
     _check_label(label)
-    if not (r_ab > 0.0):
-        raise ValueError("com_scalar_potentials requires r_ab > 0")
+    if not (0.0 < r_ab < np.inf):
+        raise ValueError("com_scalar_potentials requires a finite r_ab > 0")
     m_a = params.mass_a_kg if mass_a_kg is None else mass_a_kg
     m_b = params.mass_b_kg if mass_b_kg is None else mass_b_kg
-    if m_a <= 0.0 or m_b <= 0.0:
-        raise ValueError("masses must be positive")
+    _check_masses(m_a, m_b)
     dm = (m_b - m_a) / (m_a + m_b)
 
     reduced = reduced_parameters(params, model)

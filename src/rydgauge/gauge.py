@@ -2,8 +2,8 @@
 
 Closed-form vector potential, magnetic field and scalar potential for each
 labeled internal state, the couplings between labels behind phi and the
-adiabaticity monitor, the single-atom limits, and finite-difference
-Berry-connection, overlap and adiabaticity oracles for the closed forms.
+adiabaticity monitor, and finite-difference Berry-connection, overlap
+and adiabaticity oracles for the closed forms.
 
 Outputs are in model units: A in hbar·k_L, B in B0 = hbar·k_L/(e·r_c),
 scalar potentials in hbar^2·k_L^2/(2m) of the tagged atom.  Separations
@@ -174,16 +174,6 @@ def scalar_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SingleAtomGauge:
-    """Gauge potentials of one isolated dressed atom."""
-
-    branch: str  # "+" or "-"
-    vector_potential: np.ndarray  # hbar·k_L units, along e_k
-    scalar_potential: float  # hbar^2·k_L^2/(2m) units
-    magnetic_field: np.ndarray  # identically zero for uniform drive
-
-
-@dataclass(frozen=True)
 class GaugeSample:
     """Gauge potentials of one labeled pair state at one separation."""
 
@@ -194,27 +184,6 @@ class GaugeSample:
     magnetic_field: np.ndarray  # B0 units
     frame: str = "atom_a"
     flags: tuple = ()
-
-
-def single_atom_gauge(params: DriveParams, branch: str) -> SingleAtomGauge:
-    """Closed-form single-atom potentials for a uniform drive.
-
-    A = (-1 ± delta/Lambda)·hbar k_L/2 along the beam, phi is constant and
-    B vanishes because the drive carries no gradients.
-    """
-    if branch not in ("+", "-"):
-        raise ValueError("branch must be '+' or '-'")
-    sign = 1.0 if branch == "+" else -1.0
-    w = params.detuning_ratio
-    lam = np.hypot(1.0, w)
-    khat = np.asarray(params.wavevector_direction, dtype=float)
-    a = 0.5 * (-1.0 + sign * w / lam)
-    return SingleAtomGauge(
-        branch=branch,
-        vector_potential=a * khat,
-        scalar_potential=1.0 / (4.0 * lam * lam),
-        magnetic_field=np.zeros(3),
-    )
 
 
 def _field_inputs(label: str, r_vec, frame: str):
@@ -229,8 +198,8 @@ def _field_inputs(label: str, r_vec, frame: str):
     if r_vec.ndim not in (1, 2) or r_vec.shape[-1] != 3:
         raise ValueError("r_vec must have shape (3,) or (n, 3)")
     r = _row_norms(r_vec)
-    if not np.all(r > 0.0):
-        raise ValueError("every separation in r_vec must be nonzero")
+    if not np.all((r > 0.0) & np.isfinite(r)):
+        raise ValueError("every separation in r_vec must be finite and nonzero")
     return r_vec, r
 
 
@@ -250,8 +219,8 @@ def vector_potential(
     positions only through their distance.
     """
     _check_label(label)
-    if not (r_ab > 0.0):
-        raise ValueError("vector_potential requires r_ab > 0")
+    if not (0.0 < r_ab < np.inf):
+        raise ValueError("vector_potential requires a finite r_ab > 0")
     reduced = reduced_parameters(params, model)
     a = connection_profile(float(r_ab), reduced)[LABEL_INDEX[label]]
     return a * np.asarray(params.wavevector_direction, dtype=float)
@@ -288,8 +257,8 @@ def scalar_potential(
     is mass independent.
     """
     _check_label(label)
-    if not (r_ab > 0.0):
-        raise ValueError("scalar_potential requires r_ab > 0")
+    if not (0.0 < r_ab < np.inf):
+        raise ValueError("scalar_potential requires a finite r_ab > 0")
     reduced = reduced_parameters(params, model)
     return float(scalar_profile(float(r_ab), reduced)[LABEL_INDEX[label]])
 

@@ -1,199 +1,119 @@
-"""Limiting regimes of the dressed pair.
+"""Limiting regimes of the dressed pair, as array functions in reduced units.
 
-Three approximations with closed forms: the blockade effective theory
-(interaction dominates the drive), the weak-interaction expansion (drive
-dominates), and the antiblockade resonance distances.  Each comes with
-its domain of validity; outside it the general machinery in
-:mod:`rydgauge.gauge` stays the reference.
+The blockade effective theory (interaction dominates the drive), the
+weak-interaction expansion (drive dominates), the single-atom limit
+r -> infinity and the antiblockade radii, on the inputs of the general
+solve in :mod:`rydgauge.gauge`: (u, w) = (V, delta)/|Omega|, or separations
+x in r_c with their ReducedParameters.  Energies are in hbar*|Omega|, a in
+hbar*k_L along e_k, phi in hbar^2*k_L^2/(2m), as in Dalibard et al., Rev.
+Mod. Phys. 83, 1523 (2011).  Outside its domain a limit is only a
+reference; the general solve stays the answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .constants import HBAR
-from .model import (
-    DriveParams,
-    InteractionModel,
-    crossover_distance,
-    generalized_rabi,
-    interaction_shift,
-    reduced_parameters,
-)
-from .spectrum import PairConfiguration, _check_label
+from .model import ReducedParameters
 
 # advisory threshold: the elimination of the doubly excited state needs
 # the interaction to dominate the drive
 VALIDITY_RATIO = 0.2
 
-_EPS = float(np.finfo(float).eps)
 
-_SINGULAR_MESSAGE = (
-    "effective theory singular at V = 4*delta/3 "
-    "(single-photon antiblockade resonance)"
-)
-
-
-def _guard_gap(gap: float, shift: float, resonant: float) -> float:
+def _markov_gap(u, w) -> np.ndarray:
+    """u - 4w/3, the denominator of the light shift; raises at its pole."""
+    u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+    resonant = 4.0 * w / 3.0
+    gap = u - resonant
+    if not np.all(np.isfinite(gap)):
+        raise ValueError("the effective theory needs finite u and w")
     # equality at machine precision: an ulp off the pole the closed forms
     # return rounding noise, so that band counts as the pole itself
-    if abs(gap) <= 4.0 * _EPS * max(abs(shift), abs(resonant)):
-        raise ValueError(_SINGULAR_MESSAGE)
+    band = 4.0 * np.finfo(float).eps * np.maximum(np.abs(u), np.abs(resonant))
+    if np.any(np.abs(gap) <= band):
+        raise ValueError(
+            "effective theory singular at V = 4*delta/3 "
+            "(single-photon antiblockade resonance)"
+        )
     return gap
 
 
-def _markov_denominator(params: DriveParams, shift_rad_s: float) -> float:
-    resonant = 4.0 * params.detuning_rad_s / 3.0
-    return _guard_gap(shift_rad_s - resonant, shift_rad_s, resonant)
+def validity_advisory(u, w) -> np.ndarray:
+    """True where the drive is not negligible against the interaction.
 
-
-def _advisory(params: DriveParams, shift_rad_s: float) -> tuple:
-    if generalized_rabi(params) >= VALIDITY_RATIO * abs(shift_rad_s):
-        return ("validity: drive not negligible against the interaction",)
-    return ()
-
-
-@dataclass(frozen=True)
-class BlockadeEffective:
-    """Effective three-level description once |ee> is eliminated.
-
-    Energies are exact eigenvalues of the effective Hamiltonian; the
-    bright eigenvectors live in the {|psi_plus>, |gg>} plane while
-    |psi_minus> stays decoupled.
+    The rule is sqrt(1 + w^2) >= VALIDITY_RATIO * |u|; there the
+    elimination of |ee> behind the blockade effective theory is in doubt.
     """
-
-    light_shift_rad_s: float  # second-order shift of |psi_plus>
-    markov_denominator_rad_s: float  # V - 4*delta/3
-    xi_rad2_s2: float  # squared splitting scale
-    dark_energy_J: float
-    energy_plus_J: float
-    energy_minus_J: float
-    eigenvector_plus: np.ndarray  # (psi_plus, gg) components
-    eigenvector_minus: np.ndarray
-    advisory: tuple = ()
-
-    def __post_init__(self) -> None:
-        if not self.xi_rad2_s2 > 0.0:
-            raise ValueError("splitting scale must be positive")
-        if self.energy_plus_J > self.energy_minus_J:
-            raise ValueError("branch ordering violated")
+    return np.hypot(1.0, w) >= VALIDITY_RATIO * np.abs(u)
 
 
-def effective_hamiltonian(
-    params: DriveParams, model: InteractionModel, config: PairConfiguration
-) -> np.ndarray:
-    """Effective pair Hamiltonian over {|psi_minus>, |psi_plus>, |gg>} in J.
+def effective_hamiltonian(u, w) -> np.ndarray:
+    """Effective pair Hamiltonian over {|psi_minus>, |psi_plus>, |gg>}.
 
-    Valid deep in the blockade regime; the doubly excited state only
-    survives as the second-order light shift on the diagonal.  The
-    trace equals -hbar*Gamma: the +-delta/3 bookkeeping shifts cancel.
+    Shape broadcast(u, w).shape + (3, 3), units hbar*|Omega|, with the Rabi
+    phase gauged into |gg>.  Valid deep in the blockade regime; the doubly
+    excited state only survives as the second-order light shift
+    Gamma = 1/(2(u - 4w/3)) on the diagonal.  The trace equals -Gamma: the
+    +-w/3 bookkeeping shifts cancel.
     """
-    r_c = crossover_distance(model, params)
-    shift = interaction_shift(model, config.separation * r_c)
-    gap = _markov_denominator(params, shift)
-    gamma = abs(params.rabi_complex) ** 2 / (2.0 * gap)
-    delta = params.detuning_rad_s
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 0] = -HBAR * delta / 3.0
-    h[1, 1] = -HBAR * (3.0 * gamma + delta) / 3.0
-    h[2, 2] = 2.0 * HBAR * delta / 3.0
-    h[1, 2] = HBAR * params.rabi_complex / np.sqrt(2.0)
-    h[2, 1] = np.conj(h[1, 2])
+    gap = _markov_gap(u, w)
+    w = np.broadcast_to(w, gap.shape)
+    gamma = 1.0 / (2.0 * gap)
+    h = np.zeros(gap.shape + (3, 3))
+    h[..., 0, 0] = -w / 3.0
+    h[..., 1, 1] = -(3.0 * gamma + w) / 3.0
+    h[..., 2, 2] = 2.0 * w / 3.0
+    h[..., 1, 2] = h[..., 2, 1] = 1.0 / np.sqrt(2.0)
     return h
 
 
-def blockade_effective(
-    params: DriveParams, model: InteractionModel, config: PairConfiguration
-) -> BlockadeEffective:
-    """Diagonalize the blockade effective Hamiltonian in closed form."""
-    r_c = crossover_distance(model, params)
-    shift = interaction_shift(model, config.separation * r_c)
-    gap = _markov_denominator(params, shift)
-    rabi2 = abs(params.rabi_complex) ** 2
-    gamma = rabi2 / (2.0 * gap)
-    delta = params.detuning_rad_s
-    xi = (gamma + delta) ** 2 + 2.0 * rabi2
-    root = np.sqrt(xi)
-    e_plus = HBAR * (delta - 3.0 * gamma - 3.0 * root) / 6.0
-    e_minus = HBAR * (delta - 3.0 * gamma + 3.0 * root) / 6.0
-    # Eigenvectors of the 2x2 bright block, (psi_plus, gg) components.
-    vecs = []
-    for energy in (e_plus, e_minus):
-        raw = np.array(
-            [
-                params.rabi_complex / np.sqrt(2.0),
-                energy / HBAR + (3.0 * gamma + delta) / 3.0,
-            ],
-            dtype=complex,
-        )
-        vecs.append(raw / np.linalg.norm(raw))
-    return BlockadeEffective(
-        light_shift_rad_s=gamma,
-        markov_denominator_rad_s=gap,
-        xi_rad2_s2=xi,
-        dark_energy_J=-HBAR * delta / 3.0,
-        energy_plus_J=e_plus,
-        energy_minus_J=e_minus,
-        eigenvector_plus=vecs[0],
-        eigenvector_minus=vecs[1],
-        advisory=_advisory(params, shift),
-    )
+def blockade_effective(u, w) -> np.ndarray:
+    """Eigenvalues of :func:`effective_hamiltonian` in closed form.
 
-
-@dataclass(frozen=True)
-class BlockadeGauge:
-    """Gauge potentials of one effective branch at one separation."""
-
-    branch: str  # "+" or "-"
-    r_ab: float  # crossover units
-    vector_potential: np.ndarray  # hbar*k_L units, along e_k
-    scalar_potential: float  # hbar^2*k_L^2/(2m) of atom a
-    advisory: tuple = ()
-
-
-def blockade_gauge(
-    params: DriveParams, model: InteractionModel, r_ab: float, branch: str = "+"
-) -> BlockadeGauge:
-    """Closed-form gauge potentials of the blockade effective branches.
-
-    Everything reduces to the ratio X = (Gamma + delta)/sqrt(Xi): the
-    vector potential is (-X - 1)/4 on the '+' branch and (X - 1)/4 on
-    the '-' branch, and the scalar potential adds the gradient of the
-    light shift through the interaction power law.
+    Rows (dark, eff+, eff-), shape (3,) + broadcast(u, w).shape, units
+    hbar*|Omega|: |psi_minus> stays at -w/3 and the bright doublet sits at
+    (w - 3 Gamma -+ 3 sqrt(Xi))/6 with Xi = (Gamma + w)^2 + 2, so
+    eff+ <= eff-.
     """
-    if branch not in ("+", "-"):
-        raise ValueError("branch must be '+' or '-'")
-    if not (r_ab > 0.0):
-        raise ValueError("blockade_gauge requires r_ab > 0")
-    sign = 1.0 if branch == "+" else -1.0
-    reduced = reduced_parameters(params, model)
-    u = reduced.shift_ratio(r_ab)
+    gap = _markov_gap(u, w)
+    gamma = 1.0 / (2.0 * gap)
+    root = np.sqrt((gamma + w) ** 2 + 2.0)
+    return np.stack([
+        np.broadcast_to(-np.asarray(w, dtype=float) / 3.0, gap.shape),
+        (w - 3.0 * gamma - 3.0 * root) / 6.0,
+        (w - 3.0 * gamma + 3.0 * root) / 6.0,
+    ])
+
+
+def blockade_gauge(x_over_rc, reduced: ReducedParameters):
+    """Closed-form (a, phi) of the blockade effective branches at separations x.
+
+    Returns two arrays of shape (2,) + broadcast shape, rows (eff+, eff-);
+    :func:`blockade_correspondence` names the general label of each row.
+    Everything reduces to the ratio X = (Gamma + w)/sqrt(Xi): a is
+    (-X - 1)/4 on eff+ and (X - 1)/4 on eff-, and phi adds the gradient of
+    the light shift through the interaction power law.
+    """
+    x = np.asarray(x_over_rc, dtype=float)
+    if not np.all(np.isfinite(x) & (x > 0.0)):
+        raise ValueError("blockade_gauge requires finite separations x > 0")
     w = reduced.detuning_ratio
-    resonant = 4.0 * w / 3.0
-    gap = _guard_gap(u - resonant, u, resonant)
+    u = reduced.shift_ratio(x)
+    gap = _markov_gap(u, w)
     gamma = 1.0 / (2.0 * gap)
     xi = (gamma + w) ** 2 + 2.0
-    x_ratio = (gamma + w) / np.sqrt(xi)
-    a_eff = (-sign * x_ratio - 1.0) / 4.0
+    ratio = (gamma + w) / np.sqrt(xi)
     # d(Gamma)/dx through the power law, for the gradient term of phi
-    dgamma = reduced.power * u / (2.0 * r_ab * gap * gap)
-    phi_eff = (
+    dgamma = reduced.power * u / (2.0 * x * gap * gap)
+    a = np.stack([-ratio - 1.0, ratio - 1.0]) / 4.0
+    phi = (
         1.0
-        + sign * x_ratio
+        + np.stack([ratio, -ratio])
         + 1.0 / xi
         + 4.0 * dgamma * dgamma / (reduced.kappa**2 * xi * xi)
     ) / 8.0
-    khat = np.asarray(params.wavevector_direction, dtype=float)
-    shift = u * abs(params.rabi_complex)
-    return BlockadeGauge(
-        branch=branch,
-        r_ab=float(r_ab),
-        vector_potential=a_eff * khat,
-        scalar_potential=float(phi_eff),
-        advisory=_advisory(params, shift),
-    )
+    return a, phi
 
 
 def blockade_correspondence(sign_of_shift: float) -> dict:
@@ -210,62 +130,51 @@ def blockade_correspondence(sign_of_shift: float) -> dict:
     raise ValueError("sign_of_shift must be nonzero")
 
 
-def weak_expansion(
-    params: DriveParams, label: str, shift_rad_s: float
-) -> np.ndarray:
-    """Vector potential to first order in the interaction, hbar*k_L units.
+def weak_expansion(u, w) -> np.ndarray:
+    """Vector potential a to first order in u, all labels, units hbar*k_L.
 
-    Valid for |V| well below the generalized Rabi frequency.  At V = 0
-    the three labels reduce to the single-atom branch values (the '-'
-    label to the constant -1/2).
+    Rows per spectrum.LABELS, shape (3,) + broadcast(u, w).shape.  Valid
+    for |u| well below sqrt(1 + w^2).  At u = 0 the labels take the
+    single-atom values (the '-' label the constant -1/2).
     """
-    _check_label(label)
-    w = params.detuning_ratio
-    u = shift_rad_s / abs(params.rabi_complex)
+    u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
     lam = np.hypot(1.0, w)
     lam4 = lam**4
-    # Linear coefficients sum to zero: the total A stays -3/2 hbar*k_L
-    # at every interaction strength.
-    if label == "1":
-        a = 0.5 * (-1.0 + w / lam) + (w - lam) / (4.0 * lam4) * u
-    elif label == "+":
-        a = 0.5 * (-1.0 - w / lam) + (w + lam) / (4.0 * lam4) * u
-    else:
-        a = -0.5 - w / (2.0 * lam4) * u
-    return a * np.asarray(params.wavevector_direction, dtype=float)
+    # Linear coefficients sum to zero: the total a stays -3/2 at every
+    # interaction strength.
+    return np.stack([
+        0.5 * (-1.0 + w / lam) + (w - lam) / (4.0 * lam4) * u,
+        -0.5 - w / (2.0 * lam4) * u,
+        0.5 * (-1.0 - w / lam) + (w + lam) / (4.0 * lam4) * u,
+    ])
 
 
-@dataclass(frozen=True)
-class AntiblockadeDistances:
-    """Separations where the interaction compensates the detuning."""
+def single_atom_gauge(w):
+    """(a, phi) of one isolated dressed atom, the r -> infinity limit.
 
-    r_single_photon_m: float | None
-    r_two_photon_m: float | None
-    reason: str = ""
-
-
-def antiblockade_distances(
-    params: DriveParams, model: InteractionModel
-) -> AntiblockadeDistances:
-    """Solve V(r) = delta and V(r) = 2*delta for the resonance radii.
-
-    Both conditions need the interaction shift and the detuning to have
-    the same sign; otherwise the result is empty with the reason spelled
-    out rather than an error.
+    Two arrays of shape (2,) + w.shape, rows (branch '+', branch '-'):
+    a = (-1 +- w/Lambda)/2 with Lambda = sqrt(1 + w^2), and
+    phi = 1/(4 Lambda^2) on both branches.  A uniform drive carries no
+    gradient, so there is no magnetic field.
     """
-    delta = params.detuning_rad_s
-    if delta == 0.0:
-        return AntiblockadeDistances(
-            None, None, reason="zero detuning: no finite resonance distance"
-        )
-    if np.sign(delta) != model.sign:
-        return AntiblockadeDistances(
-            None,
-            None,
-            reason="detuning and interaction shift have opposite signs",
-        )
-    p = model.power
-    magnitude = abs(model.coefficient)
-    r_single = (magnitude / abs(delta)) ** (1.0 / p)
-    r_two = (magnitude / abs(2.0 * delta)) ** (1.0 / p)
-    return AntiblockadeDistances(r_single, r_two)
+    w = np.asarray(w, dtype=float)
+    lam = np.hypot(1.0, w)
+    phi = 1.0 / (4.0 * lam * lam)
+    return 0.5 * (-1.0 + np.stack([w, -w]) / lam), np.stack([phi, phi])
+
+
+def antiblockade_distances(reduced: ReducedParameters):
+    """Separations where u(x) = w and u(x) = 2w, in crossover units.
+
+    Returns (radii, reason): radii = [(Lambda/|w|)^(1/p),
+    (Lambda/|2w|)^(1/p)] with Lambda = sqrt(1 + w^2), and reason "".  Both
+    conditions need the interaction shift and the detuning to have the same
+    sign; otherwise radii is empty and reason says why, rather than raising.
+    """
+    w = reduced.detuning_ratio
+    if w == 0.0:
+        return np.empty(0), "zero detuning: no finite resonance distance"
+    if np.sign(w) != reduced.interaction_sign:
+        return np.empty(0), "detuning and interaction shift have opposite signs"
+    targets = np.abs(np.array([w, 2.0 * w]))
+    return (reduced.dressing_ratio / targets) ** (1.0 / reduced.power), ""

@@ -6,7 +6,9 @@ byte-identical reports.  The quick tier draws 2,000 dense spectra and
 checks the finite-difference oracles at 6 points; the full tier draws
 10,000 and checks 240 points (8 separations x 5 detunings x 2
 interactions x 3 labels).  The acceptance tests run the same check
-functions at 10,000 draws and 360 points (12 separations).
+functions at 10,000 draws and 360 points (12 separations).  The checks of
+the limits work in reduced units on (u, w) grids: one general solve and
+one call of the limit's array function in ``regimes`` each.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import numpy as np
 
 from .analysis import scan_1d
 from .com_frame import com_scalar_potentials, com_vector_potentials
-from .constants import HBAR, TWOPI
+from .constants import TWOPI
 from .gauge import (
+    _radial_spectrum,
     berry_connection_fd,
     connection_profile,
     field_profile,
@@ -27,29 +30,27 @@ from .gauge import (
     scalar_potential,
     scalar_potential_fd,
     scalar_profile,
-    single_atom_gauge,
     vector_potential,
 )
 from .model import (
     DriveParams,
     InteractionKind,
     InteractionModel,
-    crossover_distance,
+    ReducedParameters,
     get_preset,
-    interaction_shift,
     reduced_parameters,
 )
 from .regimes import (
     antiblockade_distances,
     blockade_correspondence,
-    blockade_gauge,
     blockade_effective,
+    blockade_gauge,
     effective_hamiltonian,
+    single_atom_gauge,
     weak_expansion,
 )
 from .spectrum import (
     LABELS,
-    PairConfiguration,
     _label_rows,
     _row_norms,
     eigenvalues_numeric,
@@ -175,30 +176,24 @@ def _check_plateaus() -> CheckResult:
 
 
 def _check_blockade() -> CheckResult:
+    """Both effective branches against the general solve on one (drive, x) grid."""
     model = _model(InteractionKind.RDD, -1.0)
     mapping = blockade_correspondence(model.sign)
-    worst_tail = 0.0
-    monotone = True
-    for w in (0.0, -1.0):
-        drive = _drive(w)
-        devs = []
-        for x in (0.1, 0.05, 0.02):
-            dev = 0.0
-            for branch, label in (("+", mapping["eff_plus"]), ("-", mapping["eff_minus"])):
-                eff = blockade_gauge(drive, model, x, branch)
-                general = vector_potential(drive, model, label, x)
-                phi = scalar_potential(drive, model, label, x)
-                dev = max(
-                    dev,
-                    float(
-                        np.linalg.norm(eff.vector_potential - general)
-                        / np.linalg.norm(general)
-                    ),
-                    abs(eff.scalar_potential - phi) / abs(phi),
-                )
-            devs.append(dev)
-        monotone = monotone and devs[0] > devs[1] > devs[2]
-        worst_tail = max(worst_tail, devs[1])
+    drives = [reduced_parameters(_drive(w), model) for w in (0.0, -1.0)]
+    w, lam, kappa = (
+        np.array([[getattr(r, f)] for r in drives])
+        for f in ("detuning_ratio", "dressing_ratio", "kappa")
+    )
+    reduced = ReducedParameters(w, lam, model.sign, model.power, kappa)  # one drive per row
+    x = np.array([0.1, 0.05, 0.02])
+    general = _radial_spectrum(x, reduced)
+    rows = _label_rows([mapping["eff_plus"], mapping["eff_minus"]])
+    a, phi = blockade_gauge(x, reduced)
+    a_gen, phi_gen = general.connection[rows], general.scalar(reduced.kappa)[rows]
+    dev_a, dev_phi = np.abs(a - a_gen) / np.abs(a_gen), np.abs(phi - phi_gen) / np.abs(phi_gen)
+    devs = np.maximum(dev_a, dev_phi).max(axis=0)  # (drive, x), worst over both branches
+    monotone = bool(np.all(np.diff(devs, axis=1) < 0.0))
+    worst_tail = float(devs[:, 1].max())
     passed = monotone and worst_tail < 0.01
     return CheckResult(
         name="blockade_limit_matches_general",
@@ -208,17 +203,13 @@ def _check_blockade() -> CheckResult:
 
 
 def _check_weak() -> CheckResult:
-    model = _model(InteractionKind.RDD, -1.0)
-    drive = _drive(-1.0)
-    r_c = crossover_distance(model, drive)
-    residuals = []
+    reduced = reduced_parameters(_drive(-1.0), _model(InteractionKind.RDD, -1.0))
     # x -> x*2^(1/3) halves the cube-law shift, so the quadratic error
     # of the first-order expansion must drop by a factor of 4.
-    for x in (20.0, 20.0 * 2.0 ** (1.0 / 3.0)):
-        shift = interaction_shift(model, x * r_c)
-        general = vector_potential(drive, model, "1", x)
-        weak = weak_expansion(drive, "1", shift)
-        residuals.append(float(np.linalg.norm(general - weak)))
+    x = np.array([20.0, 20.0 * 2.0 ** (1.0 / 3.0)])
+    general = connection_profile(x, reduced)
+    weak = weak_expansion(reduced.shift_ratio(x), reduced.detuning_ratio)
+    residuals = np.abs(general[0] - weak[0])
     ratio = residuals[0] / residuals[1]
     return CheckResult(
         name="weak_expansion_quadratic_residual",
@@ -284,18 +275,12 @@ def _check_com() -> CheckResult:
 
 def _check_antiblockade() -> CheckResult:
     model = _model(InteractionKind.RDD, -1.0)
-    drive = _drive(-1.0)
-    result = antiblockade_distances(drive, model)
-    dev = abs(
-        interaction_shift(model, result.r_two_photon_m) - 2.0 * drive.detuning_rad_s
-    ) / abs(2.0 * drive.detuning_rad_s)
-    dev = max(
-        dev,
-        abs(interaction_shift(model, result.r_single_photon_m) - drive.detuning_rad_s)
-        / abs(drive.detuning_rad_s),
-    )
-    empty = antiblockade_distances(_drive(1.0), model)
-    passed = dev < 1e-12 and empty.r_two_photon_m is None and bool(empty.reason)
+    reduced = reduced_parameters(_drive(-1.0), model)
+    radii, _ = antiblockade_distances(reduced)
+    targets = reduced.detuning_ratio * np.array([1.0, 2.0])  # u = w and u = 2w
+    dev = float((np.abs(reduced.shift_ratio(radii) - targets) / np.abs(targets)).max())
+    empty, reason = antiblockade_distances(reduced_parameters(_drive(1.0), model))
+    passed = dev < 1e-12 and empty.size == 0 and bool(reason)
     return CheckResult(
         name="antiblockade_distances_solve_resonance",
         passed=passed,
@@ -304,20 +289,14 @@ def _check_antiblockade() -> CheckResult:
 
 
 def _check_effective_hamiltonian() -> CheckResult:
-    model = _model(InteractionKind.RDD, -1.0)
-    drive = _drive(-0.7)
-    config = PairConfiguration((0.05, 0.0, 0.0), (0.0, 0.0, 0.0))
-    h = effective_hamiltonian(drive, model, config)
-    eff = blockade_effective(drive, model, config)
-    trace_dev = abs(np.trace(h).real + HBAR * eff.light_shift_rad_s)
-    dark_dev = abs(h[0, 0].real + HBAR * drive.detuning_rad_s / 3.0)
-    scale = HBAR * abs(drive.rabi_complex)
-    block = np.array([[h[1, 1], h[1, 2]], [h[2, 1], h[2, 2]]])
-    numeric = eigenvalues_numeric(block)
-    closed = np.sort([eff.energy_plus_J, eff.energy_minus_J])
-    pair_dev = float(np.abs(numeric - closed).max())
-    ortho = abs(np.vdot(eff.eigenvector_plus, eff.eigenvector_minus))
-    worst = max(trace_dev / scale, dark_dev / scale, pair_dev / scale, ortho)
+    reduced = reduced_parameters(_drive(-0.7), _model(InteractionKind.RDD, -1.0))
+    u, w = reduced.shift_ratio(0.05), reduced.detuning_ratio
+    h = effective_hamiltonian(u, w)
+    light_shift = 1.0 / (2.0 * (u - 4.0 * w / 3.0))
+    trace_dev = abs(np.trace(h) + light_shift)
+    dark_dev = abs(h[0, 0] + w / 3.0)
+    spectrum_dev = np.abs(eigenvalues_numeric(h) - np.sort(blockade_effective(u, w))).max()
+    worst = float(max(trace_dev, dark_dev, spectrum_dev))
     return CheckResult(
         name="blockade_effective_spectrum",
         passed=worst < 1e-12,
@@ -326,13 +305,8 @@ def _check_effective_hamiltonian() -> CheckResult:
 
 
 def _check_single_atom() -> CheckResult:
-    drive = _drive(0.0)
-    sample = single_atom_gauge(drive, "+")
-    dev = max(
-        abs(sample.vector_potential[2] + 0.5),
-        abs(sample.scalar_potential - 0.25),
-        float(np.abs(sample.magnetic_field).max()),
-    )
+    a, phi = single_atom_gauge(0.0)  # rows: branch '+', branch '-'
+    dev = max(abs(a[0] + 0.5), abs(phi[0] - 0.25))
     return CheckResult(
         name="single_atom_limits",
         passed=dev < 1e-14,

@@ -19,20 +19,24 @@ from rydgauge.gauge import (
     connection_profile,
     field_profile,
     magnetic_field,
-    scalar_potential,
     vector_potential,
 )
 from rydgauge.model import (
     InteractionKind,
     InteractionModel,
     ModelUnits,
-    crossover_distance,
     get_preset,
-    interaction_shift,
     reduced_parameters,
 )
-from rydgauge.regimes import blockade_correspondence, blockade_gauge, weak_expansion
-from rydgauge.validate import _check_berry, _check_eigenvalues, _check_scalar, report, run_checks
+from rydgauge.validate import (
+    _check_berry,
+    _check_blockade,
+    _check_eigenvalues,
+    _check_scalar,
+    _check_weak,
+    report,
+    run_checks,
+)
 
 GAETAN = get_preset("gaetan2009")
 RDD_ATT = GAETAN.interaction
@@ -110,50 +114,21 @@ def test_connection_plateaus_at_zero_detuning():
 
 
 def test_blockade_effective_theory_tracks_the_general_result():
-    mapping = blockade_correspondence(RDD_ATT.sign)
-    worst_mid = 0.0
-    monotone = True
-    for w in (0.0, -1.0):
-        drive = _drive(w)
-        devs = []
-        for x in (0.1, 0.05, 0.02):
-            dev = 0.0
-            for branch, label in (("+", mapping["eff_plus"]), ("-", mapping["eff_minus"])):
-                eff = blockade_gauge(drive, RDD_ATT, x, branch)
-                general = vector_potential(drive, RDD_ATT, label, x)
-                phi = scalar_potential(drive, RDD_ATT, label, x)
-                dev = max(
-                    dev,
-                    float(np.linalg.norm(eff.vector_potential - general)
-                          / np.linalg.norm(general)),
-                    abs(eff.scalar_potential - phi) / abs(phi),
-                )
-            devs.append(dev)
-        monotone = monotone and devs[0] > devs[1] > devs[2]
-        worst_mid = max(worst_mid, devs[1])
+    result = _check_blockade()
     _emit(
         "blockade effective theory vs general connection",
-        worst_mid < 0.01 and monotone,
-        f"rel deviation {worst_mid:.2e} at 0.05 r_c (< 1%), "
-        f"monotone over {{0.1, 0.05, 0.02}} r_c: {monotone}",
+        result.passed,
+        f"{result.detail} (< 1% at 0.05 r_c, monotone over {{0.1, 0.05, 0.02}} r_c, "
+        f"w in {{0, -1}})",
     )
 
 
 def test_weak_interaction_residual_is_second_order():
-    drive = _drive(-1.0)
-    r_c = crossover_distance(RDD_ATT, drive)
-    residuals = []
-    # moving out by 2^(1/3) halves the cube-law shift exactly
-    for x in (20.0, 20.0 * 2.0 ** (1.0 / 3.0)):
-        shift = interaction_shift(RDD_ATT, x * r_c)
-        general = vector_potential(drive, RDD_ATT, "1", x)
-        linear = weak_expansion(drive, "1", shift)
-        residuals.append(float(np.linalg.norm(general - linear)))
-    ratio = residuals[0] / residuals[1]
+    result = _check_weak()
     _emit(
         "weak-interaction expansion residual order",
-        abs(ratio - 4.0) <= 0.4,
-        f"residual ratio under shift halving {ratio:.4f} (4.0 +/- 0.4) at 20 r_c",
+        result.passed,
+        f"{result.detail} (4.0 +/- 0.4) at 20 r_c",
     )
 
 

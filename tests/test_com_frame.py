@@ -5,13 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rydgauge.com_frame import (
-    ComFrame,
-    com_scalar_potentials,
-    com_vector_potentials,
-    lab_vector_potentials,
-    to_com,
-)
+from rydgauge.com_frame import com_scalar_potentials, com_vector_potentials
 from rydgauge.gauge import scalar_potential, vector_potential
 from rydgauge.model import get_preset
 
@@ -29,61 +23,12 @@ def _drive(w, mass_b=MASS_B):
     )
 
 
-def test_round_trip_recovers_lab_positions():
-    rng = np.random.default_rng(7)
-    pos_a = rng.normal(size=3) * 1e-6
-    pos_b = rng.normal(size=3) * 1e-6
-    frame = to_com(pos_a, pos_b, MASS_A, MASS_B)
-    assert np.array_equal(frame.relative_position, pos_a - pos_b)
-    back_a, back_b = frame.lab_positions()
-    assert back_a == pytest.approx(pos_a, rel=1e-14)
-    assert back_b == pytest.approx(pos_b, rel=1e-14)
-    # the COM sits on the segment, closer to the heavier atom
-    d_a = np.linalg.norm(frame.com_position - pos_a)
-    d_b = np.linalg.norm(frame.com_position - pos_b)
-    assert d_a < d_b
-
-
-def test_com_frame_rejects_inconsistent_masses():
-    frame = to_com((0, 0, 0), (1e-6, 0, 0), MASS_A, MASS_B)
-    with pytest.raises(ValueError, match="total mass"):
-        ComFrame(
-            mass_a_kg=frame.mass_a_kg,
-            mass_b_kg=frame.mass_b_kg,
-            total_mass_kg=2.0 * frame.total_mass_kg,
-            reduced_mass_kg=frame.reduced_mass_kg,
-            com_position=frame.com_position,
-            relative_position=frame.relative_position,
-        )
-    with pytest.raises(ValueError, match="reduced mass"):
-        ComFrame(
-            mass_a_kg=frame.mass_a_kg,
-            mass_b_kg=frame.mass_b_kg,
-            total_mass_kg=frame.total_mass_kg,
-            reduced_mass_kg=0.5 * frame.reduced_mass_kg,
-            com_position=frame.com_position,
-            relative_position=frame.relative_position,
-        )
-    with pytest.raises(ValueError, match="positive"):
-        to_com((0, 0, 0), (1e-6, 0, 0), -MASS_A, MASS_B)
-
-
 def test_com_vector_potential_is_the_plain_sum():
     rng = np.random.default_rng(11)
     vec_a = rng.normal(size=3)
     vec_b = rng.normal(size=3)
     a_com, _ = com_vector_potentials(vec_a, vec_b, MASS_A, MASS_B)
     assert np.array_equal(a_com, vec_a + vec_b)
-
-
-def test_lab_vector_potentials_invert_the_com_map():
-    rng = np.random.default_rng(13)
-    vec_a = rng.normal(size=3)
-    vec_b = rng.normal(size=3)
-    a_com, a_rel = com_vector_potentials(vec_a, vec_b, MASS_A, MASS_B)
-    back_a, back_b = lab_vector_potentials(a_com, a_rel, MASS_A, MASS_B)
-    assert back_a == pytest.approx(vec_a, rel=1e-13)
-    assert back_b == pytest.approx(vec_b, rel=1e-13)
 
 
 @pytest.mark.parametrize("label", ["1", "+", "-"])
@@ -151,3 +96,5 @@ def test_input_validation():
         com_scalar_potentials(drive, GAETAN.interaction, "1", 0.0)
     with pytest.raises(ValueError, match="positive"):
         com_scalar_potentials(drive, GAETAN.interaction, "1", 1.0, -1.0, MASS_B)
+    with pytest.raises(ValueError, match="positive"):
+        com_vector_potentials((0, 0, 1.0), (0, 0, 1.0), -MASS_A, MASS_B)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rydgauge import gauge
+from rydgauge.com_frame import com_scalar_potentials, com_vector_potentials
 from rydgauge.constants import TWOPI
 from rydgauge.gauge import (
     berry_connection_fd,
@@ -18,7 +19,6 @@ from rydgauge.gauge import (
     scalar_potential,
     scalar_potential_fd,
     scalar_profile,
-    single_atom_gauge,
     vector_potential,
 )
 from rydgauge.model import (
@@ -27,6 +27,7 @@ from rydgauge.model import (
     get_preset,
     reduced_parameters,
 )
+from rydgauge.regimes import blockade_gauge, effective_hamiltonian, single_atom_gauge
 from rydgauge.spectrum import LABELS
 
 GAETAN = get_preset("gaetan2009")
@@ -170,16 +171,18 @@ def test_scalar_oracle_batch_equals_single_points(w):
 
 
 def test_single_atom_gauge():
-    drive = _drive(3.0)
     lam = np.hypot(1.0, 3.0)
-    plus = single_atom_gauge(drive, "+")
-    minus = single_atom_gauge(drive, "-")
-    assert plus.vector_potential[2] == pytest.approx(0.5 * (-1.0 + 3.0 / lam), rel=1e-15)
-    assert minus.vector_potential[2] == pytest.approx(0.5 * (-1.0 - 3.0 / lam), rel=1e-15)
-    assert plus.scalar_potential == pytest.approx(1.0 / (4.0 * lam * lam), rel=1e-15)
-    assert not plus.magnetic_field.any()
-    with pytest.raises(ValueError):
-        single_atom_gauge(drive, "x")
+    a, phi = single_atom_gauge(3.0)  # rows: branch '+', branch '-'
+    assert a[0] == pytest.approx(0.5 * (-1.0 + 3.0 / lam), rel=1e-15)
+    assert a[1] == pytest.approx(0.5 * (-1.0 - 3.0 / lam), rel=1e-15)
+    assert phi.tolist() == [1.0 / (4.0 * lam * lam)] * 2
+    # the r -> infinity limit of the pair: label '1' holds both atoms on
+    # branch '+', where the drive's uniformity leaves no field
+    reduced = reduced_parameters(_drive(3.0), GAETAN.interaction)
+    assert connection_profile(1e4, reduced)[0] == pytest.approx(a[0], rel=1e-9)
+    assert abs(field_profile(1e4, reduced)[0]) < 1e-12
+    rows, _ = single_atom_gauge(np.array([3.0, -1.0, 0.0]))
+    assert rows.shape == (2, 3) and rows[0, 0] == a[0]
 
 
 def test_plateaus_at_zero_detuning():
@@ -373,3 +376,34 @@ def test_input_validation():
             gauge_sample(drive, GAETAN.interaction, "1", (1.0, 0.0, 0.0), frame="lab")
         with pytest.raises(ValueError, match="nonzero"):
             gauge_sample(drive, GAETAN.interaction, "1", (0.0, 0.0, 0.0))
+
+
+_NAN, _INF = float("nan"), float("inf")
+_PAIR = (_drive(0.0), GAETAN.interaction)
+
+
+@pytest.mark.parametrize("call, quantity", [
+    (lambda: scalar_potential(*_PAIR, "1", _INF), "r_ab"),
+    (lambda: scalar_potential(*_PAIR, "1", _NAN), "r_ab"),
+    (lambda: vector_potential(*_PAIR, "1", _INF), "r_ab"),
+    (lambda: magnetic_field(*_PAIR, "1", [_INF, 0.0, 0.0]), "r_vec"),
+    (lambda: magnetic_field(*_PAIR, "1", [[1.0, 0.0, 0.0], [_NAN, 0.0, 0.0]]), "r_vec"),
+    (lambda: com_scalar_potentials(*_PAIR, "1", _INF), "r_ab"),
+    (lambda: com_scalar_potentials(*_PAIR, "1", 1.0, mass_a_kg=_NAN), "masses"),
+    (lambda: com_vector_potentials([0, 0, 1.0], [0, 0, 1.0], 1.0, -1.0), "masses"),
+    (lambda: com_vector_potentials([0, 0, 1.0], [0, 0, 1.0], -1.0, 2.0), "masses"),
+    (lambda: com_vector_potentials([0, 0, 1.0], [0, 0, 1.0], _INF, 1.0), "masses"),
+    (lambda: blockade_gauge(_INF, reduced_parameters(*_PAIR)), "separations"),
+    (lambda: blockade_gauge(np.array([0.1, _NAN]), reduced_parameters(*_PAIR)), "separations"),
+    (lambda: effective_hamiltonian(_INF, 0.0), "u and w"),
+], ids=[
+    "scalar-inf", "scalar-nan", "vector-inf", "field-inf", "field-nan-row", "com-scalar-inf",
+    "com-scalar-nan-mass", "com-vector-zero-total-mass", "com-vector-negative-mass",
+    "com-vector-inf-mass", "blockade-inf", "blockade-nan", "effective-inf-u",
+])
+def test_non_finite_inputs_raise_naming_the_quantity(call, quantity):
+    """No NaN and no wrong error: each bad input names itself."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=quantity):
+            call()

@@ -82,7 +82,7 @@ def test_drive_validation():
 def test_gaetan_scales():
     """Crossover distance and field scale of the RDD reference experiment."""
     units = ModelUnits.from_experiment(GAETAN.drive, GAETAN.interaction)
-    assert units.length_m == pytest.approx(7.8960921349942906e-06, rel=1e-12)
+    assert units.length_m == pytest.approx(7.8960921349942906e-06, rel=1e-12, abs=0)
     assert units.field_T == pytest.approx(0.0017694639424182391, rel=1e-12)
     # recoil-like scalar unit for Rb-87 at 296 nm, in kelvin
     assert units.scalar_a_J / BOLTZMANN == pytest.approx(1.2562e-6, rel=1e-3)
@@ -101,7 +101,7 @@ def test_crossover_uses_generalized_rabi():
     )
     r0 = crossover_distance(GAETAN.interaction, drive)
     r1 = crossover_distance(GAETAN.interaction, detuned)
-    assert r1 == pytest.approx(r0 / 2.0 ** (1.0 / 6.0), rel=1e-12)
+    assert r1 == pytest.approx(r0 / 2.0 ** (1.0 / 6.0), rel=1e-12, abs=0)
     # |V(r_c)| = sqrt(|Omega|^2 + delta^2) by construction
     shift = interaction_shift(GAETAN.interaction, r1)
     assert abs(shift) == pytest.approx(generalized_rabi(detuned), rel=1e-12)
@@ -130,7 +130,7 @@ def test_characteristic_field_formula():
     drive = GAETAN.drive
     b0 = characteristic_field(drive, 8e-6)
     assert b0 == pytest.approx(
-        HBAR * drive.wavenumber_rad_m / (1.602176634e-19 * 8e-6), rel=1e-12
+        HBAR * drive.wavenumber_rad_m / (1.602176634e-19 * 8e-6), rel=1e-12, abs=0
     )
 
 

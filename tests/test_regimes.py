@@ -1,4 +1,4 @@
-"""Tests for the blockade, weak-dressing and antiblockade regimes."""
+"""Tests for the blockade, weak-dressing, single-atom and antiblockade limits."""
 
 import dataclasses
 
@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from rydgauge.constants import HBAR, TWOPI
-from rydgauge.gauge import vector_potential
+from rydgauge.gauge import connection_profile
 from rydgauge.model import (
     InteractionKind,
     InteractionModel,
     crossover_distance,
     get_preset,
-    interaction_shift,
+    reduced_parameters,
 )
 from rydgauge.regimes import (
     antiblockade_distances,
@@ -20,12 +20,15 @@ from rydgauge.regimes import (
     blockade_effective,
     blockade_gauge,
     effective_hamiltonian,
+    single_atom_gauge,
+    validity_advisory,
     weak_expansion,
 )
-from rydgauge.spectrum import LABELS, PairConfiguration, labeled_spectrum
+from rydgauge.spectrum import LABEL_INDEX, labeled_spectrum
 
 GAETAN = get_preset("gaetan2009")
 RDD_REP = InteractionModel(kind=InteractionKind.RDD, coefficient=+TWOPI * 3200e6 * 1e-18)
+OMEGA = GAETAN.drive.rabi_magnitude_rad_s  # |Omega|: the frozen SI values divide by it
 
 
 def _drive(w):
@@ -33,87 +36,97 @@ def _drive(w):
     return dataclasses.replace(base, detuning_rad_s=w * base.rabi_magnitude_rad_s)
 
 
+def _reduced(w, model=GAETAN.interaction):
+    return reduced_parameters(_drive(w), model)
+
+
+def _effective_inputs():
+    """(u, w) of the frozen effective spectrum: w = -0.7 at 0.05 r_c."""
+    reduced = _reduced(-0.7)
+    return reduced.shift_ratio(0.05), reduced.detuning_ratio
+
+
 def test_effective_spectrum_frozen():
-    drive = _drive(-0.7)
-    config = PairConfiguration((0.05, 0.0, 0.0), (0.0, 0.0, 0.0))
-    eff = blockade_effective(drive, GAETAN.interaction, config)
-    assert eff.light_shift_rad_s == pytest.approx(-2091.3254314905112, rel=1e-12)
-    assert eff.energy_plus_J == pytest.approx(-3.9005383896703685e-27, rel=1e-12)
-    assert eff.energy_minus_J == pytest.approx(2.8958049628221455e-27, rel=1e-12)
-    assert eff.energy_plus_J <= eff.energy_minus_J
-    assert eff.xi_rad2_s2 > 0.0
+    u, w = _effective_inputs()
+    h = effective_hamiltonian(u, w)
+    dark, plus, minus = blockade_effective(u, w)
+    # the light shift is minus the trace, where the +-w/3 shifts cancel
+    assert -np.trace(h) == pytest.approx(-2091.3254314905112 / OMEGA, rel=1e-12, abs=0)
+    scale = HBAR * OMEGA
+    assert plus == pytest.approx(-3.9005383896703685e-27 / scale, rel=1e-12, abs=0)
+    assert minus == pytest.approx(2.8958049628221455e-27 / scale, rel=1e-12, abs=0)
+    assert dark == pytest.approx(-w / 3.0, rel=1e-12, abs=0)
+    assert plus <= minus
 
 
 def test_effective_hamiltonian_structure():
-    drive = _drive(-0.7)
-    config = PairConfiguration((0.05, 0.0, 0.0), (0.0, 0.0, 0.0))
-    h = effective_hamiltonian(drive, GAETAN.interaction, config)
-    eff = blockade_effective(drive, GAETAN.interaction, config)
-    assert h[0, 0] == pytest.approx(-HBAR * drive.detuning_rad_s / 3.0)
+    u, w = _effective_inputs()
+    h = effective_hamiltonian(u, w)
+    assert h[0, 0] == pytest.approx(-w / 3.0, rel=1e-12, abs=0)
     assert h[0, 1] == h[0, 2] == 0.0  # dark state decouples
-    assert np.trace(h).real == pytest.approx(-HBAR * eff.light_shift_rad_s, rel=1e-12)
-    assert h[1, 2] == pytest.approx(HBAR * drive.rabi_complex / np.sqrt(2.0))
-    # closed-form eigenpairs solve the bright 2x2 block
-    block = np.array([[h[1, 1], h[1, 2]], [h[2, 1], h[2, 2]]])
-    for energy, vec in (
-        (eff.energy_plus_J, eff.eigenvector_plus),
-        (eff.energy_minus_J, eff.eigenvector_minus),
-    ):
-        assert np.linalg.norm(block @ vec - energy * vec) < 1e-12 * np.linalg.norm(block)
+    assert np.trace(h) == pytest.approx(-1.0 / (2.0 * (u - 4.0 * w / 3.0)), rel=1e-12, abs=0)
+    assert h[1, 2] == h[2, 1] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12, abs=0)
+    # the closed-form energies are the eigenvalues, dark state included
+    closed = np.sort(blockade_effective(u, w))
+    assert np.abs(np.linalg.eigvalsh(h) - closed).max() < 1e-14
+    # one call over a grid gives each point's own matrix and energies
+    grid_u, grid_w = np.array([u, 2.0 * u]), np.array([[w], [-w]])
+    grid_h = effective_hamiltonian(grid_u, grid_w)
+    assert grid_h.shape == (2, 2, 3, 3)
+    assert np.array_equal(grid_h[0, 0], h)
+    assert blockade_effective(grid_u, grid_w).shape == (3, 2, 2)
 
 
 def test_deep_blockade_splitting():
-    """V -> infinity at delta = 0 leaves the sqrt(2)-enhanced doublet."""
-    drive = _drive(0.0)
-    config = PairConfiguration((1e-3, 0.0, 0.0), (0.0, 0.0, 0.0))
-    eff = blockade_effective(drive, GAETAN.interaction, config)
-    scale = HBAR * drive.rabi_magnitude_rad_s
-    assert eff.energy_plus_J / scale == pytest.approx(-1.0 / np.sqrt(2.0), abs=1e-6)
-    assert eff.energy_minus_J / scale == pytest.approx(+1.0 / np.sqrt(2.0), abs=1e-6)
+    """u -> infinity at w = 0 leaves the sqrt(2)-enhanced doublet."""
+    reduced = _reduced(0.0)
+    _, plus, minus = blockade_effective(reduced.shift_ratio(1e-3), 0.0)
+    assert plus == pytest.approx(-1.0 / np.sqrt(2.0), abs=1e-6)
+    assert minus == pytest.approx(+1.0 / np.sqrt(2.0), abs=1e-6)
 
 
 def test_effective_theory_singularity():
-    # place the atoms where V = 4*delta/3 exactly
-    drive = _drive(-0.9)
-    v_target = 4.0 * drive.detuning_rad_s / 3.0
-    r_m = (GAETAN.interaction.coefficient / v_target) ** (1.0 / 3.0)
-    x = r_m / crossover_distance(GAETAN.interaction, drive)
+    # place the atoms where u = 4w/3 up to the rounding of x
+    reduced = _reduced(-0.9)
+    resonant = 4.0 * reduced.detuning_ratio / 3.0
+    x = (reduced.dressing_ratio / abs(resonant)) ** (1.0 / 3.0)
     with pytest.raises(ValueError, match="antiblockade"):
-        blockade_gauge(drive, GAETAN.interaction, x, "+")
+        blockade_gauge(np.array([0.05, x]), reduced)
+    for closed_form in (effective_hamiltonian, blockade_effective):
+        with pytest.raises(ValueError, match="antiblockade"):
+            closed_form(resonant, reduced.detuning_ratio)
 
 
 def test_advisory_when_drive_not_negligible():
-    drive = _drive(0.0)
-    deep = blockade_gauge(drive, GAETAN.interaction, 0.05, "+")
-    assert deep.advisory == ()
-    shallow = blockade_gauge(drive, GAETAN.interaction, 1.0, "+")
-    assert any("validity" in note for note in shallow.advisory)
+    reduced = _reduced(0.0)
+    u = reduced.shift_ratio(np.array([0.05, 1.0]))
+    assert validity_advisory(u, 0.0).tolist() == [False, True]
 
 
 def test_blockade_gauge_zero_detuning_closed_form():
-    """At delta = 0 the branch potentials collapse to one ratio of V."""
-    drive = _drive(0.0)
-    for x in (0.05, 0.3):
-        u = -np.hypot(1.0, 0.0) / x**3
-        expected = {
-            "+": (-1.0 - np.sign(u) / np.sqrt(1.0 + 8.0 * u * u)) / 4.0,
-            "-": (-1.0 + np.sign(u) / np.sqrt(1.0 + 8.0 * u * u)) / 4.0,
-        }
-        for branch, value in expected.items():
-            result = blockade_gauge(drive, GAETAN.interaction, x, branch)
-            assert result.vector_potential[2] == pytest.approx(value, rel=1e-12)
+    """At w = 0 the branch potentials collapse to one ratio of u."""
+    x = np.array([0.05, 0.3])
+    u = -np.hypot(1.0, 0.0) / x**3
+    a, _ = blockade_gauge(x, _reduced(0.0))
+    expected = [
+        (-1.0 - np.sign(u) / np.sqrt(1.0 + 8.0 * u * u)) / 4.0,  # eff+
+        (-1.0 + np.sign(u) / np.sqrt(1.0 + 8.0 * u * u)) / 4.0,  # eff-
+    ]
+    for row, value in zip(a, expected):
+        assert row == pytest.approx(value, rel=1e-12, abs=0)
 
 
 def test_blockade_matches_general_in_the_deep_limit():
-    drive = _drive(0.0)
+    reduced = _reduced(0.0)
     mapping = blockade_correspondence(GAETAN.interaction.sign)
     x = 0.05
     # attractive interaction maps eff+ -> '-', eff- -> '1'
     assert mapping == {"eff_plus": "-", "eff_minus": "1", "ee_like": "+"}
-    for branch, label in (("+", mapping["eff_plus"]), ("-", mapping["eff_minus"])):
-        eff = blockade_gauge(drive, GAETAN.interaction, x, branch)
-        general = vector_potential(drive, GAETAN.interaction, label, x)
-        assert np.linalg.norm(eff.vector_potential - general) < 1e-4
+    a, phi = blockade_gauge(x, reduced)
+    general = connection_profile(x, reduced)
+    for row, branch in enumerate(("eff_plus", "eff_minus")):
+        assert abs(a[row] - general[LABEL_INDEX[mapping[branch]]]) < 1e-4
+    assert phi.shape == (2,)
     assert blockade_correspondence(+1.0) == {
         "eff_plus": "+", "eff_minus": "-", "ee_like": "1"
     }
@@ -121,39 +134,51 @@ def test_blockade_matches_general_in_the_deep_limit():
         blockade_correspondence(0.0)
 
 
+def test_blockade_gauge_takes_one_drive_per_row():
+    """Per-drive ReducedParameters arrays give each drive's own call, bit for bit."""
+    x = np.array([0.1, 0.05, 0.02])
+    drives = [_reduced(w) for w in (0.0, -1.0)]
+    w, lam, kappa = (
+        np.array([[getattr(r, f)] for r in drives])
+        for f in ("detuning_ratio", "dressing_ratio", "kappa")
+    )
+    stacked = dataclasses.replace(drives[0], detuning_ratio=w, dressing_ratio=lam, kappa=kappa)
+    a, phi = blockade_gauge(x, stacked)
+    assert a.shape == phi.shape == (2, 2, 3)
+    for i, reduced in enumerate(drives):
+        one_a, one_phi = blockade_gauge(x, reduced)
+        assert a[:, i].tobytes() == one_a.tobytes()
+        assert phi[:, i].tobytes() == one_phi.tobytes()
+
+
 def test_blockade_gauge_validation():
-    drive = _drive(0.0)
-    with pytest.raises(ValueError, match="branch"):
-        blockade_gauge(drive, GAETAN.interaction, 0.05, "1")
-    with pytest.raises(ValueError):
-        blockade_gauge(drive, GAETAN.interaction, 0.0, "+")
+    reduced = _reduced(0.0)
+    for bad in (0.0, -0.05):
+        with pytest.raises(ValueError, match="separations"):
+            blockade_gauge(np.array([0.05, bad]), reduced)
 
 
 def test_weak_expansion_reduces_to_single_atom():
     for w in (0.0, -1.0, 2.5):
-        drive = _drive(w)
         lam = np.hypot(1.0, w)
-        a1 = weak_expansion(drive, "1", 0.0)[2]
-        aplus = weak_expansion(drive, "+", 0.0)[2]
-        aminus = weak_expansion(drive, "-", 0.0)[2]
+        a1, aminus, aplus = weak_expansion(0.0, w)
         assert a1 == pytest.approx(0.5 * (-1.0 + w / lam), rel=1e-15)
         assert aplus == pytest.approx(0.5 * (-1.0 - w / lam), rel=1e-15)
         assert aminus == pytest.approx(-0.5, rel=1e-15)
+        # r -> infinity: '1' carries both atoms on branch '+', '+' on branch '-'
+        single, _ = single_atom_gauge(w)
+        assert (a1, aplus) == (single[0], single[1])
 
 
 def test_weak_expansion_total_is_constant():
-    """The three linear coefficients cancel, pinning the summed A."""
-    drive = _drive(-1.4)
-    for shift in (0.0, 0.02 * drive.rabi_magnitude_rad_s, -0.05 * drive.rabi_magnitude_rad_s):
-        total = sum(weak_expansion(drive, label, shift)[2] for label in LABELS)
-        assert total == pytest.approx(-1.5, abs=1e-14)
+    """The three linear coefficients cancel, pinning the summed a."""
+    total = weak_expansion(np.array([0.0, 0.02, -0.05]), -1.4).sum(axis=0)
+    assert total == pytest.approx([-1.5] * 3, abs=1e-14)
 
 
 @pytest.mark.parametrize("w", [0.0, -1.0, 0.7, -2.5])
 def test_weak_expansion_slope_matches_spectrum(w):
-    """Linear coefficients against a numeric derivative of the general A."""
-    drive = _drive(w)
-    mag = drive.rabi_magnitude_rad_s
+    """Linear coefficients against a numeric derivative of the general a."""
     h = 1e-6
 
     def general(u):
@@ -164,48 +189,38 @@ def test_weak_expansion_slope_matches_spectrum(w):
     slope = (8.0 * (general(h / 2) - general(-h / 2)) - (general(h) - general(-h))) / (
         6.0 * h
     )
-    for i, label in enumerate(LABELS):
-        c1 = (weak_expansion(drive, label, h * mag)[2] - weak_expansion(drive, label, 0.0)[2]) / h
-        assert c1 == pytest.approx(slope[i], abs=1e-8)
+    c1 = (weak_expansion(h, w) - weak_expansion(0.0, w)) / h
+    assert c1 == pytest.approx(slope, abs=1e-8)
 
 
 def test_antiblockade_frozen_distances():
-    drive = _drive(-1.0)
-    result = antiblockade_distances(drive, GAETAN.interaction)
-    assert result.reason == ""
-    assert result.r_single_photon_m == pytest.approx(7.8960921349942906e-06, rel=1e-12)
-    assert result.r_two_photon_m == pytest.approx(6.2671324807638812e-06, rel=1e-12)
+    reduced = _reduced(-1.0)
+    radii, reason = antiblockade_distances(reduced)
+    assert reason == ""
+    r_c = crossover_distance(GAETAN.interaction, _drive(-1.0))
+    frozen_m = np.array([7.8960921349942906e-06, 6.2671324807638812e-06])
+    assert radii == pytest.approx(frozen_m / r_c, rel=1e-12, abs=0)
     # crossover-unit ratios (lambda/|w|)^(1/3), (lambda/|2w|)^(1/3)
-    r_c = crossover_distance(GAETAN.interaction, drive)
     lam = np.hypot(1.0, 1.0)
-    assert result.r_single_photon_m / r_c == pytest.approx(lam ** (1 / 3), rel=1e-12)
-    assert result.r_two_photon_m / r_c == pytest.approx((lam / 2.0) ** (1 / 3), rel=1e-12)
-    # the distances actually solve the resonance conditions
-    assert interaction_shift(GAETAN.interaction, result.r_single_photon_m) == pytest.approx(
-        drive.detuning_rad_s, rel=1e-12
-    )
-    assert interaction_shift(GAETAN.interaction, result.r_two_photon_m) == pytest.approx(
-        2.0 * drive.detuning_rad_s, rel=1e-12
-    )
+    assert radii == pytest.approx([lam ** (1 / 3), (lam / 2.0) ** (1 / 3)], rel=1e-12, abs=0)
+    # the distances actually solve the resonance conditions u = w, u = 2w
+    assert reduced.shift_ratio(radii) == pytest.approx([-1.0, -2.0], rel=1e-12, abs=0)
 
 
 def test_antiblockade_vdw_power():
     vdw = InteractionModel(kind=InteractionKind.VDW, coefficient=-TWOPI * 300e9 * 1e-36)
-    drive = _drive(-1.0)
-    result = antiblockade_distances(drive, vdw)
-    r_c = crossover_distance(vdw, drive)
+    radii, _ = antiblockade_distances(_reduced(-1.0, vdw))
     lam = np.hypot(1.0, 1.0)
-    assert result.r_single_photon_m / r_c == pytest.approx(lam ** (1 / 6), rel=1e-12)
-    assert result.r_two_photon_m / r_c == pytest.approx((lam / 2.0) ** (1 / 6), rel=1e-12)
+    assert radii == pytest.approx([lam ** (1 / 6), (lam / 2.0) ** (1 / 6)], rel=1e-12, abs=0)
 
 
 def test_antiblockade_empty_cases():
-    no_detuning = antiblockade_distances(_drive(0.0), GAETAN.interaction)
-    assert no_detuning.r_single_photon_m is None
-    assert "zero detuning" in no_detuning.reason
-    mismatched = antiblockade_distances(_drive(1.0), GAETAN.interaction)
-    assert mismatched.r_two_photon_m is None
-    assert "opposite signs" in mismatched.reason
+    radii, reason = antiblockade_distances(_reduced(0.0))
+    assert radii.size == 0
+    assert "zero detuning" in reason
+    radii, reason = antiblockade_distances(_reduced(1.0))
+    assert radii.size == 0
+    assert "opposite signs" in reason
     # repulsive model with positive detuning does resonate
-    ok = antiblockade_distances(_drive(1.0), RDD_REP)
-    assert ok.reason == "" and ok.r_single_photon_m > 0.0
+    radii, reason = antiblockade_distances(_reduced(1.0, RDD_REP))
+    assert reason == "" and np.all(radii > 0.0)
