@@ -32,18 +32,14 @@ from .dynamics import (
 from .gauge import (
     BerryConnection,
     FieldMap,
-    GaugeSample,
     adiabaticity_fd,
     berry_connection_fd,
     connection_profile,
     field_map,
     field_profile,
-    gauge_sample,
     magnetic_field,
-    scalar_potential,
     scalar_potential_fd,
     scalar_profile,
-    vector_potential,
 )
 from .model import (
     PRESETS,

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import _radial_spectrum, _scalar_terms
+from .gauge import _positive_finite, _radial_spectrum, _scalar_terms
 from .model import DriveParams, InteractionModel, reduced_parameters
-from .spectrum import LABEL_INDEX, _check_label, near_degenerate
+from .spectrum import near_degenerate
 
 
 def _check_masses(mass_a_kg: float, mass_b_kg: float) -> None:
@@ -43,45 +43,42 @@ class ComScalarPotentials:
     """Scalar potentials of the COM split, dimensionless.
 
     ``phi_com`` is in units hbar^2*k_L^2/(2M), ``phi_relative`` in units
-    hbar^2*k_L^2/(2mu).  Both are momentum variances, hence nonnegative.
+    hbar^2*k_L^2/(2mu).  Both are momentum variances, hence nonnegative,
+    of shape (3,) + r_ab.shape with rows per spectrum.LABELS;
+    ``near_degenerate`` has the shape of r_ab.
     """
 
-    phi_com: float
-    phi_relative: float
-    flags: tuple = ()
+    phi_com: np.ndarray
+    phi_relative: np.ndarray
+    near_degenerate: np.ndarray
 
 
 def com_scalar_potentials(
     params: DriveParams,
     model: InteractionModel,
-    label: str,
-    r_ab: float,
+    r_ab,
     mass_a_kg: float | None = None,
     mass_b_kg: float | None = None,
 ) -> ComScalarPotentials:
-    """Scalar potentials of one labeled state in COM variables.
+    """Scalar potentials of every labeled state in COM variables, one solve.
 
-    The COM part keeps only the phase-gradient (total-momentum) terms;
-    displacing both atoms together leaves the amplitudes unchanged, so
-    each cross-label overlap picks up twice the single-photon recoil,
-    hence the factor 4.  The relative part keeps the amplitude
-    derivatives plus the phase terms damped by ((m_b - m_a)/M)^2.
+    ``r_ab`` is one separation or an array of them, crossover units, each
+    finite and > 0.  The COM part keeps only the phase-gradient
+    (total-momentum) terms; displacing both atoms together leaves the
+    amplitudes unchanged, so each cross-label overlap picks up twice the
+    single-photon recoil, hence the factor 4.  The relative part keeps the
+    amplitude derivatives plus the phase terms damped by ((m_b - m_a)/M)^2.
     """
-    _check_label(label)
-    if not (0.0 < r_ab < np.inf):
-        raise ValueError("com_scalar_potentials requires a finite r_ab > 0")
     m_a = params.mass_a_kg if mass_a_kg is None else mass_a_kg
     m_b = params.mass_b_kg if mass_b_kg is None else mass_b_kg
     _check_masses(m_a, m_b)
     dm = (m_b - m_a) / (m_a + m_b)
 
     reduced = reduced_parameters(params, model)
-    spec = _radial_spectrum(float(r_ab), reduced)
-    flags = ("near_degenerate",) if near_degenerate(spec.energies) else ()
+    spec = _radial_spectrum(_positive_finite(r_ab, "separation r_ab"), reduced)
     dark, radial, phase = _scalar_terms(spec, reduced.kappa)
-    i = LABEL_INDEX[label]
     return ComScalarPotentials(
-        phi_com=float(4.0 * phase[i]),
-        phi_relative=float(dark[i] + radial[i] + dm * dm * phase[i]),
-        flags=flags,
+        phi_com=4.0 * phase,
+        phi_relative=dark + radial + dm * dm * phase,
+        near_degenerate=near_degenerate(spec.energies),
     )

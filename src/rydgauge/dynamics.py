@@ -181,7 +181,8 @@ def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s):
     """Worst ratio hbar|<chi_j|d/dt chi_i>| / |E_i - E_j| over j != i.
 
     Positions and velocities are (3,) or (n, 3).  With the couplings of
-    ``gauge._pair_amplitudes``, |<chi_j|d/dt chi_i>| is |v·e_r R_ij +
+    ``gauge._pair_amplitudes`` (R_ij the Hellmann-Feynman radial coupling
+    that phi also reads), |<chi_j|d/dt chi_i>| is |v·e_r R_ij +
     i kappa v·k Q_ij| / r_c for bright j and |kappa v·k D_i| / r_c for the
     dark state at zero energy.  One solve serves every row.  A gap below
     ``DEGENERACY_GAP`` is skipped if its coupling is zero, else infinite.

@@ -1,9 +1,12 @@
 """Artificial gauge potentials of the dressed atom pair.
 
 Closed-form vector potential, magnetic field and scalar potential for each
-labeled internal state, the couplings between labels behind phi and the
-adiabaticity monitor, and finite-difference Berry-connection, overlap
-and adiabaticity oracles for the closed forms.
+labeled internal state, all from one solve of the cubic over a batch of
+separations (a single point is a batch of one).  The radial coupling
+<chi_j|d chi_i/dx> between labels is Hellmann-Feynman's; phi, the
+adiabaticity monitor and the center-of-mass split all read it.  The
+finite-difference Berry-connection, overlap and adiabaticity oracles check
+the closed forms.
 
 Outputs are in model units: A in hbar·k_L, B in B0 = hbar·k_L/(e·r_c),
 scalar potentials in hbar^2·k_L^2/(2m) of the tagged atom.  Separations
@@ -32,7 +35,6 @@ from .spectrum import (
     bare_state_vector,
     dark_state_vector,
     labeled_spectrum,
-    near_degenerate,
 )
 
 FD_STEP = 1e-6  # finite-difference step of the oracles, crossover units
@@ -43,15 +45,15 @@ class _RadialSpectrum:
     """Bright-state quantities at separations x and their exact x-slopes.
 
     Rows follow spectrum.LABELS.  ``n2`` is the squared normalization
-    1/(ee^2 + gg^2 + 2 ee^2 gg^2); ``de_dx`` is also the slope of ``ee``.
+    1/(ee^2 + gg^2 + 2 ee^2 gg^2); ``du_dx`` has the shape of x.
     """
 
     energies: np.ndarray
     ee: np.ndarray
     gg: np.ndarray
     n2: np.ndarray
+    du_dx: np.ndarray
     de_dx: np.ndarray
-    dgg_dx: np.ndarray
     da_dx: np.ndarray  # slope of the vector potential a, i.e. B in B0 units
 
     @property
@@ -69,9 +71,7 @@ def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
     """One solve of the cubic plus closed-form radial derivatives.
 
     Hellmann-Feynman with dH/du = |ee><ee| gives dE/du = n2 ee^2, and
-    du/dx = -p u/x.  The ground amplitude's slope is written as
-    -n2 gg^2 (1 + 2 ee^2) du/dx, which keeps its relative precision where
-    dE/du - 1 would cancel.  da/du comes from first-order perturbation
+    du/dx = -p u/x.  da/du comes from first-order perturbation
     theory over the other two bright states,
 
         da_i/du = -n2_i ee_i sum_{j != i} n2_j ee_j (ee_i ee_j - gg_i gg_j) / (E_i - E_j),
@@ -94,136 +94,105 @@ def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
         ee=ee,
         gg=gg,
         n2=n2,
+        du_dx=du_dx,
         de_dx=weight * ee * du_dx,
-        dgg_dx=-n2 * gg * gg * (1.0 + 2.0 * ee * ee) * du_dx,
         da_dx=da_du * du_dx,
     )
 
 
-def _radial_bracket(spec: _RadialSpectrum) -> np.ndarray:
-    """[i, j]: de_dx_i ee_j (1 + 2 gg_i gg_j) + (1 + 2 ee_i ee_j) dgg_dx_i gg_j,
-    the radial coupling of labels i and j without the norms n_i n_j."""
-    ee_i, ee_j = spec.ee[:, None], spec.ee[None, :]
-    gg_i, gg_j = spec.gg[:, None], spec.gg[None, :]
-    return (
-        spec.de_dx[:, None] * ee_j * (1.0 + 2.0 * gg_i * gg_j)
-        + (1.0 + 2.0 * ee_i * ee_j) * spec.dgg_dx[:, None] * gg_j
-    )
+def _radial_coupling(spec: _RadialSpectrum) -> np.ndarray:
+    """[i, j]: <chi_j|d chi_i/dx> = du/dx · a_i a_j / (E_i - E_j), a = n ee.
+
+    Hellmann-Feynman with dH/du = |ee><ee|; the diagonal is zero.  The
+    product a_i a_j is formed first, so [j, i] is -[i, j] bit for bit.
+    """
+    a = np.sqrt(spec.n2) * spec.ee
+    gap = spec.energies[:, None] - spec.energies[None, :]  # zero only on the diagonal
+    pairs = spec.du_dx * (a[:, None] * a[None, :])
+    return np.divide(pairs, gap, out=np.zeros_like(gap), where=gap != 0.0)
 
 
 def _scalar_terms(spec: _RadialSpectrum, kappa: float):
     """The three parts of the scalar potential per label, hbar^2·k_L^2/(2m).
 
     Returns (dark, radial, phase): the dark-state channel, and the sums
-    over the other bright labels of the amplitude-derivative and of the
-    laser-phase-gradient overlaps.
+    over the other bright labels of the squared radial couplings
+    (:func:`_radial_coupling`) and of the laser-phase-gradient overlaps.
     """
     ee, gg, n2 = spec.ee, spec.gg, spec.n2
     ee_i, ee_j = ee[:, None], ee[None, :]
     gg_i, gg_j = gg[:, None], gg[None, :]
-    derivative = _radial_bracket(spec) ** 2 / kappa**2
     phase = ee_i**2 * ee_j**2 * (1.0 + gg_i * gg_j) ** 2
     diag = np.arange(3)
-    derivative[diag, diag] = 0.0
     phase[diag, diag] = 0.0
     dark = n2 * ee * ee * gg * gg / 2.0
-    radial = n2 * np.sum(n2[None] * derivative, axis=1)
+    radial = np.sum(_radial_coupling(spec) ** 2, axis=1) / kappa**2
     return dark, radial, n2 * np.sum(n2[None] * phase, axis=1)
 
 
 def _pair_amplitudes(spec: _RadialSpectrum):
     """Couplings <chi_j|d chi_i> per unit step, up to each vector's gauge sign.
 
-    Returns (radial, phase, dark): ``radial[i, j]`` for a radial step of
-    one r_c; ``phase[i, j]`` and, for the dark state, ``dark[i]`` for a
-    step along the beam, per i·kappa.  Diagonals are zero; the squares,
-    radial over kappa^2, sum to :meth:`_RadialSpectrum.scalar`.
+    Returns (radial, phase, dark): ``radial[i, j]`` is
+    :func:`_radial_coupling`, for a radial step of one r_c, and
+    antisymmetric; ``phase[i, j]`` and, for the dark state, ``dark[i]`` are
+    for a step along the beam, per i·kappa.  Diagonals are zero; the
+    squares, radial over kappa^2, sum to :meth:`_RadialSpectrum.scalar`.
     """
     n, ee, gg = np.sqrt(spec.n2), spec.ee, spec.gg
-    norms = n[:, None] * n[None, :]
-    radial = norms * _radial_bracket(spec)
-    phase = norms * ee[:, None] * ee[None, :] * (1.0 + gg[:, None] * gg[None, :])
+    phase = n[:, None] * n[None, :] * ee[:, None] * ee[None, :] * (1.0 + gg[:, None] * gg[None, :])
     diag = np.arange(3)
-    radial[diag, diag] = 0.0
     phase[diag, diag] = 0.0
-    return radial, phase, n * ee * gg / np.sqrt(2.0)
+    return _radial_coupling(spec), phase, n * ee * gg / np.sqrt(2.0)
+
+
+def _positive_finite(values, quantity: str) -> np.ndarray:
+    """values as a float array; raises naming ``quantity`` unless each is finite and > 0."""
+    values = np.asarray(values, dtype=float)
+    if not np.all((values > 0.0) & np.isfinite(values)):
+        raise ValueError(f"every {quantity} must be finite and > 0")
+    return values
+
+
+def _separation_vectors(r_vec):
+    """Check r_vec, shape (3,) or (n, 3); return it and its nonzero, finite lengths.
+
+    Each length has the bits of ``np.linalg.norm`` of its vector alone.
+    """
+    r_vec = np.asarray(r_vec, dtype=float)
+    if r_vec.ndim not in (1, 2) or r_vec.shape[-1] != 3:
+        raise ValueError("r_vec must have shape (3,) or (n, 3)")
+    return r_vec, _positive_finite(_row_norms(r_vec), "separation in r_vec")
+
+
+def _profile_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
+    """The radial spectrum of the profiles, after checking their separations."""
+    return _radial_spectrum(_positive_finite(x_over_rc, "separation x_over_rc"), reduced)
 
 
 def connection_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
     """Vector-potential magnitude a(x) for all labels, units hbar·k_L.
 
     Returns shape (3,) + x.shape, rows ordered per spectrum.LABELS.  The
-    full vector potential is a(x)·e_k.
+    full vector potential is a(x)·e_k.  Every separation must be finite
+    and > 0, as for the other two profiles.
     """
-    return _radial_spectrum(x_over_rc, reduced).connection
+    return _profile_spectrum(x_over_rc, reduced).connection
 
 
 def field_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
     """Radial derivative da/dx for all labels (azimuthal field magnitude, B0 units)."""
-    return _radial_spectrum(x_over_rc, reduced).da_dx
+    return _profile_spectrum(x_over_rc, reduced).da_dx
 
 
 def scalar_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
     """Scalar potential for all labels, units hbar^2·k_L^2/(2m).
 
     Implements the closed form: the dark-state channel plus the cross-label
-    sum of derivative and phase-gradient terms, with the exact amplitude
-    slopes of the radial spectrum.
+    sum of radial and phase-gradient couplings squared.  In units of the
+    tagged atom's mass the number is mass independent.
     """
-    return _radial_spectrum(x_over_rc, reduced).scalar(reduced.kappa)
-
-
-@dataclass(frozen=True)
-class GaugeSample:
-    """Gauge potentials of one labeled pair state at one separation."""
-
-    label: str
-    r_ab: float  # crossover units
-    vector_potential: np.ndarray  # hbar·k_L
-    scalar_potential: float  # hbar^2·k_L^2/(2m) of the frame atom
-    magnetic_field: np.ndarray  # B0 units
-    frame: str = "atom_a"
-    flags: tuple = ()
-
-
-def _field_inputs(label: str, r_vec, frame: str):
-    """Check label and frame; return r_vec, shape (3,) or (n, 3), and its lengths.
-
-    Each length has the bits of ``np.linalg.norm`` of its vector alone.
-    """
-    _check_label(label)
-    if frame not in ("atom_a", "atom_b"):
-        raise ValueError("frame must be 'atom_a' or 'atom_b'")
-    r_vec = np.asarray(r_vec, dtype=float)
-    if r_vec.ndim not in (1, 2) or r_vec.shape[-1] != 3:
-        raise ValueError("r_vec must have shape (3,) or (n, 3)")
-    r = _row_norms(r_vec)
-    if not np.all((r > 0.0) & np.isfinite(r)):
-        raise ValueError("every separation in r_vec must be finite and nonzero")
-    return r_vec, r
-
-
-def _azimuthal_field(da_dx, r_vec, r, params: DriveParams, frame: str) -> np.ndarray:
-    """B = da/dx · (e_r x e_k) for atom a, its negative for atom b."""
-    khat = np.asarray(params.wavevector_direction, dtype=float)
-    b = np.asarray(da_dx)[..., None] * np.cross(r_vec / r[..., None], khat)
-    return -b if frame == "atom_b" else b
-
-
-def vector_potential(
-    params: DriveParams, model: InteractionModel, label: str, r_ab: float
-) -> np.ndarray:
-    """Two-atom vector potential at separation r_ab (crossover units).
-
-    Identical for both atoms and directed along e_k; depends on the
-    positions only through their distance.
-    """
-    _check_label(label)
-    if not (0.0 < r_ab < np.inf):
-        raise ValueError("vector_potential requires a finite r_ab > 0")
-    reduced = reduced_parameters(params, model)
-    a = connection_profile(float(r_ab), reduced)[LABEL_INDEX[label]]
-    return a * np.asarray(params.wavevector_direction, dtype=float)
+    return _profile_spectrum(x_over_rc, reduced).scalar(reduced.kappa)
 
 
 def magnetic_field(
@@ -236,60 +205,19 @@ def magnetic_field(
     """Artificial magnetic field at separation vectors r_vec (B0 units).
 
     r_vec, of shape (3,) or (n, 3), points from atom b to atom a; the
-    field for atom b is the exact negative.  One closed-form
-    :func:`field_profile` call serves all n; separations parallel to the
-    beam give exactly zero (the azimuthal direction degenerates).
-    """
-    r_vec, r = _field_inputs(label, r_vec, frame)
-    da_dx = field_profile(r, reduced_parameters(params, model))[LABEL_INDEX[label]]
-    return _azimuthal_field(da_dx, r_vec, r, params, frame)
-
-
-def scalar_potential(
-    params: DriveParams,
-    model: InteractionModel,
-    label: str,
-    r_ab: float,
-) -> float:
-    """Two-atom scalar potential at separation r_ab (crossover units).
-
-    The value is in units hbar^2·k_L^2/(2m); in these units the number
-    is mass independent.
+    field for atom b is the exact negative.  B = da/dx · (e_r x e_k), and
+    one closed-form :func:`field_profile` call serves all n; separations
+    parallel to the beam give exactly zero (the azimuthal direction
+    degenerates).
     """
     _check_label(label)
-    if not (0.0 < r_ab < np.inf):
-        raise ValueError("scalar_potential requires a finite r_ab > 0")
-    reduced = reduced_parameters(params, model)
-    return float(scalar_profile(float(r_ab), reduced)[LABEL_INDEX[label]])
-
-
-def gauge_sample(
-    params: DriveParams,
-    model: InteractionModel,
-    label: str,
-    r_vec,
-    frame: str = "atom_a",
-) -> GaugeSample:
-    """Bundle A, phi and B of one labeled state at one separation vector.
-
-    All three and the near-degeneracy flag come from one cubic solve.
-    """
-    if np.shape(r_vec) != (3,):
-        raise ValueError("gauge_sample takes one separation vector of shape (3,)")
-    r_vec, r = _field_inputs(label, r_vec, frame)
-    reduced = reduced_parameters(params, model)
-    spec = _radial_spectrum(r, reduced)
-    i = LABEL_INDEX[label]
+    if frame not in ("atom_a", "atom_b"):
+        raise ValueError("frame must be 'atom_a' or 'atom_b'")
+    r_vec, r = _separation_vectors(r_vec)
+    da_dx = field_profile(r, reduced_parameters(params, model))[LABEL_INDEX[label]]
     khat = np.asarray(params.wavevector_direction, dtype=float)
-    return GaugeSample(
-        label=label,
-        r_ab=float(r),
-        vector_potential=spec.connection[i] * khat,
-        scalar_potential=float(spec.scalar(reduced.kappa)[i]),
-        magnetic_field=_azimuthal_field(spec.da_dx[i], r_vec, r, params, frame),
-        frame=frame,
-        flags=("near_degenerate",) if near_degenerate(spec.energies) else (),
-    )
+    b = da_dx[..., None] * np.cross(r_vec / r[..., None], khat)
+    return -b if frame == "atom_b" else b
 
 
 @dataclass(frozen=True)
@@ -352,9 +280,7 @@ def berry_connection_fd(
     outer pair retried, four attempts in all; persistent failure flags
     the sample.
     """
-    r_vec = np.asarray(r_vec, dtype=float)
-    if r_vec.ndim not in (1, 2) or r_vec.shape[-1] != 3:
-        raise ValueError("r_vec must have shape (3,) or (n, 3)")
+    r_vec, _ = _separation_vectors(r_vec)
     reduced = reduced_parameters(params, model)
     states = _eigenvector_field(params, reduced)
     label = np.asarray(label)[..., None]  # one label per sample, for all three axes
@@ -406,11 +332,9 @@ def scalar_potential_fd(
     ``r_ab`` is one separation or an array of them and ``label`` one label
     or an array broadcasting against it; each stencil offset is one
     batched :func:`bare_state_vector` call.  Units hbar^2*k_L^2/(2m), like
-    :func:`scalar_potential`.
+    :func:`scalar_profile`.
     """
-    r_ab = np.asarray(r_ab, dtype=float)
-    if not np.all(r_ab > 0.0):
-        raise ValueError("scalar_potential_fd requires r_ab > 0")
+    r_ab = _positive_finite(r_ab, "separation r_ab")
     reduced = reduced_parameters(params, model)
     khat = np.asarray(params.wavevector_direction, dtype=float)
     rows = _label_rows(label)
@@ -452,10 +376,11 @@ def adiabaticity_fd(
     velocity at a fixed step and projected on the other bright states and
     on the dark state at zero energy.  Oracle for ``dynamics.adiabaticity``.
     """
-    r_vec, velocity = np.asarray(r_vec, dtype=float), np.asarray(velocity, dtype=float)
+    r_vec, r = _separation_vectors(r_vec)
+    velocity = np.asarray(velocity, dtype=float)
+    speed = _positive_finite(_row_norms(velocity), "speed in velocity")
     reduced = reduced_parameters(params, model)
     states = _eigenvector_field(params, reduced)
-    speed = _row_norms(velocity)
     direction = velocity / speed[..., None]
     derivative = _richardson(
         *(states(r_vec + offset * direction, label) for offset in (step, -step, step / 2, -step / 2)),
@@ -465,7 +390,7 @@ def adiabaticity_fd(
     phase = reduced.kappa * _row_dots(r_vec, np.asarray(params.wavevector_direction, dtype=float))
     z = np.exp(-1j * phase) * derivative[..., 1] - derivative[..., 2]  # sqrt(2) <dark|d chi>
     dark = np.hypot(z.real, z.imag) / np.sqrt(2.0)
-    energies, _, _ = labeled_spectrum(reduced.shift_ratio(_row_norms(r_vec)), reduced.detuning_ratio)
+    energies, _, _ = labeled_spectrum(reduced.shift_ratio(r), reduced.detuning_ratio)
     row = LABEL_INDEX[label]
     gaps = np.abs(energies[row] - energies)
     with np.errstate(divide="ignore", invalid="ignore"):  # the label's own zero gap

@@ -6,7 +6,8 @@ byte-identical reports.  The quick tier draws 2,000 dense spectra and
 checks the finite-difference oracles at 6 points; the full tier draws
 10,000 and checks 240 points (8 separations x 5 detunings x 2
 interactions x 3 labels).  The acceptance tests run the same check
-functions at 10,000 draws and 360 points (12 separations).  The checks of
+functions at 10,000 draws and 360 points (12 separations), and the field
+symmetries on 9 separations instead of 7.  The checks of
 the limits work in reduced units on (u, w) grids: one general solve and
 one call of the limit's array function in ``regimes`` each.
 """
@@ -27,10 +28,8 @@ from .gauge import (
     connection_profile,
     field_profile,
     magnetic_field,
-    scalar_potential,
     scalar_potential_fd,
     scalar_profile,
-    vector_potential,
 )
 from .model import (
     DriveParams,
@@ -50,6 +49,7 @@ from .regimes import (
     weak_expansion,
 )
 from .spectrum import (
+    LABEL_INDEX,
     LABELS,
     _label_rows,
     _row_norms,
@@ -218,8 +218,9 @@ def _check_weak() -> CheckResult:
     )
 
 
-def _check_symmetry() -> CheckResult:
-    xs = np.geomspace(0.3, 3.0, 7)
+def _check_symmetry(xs) -> CheckResult:
+    """Label-swap and detuning symmetries of B over the separations ``xs``,
+    plus its antisymmetry between the atoms and its azimuthal direction."""
     w = -1.3
     drive_fwd = _drive(w)
     drive_rev = _drive(-w)
@@ -250,21 +251,24 @@ def _check_com() -> CheckResult:
     drive = dataclasses.replace(_drive(-1.0), mass_b_kg=_drive(0.0).mass_b_kg * 40.0 / 87.0)
     model = _model(InteractionKind.RDD, -1.0)
     x = 1.0
-    label = "+"
-    a_single = vector_potential(drive, model, label, x)
+    row = LABEL_INDEX["+"]
+    reduced = reduced_parameters(drive, model)
+    khat = np.asarray(drive.wavevector_direction, dtype=float)
+    a_single = connection_profile(x, reduced)[row] * khat
     a_com, a_rel = com_vector_potentials(
         a_single, a_single, drive.mass_a_kg, drive.mass_b_kg
     )
     sum_exact = float(np.abs(a_com - 2.0 * a_single).max()) == 0.0
-    phi = scalar_potential(drive, model, label, x)
-    com = com_scalar_potentials(drive, model, label, x)
+    phi = scalar_profile(x, reduced)[row]
+    com = com_scalar_potentials(drive, model, x)
+    phi_com, phi_relative = com.phi_com[row], com.phi_relative[row]
     m_a, m_b = drive.mass_a_kg, drive.mass_b_kg
     m_total = m_a + m_b
     mu = m_a * m_b / m_total
     lhs = phi / m_a + phi / m_b
-    rhs = com.phi_com / m_total + com.phi_relative / mu
+    rhs = phi_com / m_total + phi_relative / mu
     identity = abs(lhs - rhs) / lhs
-    nonneg = com.phi_com >= 0.0 and com.phi_relative >= 0.0
+    nonneg = phi_com >= 0.0 and phi_relative >= 0.0
     passed = sum_exact and identity < 1e-10 and nonneg
     return CheckResult(
         name="com_frame_decomposition",
@@ -355,7 +359,7 @@ def run_checks(quick: bool = True) -> list[CheckResult]:
         _check_plateaus(),
         _check_blockade(),
         _check_weak(),
-        _check_symmetry(),
+        _check_symmetry(np.geomspace(0.3, 3.0, 7)),
         _check_com(),
         _check_antiblockade(),
         _check_effective_hamiltonian(),

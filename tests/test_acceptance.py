@@ -15,12 +15,7 @@ from rydgauge.cli import main
 from rydgauge.com_frame import com_scalar_potentials, com_vector_potentials
 from rydgauge.constants import BOLTZMANN, TWOPI
 from rydgauge.dynamics import deflection_scenario, integrate, traversal_time_s
-from rydgauge.gauge import (
-    connection_profile,
-    field_profile,
-    magnetic_field,
-    vector_potential,
-)
+from rydgauge.gauge import connection_profile
 from rydgauge.model import (
     InteractionKind,
     InteractionModel,
@@ -28,11 +23,14 @@ from rydgauge.model import (
     get_preset,
     reduced_parameters,
 )
+from rydgauge.spectrum import LABEL_INDEX
 from rydgauge.validate import (
     _check_berry,
     _check_blockade,
     _check_eigenvalues,
+    _check_plateaus,
     _check_scalar,
+    _check_symmetry,
     _check_weak,
     report,
     run_checks,
@@ -96,20 +94,11 @@ def test_scalar_potential_matches_summed_overlap_oracle():
 
 
 def test_connection_plateaus_at_zero_detuning():
-    reduced = reduced_parameters(_drive(0.0), RDD_ATT)
-    near = np.sort(connection_profile(0.02, reduced))
-    far = connection_profile(50.0, reduced)
-    dev = max(
-        abs(near[0] + 1.0),
-        abs(near[1] + 0.25),
-        abs(near[2] + 0.25),
-        float(np.abs(far + 0.5).max()),
-    )
+    result = _check_plateaus()
     _emit(
         "short- and long-range plateaus of A at zero detuning",
-        dev < 1e-3,
-        f"targets {{-1, -1/4}} inward, -1/2 outward; worst deviation "
-        f"{dev:.2e} hbar*k_L (< 1e-3)",
+        result.passed,
+        f"targets {{-1, -1/4}} inward, -1/2 outward; {result.detail} (< 1e-3)",
     )
 
 
@@ -134,26 +123,12 @@ def test_weak_interaction_residual_is_second_order():
 
 def test_field_symmetries():
     xs = np.geomspace(0.3, 3.0, 9)
-    w = -1.3
-    b_fwd = field_profile(xs, reduced_parameters(_drive(w), RDD_ATT))
-    b_rev = field_profile(xs, reduced_parameters(_drive(-w), RDD_REP))
-    swap = float(np.abs(b_fwd[0] - b_rev[2]).max())  # B1(V,d) = B+(-V,-d)
-    minus = float(np.abs(b_fwd[1] - b_rev[1]).max())  # B-(V,d) = B-(-V,-d)
-    r_vec = np.array([0.8, 0.3, 0.6])
-    b_a = magnetic_field(_drive(w), RDD_ATT, "1", r_vec, frame="atom_a")
-    b_b = magnetic_field(_drive(w), RDD_ATT, "1", r_vec, frame="atom_b")
-    anti = float(np.abs(b_a + b_b).max())
-    khat = np.asarray(GAETAN.drive.wavevector_direction, dtype=float)
-    azim = max(
-        abs(float(np.dot(b_a, r_vec / np.linalg.norm(r_vec)))),
-        abs(float(np.dot(b_a, khat))),
-    )
-    worst = max(swap, minus, anti, azim)
+    result = _check_symmetry(xs)
     _emit(
         "field symmetry suite",
-        worst < 1e-10,
-        f"sign-swap {swap:.2e}, antisymmetric-in-detuning {minus:.2e}, "
-        f"opposite-atom {anti:.2e}, non-azimuthal {azim:.2e} (all < 1e-10 B0)",
+        result.passed,
+        f"sign-swap, antisymmetric-in-detuning, opposite-atom, non-azimuthal over "
+        f"{xs.size} separations: {result.detail} (all < 1e-10 B0)",
     )
 
 
@@ -285,25 +260,24 @@ def test_com_frame_decomposition():
     mass_a = GAETAN.drive.mass_a_kg
     mass_b = mass_a * 40.0 / 87.0
     drive = dataclasses.replace(_drive(-1.0), mass_b_kg=mass_b)
-    single = vector_potential(drive, RDD_ATT, "+", 1.0)
+    row = LABEL_INDEX["+"]
+    a = connection_profile(1.0, reduced_parameters(drive, RDD_ATT))[row]
+    single = a * np.asarray(drive.wavevector_direction, dtype=float)
     a_com, _ = com_vector_potentials(single, single, mass_a, mass_b)
     sum_exact = bool(np.all(a_com == 2.0 * single))
 
     # the phase cross term enters the relative part only through the
     # squared mass asymmetry, so equal masses remove it entirely
     x_probe = 0.8
-    equal = com_scalar_potentials(drive, RDD_ATT, "+", x_probe, mass_a, mass_a)
-    mixed = com_scalar_potentials(drive, RDD_ATT, "+", x_probe, mass_a, mass_b)
+    equal = com_scalar_potentials(drive, RDD_ATT, x_probe, mass_a, mass_a)
+    mixed = com_scalar_potentials(drive, RDD_ATT, x_probe, mass_a, mass_b)
     dm = (mass_b - mass_a) / (mass_a + mass_b)
-    cross = mixed.phi_relative - equal.phi_relative
-    cross_ok = cross == pytest.approx(dm * dm * mixed.phi_com / 4.0, rel=1e-10)
+    cross = mixed.phi_relative[row] - equal.phi_relative[row]
+    cross_ok = cross == pytest.approx(dm * dm * mixed.phi_com[row] / 4.0, rel=1e-10)
 
     grid = np.geomspace(0.1, 10.0, 200)
-    nonneg = True
-    for label in ("1", "+", "-"):
-        for x in grid:
-            com = com_scalar_potentials(drive, RDD_ATT, label, float(x))
-            nonneg = nonneg and com.phi_com >= 0.0 and com.phi_relative >= 0.0
+    com = com_scalar_potentials(drive, RDD_ATT, grid)  # all three labels, one solve
+    nonneg = bool(np.all(com.phi_com >= 0.0) and np.all(com.phi_relative >= 0.0))
     _emit(
         "center-of-mass decomposition",
         sum_exact and cross_ok and nonneg,

@@ -18,7 +18,7 @@ from rydgauge.analysis import (
     scan_1d,
 )
 from rydgauge.cli import main
-from rydgauge.gauge import field_profile, magnetic_field, scalar_potential, vector_potential
+from rydgauge.gauge import connection_profile, field_profile, magnetic_field, scalar_profile
 from rydgauge.model import PRESETS, get_preset, reduced_parameters
 from rydgauge.spectrum import LABEL_INDEX
 from rydgauge.tables import SCAN_HEADER, SCAN_LABELS, format_float, scan_table, to_csv, to_json
@@ -47,15 +47,17 @@ def test_scan_shapes_and_metadata():
 
 
 def test_scan_rows_agree_with_single_point_gauge_calls():
-    # the scan batches over the grid; the single-point API recomputes each
-    # entry independently, and the beam axis is z so A reduces to a scalar
+    # the scan batches over the grid; a batch of one recomputes each entry
+    # independently, and the beam axis is z so A reduces to a scalar
     drive = _drive(0.7)
+    reduced = reduced_parameters(drive, GAETAN.interaction)
+    row = LABEL_INDEX["+"]
     grid = np.array([0.4, 1.0, 3.0])
     table = scan_1d(drive, GAETAN.interaction, labels=("+",), r_grid=grid)
     for j, x in enumerate(grid):
-        a_vec = vector_potential(drive, GAETAN.interaction, "+", float(x))
-        assert table.vector_potential[0, j] == pytest.approx(a_vec[2], rel=1e-12)
-        phi = scalar_potential(drive, GAETAN.interaction, "+", float(x))
+        a = connection_profile(float(x), reduced)[row]
+        assert table.vector_potential[0, j] == pytest.approx(a, rel=1e-12)
+        phi = scalar_profile(float(x), reduced)[row]
         assert table.scalar_potential[0, j] == pytest.approx(phi, rel=1e-12)
         b_vec = magnetic_field(drive, GAETAN.interaction, "+", (float(x), 0.0, 0.0))
         # the scan's azimuthal column is the coefficient along e_r x khat,

@@ -359,6 +359,14 @@ def test_pair_amplitudes_square_to_the_scalar_potential():
         assert summed == pytest.approx(spec.scalar(reduced.kappa), rel=1e-14, abs=0.0)
 
 
+def test_radial_coupling_is_antisymmetric_bit_for_bit():
+    x = np.geomspace(0.0101, 20.0, 80)
+    for preset, w in itertools.product((GAETAN, BEGUIN), (-3.0, 0.0, 1.5)):
+        drive = dataclasses.replace(preset.drive, detuning_rad_s=w * preset.drive.rabi_magnitude_rad_s)
+        radial, _, _ = _pair_amplitudes(_radial_spectrum(x, reduced_parameters(drive, preset.interaction)))
+        assert np.array_equal(radial, -radial.swapaxes(0, 1)), (preset.name, w)
+
+
 def _adiabaticity_one_point(params, model, label, r_vec, velocity):
     """adiabaticity_fd at one point, with one bare_state_vector call per
     label and stencil point and the oracle's order of operations."""

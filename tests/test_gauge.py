@@ -10,16 +10,14 @@ from rydgauge import gauge
 from rydgauge.com_frame import com_scalar_potentials, com_vector_potentials
 from rydgauge.constants import TWOPI
 from rydgauge.gauge import (
+    adiabaticity_fd,
     berry_connection_fd,
     connection_profile,
     field_map,
     field_profile,
-    gauge_sample,
     magnetic_field,
-    scalar_potential,
     scalar_potential_fd,
     scalar_profile,
-    vector_potential,
 )
 from rydgauge.model import (
     InteractionKind,
@@ -28,7 +26,7 @@ from rydgauge.model import (
     reduced_parameters,
 )
 from rydgauge.regimes import blockade_gauge, effective_hamiltonian, single_atom_gauge
-from rydgauge.spectrum import LABELS
+from rydgauge.spectrum import LABEL_INDEX, LABELS
 
 GAETAN = get_preset("gaetan2009")
 VDW_ATT = InteractionModel(kind=InteractionKind.VDW, coefficient=-TWOPI * 300e9 * 1e-36)
@@ -38,6 +36,12 @@ RDD_REP = InteractionModel(kind=InteractionKind.RDD, coefficient=+TWOPI * 3200e6
 def _drive(w):
     base = GAETAN.drive
     return dataclasses.replace(base, detuning_rad_s=w * base.rabi_magnitude_rad_s)
+
+
+def _vector(drive, model, label, x):
+    """The closed-form vector potential a(x)·e_k of one label."""
+    a = connection_profile(x, reduced_parameters(drive, model))[LABEL_INDEX[label]]
+    return a * np.asarray(drive.wavevector_direction, dtype=float)
 
 
 # Closed-form values pinned after validating against the finite-difference
@@ -63,14 +67,11 @@ FROZEN = [
 
 @pytest.mark.parametrize("w,model,x,expected", FROZEN)
 def test_frozen_gauge_values(w, model, x, expected):
-    drive = _drive(w)
+    reduced = reduced_parameters(_drive(w), model)
+    a, phi = connection_profile(x, reduced), scalar_profile(x, reduced)
     for label, (a_ref, phi_ref) in expected.items():
-        a = vector_potential(drive, model, label, x)
-        assert a[0] == a[1] == 0.0
-        assert a[2] == pytest.approx(a_ref, rel=1e-13)
-        assert scalar_potential(drive, model, label, x) == pytest.approx(
-            phi_ref, rel=1e-13
-        )
+        assert a[LABEL_INDEX[label]] == pytest.approx(a_ref, rel=1e-13)
+        assert phi[LABEL_INDEX[label]] == pytest.approx(phi_ref, rel=1e-13)
 
 
 @pytest.mark.parametrize("w", [-2.0, 0.0, 1.0])
@@ -79,7 +80,7 @@ def test_berry_connection_oracle(w, x):
     """Closed form against i<chi|grad chi> finite differences."""
     drive = _drive(w)
     for label in LABELS:
-        closed = vector_potential(drive, GAETAN.interaction, label, x)
+        closed = _vector(drive, GAETAN.interaction, label, x)
         fd = berry_connection_fd(drive, GAETAN.interaction, label, (x, 0, 0))
         assert not fd.gauge_discontinuity
         assert np.linalg.norm(fd.vector - closed) < 1e-6 * np.linalg.norm(closed)
@@ -88,7 +89,7 @@ def test_berry_connection_oracle(w, x):
 
 def test_berry_connection_oracle_vdw():
     drive = _drive(-1.0)
-    closed = vector_potential(drive, VDW_ATT, "+", 0.7)
+    closed = _vector(drive, VDW_ATT, "+", 0.7)
     fd = berry_connection_fd(drive, VDW_ATT, "+", (0.0, 0.7, 0.0))
     assert np.linalg.norm(fd.vector - closed) < 1e-6 * np.linalg.norm(closed)
 
@@ -96,10 +97,31 @@ def test_berry_connection_oracle_vdw():
 @pytest.mark.parametrize("w,x", [(-2.0, 0.4), (0.0, 1.0), (1.0, 3.0)])
 def test_scalar_potential_oracle(w, x):
     drive = _drive(w)
+    closed = scalar_profile(x, reduced_parameters(drive, GAETAN.interaction))
     for label in LABELS:
-        closed = scalar_potential(drive, GAETAN.interaction, label, x)
         fd = scalar_potential_fd(drive, GAETAN.interaction, label, x)
-        assert fd == pytest.approx(closed, rel=1e-6)
+        assert fd == pytest.approx(closed[LABEL_INDEX[label]], rel=1e-6)
+
+
+# phi's radial part per label on beguin2013 deep in blockade (|u| ~ 1e11-1e12),
+# from 60-digit eigenvectors of the bright block differentiated numerically
+# (mpmath), at the float64 u, w and kappa of each point; keyed (w, x).
+DEEP_BLOCKADE_RADIAL = [
+    (-3.0, 0.0101, (1.056979582963043e-24, 5.515540530166626e-26, 1.1075583010701957e-24)),
+    (-1.0, 0.01029, (4.1659375220785534e-24, 1.2200172940462039e-24, 5.102483510012628e-24)),
+    (0.0, 0.012, (2.3791464667125393e-23, 2.3791464667437957e-23, 4.2295937186278535e-23)),
+]
+
+
+def test_radial_part_of_phi_matches_high_precision_deep_in_blockade():
+    """The Hellmann-Feynman couplings keep their digits where the '1' and '-'
+    eigenvectors are near-identical functions of x."""
+    beguin = get_preset("beguin2013")
+    for w, x, reference in DEEP_BLOCKADE_RADIAL:
+        drive = dataclasses.replace(beguin.drive, detuning_rad_s=w * beguin.drive.rabi_magnitude_rad_s)
+        reduced = reduced_parameters(drive, beguin.interaction)
+        _, radial, _ = gauge._scalar_terms(gauge._radial_spectrum(x, reduced), reduced.kappa)
+        assert radial == pytest.approx(reference, rel=1e-12, abs=0.0), (w, x)
 
 
 def _counting(monkeypatch, module, name):
@@ -281,38 +303,6 @@ def test_profiles_vectorize_consistently():
     assert batch_b.shape == (3, 3)
 
 
-def test_gauge_sample_bundles_and_flags():
-    drive = _drive(0.0)
-    sample = gauge_sample(drive, GAETAN.interaction, "+", (1.2, 0.0, 0.5))
-    r = np.linalg.norm([1.2, 0.0, 0.5])
-    assert sample.r_ab == pytest.approx(r)
-    assert np.allclose(
-        sample.vector_potential, vector_potential(drive, GAETAN.interaction, "+", r)
-    )
-    assert sample.flags == ()
-    # far out the '-' level collides with the dark zero
-    far = gauge_sample(drive, GAETAN.interaction, "+", (5000.0, 0.0, 0.0))
-    assert "near_degenerate" in far.flags
-
-
-def test_gauge_sample_matches_the_single_quantity_calls(solves):
-    """One cubic solve gives the bits of A, phi and B computed one at a time."""
-    drive = _drive(-1.0)
-    for r_vec in ((0.15, 0.0, 0.0), (0.3, 0.2, -0.4), (1.2, 0.0, 0.5)):
-        for frame in ("atom_a", "atom_b"):
-            del solves[:]
-            sample = gauge_sample(drive, GAETAN.interaction, "-", r_vec, frame=frame)
-            assert solves == [1]
-            r = float(np.linalg.norm(r_vec))
-            assert sample.r_ab == r
-            assert np.array_equal(
-                sample.vector_potential, vector_potential(drive, GAETAN.interaction, "-", r)
-            )
-            assert sample.scalar_potential == scalar_potential(drive, GAETAN.interaction, "-", r)
-            b = magnetic_field(drive, GAETAN.interaction, "-", r_vec, frame=frame)
-            assert sample.magnetic_field.tobytes() == b.tobytes()
-
-
 def test_field_map_grid_handling():
     drive = _drive(0.0)
     grid = np.array([-1.0, 0.0, 1.0])
@@ -361,45 +351,61 @@ def test_field_map_empty_and_origin_only_grids():
 
 def test_input_validation():
     drive = _drive(0.0)
-    with pytest.raises(ValueError, match="label"):
-        vector_potential(drive, GAETAN.interaction, "2", 1.0)
-    with pytest.raises(ValueError):
-        vector_potential(drive, GAETAN.interaction, "1", 0.0)
-    with pytest.raises(ValueError):
-        scalar_potential(drive, GAETAN.interaction, "1", -1.0)
-    # gauge_sample checks its inputs before it solves: no overflow warnings
+    # every check comes before the solve: no overflow warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="label"):
-            gauge_sample(drive, GAETAN.interaction, "2", (1.0, 0.0, 0.0))
+            magnetic_field(drive, GAETAN.interaction, "2", (1.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="frame"):
-            gauge_sample(drive, GAETAN.interaction, "1", (1.0, 0.0, 0.0), frame="lab")
-        with pytest.raises(ValueError, match="nonzero"):
-            gauge_sample(drive, GAETAN.interaction, "1", (0.0, 0.0, 0.0))
+            magnetic_field(drive, GAETAN.interaction, "1", (1.0, 0.0, 0.0), frame="lab")
+        with pytest.raises(ValueError, match="r_vec"):
+            magnetic_field(drive, GAETAN.interaction, "1", (0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="shape"):
+            magnetic_field(drive, GAETAN.interaction, "1", (1.0, 0.0))
 
 
 _NAN, _INF = float("nan"), float("inf")
 _PAIR = (_drive(0.0), GAETAN.interaction)
+_REDUCED = reduced_parameters(*_PAIR)
 
 
 @pytest.mark.parametrize("call, quantity", [
-    (lambda: scalar_potential(*_PAIR, "1", _INF), "r_ab"),
-    (lambda: scalar_potential(*_PAIR, "1", _NAN), "r_ab"),
-    (lambda: vector_potential(*_PAIR, "1", _INF), "r_ab"),
+    (lambda: scalar_profile(_INF, _REDUCED), "x_over_rc"),
+    (lambda: scalar_profile(_NAN, _REDUCED), "x_over_rc"),
+    (lambda: connection_profile(_INF, _REDUCED), "x_over_rc"),
     (lambda: magnetic_field(*_PAIR, "1", [_INF, 0.0, 0.0]), "r_vec"),
     (lambda: magnetic_field(*_PAIR, "1", [[1.0, 0.0, 0.0], [_NAN, 0.0, 0.0]]), "r_vec"),
-    (lambda: com_scalar_potentials(*_PAIR, "1", _INF), "r_ab"),
-    (lambda: com_scalar_potentials(*_PAIR, "1", 1.0, mass_a_kg=_NAN), "masses"),
+    (lambda: com_scalar_potentials(*_PAIR, _INF), "r_ab"),
+    (lambda: com_scalar_potentials(*_PAIR, 1.0, mass_a_kg=_NAN), "masses"),
     (lambda: com_vector_potentials([0, 0, 1.0], [0, 0, 1.0], 1.0, -1.0), "masses"),
     (lambda: com_vector_potentials([0, 0, 1.0], [0, 0, 1.0], -1.0, 2.0), "masses"),
     (lambda: com_vector_potentials([0, 0, 1.0], [0, 0, 1.0], _INF, 1.0), "masses"),
     (lambda: blockade_gauge(_INF, reduced_parameters(*_PAIR)), "separations"),
     (lambda: blockade_gauge(np.array([0.1, _NAN]), reduced_parameters(*_PAIR)), "separations"),
     (lambda: effective_hamiltonian(_INF, 0.0), "u and w"),
+    (lambda: connection_profile(-1.0, _REDUCED), "x_over_rc"),
+    (lambda: scalar_profile(0.0, _REDUCED), "x_over_rc"),
+    (lambda: field_profile(np.array([1.0, 0.0]), _REDUCED), "x_over_rc"),
+    (lambda: field_profile(_NAN, _REDUCED), "x_over_rc"),
+    (lambda: scalar_profile(np.array([[0.5], [-_INF]]), _REDUCED), "x_over_rc"),
+    (lambda: com_scalar_potentials(*_PAIR, np.array([1.0, _NAN])), "r_ab"),
+    (lambda: scalar_potential_fd(*_PAIR, "1", _INF), "r_ab"),
+    (lambda: scalar_potential_fd(*_PAIR, "1", np.array([1.0, _NAN])), "r_ab"),
+    (lambda: berry_connection_fd(*_PAIR, "1", [_INF, 0.0, 0.0]), "r_vec"),
+    (lambda: berry_connection_fd(*_PAIR, "1", [[1.0, 0.0, 0.0], [_NAN, 0.0, 0.0]]), "r_vec"),
+    (lambda: berry_connection_fd(*_PAIR, "1", [0.0, 0.0, 0.0]), "r_vec"),
+    (lambda: adiabaticity_fd(*_PAIR, "1", [_NAN, 0.0, 1.0], [0.0, 0.0, 1.0]), "r_vec"),
+    (lambda: adiabaticity_fd(*_PAIR, "1", [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]), "r_vec"),
+    (lambda: adiabaticity_fd(*_PAIR, "1", [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]), "velocity"),
+    (lambda: adiabaticity_fd(*_PAIR, "1", [1.0, 0.0, 0.0], [_INF, 0.0, 0.0]), "velocity"),
 ], ids=[
     "scalar-inf", "scalar-nan", "vector-inf", "field-inf", "field-nan-row", "com-scalar-inf",
     "com-scalar-nan-mass", "com-vector-zero-total-mass", "com-vector-negative-mass",
     "com-vector-inf-mass", "blockade-inf", "blockade-nan", "effective-inf-u",
+    "connection-negative", "scalar-zero", "field-zero-row", "field-nan", "scalar-minus-inf-row",
+    "com-scalar-nan-row", "scalar-fd-inf", "scalar-fd-nan-row", "berry-fd-inf",
+    "berry-fd-nan-row", "berry-fd-origin", "adiabaticity-fd-nan", "adiabaticity-fd-origin",
+    "adiabaticity-fd-zero-velocity", "adiabaticity-fd-inf-velocity",
 ])
 def test_non_finite_inputs_raise_naming_the_quantity(call, quantity):
     """No NaN and no wrong error: each bad input names itself."""
