@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import _radial_spectrum, field_profile
+from .gauge import _positive_finite, _radial_spectrum, field_profile
 from .model import DriveParams, InteractionModel, ReducedParameters, reduced_parameters
 from .spectrum import LABEL_INDEX, LABELS, _check_label, near_degenerate
 
@@ -59,15 +59,13 @@ def scan_1d(
     One cubic solve over the grid gives every row and the degeneracy
     flag.  Grid points whose dressed ladder is near degenerate are
     excluded and counted instead of producing unreliable rows.  An empty
-    grid gives an empty table.
+    grid gives an empty table; every separation must be finite and > 0.
     """
     for label in labels:
         _check_label(label)
-    grid = np.asarray(r_grid, dtype=float)
+    grid = _positive_finite(r_grid, "separation in r_grid")
     if grid.size and not np.all(np.diff(grid) > 0.0):
         raise ValueError("scan grid must be strictly increasing")
-    if grid.size and not np.all(grid > 0.0):
-        raise ValueError("scan grid must be positive")
     reduced = reduced_parameters(params, model)
     metadata = {
         "interaction": model.kind.name.lower(),

@@ -158,7 +158,7 @@ def _cross(a, b) -> np.ndarray:
 def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
     pos = np.asarray(position_m, dtype=float)
     vel = np.asarray(velocity_m_s, dtype=float)
-    r_m = float(np.linalg.norm(pos))
+    r_m = math.sqrt(pos.dot(pos))  # the bits of np.linalg.norm, without its overhead
     x = r_m / engine.r_c_m
     if x < MIN_SEPARATION_RC:
         raise ModelValidityError(
@@ -265,14 +265,15 @@ def _dp54_records(config: TrajectoryConfig, engine: _Engine):
     speed = float(np.linalg.norm(y[3:])) or engine.r_c_m / config.max_time_s
     atol = ATOL_FRACTION * np.repeat([engine.r_c_m, speed], 3)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return np.concatenate((y[3:], _force(config, engine, y[:3], y[3:]) / engine.mass_kg))
+    def rhs(y: np.ndarray, out: np.ndarray) -> None:
+        out[:3] = y[3:]
+        np.divide(_force(config, engine, y[:3], y[3:]), engine.mass_kg, out=out[3:])
 
     def norm(v: np.ndarray, scale: np.ndarray) -> float:
-        return float(np.sqrt(np.mean((v / scale) ** 2)))
+        return math.sqrt(np.add.reduce((v / scale) ** 2) / v.size)  # np.mean's bits
 
     k = np.empty((7, 6))
-    k[0] = rhs(y)
+    rhs(y, k[0])
     # first step: Hairer's guess 0.01 |y| / |y'| in the error norm
     scale = atol + RTOL * np.abs(y)
     d0, d1 = norm(y, scale), norm(k[0], scale)
@@ -286,7 +287,7 @@ def _dp54_records(config: TrajectoryConfig, engine: _Engine):
             h_step = (t_record - t) / n_left
             for i in range(1, 7):
                 y_new = y + h_step * (_DP_A[i, :i] @ k[:i])
-                k[i] = rhs(y_new)
+                rhs(y_new, k[i])
             err = norm(h_step * (_DP_E @ k), atol + RTOL * np.maximum(np.abs(y), np.abs(y_new)))
             if err <= 1.0:
                 fac = err**_PI_ALPHA / err_old**_PI_BETA / _SAFETY

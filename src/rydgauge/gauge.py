@@ -87,8 +87,8 @@ def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
     weight = n2 * ee
     gap = energies[:, None] - energies[None, :]  # zero only on the diagonal
     overlap = ee[:, None] * ee[None, :] - gg[:, None] * gg[None, :]
-    pairs = np.divide(weight[None] * overlap, gap, out=np.zeros_like(gap), where=gap != 0.0)
-    da_du = -weight * pairs.sum(axis=1)
+    pairs = np.divide(weight[None] * overlap, gap, out=np.zeros(gap.shape), where=gap != 0.0)
+    da_du = -weight * np.add.reduce(pairs, axis=1)
     return _RadialSpectrum(
         energies=energies,
         ee=ee,
@@ -109,7 +109,7 @@ def _radial_coupling(spec: _RadialSpectrum) -> np.ndarray:
     a = np.sqrt(spec.n2) * spec.ee
     gap = spec.energies[:, None] - spec.energies[None, :]  # zero only on the diagonal
     pairs = spec.du_dx * (a[:, None] * a[None, :])
-    return np.divide(pairs, gap, out=np.zeros_like(gap), where=gap != 0.0)
+    return np.divide(pairs, gap, out=np.zeros(gap.shape), where=gap != 0.0)
 
 
 def _scalar_terms(spec: _RadialSpectrum, kappa: float):

@@ -41,23 +41,25 @@ def _polish(e, u, w, steps=2):
     """Newton-polish roots of the monic characteristic cubic."""
     c = u * w - w * w - 1.0
     d = 0.5 * u
+    two_u = 2.0 * u
     for _ in range(steps):
         f = ((e - u) * e + c) * e + d
-        fp = (3.0 * e - 2.0 * u) * e + c
-        e = e - np.where(fp != 0.0, f / np.where(fp == 0.0, 1.0, fp), 0.0)
+        fp = (3.0 * e - two_u) * e + c
+        e = e - np.divide(f, fp, out=np.zeros(fp.shape), where=fp != 0.0)
     return e
 
 
 def _roots_trig(u, w):
     """Three real roots by the trigonometric method, shape (3,) + u.shape, descending."""
-    eta = (4.0 / 3.0) * (w * (u - w) - 1.0 - u * u / 3.0)
-    gam = (u / 3.0) * ((8.0 / 9.0) * u * u - 4.0 * w * (u - w) - 2.0)
+    u_w, u_3 = u - w, u / 3.0
+    eta = (4.0 / 3.0) * (w * u_w - 1.0 - u * u / 3.0)
+    gam = u_3 * ((8.0 / 9.0) * u * u - 4.0 * w * u_w - 2.0)
     s = np.sqrt(np.maximum(-eta, 0.0))
     s3 = s * s * s
-    arg = np.divide(gam, s3, out=np.ones_like(gam + 0.0), where=s3 > 0)
-    third = np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0
+    arg = np.divide(gam, s3, out=np.ones(gam.shape), where=s3 > 0)
+    third = np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0)) / 3.0
     offsets = _TRIG_OFFSETS.reshape((3,) + (1,) * u.ndim)
-    return _polish(s * np.cos(third + offsets) + u / 3.0, u, w)
+    return _polish(s * np.cos(third + offsets) + u_3, u, w)
 
 
 def _roots_deflated(u, w):
@@ -69,25 +71,32 @@ def _roots_deflated(u, w):
     element stops once its own step is below a few ulp, so its roots do
     not depend on the rest of the batch.
     """
-    t = w + np.zeros_like(u)
+    t = np.zeros(u.shape)
+    t += w  # in place: t stays an array that the loop can write, one point included
     tol = 4.0 * np.finfo(float).eps  # a few ulp: the smallest step doubles resolve
     active = np.ones(t.shape, dtype=bool)
+    ua, wa, ta = u, w, t
     for _ in range(40):
-        ua, wa, ta = u[active], w[active], t[active]
         f = ua * ua * (wa - ta) + ua * (2.0 * ta * ta - wa * ta - wa * wa - 0.5) + ta * (
             wa * wa + 1.0 - ta * ta
         )
         fp = -ua * ua + ua * (4.0 * ta - wa) + wa * wa + 1.0 - 3.0 * ta * ta
         step = f / fp
         ta = ta - step
-        t[active] = ta
-        active[active] = np.abs(step) > tol * np.maximum(1.0, np.abs(ta))
-        if not active.any():
-            break
+        going = np.abs(step) > tol * np.maximum(1.0, np.abs(ta))
+        n_going = np.count_nonzero(going)
+        if n_going < going.size:  # the active set shrinks: write back, then gather
+            t[active] = ta.ravel()  # ta and going have the shape of t until the first gather
+            if not n_going:
+                break
+            active[active] = going.ravel()
+            ua, wa, ta = ua[going], wa[going], ta[going]
+    else:
+        t[active] = ta.ravel()
     e_big = u - t
-    q = -u / (2.0 * (u - t))  # product of the two remaining roots
+    q = -u / (2.0 * e_big)  # product of the two remaining roots
     disc = np.sqrt(t * t - 4.0 * q)
-    pair = _polish(0.5 * (t + np.stack([disc, -disc])), u, w)
+    pair = _polish(0.5 * (t + np.concatenate([disc[None], -disc[None]])), u, w)
     # descending: the dominant root leads for u > 0 and trails for u < 0
     ladder = np.concatenate([e_big[None], pair, e_big[None]])
     return np.where(u > 0, ladder[:3], ladder[1:])
@@ -96,9 +105,10 @@ def _roots_deflated(u, w):
 def _roots_canonical_half(u, w):
     """Descending roots, shape (3,) + u.shape, for w < 0 (or w = 0, u <= 0)."""
     big = np.abs(u) > DEFLATE_AT
-    if not big.any():
+    n_big = np.count_nonzero(big)
+    if not n_big:
         return _roots_trig(u, w)
-    if big.all():
+    if n_big == big.size:
         return _roots_deflated(u, w)
     roots = np.empty((3,) + u.shape)
     roots[:, ~big] = _roots_trig(u[~big], w[~big])
@@ -133,11 +143,10 @@ def labeled_spectrum(shift_ratio, detuning_ratio):
     well conditioned; the direct form E + w - u cancels catastrophically
     for the dominant root at large |u|.
     """
-    u = np.asarray(shift_ratio, dtype=float)
-    w = np.asarray(detuning_ratio, dtype=float)
-    scalar = u.ndim == 0 and w.ndim == 0
-    u, w = np.atleast_1d(u), np.atleast_1d(w)
-    u, w = np.broadcast_arrays(u + 0.0, w + 0.0)
+    u = np.asarray(shift_ratio, dtype=float) + 0.0  # -0.0 becomes +0.0
+    w = np.asarray(detuning_ratio, dtype=float) + 0.0
+    if u.shape != w.shape:  # a single point stays 0-d: a batch of shape ()
+        u, w = np.broadcast_arrays(u, w)
     flip = (w > 0.0) | ((w == 0.0) & (u > 0.0))
     uc = np.where(flip, -u, u)
     wc = np.where(flip, -w, w)
@@ -146,10 +155,8 @@ def labeled_spectrum(shift_ratio, detuning_ratio):
     ee_amp = energies - w
     denom = energies * energies - w * energies - 0.5
     direct = energies + w - u
-    stable = np.divide(ee_amp, 2.0 * denom, out=np.zeros_like(energies), where=denom != 0)
+    stable = np.divide(ee_amp, 2.0 * denom, out=np.zeros(energies.shape), where=denom != 0)
     gg_amp = np.where(np.abs(denom) > 1.0, stable, direct)
-    if scalar:
-        return energies[:, 0], ee_amp[:, 0], gg_amp[:, 0]
     return energies, ee_amp, gg_amp
 
 

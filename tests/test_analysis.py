@@ -123,10 +123,19 @@ def test_scan_rejects_bad_input():
     drive = _drive(-1.0)
     with pytest.raises(ValueError, match="strictly increasing"):
         scan_1d(drive, GAETAN.interaction, r_grid=[1.0, 0.5])
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="separation in r_grid must be finite and > 0"):
         scan_1d(drive, GAETAN.interaction, r_grid=[-1.0, 0.5])
     with pytest.raises(ValueError, match="label"):
         scan_1d(drive, GAETAN.interaction, labels=("q",), r_grid=[1.0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_scan_rejects_non_finite_separations(bad):
+    """A non-finite grid point is named, not excluded as near-degenerate
+    after warnings, nor reported as an ordering fault."""
+    for grid in ([1.0, bad], [bad, 1.0]):
+        with pytest.raises(ValueError, match="separation in r_grid must be finite and > 0"):
+            scan_1d(_drive(-1.0), GAETAN.interaction, r_grid=grid)
 
 
 def test_scan_table_guards_its_own_rows():

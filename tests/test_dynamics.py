@@ -140,6 +140,31 @@ def test_lorentz_force_matches_np_cross_bit_for_bit():
             assert got.tobytes() == expected.tobytes(), (pos, vel)
 
 
+def test_force_matches_a_norm_and_cross_reference_bit_for_bit():
+    """Both terms on, every label, random positions and velocities: the
+    bytes of a reference written with np.linalg.norm and np.cross."""
+    rng = np.random.default_rng(7)
+    positions = rng.normal(size=(200, 3)) * rng.uniform(0.05, 5.0, size=(200, 1)) * R_C
+    velocities = rng.normal(scale=0.1, size=(200, 3))
+    reduced = reduced_parameters(GAETAN.drive, GAETAN.interaction)
+    units = ModelUnits.from_experiment(GAETAN.drive, GAETAN.interaction)
+    khat = np.asarray(GAETAN.drive.wavevector_direction)
+    for j, (pos, vel) in enumerate(zip(positions, velocities)):
+        label = LABELS[j % 3]
+        config = _config(label=label)
+        assert config.include_lorentz and config.include_adiabatic_potential
+        r_m = float(np.linalg.norm(pos))
+        e_r = pos / r_m
+        spec = _radial_spectrum(r_m / R_C, reduced)
+        row = LABELS.index(label)
+        b_si = units.field_T * spec.da_dx[row] * np.cross(e_r, khat)
+        expected = np.zeros(3)
+        expected += config.charge_C * np.cross(vel, b_si)
+        expected += -spec.de_dx[row] * (units.energy_J / R_C) * e_r
+        got = _force(config, _engine(config), pos, vel)
+        assert got.tobytes() == expected.tobytes(), (pos, vel, label)
+
+
 def test_adiabatic_force_is_radial():
     config = _config(include_lorentz=False)
     pos = np.array([-1.5 * R_C, 1.0 * R_C, 0.0])

@@ -1,6 +1,7 @@
 """Tests for the closed-form internal spectrum and its eigenvectors."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydgauge.constants import HBAR
-from rydgauge.model import crossover_distance, get_preset, interaction_shift
+from rydgauge.gauge import _radial_spectrum
+from rydgauge.model import crossover_distance, get_preset, interaction_shift, reduced_parameters
 from rydgauge.spectrum import (
     DEFLATE_AT,
     LABELS,
@@ -134,6 +136,58 @@ def test_batch_equals_single_points():
     for branch in (deflated, ~deflated):
         for block, part in zip(batch, labeled_spectrum(u[branch], w[branch])):
             assert block[:, branch].tobytes() == part.tobytes()
+    # sub-batches that lie in one half-plane of the symmetry map, or in both
+    flipped = (w > 0.0) | ((w == 0.0) & (u > 0.0))
+    mixed = np.arange(u.size) % 3 == 0
+    assert flipped[mixed].any() and not flipped[mixed].all()
+    for half in (flipped, ~flipped, mixed, flipped & deflated, ~flipped & ~deflated):
+        for block, part in zip(batch, labeled_spectrum(u[half], w[half])):
+            assert block[:, half].tobytes() == part.tobytes()
+    # a 2-d batch, whose deflated points leave the Newton loop at different steps
+    for block, grid in zip(batch, labeled_spectrum(u.reshape(8, -1), w.reshape(8, -1))):
+        assert block.tobytes() == grid.reshape(3, -1).tobytes()
+    # a 0-d point and a (1,) batch of it give the same bytes, whichever input is 0-d
+    for j in range(u.size):
+        one = [block[:, j].tobytes() for block in batch]
+        for args in ((u[j:j + 1], w[j:j + 1]), (u[j], w[j:j + 1]), (u[j:j + 1], w[j])):
+            assert [block[:, 0].tobytes() for block in labeled_spectrum(*args)] == one
+
+
+# SHA-256 of the bytes of test_solve_keeps_its_bytes: a rewrite of the solve
+# for speed must keep every bit of the cubic, its amplitudes and its slopes
+_SOLVE_DIGEST = "039bd9a0e86c8a2faee2a54d9ab342cd0851fb9b5276d178fdd87c3567f0c364"
+
+
+def test_solve_keeps_its_bytes():
+    """labeled_spectrum and every _radial_spectrum field over a fixed grid.
+
+    Both presets, w in {-3, -1, -0, 0, 0.3, 3}, separations from 0.01 to
+    20 r_c (both solver branches) and u = +-0, as batches and as single
+    points.
+    """
+    w_set = (-3.0, -1.0, -0.0, 0.0, 0.3, 3.0)
+    digest = hashlib.sha256()
+    magnitudes = np.geomspace(1e-3, 1e12, 61)
+    u = np.concatenate([magnitudes, -magnitudes, [0.0, -0.0, 99.5, -100.5, -132.26436681992374]])
+    for w in w_set:
+        for block in labeled_spectrum(u, w):
+            digest.update(block.tobytes())
+        for j in range(0, u.size, 7):
+            for block in labeled_spectrum(float(u[j]), w):
+                digest.update(block.tobytes())
+    x = np.geomspace(0.01, 20.0, 97)
+    for name in ("gaetan2009", "beguin2013"):
+        preset = get_preset(name)
+        for w in w_set:
+            drive = dataclasses.replace(
+                preset.drive, detuning_rad_s=w * preset.drive.rabi_magnitude_rad_s
+            )
+            reduced = reduced_parameters(drive, preset.interaction)
+            for xs in (x, *x[::8].tolist()):
+                spec = _radial_spectrum(xs, reduced)
+                for field in dataclasses.fields(spec):
+                    digest.update(np.asarray(getattr(spec, field.name)).tobytes())
+    assert digest.hexdigest() == _SOLVE_DIGEST
 
 
 def _pair_inputs(drive, model, config):
