@@ -24,7 +24,7 @@ _S_MIN, _S_MAX = -266, 298  # scales 16 - k for |x| in [1e-280, 1e280], k off by
 _UNSURE = 1e-9  # band, in units of X, around a tie or interval end sent to the builtin
 _P16, _P17 = 10**16, 10**17
 _E = 400  # exponents -_E.._E index the tail table from 2
-_CSV_CELL, JSON_CELL = 27, 34  # bytes of a value's cell before its pads drop
+_CSV_CELL, _JSON_CELL = 27, 34  # bytes of a value's cell before its pads drop
 
 
 def _pow10_table() -> tuple:
@@ -189,9 +189,9 @@ def _json_cells(x: np.ndarray, rows: int, cols: int):
     sci = (k < -4) | (k > 15)  # repr: exponent form when the point is at <= -4 or > 16
     lead = ~sci & (k < 0)  # "0.", then -k - 1 zeros
     whole = ~sci & ~lead
-    cells = np.empty((x.size, JSON_CELL), np.uint8)
+    cells = np.empty((x.size, _JSON_CELL), np.uint8)
     cells[:, :8] = _HEADS.take(np.signbit(x) + 2 * np.where(lead, -k, 0))[:, None].view(np.uint8)
-    cells.reshape(rows, cols, JSON_CELL)[:, 0, 0] = 91  # "[" opens each row
+    cells.reshape(rows, cols, _JSON_CELL)[:, 0, 0] = 91  # "[" opens each row
     # a whole number shows its digits up to the point, trailing zeros too
     shown = np.where(whole, np.maximum(nd, k + 1), nd)
     dot = np.where(whole, k, np.where(sci & (nd > 1), 0, 17))  # digit the "." follows

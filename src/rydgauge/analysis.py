@@ -26,6 +26,8 @@ BRACKET_POINTS = 400
 GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 REFINE_TOL = 1e-12  # crossover units; contract asks for 1e-10
 FIT_RESIDUAL_LIMIT = 0.05
+# points a scan solves at once: whole-grid (3, 3, n) temporaries would set its peak memory
+_SOLVE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -56,10 +58,12 @@ def scan_1d(
 ) -> ScanTable:
     """Tabulate A, B_phi and phi for the requested labels.
 
-    One cubic solve over the grid gives every row and the degeneracy
-    flag.  Grid points whose dressed ladder is near degenerate are
-    excluded and counted instead of producing unreliable rows.  An empty
-    grid gives an empty table; every separation must be finite and > 0.
+    The grid is solved ``_SOLVE_BLOCK`` points at a time; each block's one
+    cubic solve gives its rows and their degeneracy flags, and a point's
+    numbers do not depend on its block.  Grid points whose dressed ladder
+    is near degenerate are excluded and counted instead of producing
+    unreliable rows.  An empty grid gives an empty table; every
+    separation must be finite and > 0.
     """
     for label in labels:
         _check_label(label)
@@ -76,23 +80,27 @@ def scan_1d(
         "labels": ",".join(labels),
     }
     rows = [LABEL_INDEX[label] for label in labels]
-    spec = _radial_spectrum(grid, reduced)
-    keep = ~near_degenerate(spec.energies)
-    excluded = int(np.count_nonzero(~keep))
-    # for peak memory: phi first, while the spectrum is the only other large
-    # array alive, and the spectrum dropped before the rows are copied out
-    phi = spec.scalar(reduced.kappa)
-    a, b = spec.connection, spec.da_dx
-    del spec
-    cols = keep if excluded else slice(None)  # a mask copies, a slice does not
+    r = np.empty(grid.size)
+    a, b, phi = (np.empty((len(rows), grid.size)) for _ in range(3))
+    kept = 0
+    for start in range(0, grid.size, _SOLVE_BLOCK):
+        x = grid[start : start + _SOLVE_BLOCK]
+        spec = _radial_spectrum(x, reduced)
+        keep = ~near_degenerate(spec.energies)
+        stop = kept + int(np.count_nonzero(keep))
+        r[kept:stop] = x[keep]
+        phi_block = spec.scalar(reduced.kappa)
+        for out, values in ((a, spec.connection), (b, spec.da_dx), (phi, phi_block)):
+            out[:, kept:stop] = values[rows][:, keep]
+        kept = stop
     return ScanTable(
         metadata=metadata,
         labels=tuple(labels),
-        r_over_rc=grid[cols],
-        vector_potential=a[rows][:, cols],
-        azimuthal_field=b[rows][:, cols],
-        scalar_potential=phi[rows][:, cols],
-        excluded_count=excluded,
+        r_over_rc=r[:kept],
+        vector_potential=a[:, :kept],
+        azimuthal_field=b[:, :kept],
+        scalar_potential=phi[:, :kept],
+        excluded_count=grid.size - kept,
     )
 
 

@@ -9,6 +9,7 @@ and 1 for failed validations or aborted runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -50,9 +51,12 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _write(config, table: tables.Table) -> None:
-    """Render a table in the run's format to its output file or stdout."""
-    text = tables.to_json(table) if config.format == "json" else tables.to_csv(table)
-    tables.write_text(config.output, text)
+    """Write a table in the run's format to its output file or stdout, a piece at a time."""
+    path = config.output
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as out:
+        for text in tables.render(table, config.format):
+            tables.write_text(out, text)
 
 
 def _load_config(args: argparse.Namespace):
@@ -74,6 +78,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_map(args: argparse.Namespace) -> int:
     if args.map_points < 0:
         raise ValueError(f"map points must be >= 0, got {args.map_points}")
+    if args.map_points == 1:
+        raise ValueError("map points must be 0 or >= 2: one point per axis is only the corner")
     if not (math.isfinite(args.half_extent) and args.half_extent > 0):
         raise ValueError(f"half extent must be finite and positive, got {args.half_extent!r}")
     config = _load_config(args)

@@ -1,18 +1,17 @@
 """Deterministic CSV and JSON serialization of result tables.
 
 Each output is a ``Table`` built by one schema function (scan, trajectory,
-map, peaks, scaling) and rendered by ``to_csv`` or ``to_json``: fixed
-columns, newline endings, no timestamps.  CSV floats carry 17 significant
-digits; JSON numbers are the shortest text that reads back to the same
-double.  Identical inputs produce byte-identical files, and the JSON rows
-parse back to exactly the CSV values.
+map, peaks, scaling) and rendered piece by piece by ``render``, whose
+pieces ``to_csv`` and ``to_json`` join: fixed columns, newline endings, no
+timestamps.  CSV floats carry 17 significant digits; JSON numbers are the
+shortest text that reads back to the same double.  Identical inputs
+produce byte-identical files, and the JSON rows parse back to exactly the
+CSV values.
 """
 
 from __future__ import annotations
 
 import json
-import mmap
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,43 +64,41 @@ def _cell(value) -> str:
     return format_float(value)
 
 
-def _numeric_text(table: Table, head: bytes, rows_text, separator: bytes, tail: bytes) -> str:
-    """``head``, the text of each block of rows with ``separator`` between, ``tail``.
+def render(table: Table, fmt: str):
+    """The table's CSV (or, for ``fmt`` "json", JSON) text, piece by piece.
 
-    The pieces fill one anonymous map sized for a JSON cell per value, the
-    widest text a value takes: untouched pages cost nothing, and closing it
-    returns every page, wherever the allocator would have placed a buffer
-    that large.
+    A numeric table yields its head, the text ``_floattext`` gives for each
+    ``_ROW_BLOCK`` rows, then its tail, so the whole document is never
+    held at once.  The JSON document is ``{"metadata": ..., "rows": [...]}``
+    with "rows" the last key, spliced in as text.
     """
-    size, columns = table.values[0].size, table.values
-    starts = range(0, size, _ROW_BLOCK)
-    cells = size * len(columns) * _floattext.JSON_CELL + len(separator) * len(starts)
-    with mmap.mmap(-1, len(head) + cells + len(tail)) as out:
-        out.write(head)
-        for start in starts:
-            out.write(separator * (start > 0))
-            out.write(rows_text(np.column_stack([c[start : start + _ROW_BLOCK] for c in columns])))
-        out.write(tail)
-        with memoryview(out)[: out.tell()] as text:
-            return str(text, "utf-8")
+    as_json = fmt == "json"
+    if as_json:
+        metadata = dict(table.metadata, columns=list(table.columns))
+        yield json.dumps({"metadata": metadata, "rows": []}, sort_keys=True)[: -len("]}")]
+    else:
+        yield ",".join(table.columns) + "\n"
+    if table.keyed and as_json:
+        yield json.dumps([dict(zip(table.columns, row)) for row in table.rows], sort_keys=True)[1:-1]
+    elif table.keyed:
+        yield "".join([",".join(map(_cell, row)) + "\n" for row in table.rows])
+    else:
+        rows_text = _floattext.json_rows if as_json else _floattext.csv_rows
+        for start in range(0, table.values[0].size, _ROW_BLOCK):
+            block = np.column_stack([c[start : start + _ROW_BLOCK] for c in table.values])
+            yield ", " * (as_json and start > 0) + rows_text(block).decode("ascii")
+    if as_json:
+        yield "]}\n"
 
 
 def to_csv(table: Table) -> str:
     """The header line, then one line per row."""
-    head = ",".join(table.columns) + "\n"
-    if table.keyed:
-        return head + "".join([",".join(map(_cell, row)) + "\n" for row in table.rows])
-    return _numeric_text(table, head.encode(), _floattext.csv_rows, b"", b"")
+    return "".join(render(table, "csv"))
 
 
 def to_json(table: Table) -> str:
-    """``{"metadata": ..., "rows": [...]}``; "rows" is the last key, spliced in as text."""
-    metadata = dict(table.metadata, columns=list(table.columns))
-    head = json.dumps({"metadata": metadata, "rows": []}, sort_keys=True)[: -len("]}")]
-    if table.keyed:
-        rows = [dict(zip(table.columns, row)) for row in table.rows]
-        return head + json.dumps(rows, sort_keys=True)[1:-1] + "]}\n"
-    return _numeric_text(table, head.encode(), _floattext.json_rows, b", ", b"]}\n")
+    """``{"metadata": ..., "rows": [...]}``, metadata keys sorted."""
+    return "".join(render(table, "json"))
 
 
 def scan_table(table: ScanTable, units: ModelUnits | None = None) -> Table:
@@ -161,10 +158,9 @@ def scaling_table(fits: list[ScalingFit]) -> Table:
     return Table(columns, rows=rows)
 
 
-def write_text(path: str | None, text: str) -> None:
-    """Write to a file with plain newline endings, or to stdout."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+def write_text(out, text: str) -> None:
+    """Write one piece of a document to an open text stream, a file or stdout.
+
+    Every byte of table output passes here, one ``render`` piece at a time.
+    """
+    out.write(text)

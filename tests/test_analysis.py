@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from rydgauge import tables
+from rydgauge import analysis, tables
 from rydgauge.analysis import (
     GOLDEN,
     REFINE_TOL,
@@ -20,15 +20,19 @@ from rydgauge.analysis import (
 from rydgauge.cli import main
 from rydgauge.gauge import connection_profile, field_profile, magnetic_field, scalar_profile
 from rydgauge.model import PRESETS, get_preset, reduced_parameters
-from rydgauge.spectrum import LABEL_INDEX
+from rydgauge.spectrum import DEFLATE_AT, LABEL_INDEX
 from rydgauge.tables import SCAN_HEADER, SCAN_LABELS, format_float, scan_table, to_csv, to_json
 
 GAETAN = get_preset("gaetan2009")
 
 
-def _drive(w):
-    base = GAETAN.drive
+def _drive_of(preset, w):
+    base = PRESETS[preset].drive
     return dataclasses.replace(base, detuning_rad_s=w * base.rabi_magnitude_rad_s)
+
+
+def _drive(w):
+    return _drive_of("gaetan2009", w)
 
 
 def test_scan_shapes_and_metadata():
@@ -79,6 +83,42 @@ def test_scan_is_one_solve_over_the_grid(solves):
     table = scan_1d(_drive(0.0), GAETAN.interaction, r_grid=np.geomspace(0.5, 5000.0, 50))
     assert solves == [50]  # the degeneracy flag and every row from one solve
     assert table.excluded_count > 0
+
+
+BLOCK = 7  # a solve block small enough for every boundary case
+
+
+def _scan_documents(drive, model, grid):
+    table = scan_1d(drive, model, SCAN_LABELS, grid)
+    return table.excluded_count, to_csv(scan_table(table)), to_json(scan_table(table))
+
+
+@pytest.mark.parametrize("points", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK + 3])
+@pytest.mark.parametrize("preset, rmin, rmax", [
+    ("beguin2013", 0.01, 20.0),  # vdW: deflated points below 0.46 r_c, trig beyond
+    ("gaetan2009", 0.5, 5000.0),  # the far points are near degenerate: excluded
+])
+def test_blocked_scan_matches_the_one_block_solve_bit_for_bit(preset, rmin, rmax, points,
+                                                              monkeypatch):
+    """Blocks of 7 give the bytes of one block: a point's numbers never depend on its block."""
+    drive, model = _drive_of(preset, 0.0), PRESETS[preset].interaction
+    grid = np.geomspace(rmin, rmax, points)
+    whole = _scan_documents(drive, model, grid)
+    monkeypatch.setattr(analysis, "_SOLVE_BLOCK", BLOCK)
+    assert _scan_documents(drive, model, grid) == whole
+    if points == 4 * BLOCK + 3:  # several blocks, carrying the cases they are meant to
+        deflated = np.abs(reduced_parameters(drive, model).shift_ratio(grid)) > DEFLATE_AT
+        excluded = whole[0]
+        if preset == "beguin2013":
+            assert deflated[:BLOCK].all() and not deflated[-BLOCK:].any() and excluded == 0
+        else:
+            assert not deflated.any() and 0 < excluded < BLOCK
+
+
+def test_scan_solves_once_per_block(solves, monkeypatch):
+    monkeypatch.setattr(analysis, "_SOLVE_BLOCK", BLOCK)
+    scan_1d(_drive(-1.0), GAETAN.interaction, r_grid=np.geomspace(0.5, 5.0, 2 * BLOCK + 1))
+    assert solves == [BLOCK, BLOCK, 1]
 
 
 def test_default_scan_serializes_like_the_cli_order():

@@ -3,6 +3,7 @@
 import json
 import runpy
 import sys
+import tracemalloc
 
 import pytest
 
@@ -54,6 +55,21 @@ def test_scan_csv_and_json_carry_identical_values(capsys):
     assert len(doc["rows"]) == len(csv_rows)
     for parsed, row in zip(csv_rows, doc["rows"]):
         assert parsed == pytest.approx(row, rel=0.0, abs=0.0)
+
+
+def test_bulk_scan_memory_stays_a_block_plus_the_table(tmp_path):
+    """One 1e5-point scan to JSON holds its table's 8 MB of columns, one solve block and
+    one block of text; the whole document or whole-grid temporaries would not fit."""
+    argv = ["scan", "--preset", "beguin2013", "--detuning-ratio", "0", "--rmin", "0.01",
+            "--rmax", "20", "--points", "100000", "--format", "json",
+            "--output", str(tmp_path / "scan.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
 
 
 def test_scan_si_flag_switches_the_length_column(capsys):
@@ -156,6 +172,14 @@ def test_peaks_rejects_a_grid_too_small_to_bracket(capsys):
     code = main(["peaks", "--preset", "gaetan2009", "--labels", "-", "--points", "2"])
     assert code == 2
     assert "error: points must be >= 3" in capsys.readouterr().err
+
+
+def test_map_rejects_a_one_point_axis(capsys):
+    # linspace(-h, h, 1) is [-h]: one point would be the corner (-h, -h), not the grid
+    assert main(["map", "--preset", "gaetan2009", "--map-points", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: map points must be 0 or >= 2")
+    assert captured.out == ""
 
 
 def test_scaling_subcommand(capsys):

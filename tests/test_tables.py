@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rydgauge import tables
 from rydgauge.analysis import PeakReport, ScalingFit, scan_1d
 from rydgauge.cli import main
 from rydgauge.config import RunConfig, build_experiment
@@ -105,16 +106,26 @@ TRAJECTORY_HEAD = '"columns": ["t_s", "x_m", "y_m", "z_m", "vx", "vy", "vz", "ad
 TRAJECTORY_CSV = "t_s,x_m,y_m,z_m,vx,vy,vz,adiabaticity\n"
 
 # Whole documents of small numeric tables, each value in the builtins' text:
-# empty and one-row tables, zeros of both signs, integral values, and a short
-# and an aborted flyby.
+# empty, one-row and 2 x 2 tables, zeros of both signs, integral values, and a
+# short and an aborted flyby.
 # The adiabaticity cells are the closed-form monitor's, with the Hellmann-Feynman radial
 # coupling; each is within 1e-15 relative of a 60-digit evaluation of the same monitor.
 PINNED = [
     (MAP + ["0"], "x_over_rc,z_over_rc,Bx,By,Bz\n", MAP_HEAD + '"rows": []}\n'),
-    (MAP + ["1"],
-     "x_over_rc,z_over_rc,Bx,By,Bz\n-3.0000000000000000e+00,-3.0000000000000000e+00,"
-     "-0.0000000000000000e+00,-1.4235247178996705e-03,0.0000000000000000e+00\n",
-     MAP_HEAD + '"rows": [[-3.0, -3.0, -0.0, -0.0014235247178996705, 0.0]]}\n'),
+    (MAP + ["2"],
+     "x_over_rc,z_over_rc,Bx,By,Bz\n"
+     "-3.0000000000000000e+00,-3.0000000000000000e+00,"
+     "-0.0000000000000000e+00,-1.4235247178996705e-03,0.0000000000000000e+00\n"
+     "-3.0000000000000000e+00,3.0000000000000000e+00,"
+     "-0.0000000000000000e+00,-1.4235247178996705e-03,0.0000000000000000e+00\n"
+     "3.0000000000000000e+00,-3.0000000000000000e+00,"
+     "-0.0000000000000000e+00,1.4235247178996705e-03,-0.0000000000000000e+00\n"
+     "3.0000000000000000e+00,3.0000000000000000e+00,"
+     "-0.0000000000000000e+00,1.4235247178996705e-03,-0.0000000000000000e+00\n",
+     MAP_HEAD + '"rows": [[-3.0, -3.0, -0.0, -0.0014235247178996705, 0.0], '
+     '[-3.0, 3.0, -0.0, -0.0014235247178996705, 0.0], '
+     '[3.0, -3.0, -0.0, 0.0014235247178996705, -0.0], '
+     '[3.0, 3.0, -0.0, 0.0014235247178996705, -0.0]]}\n'),
     (["scan", "--preset", "gaetan2009", "--detuning-ratio", "-1", "--rmin", "0.5", "--points", "1"],
      SCAN_CSV
      + "5.0000000000000000e-01,-4.0080366896690872e-01,-9.9763190006015523e-01,"
@@ -149,7 +160,7 @@ PINNED = [
 
 
 @pytest.mark.parametrize("argv, csv_text, json_text", PINNED,
-                         ids=["map0", "map1", "scan1", "flyby", "flyby_aborted"])
+                         ids=["map0", "map2", "scan1", "flyby", "flyby_aborted"])
 def test_small_numeric_tables_keep_their_bytes(argv, csv_text, json_text, capsys):
     for fmt, expected in (("csv", csv_text), ("json", json_text)):
         main(argv + ["--format", fmt])
@@ -161,3 +172,49 @@ def test_empty_scan_keeps_its_bytes():
     table = scan_table(scan_1d(drive, model, ("1", "+", "-"), r_grid=()))
     assert to_csv(table) == SCAN_CSV
     assert to_json(table) == SCAN_HEAD + '"rows": []}\n'
+
+
+# one small command per table kind
+STREAMED = {
+    "scan": ["scan", "--preset", "gaetan2009", "--detuning-ratio", "-1", "--rmin", "0.05",
+             "--points", "9"],
+    "map": MAP + ["3"],
+    "peaks": ["peaks", "--preset", "gaetan2009", "--labels", "1,-"],
+    "scaling": ["scaling", "--preset", "gaetan2009", "--labels", "1",
+                "--detuning-ratios=-10,-20,-40"],
+    "trajectory": ["trajectory", "--speed", "10"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", sorted(STREAMED))
+def test_streamed_documents_are_the_joined_text(kind, fmt, tmp_path, monkeypatch, capsys):
+    """The CLI writes a table piece by piece, to a file or stdout, with the bytes of
+    to_csv/to_json; every byte goes through tables.write_text, which counts them."""
+    monkeypatch.setattr(tables, "_ROW_BLOCK", 4)  # several row blocks per numeric table
+    rendered, pieces = [], []
+    render, write_text = tables.render, tables.write_text
+
+    def recording_render(table, fmt):
+        rendered.append(table)
+        return render(table, fmt)
+
+    def recording_write(out, text):
+        pieces.append(text)
+        write_text(out, text)
+
+    monkeypatch.setattr(tables, "render", recording_render)
+    monkeypatch.setattr(tables, "write_text", recording_write)
+    argv = STREAMED[kind] + ["--format", fmt]
+    path = tmp_path / f"{kind}.{fmt}"
+    assert main(argv + ["--output", str(path)]) == 0
+    in_file = path.read_bytes()
+    assert sum(len(text.encode("utf-8")) for text in pieces) == len(in_file)
+    capsys.readouterr()
+    pieces.clear()
+    assert main(argv) == 0
+    on_stdout = capsys.readouterr().out
+    expected = to_json(rendered[0]) if fmt == "json" else to_csv(rendered[0])
+    assert in_file.decode("utf-8") == on_stdout == "".join(pieces) == expected
+    if kind == "scan":
+        assert len(pieces) == 4 + (fmt == "json")  # head, three row blocks, JSON tail
