@@ -11,7 +11,7 @@ potentials into center-of-mass and relative parts.
 """
 
 from .analysis import (
-    PeakReport, ScalingFit, ScanTable, find_peak, find_peaks, scaling_fit, scan_1d,
+    PeakReport, ScalingFit, ScanTable, find_peaks, scaling_fit, scan_1d,
 )
 from .com_frame import (
     ComScalarPotentials,
@@ -27,7 +27,6 @@ from .dynamics import (
     adiabaticity,
     deflection_scenario,
     integrate,
-    traversal_time_s,
 )
 from .gauge import (
     BerryConnection,
@@ -53,7 +52,6 @@ from .model import (
     crossover_distance,
     generalized_rabi,
     get_preset,
-    interaction_shift,
     reduced_parameters,
 )
 from .regimes import (
@@ -68,11 +66,9 @@ from .regimes import (
 )
 from .spectrum import (
     LABELS,
-    PairConfiguration,
     bare_state_vector,
-    build_hamiltonian,
     dark_state_vector,
-    eigenvalues_numeric,
+    dense_hamiltonian,
     labeled_spectrum,
 )
 from .validate import CheckResult, run_checks

@@ -212,19 +212,6 @@ def find_peaks(
     return reports
 
 
-def find_peak(
-    params: DriveParams,
-    model: InteractionModel,
-    label: str,
-    kind: str,
-    rmin: float = BRACKET_RMIN,
-    rmax: float = BRACKET_RMAX,
-    points: int = BRACKET_POINTS,
-) -> PeakReport:
-    """Locate one extremum of the signed azimuthal field: find_peaks of one request."""
-    return find_peaks(model, [(params, label, kind)], rmin, rmax, points)[0]
-
-
 @dataclass(frozen=True)
 class ScalingFit:
     """Power-law fit of peak field against detuning ratio."""

@@ -22,6 +22,7 @@ Explicit values override preset fields; flags override the file.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .constants import ATOMIC_MASS, TWOPI
@@ -71,6 +72,10 @@ class RunConfig:
             raise ValueError("labels must not be empty")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
+        for key in ("rmin", "rmax", "rabi_mhz", "wavelength_nm"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if not (self.rmin > 0.0):
             raise ValueError("rmin must be positive")
         if not (self.rmax > self.rmin):

@@ -85,10 +85,12 @@ class TrajectoryConfig:
 
     def __post_init__(self) -> None:
         _check_label(self.label)
-        if self.time_step_s is not None and not (self.time_step_s > 0.0):
-            raise ValueError("time step must be positive")
-        if not (self.max_time_s > 0.0):
-            raise ValueError("max time must be positive")
+        if self.time_step_s is not None and not (
+            math.isfinite(self.time_step_s) and self.time_step_s > 0.0
+        ):
+            raise ValueError(f"time step must be finite and positive, got {self.time_step_s!r}")
+        if not (math.isfinite(self.max_time_s) and self.max_time_s > 0.0):
+            raise ValueError(f"max time must be finite and positive, got {self.max_time_s!r}")
         if self.output_stride < 1:
             raise ValueError("output stride must be >= 1")
         for name, value in (("initial position", self.initial_position_m),
@@ -377,14 +379,3 @@ def deflection_scenario(
         include_adiabatic_potential=False,
         output_stride=output_stride,
     )
-
-
-def traversal_time_s(trajectory: Trajectory, r_c_m: float) -> float:
-    """Time spent between the x = -r_c and x = +r_c crossings."""
-    ts = np.array([s.t_s for s in trajectory.states])
-    xs = np.array([s.position_m[0] for s in trajectory.states])
-    if xs[0] > -r_c_m or xs[-1] < r_c_m:
-        raise ValueError("trajectory does not span the crossing region")
-    t_in = np.interp(-r_c_m, xs, ts)
-    t_out = np.interp(r_c_m, xs, ts)
-    return float(t_out - t_in)

@@ -66,14 +66,17 @@ class DriveParams:
     mass_b_kg: float
 
     def __post_init__(self):
+        for name in ("rabi_magnitude_rad_s", "rabi_phase_rad", "detuning_rad_s",
+                     "wavenumber_rad_m", "mass_a_kg", "mass_b_kg"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.rabi_magnitude_rad_s > 0.0):
             raise ValueError("rabi_magnitude_rad_s must be positive")
         if not (self.wavenumber_rad_m > 0.0):
             raise ValueError("wavenumber_rad_m must be positive")
         if not (self.mass_a_kg > 0.0 and self.mass_b_kg > 0.0):
             raise ValueError("atomic masses must be positive")
-        if not math.isfinite(self.detuning_rad_s):
-            raise ValueError("detuning_rad_s must be finite")
         norm = math.sqrt(sum(c * c for c in self.wavevector_direction))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError("wavevector_direction must be a unit vector")
@@ -88,23 +91,6 @@ class DriveParams:
     def detuning_ratio(self) -> float:
         """delta / |Omega|, the reduced detuning."""
         return self.detuning_rad_s / self.rabi_magnitude_rad_s
-
-
-def interaction_shift(model: InteractionModel, r_ab_m: float) -> float:
-    """Interaction-induced shift V of the doubly excited level.
-
-    Parameters
-    ----------
-    model : InteractionModel
-    r_ab_m : interatomic distance in metres, > 0.
-
-    Returns
-    -------
-    V in rad/s (signed).
-    """
-    if not (r_ab_m > 0.0):
-        raise ValueError("interaction_shift requires r_ab > 0")
-    return model.coefficient / r_ab_m**model.power
 
 
 def generalized_rabi(params: DriveParams) -> float:

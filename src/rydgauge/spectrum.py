@@ -3,8 +3,9 @@
 The two-atom internal Hamiltonian decouples an antisymmetric dark state
 (energy exactly zero) from a 3x3 bright block.  This module solves the
 bright block's characteristic cubic in closed form with a stable labeling
-scheme, builds the 4x4 Hamiltonian with explicit laser phases, and
-produces gauge-fixed eigenvectors.
+scheme and produces gauge-fixed eigenvectors.  ``dense_hamiltonian`` builds
+the 4x4 Hamiltonian itself, in the same reduced units and bare basis, as
+the reference for dense diagonalization.
 
 Dimensionless conventions used by the closed-form solvers:
     u = V/|Omega|   (interaction shift over Rabi magnitude)
@@ -16,17 +17,12 @@ E_1 >= E_- >= E_+.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .constants import HBAR, TWOPI
-from .model import DriveParams, InteractionModel, crossover_distance, interaction_shift
+from .constants import TWOPI
 
 LABELS = ("1", "-", "+")
 LABEL_INDEX = {"1": 0, "-": 1, "+": 2}
-
-BLOCKADE_BASIS = ("psi_minus", "ee", "psi_plus", "gg")
 
 # Beyond this |u| the trigonometric cubic loses relative accuracy on the
 # small roots; switch to Newton deflation of the dominant root.
@@ -173,62 +169,32 @@ def near_degenerate(energies) -> np.ndarray:
     return gaps.min(axis=0) < DEGENERACY_TOL
 
 
-@dataclass(frozen=True)
-class PairConfiguration:
-    """Positions of the two atoms in crossover-distance units."""
-
-    position_a: tuple[float, float, float]
-    position_b: tuple[float, float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "position_a", tuple(float(c) for c in self.position_a))
-        object.__setattr__(self, "position_b", tuple(float(c) for c in self.position_b))
-        if not (self.separation > 0.0):
-            raise ValueError("atoms must not coincide (r_ab > 0)")
-
-    @property
-    def separation(self) -> float:
-        d = np.subtract(self.position_a, self.position_b)
-        return float(np.sqrt(np.dot(d, d)))
-
-
-def build_hamiltonian(
-    params: DriveParams, model: InteractionModel, config: PairConfiguration
+def dense_hamiltonian(
+    shift_ratio, detuning_ratio, phase_a=0.0, phase_b=0.0, rabi_phase=0.0
 ) -> np.ndarray:
-    """The 4x4 two-atom Hamiltonian at the configured positions, in joules.
+    """The 4x4 pair Hamiltonian in units of hbar|Omega|, in the bare basis
+    (ee, eg, ge, gg) of :func:`bare_state_vector` (the dense oracle).
 
-    The basis is ``BLOCKADE_BASIS``, whose antisymmetric state's row and
-    column vanish.  The diagonal is {0, hbar(V - delta), 0, hbar·delta};
-    the doubly excited state couples to the symmetric singly excited state
-    with the two-photon phase exp(i k_L·(r_a + r_b)) attached.
+    Every argument broadcasts against the others; the result has the
+    broadcast shape plus two last axes of length 4.  The diagonal is
+    {u - w, 0, 0, w}.  Exciting atom a (ge -> ee, gg -> eg) carries
+    Omega/2 with the laser phase ``phase_a`` = k_L·r_a, exciting atom b
+    (eg -> ee, gg -> ge) carries Omega/2 with ``phase_b``, and
+    ``rabi_phase`` is arg(Omega).
     """
-    r_c = crossover_distance(model, params)
-    shift = interaction_shift(model, config.separation * r_c)
-    kappa = params.wavenumber_rad_m * r_c
-    khat = np.asarray(params.wavevector_direction, dtype=float)
-    phase_a = kappa * float(np.dot(khat, config.position_a))
-    phase_b = kappa * float(np.dot(khat, config.position_b))
-    coupling = HBAR * params.rabi_complex / np.sqrt(2.0)
-    h = np.zeros((4, 4), dtype=complex)
-    h[1, 1] = HBAR * (shift - params.detuning_rad_s)
-    h[3, 3] = HBAR * params.detuning_rad_s
-    h[1, 2] = coupling * np.exp(1j * (phase_a + phase_b))
-    h[2, 1] = np.conj(h[1, 2])
-    h[2, 3] = coupling
-    h[3, 2] = np.conj(h[2, 3])
+    u, w, phase_a, phase_b, theta = np.broadcast_arrays(
+        shift_ratio, detuning_ratio, phase_a, phase_b, rabi_phase
+    )
+    via_a = 0.5 * np.exp(1j * (theta + phase_a))
+    via_b = 0.5 * np.exp(1j * (theta + phase_b))
+    h = np.zeros(u.shape + (4, 4), dtype=complex)
+    h[..., 0, 0] = u - w
+    h[..., 3, 3] = w
+    h[..., 0, 1] = h[..., 2, 3] = via_b
+    h[..., 0, 2] = h[..., 1, 3] = via_a
+    h[..., 1, 0] = h[..., 3, 2] = np.conj(via_b)
+    h[..., 2, 0] = h[..., 3, 1] = np.conj(via_a)
     return h
-
-
-def eigenvalues_numeric(hamiltonian) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending (dense solver oracle).
-
-    Raises if the input is not Hermitian within 1e-12 relative.
-    """
-    m = np.asarray(hamiltonian, dtype=complex)
-    scale = np.linalg.norm(m)
-    if scale > 0 and np.linalg.norm(m - m.conj().T) > 1e-12 * scale:
-        raise ValueError("eigenvalues_numeric requires a Hermitian matrix")
-    return np.linalg.eigvalsh(m)
 
 
 def _check_label(label) -> None:
@@ -295,8 +261,8 @@ def bare_state_vector(
     derivatives.
 
     Raises ValueError where the closed-form vector vanishes, at isolated
-    defective points such as u = 2w for the "-" label; the dense
-    eigenvectors of :func:`build_hamiltonian` still exist there.
+    defective points such as u = 2w for the "-" label; the eigenvectors
+    of :func:`dense_hamiltonian` still exist there.
     """
     rows = _label_rows(label)
     _, ee_amp, gg_amp = labeled_spectrum(shift_ratio, detuning_ratio)
@@ -316,7 +282,7 @@ def bare_state_vector(
     if np.any(nrm < 1e-13):
         raise ValueError(
             "closed-form eigenvector vanishes at a defective (u, w); "
-            "diagonalize build_hamiltonian there instead"
+            "diagonalize dense_hamiltonian there instead"
         )
     vec = raw / nrm[..., None]
     # rotate the global phase so the |gg> coefficient has the phase of Omega*

@@ -53,7 +53,7 @@ from .spectrum import (
     LABELS,
     _label_rows,
     _row_norms,
-    eigenvalues_numeric,
+    dense_hamiltonian,
     labeled_spectrum,
 )
 from .tables import scan_table, to_csv
@@ -90,18 +90,10 @@ def _check_eigenvalues(draws: int) -> CheckResult:
     rng = np.random.default_rng(SEED)
     w = rng.uniform(-5.0, 5.0, size=draws)
     u = rng.uniform(-100.0, 100.0, size=draws)
-    phases = rng.uniform(0.0, TWOPI, size=(draws, 2))
-    matrices = np.zeros((draws, 4, 4), dtype=complex)
-    coupling = np.exp(1j * phases[:, 0]) / np.sqrt(2.0)
-    matrices[:, 1, 1] = u - w
-    matrices[:, 3, 3] = w
-    matrices[:, 1, 2] = coupling * np.exp(1j * phases[:, 1])
-    matrices[:, 2, 1] = np.conj(matrices[:, 1, 2])
-    matrices[:, 2, 3] = coupling
-    matrices[:, 3, 2] = np.conj(coupling)
+    rabi_phase, phase_a = rng.uniform(0.0, TWOPI, size=(draws, 2)).T
     energies, _, _ = labeled_spectrum(u, w)
     analytic = np.sort(np.vstack([np.zeros(draws), energies]).T, axis=1)  # dark level at 0
-    numeric = np.linalg.eigvalsh(matrices)
+    numeric = np.linalg.eigvalsh(dense_hamiltonian(u, w, phase_a, 0.0, rabi_phase))
     rel = np.abs(numeric - analytic) / np.maximum(1.0, np.abs(analytic))
     worst = float(rel.max())
     return CheckResult(
@@ -299,7 +291,7 @@ def _check_effective_hamiltonian() -> CheckResult:
     light_shift = 1.0 / (2.0 * (u - 4.0 * w / 3.0))
     trace_dev = abs(np.trace(h) + light_shift)
     dark_dev = abs(h[0, 0] + w / 3.0)
-    spectrum_dev = np.abs(eigenvalues_numeric(h) - np.sort(blockade_effective(u, w))).max()
+    spectrum_dev = np.abs(np.linalg.eigvalsh(h) - np.sort(blockade_effective(u, w))).max()
     worst = float(max(trace_dev, dark_dev, spectrum_dev))
     return CheckResult(
         name="blockade_effective_spectrum",

@@ -14,7 +14,7 @@ from rydgauge.analysis import scaling_fit, scan_1d
 from rydgauge.cli import main
 from rydgauge.com_frame import com_scalar_potentials, com_vector_potentials
 from rydgauge.constants import BOLTZMANN, TWOPI
-from rydgauge.dynamics import deflection_scenario, integrate, traversal_time_s
+from rydgauge.dynamics import deflection_scenario, integrate
 from rydgauge.gauge import connection_profile
 from rydgauge.model import (
     InteractionKind,
@@ -213,7 +213,10 @@ def test_flyby_deflection_scenario():
     assert not trajectory.aborted, trajectory.reason
     deflection_um = trajectory.states[-1].position_m[2] * 1e6
     r_c = ModelUnits.from_experiment(scenario.drive, scenario.interaction).length_m
-    crossing_us = traversal_time_s(trajectory, r_c) * 1e6
+    ts = np.array([s.t_s for s in trajectory.states])
+    xs = np.array([s.position_m[0] for s in trajectory.states])
+    assert xs[0] < -r_c and xs[-1] > r_c  # the path spans the crossing region
+    crossing_us = (np.interp(r_c, xs, ts) - np.interp(-r_c, xs, ts)) * 1e6
     worst_adiabaticity = max(s.adiabaticity for s in trajectory.states)
     speeds = [np.linalg.norm(s.velocity_m_s) for s in trajectory.states]
     energy_drift = abs(max(speeds) - min(speeds)) / speeds[0]

@@ -12,7 +12,6 @@ from rydgauge.analysis import (
     REFINE_TOL,
     PeakReport,
     ScanTable,
-    find_peak,
     find_peaks,
     scaling_fit,
     scan_1d,
@@ -202,7 +201,7 @@ PEAKS = [
 
 @pytest.mark.parametrize("label, kind, r_peak, b_peak", PEAKS)
 def test_peak_goldens(label, kind, r_peak, b_peak):
-    rep = find_peak(_drive(0.0), GAETAN.interaction, label, kind)
+    rep = find_peaks(GAETAN.interaction, [(_drive(0.0), label, kind)])[0]
     assert rep.found
     assert rep.r_peak_over_rc == pytest.approx(r_peak, rel=1e-6)
     assert rep.field_peak == pytest.approx(b_peak, rel=1e-9)
@@ -223,7 +222,7 @@ def test_peaks_are_true_local_extrema(label, kind, r_peak, b_peak):
 
 
 def test_peak_without_interior_bracket_reports_instead_of_raising():
-    rep = find_peak(_drive(0.0), GAETAN.interaction, "1", "max", rmin=0.3, rmax=5.0)
+    rep = find_peaks(GAETAN.interaction, [(_drive(0.0), "1", "max")], rmin=0.3, rmax=5.0)[0]
     assert isinstance(rep, PeakReport)
     assert not rep.found
     assert "no interior bracket" in rep.note
@@ -232,19 +231,19 @@ def test_peak_without_interior_bracket_reports_instead_of_raising():
 
 def test_peak_validation():
     with pytest.raises(ValueError, match="label"):
-        find_peak(_drive(0.0), GAETAN.interaction, "x", "max")
+        find_peaks(GAETAN.interaction, [(_drive(0.0), "x", "max")])
     with pytest.raises(ValueError, match="kind"):
-        find_peak(_drive(0.0), GAETAN.interaction, "1", "saddle")
+        find_peaks(GAETAN.interaction, [(_drive(0.0), "1", "saddle")])
     # a reversed bracket once refined nothing and reported a grid point as found
     with pytest.raises(ValueError, match="rmax must exceed rmin"):
-        find_peak(_drive(0.0), GAETAN.interaction, "-", "min", rmin=10.0, rmax=0.1)
+        find_peaks(GAETAN.interaction, [(_drive(0.0), "-", "min")], rmin=10.0, rmax=0.1)
     with pytest.raises(ValueError, match="rmax must exceed rmin"):
-        find_peak(_drive(0.0), GAETAN.interaction, "-", "min", rmin=1.0, rmax=1.0)
+        find_peaks(GAETAN.interaction, [(_drive(0.0), "-", "min")], rmin=1.0, rmax=1.0)
     with pytest.raises(ValueError, match="rmin must be positive"):
         find_peaks(GAETAN.interaction, [(_drive(0.0), "-", "min")], rmin=0.0)
     for points in (0, 2):
         with pytest.raises(ValueError, match="points must be >= 3"):
-            find_peak(_drive(0.0), GAETAN.interaction, "-", "min", points=points)
+            find_peaks(GAETAN.interaction, [(_drive(0.0), "-", "min")], points=points)
 
 
 def _peak_alone(drive, model, label, kind, rmin, rmax, points):

@@ -4,10 +4,12 @@ import json
 import runpy
 import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import pytest
 
-from rydgauge.cli import main
+from rydgauge.cli import build_parser, main
 from rydgauge.config import RunConfig, parse_config, read_config_file
 from rydgauge.tables import SCAN_HEADER
 
@@ -145,6 +147,10 @@ def test_run_config_validation():
         RunConfig(rmin=2.0, rmax=1.0)
     with pytest.raises(ValueError, match="labels"):
         RunConfig(labels=("q",))
+    for key in ("rmin", "rmax", "rabi_mhz", "wavelength_nm"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                RunConfig(**{key: bad})
 
 
 def test_config_errors_surface_as_exit_2(capsys):
@@ -220,11 +226,23 @@ def test_map_subcommand(capsys):
     (["map", "--half-extent", "-1"], "half extent must be finite and positive"),
     (["map", "--half-extent", "0"], "half extent must be finite and positive"),
     (["map", "--half-extent", "inf"], "half extent must be finite and positive"),
+    (["trajectory", "--time-step-s", "inf"], "time step must be finite and positive"),
+    (["peaks", "--preset", "gaetan2009", "--rabi-mhz", "inf"], "rabi_mhz must be finite"),
+    (["map", "--preset", "gaetan2009", "--rabi-mhz", "inf"], "rabi_mhz must be finite"),
+    (["scan", "--preset", "gaetan2009", "--rabi-mhz", "inf"], "rabi_mhz must be finite"),
+    (["peaks", "--preset", "gaetan2009", "--rabi-mhz", "1e305"],
+     "rabi_magnitude_rad_s must be finite"),  # finite in MHz, overflows in rad/s
+    (["scan", "--preset", "gaetan2009", "--rmax", "inf"], "rmax must be finite"),
+    (["peaks", "--preset", "gaetan2009", "--rmax", "inf"], "rmax must be finite"),
 ])
 def test_trajectory_and_map_inputs_are_checked(argv, message, capsys):
-    assert main(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}")
+    assert "RuntimeWarning" not in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert captured.out == ""
 
 
@@ -252,6 +270,23 @@ def test_trajectory_table_on_stdout_stays_parseable(fmt, capsys):
         for line in lines[1:]:
             assert len([float(cell) for cell in line.split(",")]) == 8
     assert captured.err.startswith("z-deflection: ")
+
+
+def test_benchmark_commands_still_parse(tmp_path):
+    """Every command of the benchmark workloads parses; none is run.
+
+    ``bench/workloads.py`` imports only the standard library, so it loads
+    without the benchmark harness; a removed or renamed flag fails here.
+    """
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench/workloads.py"))
+    parser = build_parser()
+    seen = set()
+    for name in workloads["WORKLOADS"]:
+        for cmd in workloads["commands"](name):
+            args = parser.parse_args(workloads["argv_with_output"](cmd, tmp_path))
+            assert args.command == cmd.kind
+            seen.add(cmd.kind)
+    assert seen == {"trajectory", "peaks", "scaling", "map", "scan", "validate"}
 
 
 def test_presets_subcommand(capsys):

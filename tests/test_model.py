@@ -1,5 +1,6 @@
 """Tests for the experiment-level model layer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from rydgauge.model import (
     crossover_distance,
     generalized_rabi,
     get_preset,
-    interaction_shift,
     reduced_parameters,
 )
 
@@ -29,7 +29,8 @@ def test_interaction_power_law():
     assert rdd.sign == -1.0 and vdw.sign == 1.0
     # doubling the distance divides the shift by 2**power
     for model in (rdd, vdw):
-        ratio = interaction_shift(model, 1e-6) / interaction_shift(model, 2e-6)
+        reduced = reduced_parameters(GAETAN.drive, model)
+        ratio = reduced.shift_ratio(1.0) / reduced.shift_ratio(2.0)
         assert ratio == pytest.approx(2.0**model.power, rel=1e-12)
 
 
@@ -77,6 +78,11 @@ def test_drive_validation():
             mass_a_kg=drive.mass_a_kg,
             mass_b_kg=drive.mass_b_kg,
         )
+    for field in ("rabi_magnitude_rad_s", "rabi_phase_rad", "detuning_rad_s",
+                  "wavenumber_rad_m", "mass_a_kg", "mass_b_kg"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                dataclasses.replace(drive, **{field: bad})
 
 
 def test_gaetan_scales():
@@ -103,7 +109,7 @@ def test_crossover_uses_generalized_rabi():
     r1 = crossover_distance(GAETAN.interaction, detuned)
     assert r1 == pytest.approx(r0 / 2.0 ** (1.0 / 6.0), rel=1e-12, abs=0)
     # |V(r_c)| = sqrt(|Omega|^2 + delta^2) by construction
-    shift = interaction_shift(GAETAN.interaction, r1)
+    shift = GAETAN.interaction.coefficient / r1**GAETAN.interaction.power
     assert abs(shift) == pytest.approx(generalized_rabi(detuned), rel=1e-12)
 
 
