@@ -1,19 +1,21 @@
 """Scans, magnetic-field extrema, and large-detuning scaling fits.
 
 The scan table is the data behind every 1D figure; ``find_peaks``
-refines grid-bracketed field extrema by golden section, every search of a
-call in lockstep with one field solve per step; the scaling fit extracts
-the asymptotic peak coefficients from a list of detunings in one such call.
+refines grid-bracketed field extrema to zeros of the closed-form slope
+dB/dx by Brent's zeroin, every search of a call in lockstep with one
+solve per step; the scaling fit extracts the asymptotic peak coefficients
+from a list of detunings in one such call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import _positive_finite, _radial_spectrum, field_profile
+from .gauge import _field_slope, _positive_finite, _radial_spectrum
 from .model import DriveParams, InteractionModel, ReducedParameters, reduced_parameters
 from .spectrum import LABEL_INDEX, LABELS, _check_label, near_degenerate
 
@@ -23,7 +25,6 @@ BRACKET_RMIN = 0.05
 BRACKET_RMAX = 10.0
 BRACKET_POINTS = 400
 
-GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 REFINE_TOL = 1e-12  # crossover units; contract asks for 1e-10
 FIT_RESIDUAL_LIMIT = 0.05
 # points a scan solves at once: whole-grid (3, 3, n) temporaries would set its peak memory
@@ -117,35 +118,88 @@ class PeakReport:
     note: str = ""
 
 
-def _golden_refine(func, lo, hi, sgn) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section extrema of k unimodal brackets, advanced in lockstep.
+def _zeroin(a, b, fa, fb, va, vb):
+    """Brent's zeroin (Brent 1973, ch. 4) as a coroutine, for one bracket.
 
-    ``lo``, ``hi`` and ``sgn`` (+1 for a maximum, -1 for a minimum) hold one
-    entry per search; ``func(x, i)`` gives the field of searches ``i`` at
-    ``x``.  Each step is one call over the searches still open, and each
-    search keeps the comparisons, updates and stop rule it has alone, so
-    every abscissa and result is the float a search run by itself gives.
+    f changes sign over [a, b], with f(a) = ``fa`` and f(b) = ``fb``;
+    ``va``, ``vb`` are values that travel with their abscissa.  Yields
+    each abscissa it needs and is sent (value, f) there.  It stops once
+    its bracket [b, c] is at most ``REFINE_TOL`` * max(1, |b|) wide or
+    f(b) = 0 and returns (b, value at b), or returns None where f is not
+    finite.
     """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    every = np.arange(a.size)
-    fc, fd = np.split(func(np.concatenate([c, d]), np.concatenate([every, every])), 2)
-    live = every
+    c, fc, vc = a, fa, va
+    d = e = b - a
     while True:
-        live = live[(b[live] - a[live]) > REFINE_TOL * np.maximum(1.0, np.abs(a[live]))]
-        if not live.size:
-            break
-        left = sgn[live] * fc[live] > sgn[live] * fd[live]
-        i, j = live[left], live[~left]
-        b[i], d[i], fd[i] = d[i], c[i], fc[i]
-        c[i] = b[i] - GOLDEN * (b[i] - a[i])
-        a[j], c[j], fc[j] = c[j], d[j], fd[j]
-        d[j] = a[j] + GOLDEN * (b[j] - a[j])
-        f = func(np.where(left, c[live], d[live]), live)
-        fc[i], fd[j] = f[left], f[~left]
-    mid = 0.5 * (a + b)
-    return mid, func(mid, every)
+        if abs(fc) < abs(fb):  # b is the end of [b, c] with the smaller |f|
+            a, b, c, fa, fb, fc, va, vb, vc = b, c, b, fb, fc, fb, vb, vc, vb
+        tol = 0.5 * REFINE_TOL * max(1.0, abs(b))
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol or fb == 0.0:
+            return b, vb
+        d_last, e_last = d, e
+        d = e = xm  # bisection, unless an interpolation is accepted
+        if abs(e_last) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * xm * q - abs(tol * q) and p < abs(0.5 * e_last * q):
+                d, e = p / q, d_last
+        a, fa, va = b, fb, vb
+        b += d if abs(d) > tol else math.copysign(tol, xm)
+        vb, fb = yield b
+        if not math.isfinite(fb):
+            return None
+        if fb * math.copysign(1.0, fc) > 0.0:  # the root lies in [a, b]
+            c, fc, vc = a, fa, va
+            d = e = b - a
+
+
+def _lockstep(searches, func) -> list:
+    """Run coroutine searches side by side, one ``func`` call per step.
+
+    ``func(x, i)`` returns (values, f) at the abscissas ``x`` that the open
+    searches ``i`` asked for; each search sees only its own numbers, so it
+    ends as it would alone.  Returns each search's return value.
+    """
+    results = [None] * len(searches)
+    asks = {}
+    for n, search in enumerate(searches):
+        try:
+            asks[n] = next(search)
+        except StopIteration as stop:
+            results[n] = stop.value
+    while asks:
+        i = np.fromiter(asks, dtype=int, count=len(asks))
+        values, f = func(np.fromiter(asks.values(), dtype=float, count=i.size), i)
+        for n, value, f_n in zip(i.tolist(), values.tolist(), f.tolist()):
+            try:
+                asks[n] = searches[n].send((value, f_n))
+            except StopIteration as stop:
+                results[n] = stop.value
+                del asks[n]
+    return results
+
+
+def _bracket_grid(grid: np.ndarray, reduced: ReducedParameters):
+    """Indices of the grid points fit to bracket on, with B and dB/dx there.
+
+    One solve over the grid; points where some label's field is not
+    finite (u overflows or underflows to a defective point) or whose
+    ladder is near degenerate are dropped, as ``scan_1d`` drops them.
+    """
+    with np.errstate(all="ignore"):  # non-finite points are dropped below
+        spec, slope = _field_slope(grid, reduced)
+        keep = np.isfinite(spec.da_dx).all(axis=0) & ~near_degenerate(spec.energies)
+    kept = np.flatnonzero(keep)
+    return kept, spec.da_dx[:, kept], slope[:, kept]
 
 
 def find_peaks(
@@ -159,10 +213,15 @@ def find_peaks(
 
     ``requests`` lists (drive, label, kind) with kind "max" or "min".  A log
     grid brackets each extremum (interior grid point beating both
-    neighbors), one field solve per distinct drive; golden section then
-    refines all brackets in lockstep, one solve per step.  Without an
-    interior bracket a not-found report carries the grid diagnostics
-    instead of raising.
+    neighbors), one solve of B and its closed-form slope dB/dx per distinct
+    drive; grid points with a non-finite field or a near-degenerate ladder
+    are skipped, and the slope at the extremum's own grid point halves its
+    bracket.  Brent's zeroin then finds the zero of the slope in every
+    bracket, all searches in lockstep with one solve per step, and reports
+    B from the solve at the final abscissa.  Without an interior bracket,
+    or where the slopes on the bracket are not finite or do not turn the
+    right way, a not-found report carries the grid diagnostics instead of
+    raising.
     """
     if not rmin > 0.0:
         raise ValueError("rmin must be positive")
@@ -174,41 +233,67 @@ def find_peaks(
         _check_label(label)
         if kind not in ("max", "min"):
             raise ValueError("kind must be 'max' or 'min'")
-    grid = np.geomspace(rmin, rmax, points)
+    grid = _positive_finite(np.geomspace(rmin, rmax, points), "bracket grid point")
     reduced = {drive: reduced_parameters(drive, model) for drive, _, _ in requests}
-    profiles = {drive: field_profile(grid, rp) for drive, rp in reduced.items()}
+    brackets = {drive: _bracket_grid(grid, rp) for drive, rp in reduced.items()}
     reports, open_ = [], []  # open_: one row per refined search
     for drive, label, kind in requests:
-        values = profiles[drive][LABEL_INDEX[label]]
+        kept, fields, slopes = brackets[drive]
+        if not kept.size:
+            raise ValueError(f"no finite, non-degenerate field on the bracket grid "
+                             f"[{rmin}, {rmax}] at detuning ratio {drive.detuning_ratio}")
+        row, sgn = LABEL_INDEX[label], 1.0 if kind == "max" else -1.0
+        values = fields[row]
         idx = int(np.argmax(values)) if kind == "max" else int(np.argmin(values))
-        found = 0 < idx < points - 1
-        if found:
-            rp = reduced[drive]  # each search keeps its own drive's scalar parameters
-            open_.append((len(reports), grid[idx - 1], grid[idx + 1],
-                          1.0 if kind == "max" else -1.0, LABEL_INDEX[label],
-                          rp.detuning_ratio, rp.dressing_ratio, rp.kappa))
+        note = ""
+        if not 0 < idx < kept.size - 1:
+            note = (f"no interior bracket on [{rmin}, {rmax}] with {points} points; "
+                    f"grid extremum at index {kept[idx]}")
+            if kept.size < points:
+                note += (f" of the {kept.size} points with a finite field and a "
+                         f"non-degenerate ladder")
+        else:
+            f = sgn * slopes[row, idx - 1 : idx + 2]  # at the extremum and its neighbors
+            lo, hi = grid[kept[idx - 1]], grid[kept[idx + 1]]
+            if not np.all(np.isfinite(f)):
+                note = f"slope of the field not finite on the bracket [{lo}, {hi}]"
+            elif not f[0] >= 0.0 >= f[2]:
+                note = f"slope of the field does not change sign over the bracket [{lo}, {hi}]"
+            else:
+                # the grid point's own slope halves the bracket
+                ends = [idx - 1, idx] if f[1] < 0.0 else [idx, idx + 1]
+                search = _zeroin(*grid[kept[ends]].tolist(), *(sgn * slopes[row, ends]).tolist(),
+                                 *values[ends].tolist())
+                rp = reduced[drive]  # each search keeps its own drive's scalar parameters
+                open_.append((len(reports), search, sgn, row,
+                              rp.detuning_ratio, rp.dressing_ratio, rp.kappa))
         reports.append(PeakReport(
             label=label,
             kind=kind,
-            r_peak_over_rc=float(grid[idx]),
+            r_peak_over_rc=float(grid[kept[idx]]),
             field_peak=float(values[idx]),
             detuning_ratio=drive.detuning_ratio,
-            found=found,
-            note="" if found else (
-                f"no interior bracket on [{rmin}, {rmax}] with {points} points; "
-                f"grid extremum at index {idx}"
-            ),
+            found=not note,
+            note=note,
         ))
     if not open_:
         return reports
-    at, lo, hi, sgn, rows, w, lam, kappa = (np.array(col) for col in zip(*open_))
+    at, searches, sgn, rows, w, lam, kappa = zip(*open_)
+    sgn, rows, w, lam, kappa = (np.array(col) for col in (sgn, rows, w, lam, kappa))
 
-    def field_at(x: np.ndarray, i: np.ndarray) -> np.ndarray:
+    def slope_at(x: np.ndarray, i: np.ndarray):
         part = ReducedParameters(w[i], lam[i], model.sign, model.power, kappa[i])
-        return field_profile(x, part)[rows[i], np.arange(i.size)]
+        spec, slope = _field_slope(x, part)
+        cols = np.arange(i.size)
+        return spec.da_dx[rows[i], cols], sgn[i] * slope[rows[i], cols]
 
-    for n, r, b in zip(at, *_golden_refine(field_at, lo, hi, sgn)):
-        reports[n] = dataclasses.replace(reports[n], r_peak_over_rc=float(r), field_peak=float(b))
+    for n, result in zip(at, _lockstep(searches, slope_at)):
+        if result is None:
+            reports[n] = dataclasses.replace(
+                reports[n], found=False, note="slope of the field not finite inside the bracket")
+        else:
+            reports[n] = dataclasses.replace(
+                reports[n], r_peak_over_rc=float(result[0]), field_peak=float(result[1]))
     return reports
 
 

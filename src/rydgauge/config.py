@@ -149,6 +149,14 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     return RunConfig(**values)
 
 
+def _wavenumber_rad_m(wavelength_nm: float) -> float:
+    """2*pi / lambda in rad/m for a wavelength in nm, which must not underflow to 0 m."""
+    wavelength_m = wavelength_nm * 1e-9
+    if wavelength_m == 0.0:
+        raise ValueError(f"wavelength_nm {wavelength_nm!r} underflows to 0 m")
+    return TWOPI / wavelength_m
+
+
 def build_experiment(config: RunConfig) -> tuple[DriveParams, InteractionModel]:
     """Materialize physics inputs from a RunConfig.
 
@@ -171,7 +179,7 @@ def build_experiment(config: RunConfig) -> tuple[DriveParams, InteractionModel]:
                 rabi_magnitude_rad_s=rabi,
                 rabi_phase_rad=0.0,
                 detuning_rad_s=0.0,
-                wavenumber_rad_m=TWOPI / (config.wavelength_nm * 1e-9),
+                wavenumber_rad_m=_wavenumber_rad_m(config.wavelength_nm),
                 wavevector_direction=(0.0, 0.0, 1.0),
                 mass_a_kg=DEFAULT_MASS_KG,
                 mass_b_kg=DEFAULT_MASS_KG,
@@ -182,7 +190,7 @@ def build_experiment(config: RunConfig) -> tuple[DriveParams, InteractionModel]:
         raise ValueError("either preset or rabi_mhz must be given")
     if config.wavelength_nm is not None:
         drive = dataclasses.replace(
-            drive, wavenumber_rad_m=TWOPI / (config.wavelength_nm * 1e-9)
+            drive, wavenumber_rad_m=_wavenumber_rad_m(config.wavelength_nm)
         )
     if config.detuning_ratio is not None:
         drive = dataclasses.replace(

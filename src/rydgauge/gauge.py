@@ -100,6 +100,37 @@ def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
     )
 
 
+def _field_slope(x_over_rc, reduced: ReducedParameters):
+    """One solve: the radial spectrum and the slope dB/dx of every label's field.
+
+    B is the spectrum's ``da_dx``.  The perturbation sum of da/du is
+    differentiated once more with E' = ee' = n2 ee^2, gg' = E' - 1 =
+    -n2 gg^2 (1 + 2 ee^2) (formed without cancellation) and n2' by the
+    quotient rule; then dB/dx = d^2a/du^2 (du/dx)^2 + da/du d^2u/dx^2,
+    where d^2u/dx^2 = p (p + 1) u / x^2 makes the last term -(p + 1) B / x.
+    Only the peak search needs it.
+    """
+    spec = _radial_spectrum(x_over_rc, reduced)
+    x = np.asarray(x_over_rc, dtype=float)
+    energies, ee, gg, n2 = spec.energies, spec.ee, spec.gg, spec.n2
+    de = n2 * ee * ee  # dE/du = d ee/du
+    dgg = -n2 * gg * gg * (1.0 + 2.0 * ee * ee)
+    dn2 = -2.0 * n2 * n2 * (ee * de * (1.0 + 2.0 * gg * gg) + gg * dgg * (1.0 + 2.0 * ee * ee))
+    weight = n2 * ee
+    dweight = dn2 * ee + n2 * de
+    gap = energies[:, None] - energies[None, :]  # zero only on the diagonal
+    inverse = np.divide(1.0, gap, out=np.zeros(gap.shape), where=gap != 0.0)
+    overlap = ee[:, None] * ee[None, :] - gg[:, None] * gg[None, :]
+    doverlap = (de[:, None] * ee[None, :] + ee[:, None] * de[None, :]
+                - dgg[:, None] * gg[None, :] - gg[:, None] * dgg[None, :])
+    term = weight[None] * overlap * inverse  # [i, j]: the j-th term of da_i/du over -weight_i
+    dterm = (dweight[None] * overlap + weight[None] * doverlap
+             - term * (de[:, None] - de[None, :])) * inverse
+    d2a_du2 = -(dweight * np.add.reduce(term, axis=1) + weight * np.add.reduce(dterm, axis=1))
+    slope = d2a_du2 * spec.du_dx * spec.du_dx - (reduced.power + 1.0) * spec.da_dx / x
+    return spec, slope
+
+
 def _radial_coupling(spec: _RadialSpectrum) -> np.ndarray:
     """[i, j]: <chi_j|d chi_i/dx> = du/dx · a_i a_j / (E_i - E_j), a = n ee.
 

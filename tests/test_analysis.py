@@ -8,16 +8,21 @@ import pytest
 
 from rydgauge import analysis, tables
 from rydgauge.analysis import (
-    GOLDEN,
-    REFINE_TOL,
     PeakReport,
     ScanTable,
+    _zeroin,
     find_peaks,
     scaling_fit,
     scan_1d,
 )
 from rydgauge.cli import main
-from rydgauge.gauge import connection_profile, field_profile, magnetic_field, scalar_profile
+from rydgauge.gauge import (
+    _field_slope,
+    connection_profile,
+    field_profile,
+    magnetic_field,
+    scalar_profile,
+)
 from rydgauge.model import PRESETS, get_preset, reduced_parameters
 from rydgauge.spectrum import DEFLATE_AT, LABEL_INDEX
 from rydgauge.tables import SCAN_HEADER, SCAN_LABELS, format_float, scan_table, to_csv, to_json
@@ -189,13 +194,14 @@ def test_scan_table_guards_its_own_rows():
         )
 
 
-# refined extrema of the signed azimuthal field at zero detuning,
-# attractive dipole-dipole coupling; positions sit on flat maxima so they
-# reproduce less tightly than the field values
+# extrema of the signed azimuthal field at zero detuning, attractive
+# dipole-dipole coupling, far from the defective line u = 2w: 60-digit
+# mpmath roots of dB/dx (Newton-polished roots of the cubic, a(x) in closed
+# form, derivatives by mp.diff) and B there
 PEAKS = [
-    ("-", "min", 0.9757677718874176, -0.5112994741207633),
-    ("-", "max", 0.4651437752132255, 0.036911657799383296),
-    ("1", "min", 0.9345856251247315, -0.230769805521145),
+    ("-", "min", 0.97576803565015267475, -0.51129947424545152489),
+    ("-", "max", 0.46514377436869001833, 0.036911657799383293021),
+    ("1", "min", 0.93458561629552185425, -0.23076980552114516659),
 ]
 
 
@@ -203,8 +209,8 @@ PEAKS = [
 def test_peak_goldens(label, kind, r_peak, b_peak):
     rep = find_peaks(GAETAN.interaction, [(_drive(0.0), label, kind)])[0]
     assert rep.found
-    assert rep.r_peak_over_rc == pytest.approx(r_peak, rel=1e-6)
-    assert rep.field_peak == pytest.approx(b_peak, rel=1e-9)
+    assert rep.r_peak_over_rc == pytest.approx(r_peak, rel=1e-12, abs=0.0)
+    assert rep.field_peak == pytest.approx(b_peak, rel=1e-14, abs=0.0)
     assert rep.detuning_ratio == pytest.approx(0.0)
 
 
@@ -247,34 +253,26 @@ def test_peak_validation():
 
 
 def _peak_alone(drive, model, label, kind, rmin, rmax, points):
-    """One search by itself: the scalar golden-section loop, one field solve per step."""
+    """One search by itself: the grid bracket, then its zeroin with a one-point solve per step."""
     reduced = reduced_parameters(drive, model)
-    row = LABEL_INDEX[label]
+    row, sgn = LABEL_INDEX[label], 1.0 if kind == "max" else -1.0
     grid = np.geomspace(rmin, rmax, points)
-    values = field_profile(grid, reduced)[row]
+    spec, slope = _field_slope(grid, reduced)
+    values = spec.da_dx[row]
     idx = int(np.argmax(values)) if kind == "max" else int(np.argmin(values))
     if idx == 0 or idx == points - 1:
         return False, float(grid[idx]), float(values[idx])
-
-    def func(x):
-        return field_profile(x, reduced)[row].item()
-
-    sgn = 1.0 if kind == "max" else -1.0
-    a, b = grid[idx - 1], grid[idx + 1]
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = func(c), func(d)
-    while (b - a) > REFINE_TOL * max(1.0, abs(a)):
-        if sgn * fc > sgn * fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = func(d)
-    mid = 0.5 * (a + b)
-    return True, float(mid), func(mid)
+    ends = [idx - 1, idx] if sgn * slope[row, idx] < 0.0 else [idx, idx + 1]
+    search = _zeroin(*grid[ends].tolist(), *(sgn * slope[row, ends]).tolist(),
+                     *values[ends].tolist())
+    x = next(search)
+    while True:
+        spec, slope = _field_slope(x, reduced)
+        try:
+            x = search.send((spec.da_dx[row].item(), sgn * slope[row].item()))
+        except StopIteration as stop:
+            r, b = stop.value
+            return True, r, b
 
 
 SWEEP_RATIOS = (-3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0)
@@ -301,22 +299,37 @@ def test_lockstep_peaks_match_each_search_alone_bit_for_bit(preset, ratios, grid
         assert not all(rep.found for rep in reports)
 
 
+def test_zeroin_returns_the_value_of_its_abscissa_or_none_where_f_is_not_finite():
+    def run(f):  # f: the function; each abscissa's value is 10 x
+        search = _zeroin(1.0, 2.0, float(f(1.0)), float(f(2.0)), 10.0, 20.0)
+        return analysis._lockstep([search], lambda x, i: (10.0 * x, f(x)))[0]
+
+    r, value = run(np.cos)
+    assert r == pytest.approx(np.pi / 2.0, rel=1e-12, abs=0.0)
+    assert value == 10.0 * r
+    assert run(lambda x: np.where(np.abs(x - 1.5) < 0.2, np.nan, np.cos(x))) is None
+
+
 def test_peaks_and_scaling_commands_solve_once_per_step(solves, capsys):
     assert main(["peaks", "--preset", "gaetan2009", "--labels", "1,-,+"]) == 0
-    assert len(solves) <= 60  # one bracket, then one solve per golden step for all six
+    # one bracket solve, then one per zeroin step for the four interior extrema (5 measured)
+    assert solves[0] == 200 and len(solves) <= 8 and max(solves[1:]) <= 4
     solves.clear()
     assert main(["scaling", "--preset", "beguin2013", "--labels", "-",
                  "--detuning-ratios=-10,-20,-40"]) == 0
-    assert len(solves) <= 60  # three brackets, then both kinds at every ratio in lockstep
+    # three bracket solves, then both kinds at every ratio in lockstep (28 measured;
+    # the searches near the defective line u = 2w take the most steps)
+    assert solves[:3] == [400] * 3 and len(solves) <= 35 and max(solves[3:]) <= 6
     capsys.readouterr()
 
 
 def test_scaling_fit_frozen():
     fit = scaling_fit(GAETAN.drive, GAETAN.interaction, "1", (-10.0, -20.0, -40.0))
     assert fit.kind == "min"
-    assert fit.exponent == pytest.approx(0.9966416133386741, rel=1e-9)
-    assert fit.coefficient == pytest.approx(0.5368645766748603, rel=1e-9)
-    assert fit.position == pytest.approx(1.000155577993819, rel=1e-6)
+    # the same least-squares fit of the three 60-digit mpmath peaks (as for PEAKS)
+    assert fit.exponent == pytest.approx(0.99664161331635793042, rel=1e-11, abs=0.0)
+    assert fit.coefficient == pytest.approx(0.53686457661363060984, rel=1e-11, abs=0.0)
+    assert fit.position == pytest.approx(1.0001556204659100744, rel=1e-12, abs=0.0)
     assert fit.residual < 0.005
     assert fit.flags == ()
     assert len(fit.reports) == 3

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
+import io
 import json
+import math
 import runpy
 import sys
 import tracemalloc
@@ -174,6 +177,24 @@ def test_peaks_subcommand(capsys):
     assert cells[0] == "-" and cells[1] == "max"
 
 
+@pytest.mark.parametrize("bounds", [["--rmax", "1e308"], ["--rmin", "1e-320"]])
+def test_peaks_never_report_a_nan_peak(bounds, capsys):
+    # u underflows to the defective point u = 2w = 0 far out and overflows close in;
+    # those grid points are skipped, and no bracket reaches past them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["peaks", "--preset", "gaetan2009", "--labels", "1,-,+", *bounds]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 6
+    for row in rows:
+        assert math.isfinite(float(row["r_peak_over_rc"])), row
+        assert math.isfinite(float(row["field_peak"])), row
+        assert (row["found"] == "true") == (row["note"] == ""), row
+    assert any(row["found"] == "false" and "slope of the field does not change sign" in row["note"]
+               for row in rows)
+
+
 def test_peaks_rejects_a_grid_too_small_to_bracket(capsys):
     code = main(["peaks", "--preset", "gaetan2009", "--labels", "-", "--points", "2"])
     assert code == 2
@@ -234,6 +255,14 @@ def test_map_subcommand(capsys):
      "rabi_magnitude_rad_s must be finite"),  # finite in MHz, overflows in rad/s
     (["scan", "--preset", "gaetan2009", "--rmax", "inf"], "rmax must be finite"),
     (["peaks", "--preset", "gaetan2009", "--rmax", "inf"], "rmax must be finite"),
+    # positive and finite in nm, but 0 in metres: 2*pi / lambda once divided by zero
+    (["scan", "--preset", "gaetan2009", "--wavelength-nm", "1e-320", "--points", "3"],
+     "wavelength_nm 1e-320 underflows to 0 m"),
+    (["scan", "--rabi-mhz", "1", "--wavelength-nm", "1e-320", "--c3", "-3200"],
+     "wavelength_nm 1e-320 underflows to 0 m"),
+    # every grid point overflows u: nothing to bracket on
+    (["peaks", "--preset", "beguin2013", "--rmin", "1e-320", "--rmax", "1e-300"],
+     "no finite, non-degenerate field on the bracket grid"),
 ])
 def test_trajectory_and_map_inputs_are_checked(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -283,6 +283,49 @@ def test_field_matches_difference_of_connection(preset, x):
     assert field_profile(x, reduced)[1] == pytest.approx((4.0 * d2 - d1) / 3.0, rel=1e-3)
 
 
+def _reduced_at(preset, w):
+    exp = get_preset(preset)
+    drive = dataclasses.replace(exp.drive, detuning_rad_s=w * exp.drive.rabi_magnitude_rad_s)
+    return reduced_parameters(drive, exp.interaction)
+
+
+@pytest.mark.parametrize("preset", ["gaetan2009", "beguin2013"])
+@pytest.mark.parametrize("w", [-40.0, -3.0, -1.0, 0.0, 1.0, 3.0])
+def test_field_slope_matches_central_differences(preset, w):
+    """Closed-form dB/dx against a central difference of B, h = 1e-6·x."""
+    reduced = _reduced_at(preset, w)
+    x = np.geomspace(0.05, 10.0, 200)
+    spec, slope = gauge._field_slope(x, reduced)
+    assert np.array_equal(spec.da_dx, field_profile(x, reduced))  # B bit for bit
+    h = 1e-6 * x
+    fd = (field_profile(x + h, reduced) - field_profile(x - h, reduced)) / (2.0 * h)
+    # the difference's truncation h^2 B'''/6 grows with |w| as the crossings at
+    # u = w and u = 2w sharpen: at most 6.5e-9 for |w| <= 3 and 1.8e-8 at w = -40
+    tol = 1e-8 if abs(w) <= 3.0 else 4e-8
+    assert np.max(np.abs(slope - fd)) <= tol * np.max(np.abs(slope))
+
+
+# dB/dx per label ("1", "-", "+") 0.1% off the defective line u = 2w, where
+# the central difference above does not resolve B: 60-digit mpmath (the
+# cubic's roots Newton-polished, a(x) in closed form, mp.diff twice)
+SLOPES_NEAR_LINE = [
+    ("gaetan2009", -3.0, 0.8085688273,
+     (-3.5929445035530049974, 797.69547347552731489, -794.1025289719743099)),
+    ("gaetan2009", -40.0, 0.7945769648,
+     (-0.042171918192911737777, 25198.344508027759007, -25198.302336109566095)),
+    ("beguin2013", -3.0, 0.8996540425,
+     (-12.332432145118926609, 3633.8223904722951569, -3621.4899583271762303)),
+    ("beguin2013", -40.0, 0.8918360509,
+     (-0.14130390338906210451, 5118.5195699615169309, -5118.3782660581278688)),
+]
+
+
+@pytest.mark.parametrize("preset, w, x, expected", SLOPES_NEAR_LINE)
+def test_field_slope_near_the_defective_line(preset, w, x, expected):
+    _, slope = gauge._field_slope(x, _reduced_at(preset, w))
+    assert slope == pytest.approx(expected, rel=1e-9, abs=0.0)  # measured <= 6.7e-11
+
+
 def test_connection_symmetry_is_bitwise():
     """A^1(V, delta) = A^+(-V, -delta), exact to the last bit."""
     xs = np.geomspace(0.2, 4.0, 9)
