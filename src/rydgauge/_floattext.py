@@ -9,9 +9,10 @@ X is known to about 1e-14 units and, as in Grisu3 (Loitsch, PLDI 2010),
 every value whose rounding that error could change goes to the builtin.
 The shortest digits follow Steele & White (PLDI 1990): the largest power of
 ten with a multiple inside the round-trip interval, and the multiple
-nearest X.  Non-finite values, zeros and |x| outside [1e-280, 1e280] also
-go to the builtin.  Each float step is its own ufunc call, so none is
-contracted into a fused multiply-add.
+nearest X.  A zero of either sign takes the digits n = 0 and exponent k = 0,
+its sign from its sign bit.  Non-finite values and nonzero |x| outside
+[1e-280, 1e280] also go to the builtin.  Each float step is its own ufunc
+call, so none is contracted into a fused multiply-add.
 """
 
 from __future__ import annotations
@@ -167,10 +168,19 @@ def _tails(cells: np.ndarray, rows: int, cols: int, tail: np.ndarray, separators
     cells[:, -8:] = words.reshape(-1, 1).view(np.uint8)
 
 
+def _zeros(x: np.ndarray, n: np.ndarray, fast: np.ndarray) -> None:
+    """Give the zeros of x the digits n = 0 and mark them held by the block path.
+    ``_decimal`` put 1.0 in their place, so k = 0, and ``_shortest`` shows one digit."""
+    zero = x == 0.0
+    n[zero] = 0
+    fast |= zero
+
+
 def _csv_cells(x: np.ndarray, rows: int, cols: int):
     """Cells of sign, 17 digits rounded half to even and tail word; the mask of values they hold."""
     _, k, _, n, frac, fast = _decimal(x)
     fast &= (k >= -6) & (k <= 16) | (np.abs(frac - 0.5) >= _UNSURE)  # exact X: 0 <= 16-k <= 22
+    _zeros(x, n, fast)
     carry = n == _P17
     n[carry] = _P16
     cells = np.empty((x.size, _CSV_CELL), np.uint8)
@@ -186,6 +196,7 @@ def _csv_cells(x: np.ndarray, rows: int, cols: int):
 def _json_cells(x: np.ndarray, rows: int, cols: int):
     """Cells of head word, digits with their "." and tail word, and the mask of values they hold."""
     n, nd, k, fast = _shortest(x)
+    _zeros(x, n, fast)
     sci = (k < -4) | (k > 15)  # repr: exponent form when the point is at <= -4 or > 16
     lead = ~sci & (k < 0)  # "0.", then -k - 1 zeros
     whole = ~sci & ~lead

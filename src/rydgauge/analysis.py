@@ -86,12 +86,15 @@ def scan_1d(
     kept = 0
     for start in range(0, grid.size, _SOLVE_BLOCK):
         x = grid[start : start + _SOLVE_BLOCK]
-        spec = _radial_spectrum(x, reduced)
-        keep = ~near_degenerate(spec.energies)
+        # where u overflows, or underflows to the defective point u = 2w = 0, the
+        # point is excluded as near degenerate or its row rejected as not finite
+        with np.errstate(all="ignore"):
+            spec = _radial_spectrum(x, reduced)
+            keep = ~near_degenerate(spec.energies)
+            columns = (spec.connection, spec.da_dx, spec.scalar(reduced.kappa))
         stop = kept + int(np.count_nonzero(keep))
         r[kept:stop] = x[keep]
-        phi_block = spec.scalar(reduced.kappa)
-        for out, values in ((a, spec.connection), (b, spec.da_dx), (phi, phi_block)):
+        for out, values in zip((a, b, phi), columns):
             out[:, kept:stop] = values[rows][:, keep]
         kept = stop
     return ScanTable(

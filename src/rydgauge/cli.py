@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 
@@ -151,7 +152,14 @@ def _cmd_presets(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call: one per process.
+
+    Every call returns that same parser, so a process that runs many
+    commands builds its seven subparsers once.  Parsing leaves it as it
+    was; callers must not mutate it (add arguments, change defaults).
+    """
     parser = argparse.ArgumentParser(
         prog="rydgauge",
         description="Artificial gauge potentials of laser-driven interacting atom pairs.",
@@ -237,9 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (0, None):

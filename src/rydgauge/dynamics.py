@@ -38,6 +38,9 @@ RTOL = 1e-10
 ATOL_FRACTION = 1e-12
 ERR_FLOOR = 1e-4
 RECORD_STEP_S = 50e-9
+# records one run may keep, about the rows of a bulk scan table: far past it a
+# run would not finish building its list of record times before its first step
+MAX_RECORDS = 1_000_000
 
 # Dormand-Prince 5(4): stage matrix (row 6 is the fifth-order solution,
 # so its stage is the next step's first) and fifth minus fourth order weights
@@ -67,7 +70,7 @@ class TrajectoryConfig:
     Positions and velocities are SI; the pinned atom is at the origin.
     Switches pick force terms independently.  The scalar potential's
     gradient is left out: it is of recoil scale and usually compensated
-    by light shifts.
+    by light shifts.  A run may record at most ``MAX_RECORDS`` states.
     """
 
     drive: DriveParams
@@ -93,6 +96,13 @@ class TrajectoryConfig:
             raise ValueError(f"max time must be finite and positive, got {self.max_time_s!r}")
         if self.output_stride < 1:
             raise ValueError("output stride must be >= 1")
+        step_s = RECORD_STEP_S if self.time_step_s is None else self.time_step_s
+        records = self.max_time_s / step_s / self.output_stride  # a float: it may be inf
+        if records > MAX_RECORDS:
+            raise ValueError(
+                f"max time {self.max_time_s:.6g} s makes about {records:.3g} records, one per "
+                f"{self.output_stride} steps of {step_s:g} s; at most {MAX_RECORDS:,} are kept"
+            )
         for name, value in (("initial position", self.initial_position_m),
                             ("initial velocity", self.initial_velocity_m_s)):
             if not np.all(np.isfinite(value)):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from rydgauge import dynamics
 from rydgauge.cli import build_parser, main
 from rydgauge.config import RunConfig, parse_config, read_config_file
 from rydgauge.tables import SCAN_HEADER
@@ -263,6 +264,8 @@ def test_map_subcommand(capsys):
     # every grid point overflows u: nothing to bracket on
     (["peaks", "--preset", "beguin2013", "--rmin", "1e-320", "--rmax", "1e-300"],
      "no finite, non-degenerate field on the bracket grid"),
+    (["scan", "--preset", "beguin2013", "--rmin", "1e-300", "--rmax", "1e-299", "--points", "3"],
+     "scan rows must be finite"),
 ])
 def test_trajectory_and_map_inputs_are_checked(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -272,6 +275,29 @@ def test_trajectory_and_map_inputs_are_checked(argv, message, capsys):
     assert captured.err.startswith(f"error: {message}")
     assert "RuntimeWarning" not in captured.err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert captured.out == ""
+
+
+def test_scan_past_the_finite_range_of_u_warns_nothing(capsys):
+    # u underflows to the defective point u = 2w = 0: four of five points are excluded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["scan", "--preset", "gaetan2009", "--rmax", "1e308", "--points", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == 2
+
+
+def test_trajectory_rejects_a_run_with_too_many_records(monkeypatch, capsys):
+    # 12 r_c at 1e-30 m/s is 9.5e25 s; its list of record times would never finish
+    def never(config, step_s):
+        raise AssertionError("record times built for a rejected run")
+
+    monkeypatch.setattr(dynamics, "_record_times", never)
+    assert main(["trajectory", "--speed", "1e-30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: max time 9.47531e+25 s makes about 9.48e+30 records")
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
 
 
@@ -316,6 +342,39 @@ def test_benchmark_commands_still_parse(tmp_path):
             assert args.command == cmd.kind
             seen.add(cmd.kind)
     assert seen == {"trajectory", "peaks", "scaling", "map", "scan", "validate"}
+
+
+def test_sweep_commands_repeat_in_one_process(tmp_path, capsys):
+    """The sweep workload's 21 commands, twice through ``main`` in one interpreter.
+
+    The benchmark runs a workload's commands in one process; a usage error
+    and a help page between the passes must leave the one parser as it was.
+    """
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench/workloads.py"))
+    commands = workloads["commands"]("sweep")
+    assert len(commands) == 21
+    build_parser.cache_clear()
+
+    def sweep(out_dir):
+        out_dir.mkdir()
+        results = []
+        for cmd in commands:
+            code = main(workloads["argv_with_output"](cmd, out_dir))
+            captured = capsys.readouterr()
+            results.append((cmd.name, code, captured.out, captured.err,
+                            (out_dir / cmd.output).read_bytes()))
+        return results
+
+    first = sweep(tmp_path / "first")
+    assert main(["peaks", "--no-such-flag"]) == 2
+    assert main(["peaks", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --no-such-flag" in captured.err
+    assert captured.out.startswith("usage: rydgauge peaks")
+    second = sweep(tmp_path / "second")
+    assert [code for _, code, *_ in first] == [0] * 21
+    assert second == first
+    assert build_parser.cache_info().misses == 1
 
 
 def test_presets_subcommand(capsys):

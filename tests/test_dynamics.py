@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,30 @@ def test_config_validation():
         _config(output_stride=0)
     with pytest.raises(ValueError, match="separation"):
         _config(initial_position_m=(0.0, 0.0, 0.0))
+
+
+def _no_record_times(config, step_s):
+    raise AssertionError("record times built for a run the config should have rejected")
+
+
+@pytest.mark.parametrize("overrides, records", [
+    ({"time_step_s": None, "max_time_s": 1.1 * dynamics.MAX_RECORDS * dynamics.RECORD_STEP_S},
+     "1.1e+06"),
+    ({"time_step_s": 1e-12, "max_time_s": 2e-6, "output_stride": 1}, "2e+06"),
+    ({"time_step_s": None, "max_time_s": 9.5e25, "output_stride": 200}, "9.5e+30"),
+    ({"time_step_s": 5e-324, "max_time_s": 1e300}, "inf"),  # the ratio overflows
+], ids=["adaptive", "rk4", "speed-1e-30", "overflow"])
+def test_config_rejects_a_run_with_too_many_records(overrides, records, monkeypatch):
+    # the unbounded list of record times is never built, not even to be counted
+    monkeypatch.setattr(dynamics, "_record_times", _no_record_times)
+    with pytest.raises(ValueError, match=rf"max time \S+ s makes about {re.escape(records)} records"):
+        _config(**overrides)
+
+
+def test_config_keeps_a_run_below_the_record_bound():
+    max_time_s = 0.9 * dynamics.MAX_RECORDS * dynamics.RECORD_STEP_S
+    assert _config(time_step_s=None, max_time_s=max_time_s).max_time_s == max_time_s
+    assert _config(max_time_s=200 * max_time_s, output_stride=200).output_stride == 200
 
 
 @pytest.mark.parametrize("overrides, message", [

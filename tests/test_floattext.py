@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydgauge._floattext import csv_rows, json_rows
+from rydgauge._floattext import _csv_cells, _json_cells, _text, csv_rows, json_rows
 
 
 def _builtin_csv(block):
@@ -106,3 +106,28 @@ def test_empty_and_single_blocks():
     assert json_rows(np.zeros((0, 5))) == b""
     _assert_builtin_bytes(np.array([[0.1]]))
     _assert_builtin_bytes(np.array([[-0.0, 2.5e-7, 1e300, np.nan]]))
+
+
+def test_zeros_among_builtin_values_match_the_builtins():
+    # the map's Bx and Bz columns are all zeros, here beside values only the builtin formats
+    others = np.array([5e-324, -5e-324, 2.225073858507201e-308, 1e-280, -1e-280, 1e280, -1e280,
+                       np.nextafter(1e-280, 0.0), np.nextafter(1e280, np.inf),
+                       np.nan, np.inf, -np.inf])
+    zeros = np.where(np.arange(others.size) % 2, -0.0, 0.0)
+    block = np.column_stack([zeros, others, -zeros, zeros])
+    for shaped in (block, block.T.copy(), block.reshape(-1, 1)):
+        _assert_builtin_bytes(shaped)
+
+
+def test_zeros_stay_on_the_block_path():
+    x = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0])  # two rows of three
+    for cells in (_csv_cells, _json_cells):
+        assert cells(x, 2, 3)[1].all()
+
+    def slow(value):
+        raise AssertionError(f"{value!r} sent to the builtin")
+
+    assert _text(*_csv_cells(x, 2, 3), x, slow, 0, 24) == (
+        b"0.0000000000000000e+00,-0.0000000000000000e+00,-0.0000000000000000e+00\n"
+        b"0.0000000000000000e+00,0.0000000000000000e+00,-0.0000000000000000e+00\n")
+    assert _text(*_json_cells(x, 2, 3), x, slow, 1, 31) == b"[0.0, -0.0, -0.0], [0.0, 0.0, -0.0]"
