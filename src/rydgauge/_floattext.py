@@ -9,10 +9,14 @@ X is known to about 1e-14 units and, as in Grisu3 (Loitsch, PLDI 2010),
 every value whose rounding that error could change goes to the builtin.
 The shortest digits follow Steele & White (PLDI 1990): the largest power of
 ten with a multiple inside the round-trip interval, and the multiple
-nearest X.  A zero of either sign takes the digits n = 0 and exponent k = 0,
-its sign from its sign bit.  Non-finite values and nonzero |x| outside
-[1e-280, 1e280] also go to the builtin.  Each float step is its own ufunc
-call, so none is contracted into a fused multiply-add.
+nearest X.  The search tests 10 and 100 only: X's half-gaps are at most
+X 2^-53 < 11.1 units, so the interval holds at most one multiple of 100,
+and every higher power with a multiple inside has that one; its trailing
+zeros are counted 8, 4, 2 and 1 at a time.  A zero of either sign takes
+the digits n = 0 and exponent k = 0, its sign from its sign bit.
+Non-finite values and nonzero |x| outside [1e-280, 1e280] also go to the
+builtin.  Each float step is its own ufunc call, so none is contracted
+into a fused multiply-add.
 """
 
 from __future__ import annotations
@@ -114,10 +118,10 @@ def _shortest(x: np.ndarray):
     ten = _TABLE[0].take(16 - k - _S_MIN)
     hi = (((bits >> 52) - 53) << 52).view(np.float64) * ten
     lo = (((bits >> 52) - 53 - (bits & (1 << 52) - 1 == 0)) << 52).view(np.float64) * ten
-    del a, bits, ten  # fewer arrays alive while the loop makes its own
+    del a, bits, ten  # fewer arrays alive while the levels make their own
     drop = np.zeros(n.size, np.int64)  # trailing zeros j of the digits
     live, cand = np.arange(n.size), n  # values with a multiple of 10^(j-1) inside, its choice
-    for j in range(1, 19):  # 10^18 has no multiple inside: every value stops
+    for j in (1, 2):
         step = 10**j
         q = f // step
         r = f - q * step
@@ -132,11 +136,16 @@ def _shortest(x: np.ndarray):
         done = np.flatnonzero(~ok)
         n[live[done]], drop[live[done]] = cand[done], j - 1
         kept = np.flatnonzero(ok)
-        if not kept.size:
-            break
         up = in_hi & ~(in_lo & (d_lo < d_hi))  # the nearer multiple inside
         cand = (q + up).take(kept) * step
         live, f, fr, lo, hi = (v.take(kept) for v in (live, f, fr, lo, hi))
+    # the one multiple of 100 inside: its zeros are 2 plus those of cand / 100 <= 10^15
+    m, zeros = cand // 100, 2
+    for p in (8, 4, 2, 1):
+        q = m // 10**p
+        whole = q * 10**p == m
+        m, zeros = np.where(whole, q, m), zeros + p * whole
+    n[live], drop[live] = cand, zeros
     carry = n == _P17
     n[carry], drop[carry] = _P16, 16
     return n, 17 - drop, k + carry, fast

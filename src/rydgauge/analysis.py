@@ -27,8 +27,9 @@ BRACKET_POINTS = 400
 
 REFINE_TOL = 1e-12  # crossover units; contract asks for 1e-10
 FIT_RESIDUAL_LIMIT = 0.05
-# points a scan solves at once: whole-grid (3, 3, n) temporaries would set its peak memory
-_SOLVE_BLOCK = 8192
+# points a scan solves, and rows ``tables.render`` formats, at once: a block's
+# temporaries stay near the 2 MiB L2 cache, so their pages are reused, not faulted in again
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,12 @@ def scan_1d(
 ) -> ScanTable:
     """Tabulate A, B_phi and phi for the requested labels.
 
-    The grid is solved ``_SOLVE_BLOCK`` points at a time; each block's one
-    cubic solve gives its rows and their degeneracy flags, and a point's
-    numbers do not depend on its block.  Grid points whose dressed ladder
-    is near degenerate are excluded and counted instead of producing
-    unreliable rows.  An empty grid gives an empty table; every
-    separation must be finite and > 0.
+    The grid is solved ``_BLOCK`` points at a time, so a block's
+    temporaries stay near L2 size; each block's one cubic solve gives its
+    rows and their degeneracy flags, and a point's numbers do not depend
+    on its block.  Grid points whose dressed ladder is near degenerate are
+    excluded and counted instead of producing unreliable rows.  An empty
+    grid gives an empty table; every separation must be finite and > 0.
     """
     for label in labels:
         _check_label(label)
@@ -84,8 +85,8 @@ def scan_1d(
     r = np.empty(grid.size)
     a, b, phi = (np.empty((len(rows), grid.size)) for _ in range(3))
     kept = 0
-    for start in range(0, grid.size, _SOLVE_BLOCK):
-        x = grid[start : start + _SOLVE_BLOCK]
+    for start in range(0, grid.size, _BLOCK):
+        x = grid[start : start + _BLOCK]
         # where u overflows, or underflows to the defective point u = 2w = 0, the
         # point is excluded as near degenerate or its row rejected as not finite
         with np.errstate(all="ignore"):
@@ -323,14 +324,18 @@ def scaling_fit(
 ) -> ScalingFit:
     """Fit |B_peak| = beta * |delta/Omega|^n over large detunings.
 
-    The detunings must share a sign, satisfy |delta/Omega| >= 10 (the
-    coefficients are leading-order results) and provide at least three
-    points.  When ``kind`` is omitted the dominant extremum (largest
-    |B_phi|) at the first detuning selects it.
+    The detunings must be finite, share a sign, satisfy |delta/Omega| >= 10
+    (the coefficients are leading-order results) and provide at least three
+    distinct points: repeated ones leave the log-log slope undefined.  When
+    ``kind`` is omitted the dominant extremum (largest |B_phi|) at the first
+    detuning selects it.
     """
     ratios = [float(w) for w in detuning_ratios]
-    if len(ratios) < 3:
-        raise ValueError("scaling_fit needs at least 3 detuning ratios")
+    for w in ratios:
+        if not math.isfinite(w):
+            raise ValueError(f"detuning ratios must be finite, got {w}")
+    if len(set(ratios)) < 3:
+        raise ValueError("scaling_fit needs at least 3 distinct detuning ratios")
     if np.any(np.sign(ratios) != np.sign(ratios[0])) or ratios[0] == 0.0:
         raise ValueError("detuning ratios must share one sign")
     if min(abs(w) for w in ratios) < 10.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _floattext
-from .analysis import PeakReport, ScalingFit, ScanTable
+from .analysis import _BLOCK, PeakReport, ScalingFit, ScanTable
 from .dynamics import Trajectory
 from .gauge import FieldMap
 from .model import ModelUnits
@@ -26,7 +26,6 @@ SCAN_LABELS = ("1", "+", "-")  # column order of the scan's value blocks
 SCAN_HEADER = (
     "r_over_rc,A1,Aplus,Aminus,Bphi1,Bphiplus,Bphiminus,phi1,phiplus,phiminus"
 )
-_ROW_BLOCK = 4096  # rows formatted at once: a whole 1e5-row table at once raises peak memory
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ class Table:
     """One output table: column names, its values, JSON-only metadata.
 
     A numeric table holds one float64 array per column in ``values``;
-    ``_floattext`` writes its text ``_ROW_BLOCK`` rows at a time.  A keyed
+    ``_floattext`` writes its text ``analysis._BLOCK`` rows at a time.  A keyed
     table holds ``rows`` that also carry text, bools and tuples of flags,
     and writes its JSON rows as objects keyed by column name.
     """
@@ -68,9 +67,10 @@ def render(table: Table, fmt: str):
     """The table's CSV (or, for ``fmt`` "json", JSON) text, piece by piece.
 
     A numeric table yields its head, the text ``_floattext`` gives for each
-    ``_ROW_BLOCK`` rows, then its tail, so the whole document is never
-    held at once.  The JSON document is ``{"metadata": ..., "rows": [...]}``
-    with "rows" the last key, spliced in as text.
+    ``analysis._BLOCK`` rows, then its tail, so the whole document is never
+    held at once and a block's temporaries stay near L2 size.  The JSON
+    document is ``{"metadata": ..., "rows": [...]}`` with "rows" the last
+    key, spliced in as text.
     """
     as_json = fmt == "json"
     if as_json:
@@ -84,8 +84,8 @@ def render(table: Table, fmt: str):
         yield "".join([",".join(map(_cell, row)) + "\n" for row in table.rows])
     else:
         rows_text = _floattext.json_rows if as_json else _floattext.csv_rows
-        for start in range(0, table.values[0].size, _ROW_BLOCK):
-            block = np.column_stack([c[start : start + _ROW_BLOCK] for c in table.values])
+        for start in range(0, table.values[0].size, _BLOCK):
+            block = np.column_stack([c[start : start + _BLOCK] for c in table.values])
             yield ", " * (as_json and start > 0) + rows_text(block).decode("ascii")
     if as_json:
         yield "]}\n"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_blocked_scan_matches_the_one_block_solve_bit_for_bit(preset, rmin, rmax
     drive, model = _drive_of(preset, 0.0), PRESETS[preset].interaction
     grid = np.geomspace(rmin, rmax, points)
     whole = _scan_documents(drive, model, grid)
-    monkeypatch.setattr(analysis, "_SOLVE_BLOCK", BLOCK)
+    monkeypatch.setattr(analysis, "_BLOCK", BLOCK)
     assert _scan_documents(drive, model, grid) == whole
     if points == 4 * BLOCK + 3:  # several blocks, carrying the cases they are meant to
         deflated = np.abs(reduced_parameters(drive, model).shift_ratio(grid)) > DEFLATE_AT
@@ -120,7 +121,7 @@ def test_blocked_scan_matches_the_one_block_solve_bit_for_bit(preset, rmin, rmax
 
 
 def test_scan_solves_once_per_block(solves, monkeypatch):
-    monkeypatch.setattr(analysis, "_SOLVE_BLOCK", BLOCK)
+    monkeypatch.setattr(analysis, "_BLOCK", BLOCK)
     scan_1d(_drive(-1.0), GAETAN.interaction, r_grid=np.geomspace(0.5, 5.0, 2 * BLOCK + 1))
     assert solves == [BLOCK, BLOCK, 1]
 
@@ -141,7 +142,7 @@ def test_default_scan_serializes_like_the_cli_order():
 @pytest.mark.parametrize("points", [0, 1, 3, 7])
 def test_scan_serialization_matches_the_per_value_loop(points, monkeypatch):
     """Rows converted and spliced block by block give the bytes of one value at a time."""
-    monkeypatch.setattr(tables, "_ROW_BLOCK", 3)  # empty, partial, whole and several blocks
+    monkeypatch.setattr(tables, "_BLOCK", 3)  # empty, partial, whole and several blocks
     grid = np.geomspace(0.05, 5.0, points)
     table = scan_1d(_drive(-1.0), GAETAN.interaction, labels=SCAN_LABELS, r_grid=grid)
     columns = [table.r_over_rc, *table.vector_potential, *table.azimuthal_field,
@@ -352,3 +353,10 @@ def test_scaling_fit_validation():
         scaling_fit(drive, GAETAN.interaction, "1", (-10.0, 20.0, -40.0))
     with pytest.raises(ValueError, match=">= 10"):
         scaling_fit(drive, GAETAN.interaction, "1", (-5.0, -20.0, -40.0))
+    # repeated ratios leave the slope 0/0: three points, but not three distinct ones
+    for ratios in ((-10.0, -10.0, -10.0), (-10.0, -10.0, -20.0), (-10.0, -20.0, -10.0, -20.0)):
+        with pytest.raises(ValueError, match="at least 3 distinct detuning ratios"):
+            scaling_fit(drive, GAETAN.interaction, "1", ratios)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"detuning ratios must be finite, got {bad}"):
+            scaling_fit(drive, GAETAN.interaction, "1", (bad, -20.0, -30.0))

@@ -63,19 +63,20 @@ def test_scan_csv_and_json_carry_identical_values(capsys):
         assert parsed == pytest.approx(row, rel=0.0, abs=0.0)
 
 
-def test_bulk_scan_memory_stays_a_block_plus_the_table(tmp_path):
-    """One 1e5-point scan to JSON holds its table's 8 MB of columns, one solve block and
-    one block of text; the whole document or whole-grid temporaries would not fit."""
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bulk_scan_memory_stays_a_block_plus_the_table(fmt, tmp_path):
+    """One 1e5-point scan holds its table's 8 MB of columns, one solve block and one block
+    of text; the whole document or whole-grid temporaries would not fit."""
     argv = ["scan", "--preset", "beguin2013", "--detuning-ratio", "0", "--rmin", "0.01",
-            "--rmax", "20", "--points", "100000", "--format", "json",
-            "--output", str(tmp_path / "scan.json")]
+            "--rmax", "20", "--points", "100000", "--format", fmt,
+            "--output", str(tmp_path / f"scan.{fmt}")]
     tracemalloc.start()
     try:
         assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    assert peak <= 12 * 2**20
 
 
 def test_scan_si_flag_switches_the_length_column(capsys):
@@ -266,6 +267,13 @@ def test_map_subcommand(capsys):
      "no finite, non-degenerate field on the bracket grid"),
     (["scan", "--preset", "beguin2013", "--rmin", "1e-300", "--rmax", "1e-299", "--points", "3"],
      "scan rows must be finite"),
+    # repeated ratios leave the fit's slope 0/0: it would print -inf, inf and nan
+    (["scaling", "--preset", "gaetan2009", "--labels", "-", "--detuning-ratios=-10,-10,-10"],
+     "scaling_fit needs at least 3 distinct detuning ratios"),
+    (["scaling", "--preset", "gaetan2009", "--labels", "-", "--detuning-ratios=-10,-10,-10",
+      "--format", "json"], "scaling_fit needs at least 3 distinct detuning ratios"),
+    (["scaling", "--preset", "gaetan2009", "--labels", "-", "--detuning-ratios=nan,-20,-30"],
+     "detuning ratios must be finite, got nan"),
 ])
 def test_trajectory_and_map_inputs_are_checked(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:

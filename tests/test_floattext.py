@@ -2,12 +2,23 @@
 
 import hashlib
 import json
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydgauge._floattext import _csv_cells, _json_cells, _text, csv_rows, json_rows
+from rydgauge._floattext import (
+    _csv_cells,
+    _decimal,
+    _json_cells,
+    _shortest,
+    _text,
+    csv_rows,
+    json_rows,
+)
 
 
 def _builtin_csv(block):
@@ -93,6 +104,90 @@ def test_edge_values_match_the_builtins():
     values = _edges()
     _assert_builtin_bytes(values.reshape(-1, 1))
     _assert_builtin_bytes(values[: values.size // 7 * 7].reshape(-1, 7))
+
+
+def _shortest_lengths():
+    """200 values whose shortest text has d digits, for each d from 1 to 17."""
+    rng = np.random.default_rng(20102)
+    values = []
+    for digits in range(1, 18):
+        mantissas = rng.integers(10 ** (digits - 1), 10**digits, 200)
+        mantissas += rng.integers(1, 10, 200) - mantissas % 10  # no trailing zero
+        exponents = rng.integers(-280, 281 - digits, 200)  # inside the block path's range
+        values += [float(f"{m}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
+    return np.array(values)
+
+
+def _near_powers_of_ten():
+    """10^p and eight neighbours on either side: X at its 10^16 and 10^17 bounds, and the
+    nines just below a power, whose nearest multiple carries to 10^17."""
+    powers = np.array([float(f"1e{p}") for p in range(-307, 309)])
+    values = [powers]
+    for direction in (0.0, np.inf):
+        near = powers
+        for _ in range(8):
+            near = np.nextafter(near, direction)
+            values.append(near)
+    values.append([float(f"9.99999999999999{d}e{p}") for p in range(-300, 300) for d in (9, 99)])
+    return np.concatenate(values)
+
+
+def _ends_near_multiples():
+    """Doubles with an end of their round-trip interval 5^z s / 2^m units of X from a multiple
+    of 10^z (z = 1, 2) for odd s in +-1, +-3: from 2e-15 to 2 units.
+
+    Where the scale 10^n (n = 16 - k) is exact, the midpoint above a = q 2^e is
+    X = (2q + 1) 5^n / 2^m with m = 1 - e - n, so (2q + 1) 5^(n - z) = s mod 2^(m + z)
+    puts it 5^z s / 2^m above a multiple of 10^z.  The double after a shares that end.
+    """
+    rng = random.Random(20103)
+    values = []
+    for k in range(-6, 16):
+        n = 16 - k
+        for b in range(math.floor(k * math.log2(10)), math.floor((k + 1) * math.log2(10)) + 1):
+            e = b - 52  # a in [2^b, 2^(b + 1)), q in [2^52, 2^53)
+            m = 1 - e - n
+            for z in (1, 2):
+                if m < 1 or z > n:
+                    continue
+                modulus = 2 ** (m + z)
+                for s in (1, -1, 3, -3):
+                    odd = s * pow(5 ** (n - z), -1, modulus) % modulus
+                    period = modulus // 2  # of q
+                    first = -(-(2**52 - odd // 2) // period)
+                    last = (2**53 - 1 - odd // 2) // period
+                    for _ in range(3 if first <= last else 0):
+                        q = odd // 2 + rng.randint(first, last) * period
+                        if 10**k <= Fraction(q) * Fraction(2) ** e < 10 ** (k + 1):
+                            values.append(math.ldexp(q, e))
+    values = np.array(values)
+    return np.concatenate([values, np.nextafter(values, np.inf)])
+
+
+def _digit_count(text):
+    return len(text.split("e")[0].replace("-", "").replace(".", "").strip("0"))
+
+
+def test_shortest_digits_match_json_dumps():
+    """The two levels of the digit search and the count of a multiple of 100's zeros give
+    json.dumps's text: all shortest lengths, powers of ten, carries, interval ends."""
+    lengths, powers, ends = _shortest_lengths(), _near_powers_of_ten(), _ends_near_multiples()
+    texts = json.dumps(lengths.tolist())[1:-1].split(", ")
+    assert sorted({_digit_count(text) for text in texts}) == list(range(1, 18))
+    assert json.dumps(9.999999999999999e22) == "1e+23"
+    specials = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, np.nan, np.inf]
+    for values in (lengths, powers, ends, np.array(specials)):
+        values = np.concatenate([values, -values])
+        _assert_builtin_bytes(values.reshape(-1, 1))
+        _assert_builtin_bytes(values[: values.size // 5 * 5].reshape(-1, 5))
+    # 1e23's double has its interval end at 10^17 exactly: the builtin decides it, but
+    # 1e-278's double sits below 10^-278, and its one digit carries on the block path
+    assert not _json_cells(np.array([9.999999999999999e22]), 1, 1)[1].any()
+    assert _decimal(np.array([1e-278]))[1] == -279
+    assert [v.tolist() for v in _shortest(np.array([1e-278]))] == [[10**16], [1], [-278], [True]]
+    # most constructed values are decided by the block path, not handed to the builtin
+    assert _json_cells(lengths, lengths.size, 1)[1].mean() > 0.99
+    assert _json_cells(ends, ends.size, 1)[1].mean() > 0.5
 
 
 @settings(max_examples=300, deadline=None)

@@ -191,7 +191,7 @@ STREAMED = {
 def test_streamed_documents_are_the_joined_text(kind, fmt, tmp_path, monkeypatch, capsys):
     """The CLI writes a table piece by piece, to a file or stdout, with the bytes of
     to_csv/to_json; every byte goes through tables.write_text, which counts them."""
-    monkeypatch.setattr(tables, "_ROW_BLOCK", 4)  # several row blocks per numeric table
+    monkeypatch.setattr(tables, "_BLOCK", 4)  # several row blocks per numeric table
     rendered, pieces = [], []
     render, write_text = tables.render, tables.write_text
 

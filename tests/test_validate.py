@@ -57,6 +57,26 @@ def test_checks_fail_on_a_closed_form_off_by_1e5(monkeypatch, name, perturb, che
     assert not check().passed
 
 
+@pytest.mark.parametrize("bad", [np.nan, 1.0 + 1e-5])
+def test_eigenvalue_check_reads_every_chunk(monkeypatch, bad):
+    """The draws are checked in chunks with the report of one chunk, and one wrong
+    energy in the last, partial chunk still fails the check."""
+    whole = validate._check_eigenvalues(2500)
+    monkeypatch.setattr(validate, "_DRAW_CHUNK", 2500)
+    assert validate._check_eigenvalues(2500) == whole
+    monkeypatch.setattr(validate, "_DRAW_CHUNK", 1000)
+    spectrum = validate.labeled_spectrum
+
+    def last_chunk_off(u, w):
+        energies, ee, gg = spectrum(u, w)
+        if u.size < 1000:
+            energies[0, -1] *= bad
+        return energies, ee, gg
+
+    monkeypatch.setattr(validate, "labeled_spectrum", last_chunk_off)
+    assert not validate._check_eigenvalues(2500).passed
+
+
 def test_fd_oracles_do_not_use_the_closed_form(monkeypatch):
     """The oracles agree with A and phi while the closed-form solve raises."""
     drive = validate._drive(-1.0)
