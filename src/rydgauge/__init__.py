@@ -23,7 +23,6 @@ from .dynamics import (
     ModelValidityError,
     Trajectory,
     TrajectoryConfig,
-    TrajectoryState,
     adiabaticity,
     deflection_scenario,
     integrate,

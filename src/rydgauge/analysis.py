@@ -17,7 +17,7 @@ import numpy as np
 
 from .gauge import _field_slope, _positive_finite, _radial_spectrum
 from .model import DriveParams, InteractionModel, ReducedParameters, reduced_parameters
-from .spectrum import LABEL_INDEX, LABELS, _check_label, near_degenerate
+from .spectrum import LABEL_INDEX, _check_label, near_degenerate
 
 # bracketing grid: log-spaced, wide enough for every documented extremum
 # while keeping the vdW peaks resolved
@@ -25,6 +25,7 @@ BRACKET_RMIN = 0.05
 BRACKET_RMAX = 10.0
 BRACKET_POINTS = 400
 
+SCAN_LABELS = ("1", "+", "-")  # row order of a scan, column order of its table
 REFINE_TOL = 1e-12  # crossover units; contract asks for 1e-10
 FIT_RESIDUAL_LIMIT = 0.05
 # points a scan solves, and rows ``tables.render`` formats, at once: a block's
@@ -34,14 +35,16 @@ _BLOCK = 1024
 
 @dataclass(frozen=True)
 class ScanTable:
-    """Gauge quantities per label over a separation grid, model units."""
+    """Gauge quantities per label over a separation grid, model units.
+
+    The value arrays have one row per label, in ``SCAN_LABELS`` order.
+    """
 
     metadata: dict
-    labels: tuple
     r_over_rc: np.ndarray  # (n,)
-    vector_potential: np.ndarray  # (len(labels), n), hbar*k_L
-    azimuthal_field: np.ndarray  # (len(labels), n), B0
-    scalar_potential: np.ndarray  # (len(labels), n), hbar^2*k_L^2/(2m)
+    vector_potential: np.ndarray  # (3, n), hbar*k_L
+    azimuthal_field: np.ndarray  # (3, n), B0
+    scalar_potential: np.ndarray  # (3, n), hbar^2*k_L^2/(2m)
     excluded_count: int = 0
 
     def __post_init__(self) -> None:
@@ -52,13 +55,8 @@ class ScanTable:
                 raise ValueError("scan rows must be finite")
 
 
-def scan_1d(
-    params: DriveParams,
-    model: InteractionModel,
-    labels: tuple = LABELS,
-    r_grid=(),
-) -> ScanTable:
-    """Tabulate A, B_phi and phi for the requested labels.
+def scan_1d(params: DriveParams, model: InteractionModel, r_grid) -> ScanTable:
+    """Tabulate A, B_phi and phi of the three labels, rows in ``SCAN_LABELS`` order.
 
     The grid is solved ``_BLOCK`` points at a time, so a block's
     temporaries stay near L2 size; each block's one cubic solve gives its
@@ -67,8 +65,6 @@ def scan_1d(
     excluded and counted instead of producing unreliable rows.  An empty
     grid gives an empty table; every separation must be finite and > 0.
     """
-    for label in labels:
-        _check_label(label)
     grid = _positive_finite(r_grid, "separation in r_grid")
     if grid.size and not np.all(np.diff(grid) > 0.0):
         raise ValueError("scan grid must be strictly increasing")
@@ -79,9 +75,9 @@ def scan_1d(
         "rabi_rad_s": abs(params.rabi_complex),
         "detuning_ratio": params.detuning_ratio,
         "kappa": reduced.kappa,
-        "labels": ",".join(labels),
+        "labels": ",".join(SCAN_LABELS),
     }
-    rows = [LABEL_INDEX[label] for label in labels]
+    rows = [LABEL_INDEX[label] for label in SCAN_LABELS]
     r = np.empty(grid.size)
     a, b, phi = (np.empty((len(rows), grid.size)) for _ in range(3))
     kept = 0
@@ -100,7 +96,6 @@ def scan_1d(
         kept = stop
     return ScanTable(
         metadata=metadata,
-        labels=tuple(labels),
         r_over_rc=r[:kept],
         vector_potential=a[:, :kept],
         azimuthal_field=b[:, :kept],

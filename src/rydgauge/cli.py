@@ -68,9 +68,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     config = _load_config(args)
     drive, model = build_experiment(config)
     grid = np.geomspace(config.rmin, config.rmax, config.points)
-    # The scan schema carries all nine value columns; the label subset in
-    # the config only narrows peaks/scaling.
-    table = analysis.scan_1d(drive, model, ("1", "+", "-"), grid)
+    # A scan carries all three labels; the label subset in the config only
+    # narrows peaks/scaling.
+    table = analysis.scan_1d(drive, model, grid)
     units = ModelUnits.from_experiment(drive, model) if config.si else None
     _write(config, tables.scan_table(table, units))
     return 0
@@ -125,7 +125,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     if trajectory.aborted:
         print(f"aborted: {trajectory.reason}", file=sys.stderr)
         return 1
-    deflection_um = trajectory.states[-1].position_m[2] * 1e6
+    deflection_um = trajectory.position_m[-1, 2] * 1e6
     # beside a table on stdout the summary goes to stderr: stdout stays one document
     print(f"z-deflection: {deflection_um:.6f} um", file=sys.stdout if args.output else sys.stderr)
     return 0

@@ -53,25 +53,18 @@ class ComScalarPotentials:
     near_degenerate: np.ndarray
 
 
-def com_scalar_potentials(
-    params: DriveParams,
-    model: InteractionModel,
-    r_ab,
-    mass_a_kg: float | None = None,
-    mass_b_kg: float | None = None,
-) -> ComScalarPotentials:
+def com_scalar_potentials(params: DriveParams, model: InteractionModel, r_ab) -> ComScalarPotentials:
     """Scalar potentials of every labeled state in COM variables, one solve.
 
     ``r_ab`` is one separation or an array of them, crossover units, each
-    finite and > 0.  The COM part keeps only the phase-gradient
-    (total-momentum) terms; displacing both atoms together leaves the
-    amplitudes unchanged, so each cross-label overlap picks up twice the
-    single-photon recoil, hence the factor 4.  The relative part keeps the
-    amplitude derivatives plus the phase terms damped by ((m_b - m_a)/M)^2.
+    finite and > 0; the masses are the drive's.  The COM part keeps only
+    the phase-gradient (total-momentum) terms; displacing both atoms
+    together leaves the amplitudes unchanged, so each cross-label overlap
+    picks up twice the single-photon recoil, hence the factor 4.  The
+    relative part keeps the amplitude derivatives plus the phase terms
+    damped by ((m_b - m_a)/M)^2.
     """
-    m_a = params.mass_a_kg if mass_a_kg is None else mass_a_kg
-    m_b = params.mass_b_kg if mass_b_kg is None else mass_b_kg
-    _check_masses(m_a, m_b)
+    m_a, m_b = params.mass_a_kg, params.mass_b_kg
     dm = (m_b - m_a) / (m_a + m_b)
 
     reduced = reduced_parameters(params, model)

@@ -6,8 +6,9 @@ partner sits at the origin and does not recoil.  By default the motion
 is integrated with adaptive Dormand-Prince 5(4) (Dormand & Prince,
 J. Comput. Appl. Math. 6, 19 (1980)); an explicit time step selects
 classic fixed-step RK4.  Both abort where the adiabatic model itself
-stops being trustworthy.  Each recorded state carries the closed-form
-adiabaticity parameter (Dalibard et al., Rev. Mod. Phys. 83, 1523 (2011)).
+stops being trustworthy.  A run is returned as columns: times,
+positions, velocities and the closed-form adiabaticity parameter
+(Dalibard et al., Rev. Mod. Phys. 83, 1523 (2011)) of every record.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ RECORD_STEP_S = 50e-9
 # records one run may keep, about the rows of a bulk scan table: far past it a
 # run would not finish building its list of record times before its first step
 MAX_RECORDS = 1_000_000
+# deflection scenario: start this many r_c out, record every this many steps
+APPROACH_RC = 6.0
+SCENARIO_STRIDE = 200
 
 # Dormand-Prince 5(4): stage matrix (row 6 is the fifth-order solution,
 # so its stage is the next step's first) and fifth minus fourth order weights
@@ -68,9 +72,11 @@ class TrajectoryConfig:
     """Everything one integration needs.
 
     Positions and velocities are SI; the pinned atom is at the origin.
-    Switches pick force terms independently.  The scalar potential's
-    gradient is left out: it is of recoil scale and usually compensated
-    by light shifts.  A run may record at most ``MAX_RECORDS`` states.
+    Switches pick force terms independently.  The Lorentz term carries the
+    elementary charge, the e of the field unit B0 = hbar*k_L/(e*r_c).  The
+    scalar potential's gradient is left out: it is of recoil scale and
+    usually compensated by light shifts.  A run may record at most
+    ``MAX_RECORDS`` states.
     """
 
     drive: DriveParams
@@ -79,11 +85,9 @@ class TrajectoryConfig:
     initial_velocity_m_s: tuple
     max_time_s: float
     label: str = "+"  # connects to |gg> at large separation
-    charge_C: float = ELEMENTARY_CHARGE
     time_step_s: float | None = None  # None: adaptive Dormand-Prince 5(4)
     include_lorentz: bool = True
     include_adiabatic_potential: bool = True
-    background_energy_J: float = 0.0
     output_stride: int = 1
 
     def __post_init__(self) -> None:
@@ -94,8 +98,8 @@ class TrajectoryConfig:
             raise ValueError(f"time step must be finite and positive, got {self.time_step_s!r}")
         if not (math.isfinite(self.max_time_s) and self.max_time_s > 0.0):
             raise ValueError(f"max time must be finite and positive, got {self.max_time_s!r}")
-        if self.output_stride < 1:
-            raise ValueError("output stride must be >= 1")
+        if not isinstance(self.output_stride, (int, np.integer)) or self.output_stride < 1:
+            raise ValueError(f"output_stride must be an integer >= 1, got {self.output_stride!r}")
         step_s = RECORD_STEP_S if self.time_step_s is None else self.time_step_s
         records = self.max_time_s / step_s / self.output_stride  # a float: it may be inf
         if records > MAX_RECORDS:
@@ -112,29 +116,19 @@ class TrajectoryConfig:
 
 
 @dataclass(frozen=True)
-class TrajectoryState:
-    """One recorded sample along the path."""
-
-    t_s: float
-    position_m: np.ndarray
-    velocity_m_s: np.ndarray
-    energy_J: float  # dressed-state energy plus the uniform background
-    adiabaticity: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.energy_J):
-            raise ValueError("energy diagnostic must be finite")
-        if not self.adiabaticity >= 0.0:
-            raise ValueError("adiabaticity parameter must be >= 0")
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Recorded states plus how the integration ended."""
+    """The recorded path as columns, one row per record, plus how the run ended."""
 
-    states: tuple = ()
+    t_s: np.ndarray  # (n,)
+    position_m: np.ndarray  # (n, 3)
+    velocity_m_s: np.ndarray  # (n, 3)
+    adiabaticity: np.ndarray  # (n,)
     aborted: bool = False
     reason: str = ""
+
+    def __post_init__(self) -> None:
+        if not np.all(self.adiabaticity >= 0.0):  # a NaN fails too
+            raise ValueError("adiabaticity parameter must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -183,7 +177,7 @@ def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
         spec = _radial_spectrum(x, engine.reduced)  # solved only for a term that reads it
     if config.include_lorentz:
         b_si = engine.field_T * spec.da_dx[row] * _cross(e_r, engine.khat)
-        total += config.charge_C * _cross(vel, b_si)
+        total += ELEMENTARY_CHARGE * _cross(vel, b_si)
     if config.include_adiabatic_potential:
         total += -spec.de_dx[row] * (engine.energy_J / engine.r_c_m) * e_r
     return total
@@ -327,8 +321,8 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
     ``output_stride`` steps of the fixed step (50 ns on the adaptive
     path), and at the end.  A force evaluation below the validity floor
     ends the run: the partial trajectory is returned with the reason.
-    The energies and adiabaticity of all recorded states, a partial run's
-    included, come from batched calls after the run.
+    The adiabaticity of all records, a partial run's included, comes from
+    one batched call after the run.
     """
     engine = _engine(config)
     records = [(0.0, config.initial_position_m, config.initial_velocity_m_s)]
@@ -342,11 +336,14 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
     times, positions, velocities = zip(*records)
     positions = np.array(positions, dtype=float)
     velocities = np.array(velocities, dtype=float)
-    spec = _radial_spectrum(_row_norms(positions) / engine.r_c_m, engine.reduced)
-    energies = spec.energies[LABEL_INDEX[config.label]] * engine.energy_J + config.background_energy_J
-    monitor = adiabaticity(config, positions, velocities)
-    states = map(TrajectoryState, times, positions, velocities, energies.tolist(), monitor.tolist())
-    return Trajectory(states=tuple(states), aborted=aborted, reason=reason)
+    return Trajectory(
+        t_s=np.array(times, dtype=float),
+        position_m=positions,
+        velocity_m_s=velocities,
+        adiabaticity=adiabaticity(config, positions, velocities),
+        aborted=aborted,
+        reason=reason,
+    )
 
 
 def deflection_scenario(
@@ -355,13 +352,12 @@ def deflection_scenario(
     impact_parameter_rc: float = 1.0,
     label: str = "+",
     time_step_s: float | None = None,
-    approach_rc: float = 6.0,
-    output_stride: int = 200,
 ) -> TrajectoryConfig:
     """Far-approach flyby probing the transverse Lorentz deflection.
 
     The atom crosses the interaction region in the plane perpendicular
-    to the beam, starting ``approach_rc`` crossover distances out, so
+    to the beam, from ``APPROACH_RC`` crossover distances out to as far
+    past the partner, recording every ``SCENARIO_STRIDE`` steps, so
     the deflection along the beam axis is the integrated signature of
     the azimuthal field.  Only the Lorentz term is enabled: the in-plane
     energy gradient would dominate the motion long before the crossing
@@ -373,19 +369,17 @@ def deflection_scenario(
         raise ValueError(f"speed must be finite and positive, got {speed_m_s!r} m/s")
     if not math.isfinite(impact_parameter_rc):
         raise ValueError(f"impact parameter must be finite, got {impact_parameter_rc!r} r_c")
-    if not (math.isfinite(approach_rc) and approach_rc > 0):
-        raise ValueError(f"approach distance must be finite and positive, got {approach_rc!r} r_c")
     preset = get_preset(preset_name)
     units = ModelUnits.from_experiment(preset.drive, preset.interaction)
     r_c = units.length_m
     return TrajectoryConfig(
         drive=preset.drive,
         interaction=preset.interaction,
-        initial_position_m=(-approach_rc * r_c, impact_parameter_rc * r_c, 0.0),
+        initial_position_m=(-APPROACH_RC * r_c, impact_parameter_rc * r_c, 0.0),
         initial_velocity_m_s=(speed_m_s, 0.0, 0.0),
-        max_time_s=2.0 * approach_rc * r_c / speed_m_s,
+        max_time_s=2.0 * APPROACH_RC * r_c / speed_m_s,
         label=label,
         time_step_s=time_step_s,
         include_adiabatic_potential=False,
-        output_stride=output_stride,
+        output_stride=SCENARIO_STRIDE,
     )

@@ -77,7 +77,11 @@ class DriveParams:
             raise ValueError("wavenumber_rad_m must be positive")
         if not (self.mass_a_kg > 0.0 and self.mass_b_kg > 0.0):
             raise ValueError("atomic masses must be positive")
-        norm = math.sqrt(sum(c * c for c in self.wavevector_direction))
+        direction = self.wavevector_direction
+        if len(direction) != 3 or not all(math.isfinite(c) for c in direction):
+            raise ValueError(
+                f"wavevector_direction must have three finite components, got {direction!r}")
+        norm = math.sqrt(sum(c * c for c in direction))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError("wavevector_direction must be a unit vector")
 

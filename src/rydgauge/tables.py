@@ -22,7 +22,6 @@ from .dynamics import Trajectory
 from .gauge import FieldMap
 from .model import ModelUnits
 
-SCAN_LABELS = ("1", "+", "-")  # column order of the scan's value blocks
 SCAN_HEADER = (
     "r_over_rc,A1,Aplus,Aminus,Bphi1,Bphiplus,Bphiminus,phi1,phiplus,phiminus"
 )
@@ -102,10 +101,8 @@ def to_json(table: Table) -> str:
 
 
 def scan_table(table: ScanTable, units: ModelUnits | None = None) -> Table:
-    """The nine value columns in ``SCAN_LABELS`` order; SI exactly when ``units`` is given."""
-    if sorted(table.labels) != sorted(SCAN_LABELS):
-        raise ValueError(f"scan serialization expects the labels {SCAN_LABELS} in any order")
-    order = [table.labels.index(label) for label in SCAN_LABELS]
+    """The nine value columns, each block in ``analysis.SCAN_LABELS`` order; SI
+    exactly when ``units`` is given."""
     r = table.r_over_rc
     a, b, phi = table.vector_potential, table.azimuthal_field, table.scalar_potential
     names = SCAN_HEADER.split(",")
@@ -115,17 +112,16 @@ def scan_table(table: ScanTable, units: ModelUnits | None = None) -> Table:
         a = units.to_si(a, "vector_potential")
         b = units.to_si(b, "field")
         phi = units.to_si(phi, "scalar_a")
-    columns = [r] + [block[i] for block in (a, b, phi) for i in order]
+    columns = [r, *a, *b, *phi]
     metadata = dict(table.metadata, excluded_rows=table.excluded_count)
     return Table(tuple(names), tuple(columns), metadata=metadata)
 
 
 def trajectory_table(trajectory: Trajectory) -> Table:
-    rows = np.array([(s.t_s, *s.position_m, *s.velocity_m_s, s.adiabaticity)
-                     for s in trajectory.states], float)
     return Table(
         ("t_s", "x_m", "y_m", "z_m", "vx", "vy", "vz", "adiabaticity"),
-        tuple(rows.T),
+        (trajectory.t_s, *trajectory.position_m.T, *trajectory.velocity_m_s.T,
+         trajectory.adiabaticity),
         metadata={"aborted": trajectory.aborted, "reason": trajectory.reason},
     )
 

@@ -6,10 +6,11 @@ byte-identical reports.  The quick tier draws 2,000 dense spectra and
 checks the finite-difference oracles at 6 points; the full tier draws
 10,000 and checks 240 points (8 separations x 5 detunings x 2
 interactions x 3 labels).  The acceptance tests run the same check
-functions at 10,000 draws and 360 points (12 separations), and the field
-symmetries on 9 separations instead of 7.  The checks of
-the limits work in reduced units on (u, w) grids: one general solve and
-one call of the limit's array function in ``regimes`` each.
+functions at 10,000 draws and 360 points (12 separations), the field
+symmetries on 9 separations instead of 7 and the COM split on 200
+separations instead of 1.  The checks of the limits work in reduced
+units on (u, w) grids: one general solve and one call of the limit's
+array function in ``regimes`` each.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .regimes import (
     weak_expansion,
 )
 from .spectrum import (
-    LABEL_INDEX,
     LABELS,
     _label_rows,
     _row_norms,
@@ -244,32 +244,34 @@ def _check_symmetry(xs) -> CheckResult:
     )
 
 
-def _check_com() -> CheckResult:
-    drive = dataclasses.replace(_drive(-1.0), mass_b_kg=_drive(0.0).mass_b_kg * 40.0 / 87.0)
+def _check_com(xs) -> CheckResult:
+    """The COM split of every label over the separations ``xs``, atom b at
+    40/87 of atom a's mass: A_R is the plain sum, the momentum variances
+    weighted by 1/m_a + 1/m_b equal the COM and relative ones, the phase
+    cross term leaves the relative part exactly as equal masses remove it,
+    and both scalar parts are nonnegative."""
+    even = _drive(-1.0)  # both atoms of the preset's mass
+    drive = dataclasses.replace(even, mass_b_kg=even.mass_b_kg * 40.0 / 87.0)
     model = _model(InteractionKind.RDD, -1.0)
-    x = 1.0
-    row = LABEL_INDEX["+"]
-    reduced = reduced_parameters(drive, model)
-    khat = np.asarray(drive.wavevector_direction, dtype=float)
-    a_single = connection_profile(x, reduced)[row] * khat
-    a_com, a_rel = com_vector_potentials(
-        a_single, a_single, drive.mass_a_kg, drive.mass_b_kg
-    )
-    sum_exact = float(np.abs(a_com - 2.0 * a_single).max()) == 0.0
-    phi = scalar_profile(x, reduced)[row]
-    com = com_scalar_potentials(drive, model, x)
-    phi_com, phi_relative = com.phi_com[row], com.phi_relative[row]
     m_a, m_b = drive.mass_a_kg, drive.mass_b_kg
     m_total = m_a + m_b
-    mu = m_a * m_b / m_total
+    reduced = reduced_parameters(drive, model)
+    khat = np.asarray(drive.wavevector_direction, dtype=float)
+    a_single = connection_profile(xs, reduced)[..., None] * khat
+    a_com, _ = com_vector_potentials(a_single, a_single, m_a, m_b)
+    sum_exact = bool(np.all(a_com == 2.0 * a_single))
+    phi = scalar_profile(xs, reduced)
+    com = com_scalar_potentials(drive, model, xs)
     lhs = phi / m_a + phi / m_b
-    rhs = phi_com / m_total + phi_relative / mu
-    identity = abs(lhs - rhs) / lhs
-    nonneg = phi_com >= 0.0 and phi_relative >= 0.0
-    passed = sum_exact and identity < 1e-10 and nonneg
+    rhs = com.phi_com / m_total + com.phi_relative / (m_a * m_b / m_total)
+    identity = float(np.max(np.abs(lhs - rhs) / lhs))
+    cross = com.phi_relative - com_scalar_potentials(even, model, xs).phi_relative
+    expected = ((m_b - m_a) / m_total) ** 2 * com.phi_com / 4.0
+    cross_dev = float(np.max(np.abs(cross - expected) / expected))
+    nonneg = bool(np.all(com.phi_com >= 0.0) and np.all(com.phi_relative >= 0.0))
     return CheckResult(
         name="com_frame_decomposition",
-        passed=passed,
+        passed=sum_exact and identity < 1e-10 and cross_dev < 1e-10 and nonneg,
         detail=f"variance identity rel {identity:.2e}",
     )
 
@@ -319,8 +321,8 @@ def _check_determinism() -> CheckResult:
     drive = _drive(0.0)
     model = _model(InteractionKind.RDD, -1.0)
     grid = np.geomspace(0.5, 2.0, 11)
-    first = to_csv(scan_table(scan_1d(drive, model, ("1", "+", "-"), grid)))
-    second = to_csv(scan_table(scan_1d(drive, model, ("1", "+", "-"), grid)))
+    first = to_csv(scan_table(scan_1d(drive, model, grid)))
+    second = to_csv(scan_table(scan_1d(drive, model, grid)))
     return CheckResult(
         name="scan_serialization_deterministic",
         passed=first == second,
@@ -357,7 +359,7 @@ def run_checks(quick: bool = True) -> list[CheckResult]:
         _check_blockade(),
         _check_weak(),
         _check_symmetry(np.geomspace(0.3, 3.0, 7)),
-        _check_com(),
+        _check_com(np.array([1.0])),
         _check_antiblockade(),
         _check_effective_hamiltonian(),
         _check_single_atom(),

@@ -8,25 +8,16 @@ import dataclasses
 import time
 
 import numpy as np
-import pytest
 
-from rydgauge.analysis import scaling_fit, scan_1d
+from rydgauge.analysis import scaling_fit
 from rydgauge.cli import main
-from rydgauge.com_frame import com_scalar_potentials, com_vector_potentials
 from rydgauge.constants import BOLTZMANN, TWOPI
 from rydgauge.dynamics import deflection_scenario, integrate
-from rydgauge.gauge import connection_profile
-from rydgauge.model import (
-    InteractionKind,
-    InteractionModel,
-    ModelUnits,
-    get_preset,
-    reduced_parameters,
-)
-from rydgauge.spectrum import LABEL_INDEX
+from rydgauge.model import InteractionKind, InteractionModel, ModelUnits, get_preset
 from rydgauge.validate import (
     _check_berry,
     _check_blockade,
+    _check_com,
     _check_eigenvalues,
     _check_plateaus,
     _check_scalar,
@@ -211,15 +202,14 @@ def test_flyby_deflection_scenario():
     scenario = deflection_scenario()
     trajectory = integrate(scenario)
     assert not trajectory.aborted, trajectory.reason
-    deflection_um = trajectory.states[-1].position_m[2] * 1e6
+    deflection_um = trajectory.position_m[-1, 2] * 1e6
     r_c = ModelUnits.from_experiment(scenario.drive, scenario.interaction).length_m
-    ts = np.array([s.t_s for s in trajectory.states])
-    xs = np.array([s.position_m[0] for s in trajectory.states])
+    ts, xs = trajectory.t_s, trajectory.position_m[:, 0]
     assert xs[0] < -r_c and xs[-1] > r_c  # the path spans the crossing region
     crossing_us = (np.interp(r_c, xs, ts) - np.interp(-r_c, xs, ts)) * 1e6
-    worst_adiabaticity = max(s.adiabaticity for s in trajectory.states)
-    speeds = [np.linalg.norm(s.velocity_m_s) for s in trajectory.states]
-    energy_drift = abs(max(speeds) - min(speeds)) / speeds[0]
+    worst_adiabaticity = trajectory.adiabaticity.max()
+    speeds = np.linalg.norm(trajectory.velocity_m_s, axis=1)
+    energy_drift = (speeds.max() - speeds.min()) / speeds[0]
 
     def endpoint(dt_s):
         # order probe: cross the strong-field region with all force terms
@@ -236,7 +226,7 @@ def test_flyby_deflection_scenario():
         )
         run = integrate(config)
         assert not run.aborted
-        return run.states[-1].position_m
+        return run.position_m[-1]
 
     p4, p2, p1 = endpoint(4e-6), endpoint(2e-6), endpoint(1e-6)
     order_ratio = float(np.linalg.norm(p4 - p2) / np.linalg.norm(p2 - p1))
@@ -260,33 +250,12 @@ def test_flyby_deflection_scenario():
 
 
 def test_com_frame_decomposition():
-    mass_a = GAETAN.drive.mass_a_kg
-    mass_b = mass_a * 40.0 / 87.0
-    drive = dataclasses.replace(_drive(-1.0), mass_b_kg=mass_b)
-    row = LABEL_INDEX["+"]
-    a = connection_profile(1.0, reduced_parameters(drive, RDD_ATT))[row]
-    single = a * np.asarray(drive.wavevector_direction, dtype=float)
-    a_com, _ = com_vector_potentials(single, single, mass_a, mass_b)
-    sum_exact = bool(np.all(a_com == 2.0 * single))
-
-    # the phase cross term enters the relative part only through the
-    # squared mass asymmetry, so equal masses remove it entirely
-    x_probe = 0.8
-    equal = com_scalar_potentials(drive, RDD_ATT, x_probe, mass_a, mass_a)
-    mixed = com_scalar_potentials(drive, RDD_ATT, x_probe, mass_a, mass_b)
-    dm = (mass_b - mass_a) / (mass_a + mass_b)
-    cross = mixed.phi_relative[row] - equal.phi_relative[row]
-    cross_ok = cross == pytest.approx(dm * dm * mixed.phi_com[row] / 4.0, rel=1e-10)
-
+    # validate's check at 1 separation, here on 200: the A sum, the variance
+    # identity, the equal-mass cross term and nonnegativity, all three labels
     grid = np.geomspace(0.1, 10.0, 200)
-    com = com_scalar_potentials(drive, RDD_ATT, grid)  # all three labels, one solve
-    nonneg = bool(np.all(com.phi_com >= 0.0) and np.all(com.phi_relative >= 0.0))
-    _emit(
-        "center-of-mass decomposition",
-        sum_exact and cross_ok and nonneg,
-        f"A sum exact: {sum_exact}; equal-mass cross term vanishes: {cross_ok}; "
-        f"both scalar parts nonnegative over {grid.size}-point grid x 3 labels: {nonneg}",
-    )
+    result = _check_com(grid)
+    _emit("center-of-mass decomposition", result.passed,
+          f"{result.detail} (< 1e-10) over a {grid.size}-point grid x 3 labels")
 
 
 def test_deterministic_outputs(capsys):

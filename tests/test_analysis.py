@@ -9,6 +9,7 @@ import pytest
 
 from rydgauge import analysis, tables
 from rydgauge.analysis import (
+    SCAN_LABELS,
     PeakReport,
     ScanTable,
     _zeroin,
@@ -26,7 +27,7 @@ from rydgauge.gauge import (
 )
 from rydgauge.model import PRESETS, get_preset, reduced_parameters
 from rydgauge.spectrum import DEFLATE_AT, LABEL_INDEX
-from rydgauge.tables import SCAN_HEADER, SCAN_LABELS, format_float, scan_table, to_csv, to_json
+from rydgauge.tables import SCAN_HEADER, format_float, scan_table, to_csv, to_json
 
 GAETAN = get_preset("gaetan2009")
 
@@ -43,15 +44,14 @@ def _drive(w):
 def test_scan_shapes_and_metadata():
     drive = _drive(-1.0)
     grid = np.geomspace(0.5, 2.0, 5)
-    table = scan_1d(drive, GAETAN.interaction, labels=("-", "1"), r_grid=grid)
-    assert table.labels == ("-", "1")
+    table = scan_1d(drive, GAETAN.interaction, grid)
     assert table.r_over_rc.shape == (5,)
-    assert table.vector_potential.shape == (2, 5)
-    assert table.azimuthal_field.shape == (2, 5)
-    assert table.scalar_potential.shape == (2, 5)
+    assert table.vector_potential.shape == (3, 5)
+    assert table.azimuthal_field.shape == (3, 5)
+    assert table.scalar_potential.shape == (3, 5)
     assert table.excluded_count == 0
     assert table.metadata["interaction"] == "rdd"
-    assert table.metadata["labels"] == "-,1"
+    assert table.metadata["labels"] == "1,+,-"
     assert table.metadata["detuning_ratio"] == pytest.approx(-1.0)
 
 
@@ -60,19 +60,19 @@ def test_scan_rows_agree_with_single_point_gauge_calls():
     # independently, and the beam axis is z so A reduces to a scalar
     drive = _drive(0.7)
     reduced = reduced_parameters(drive, GAETAN.interaction)
-    row = LABEL_INDEX["+"]
+    row, scan_row = LABEL_INDEX["+"], SCAN_LABELS.index("+")
     grid = np.array([0.4, 1.0, 3.0])
-    table = scan_1d(drive, GAETAN.interaction, labels=("+",), r_grid=grid)
+    table = scan_1d(drive, GAETAN.interaction, r_grid=grid)
     for j, x in enumerate(grid):
         a = connection_profile(float(x), reduced)[row]
-        assert table.vector_potential[0, j] == pytest.approx(a, rel=1e-12)
+        assert table.vector_potential[scan_row, j] == pytest.approx(a, rel=1e-12)
         phi = scalar_profile(float(x), reduced)[row]
-        assert table.scalar_potential[0, j] == pytest.approx(phi, rel=1e-12)
+        assert table.scalar_potential[scan_row, j] == pytest.approx(phi, rel=1e-12)
         b_vec = magnetic_field(drive, GAETAN.interaction, "+", (float(x), 0.0, 0.0))
         # the scan's azimuthal column is the coefficient along e_r x khat,
         # which points along -y for a separation on the x axis
         phi_hat = np.cross([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        assert table.azimuthal_field[0, j] == pytest.approx(b_vec @ phi_hat, rel=1e-12)
+        assert table.azimuthal_field[scan_row, j] == pytest.approx(b_vec @ phi_hat, rel=1e-12)
 
 
 def test_scan_excludes_near_degenerate_points():
@@ -94,7 +94,7 @@ BLOCK = 7  # a solve block small enough for every boundary case
 
 
 def _scan_documents(drive, model, grid):
-    table = scan_1d(drive, model, SCAN_LABELS, grid)
+    table = scan_1d(drive, model, grid)
     return table.excluded_count, to_csv(scan_table(table)), to_json(scan_table(table))
 
 
@@ -126,25 +126,12 @@ def test_scan_solves_once_per_block(solves, monkeypatch):
     assert solves == [BLOCK, BLOCK, 1]
 
 
-def test_default_scan_serializes_like_the_cli_order():
-    """The rows are picked by label, so any order of the three labels writes the same bytes."""
-    drive = _drive(-1.0)
-    grid = np.geomspace(0.3, 3.0, 7)
-    default = scan_1d(drive, GAETAN.interaction, r_grid=grid)
-    cli_order = scan_1d(drive, GAETAN.interaction, labels=("1", "+", "-"), r_grid=grid)
-    assert to_csv(scan_table(default)) == to_csv(scan_table(cli_order))
-    got = to_json(scan_table(default)).replace('"1,-,+"', '"1,+,-"')
-    assert got == to_json(scan_table(cli_order))
-    with pytest.raises(ValueError, match="labels"):
-        scan_table(scan_1d(drive, GAETAN.interaction, labels=("1", "+"), r_grid=grid))
-
-
 @pytest.mark.parametrize("points", [0, 1, 3, 7])
 def test_scan_serialization_matches_the_per_value_loop(points, monkeypatch):
     """Rows converted and spliced block by block give the bytes of one value at a time."""
     monkeypatch.setattr(tables, "_BLOCK", 3)  # empty, partial, whole and several blocks
     grid = np.geomspace(0.05, 5.0, points)
-    table = scan_1d(_drive(-1.0), GAETAN.interaction, labels=SCAN_LABELS, r_grid=grid)
+    table = scan_1d(_drive(-1.0), GAETAN.interaction, r_grid=grid)
     columns = [table.r_over_rc, *table.vector_potential, *table.azimuthal_field,
                *table.scalar_potential]
     lines = [",".join(format_float(col[i]) for col in columns) for i in range(points)]
@@ -170,8 +157,6 @@ def test_scan_rejects_bad_input():
         scan_1d(drive, GAETAN.interaction, r_grid=[1.0, 0.5])
     with pytest.raises(ValueError, match="separation in r_grid must be finite and > 0"):
         scan_1d(drive, GAETAN.interaction, r_grid=[-1.0, 0.5])
-    with pytest.raises(ValueError, match="label"):
-        scan_1d(drive, GAETAN.interaction, labels=("q",), r_grid=[1.0])
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -187,7 +172,6 @@ def test_scan_table_guards_its_own_rows():
     with pytest.raises(ValueError, match="finite"):
         ScanTable(
             metadata={},
-            labels=("1",),
             r_over_rc=np.array([1.0]),
             vector_potential=np.array([[np.nan]]),
             azimuthal_field=np.array([[0.0]]),

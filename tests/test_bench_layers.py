@@ -1,16 +1,36 @@
-"""Every layer the benchmark's tracer wraps is an importable module.
+"""Every layer and function the benchmark's tracer names still exists.
 
 ``bench/tracing.py`` wraps the public functions of ``rydgauge.<layer>`` for
 each name in its ``LAYERS``; a module deleted or renamed under it would
-only break the benchmark's traced round.  ``LAYERS`` is read with ``ast``,
-so this test imports nothing from ``bench``.
+only break the benchmark's traced round.  Some per-layer metrics also
+match single functions by their dotted name, and read their arguments by
+position or keyword: a rename silently zeroes such a metric instead of
+failing.  So this test pins those names and argument names.  ``LAYERS``
+is read with ``ast`` and the matched names as text, so this test imports
+nothing from ``bench``.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+# dotted names the tracer matches, with the leading arguments it reads
+TRACED = {
+    # ``tables.bytes`` is the length of ``text`` summed over calls.  Every byte
+    # of table output passes this one-line wrapper, so it stays a function
+    # instead of a bare ``out.write`` in the CLI.
+    "tables.write_text": ("out", "text"),
+    "dynamics.integrate": (),  # parent of ``dynamics.spectrum_calls``
+    "dynamics.adiabaticity": (),  # ``dynamics.adiabaticity_calls`` and ``_s``
+    # ``spectrum.points`` and ``spectrum.deflated_points``
+    "spectrum.labeled_spectrum": ("shift_ratio", "detuning_ratio"),
+    "validate.run_checks": (),  # ``validate.checks``, the length of its result
+}
 
 
 def _layers() -> tuple:
@@ -28,3 +48,15 @@ def test_every_traced_layer_imports():
     assert layers
     for layer in layers:
         importlib.import_module(f"rydgauge.{layer}")
+
+
+@pytest.mark.parametrize("dotted, arguments", TRACED.items(), ids=list(TRACED))
+def test_every_name_the_tracer_matches_exists(dotted, arguments):
+    assert f'"{dotted}"' in TRACING.read_text(encoding="utf-8")
+    layer, name = dotted.split(".")
+    assert layer in _layers()
+    module = importlib.import_module(f"rydgauge.{layer}")
+    function = getattr(module, name)
+    assert inspect.isfunction(function) and function.__module__ == module.__name__
+    parameters = list(inspect.signature(function).parameters)
+    assert parameters[: len(arguments)] == list(arguments)

@@ -78,10 +78,20 @@ def test_drive_validation():
             mass_a_kg=drive.mass_a_kg,
             mass_b_kg=drive.mass_b_kg,
         )
+    # a NaN component passes a norm check (abs(nan - 1) > tol is False), and a
+    # fourth component would only fail where the direction is unpacked
+    for bad in ((math.nan, 0.0, 1.0), (0.0, 0.0, 1.0, 0.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="wavevector_direction must have three finite"):
+            dataclasses.replace(drive, wavevector_direction=bad)
     for field in ("rabi_magnitude_rad_s", "rabi_phase_rad", "detuning_rad_s",
                   "wavenumber_rad_m", "mass_a_kg", "mass_b_kg"):
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
+                dataclasses.replace(drive, **{field: bad})
+    # com_frame takes the masses from here, so a non-positive one stops at the drive
+    for field in ("mass_a_kg", "mass_b_kg"):
+        for bad in (0.0, -drive.mass_a_kg):
+            with pytest.raises(ValueError, match="atomic masses must be positive"):
                 dataclasses.replace(drive, **{field: bad})
 
 

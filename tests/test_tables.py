@@ -9,7 +9,7 @@ from rydgauge import tables
 from rydgauge.analysis import PeakReport, ScalingFit, scan_1d
 from rydgauge.cli import main
 from rydgauge.config import RunConfig, build_experiment
-from rydgauge.dynamics import Trajectory, TrajectoryState
+from rydgauge.dynamics import Trajectory
 from rydgauge.gauge import FieldMap
 from rydgauge.tables import (
     map_table,
@@ -75,18 +75,20 @@ def test_documents_of_every_table_kind():
         field=np.array([[0.0, -2.4555703912, 0.0], [0.0, 1.0 / 3.0, 0.0]]),
         skipped=((0.0, 0.0),),
     )
-    states = tuple(
-        TrajectoryState(t_s=t, position_m=np.array([1e-6, -t, 3.3e-7]),
-                        velocity_m_s=np.array([0.1, 0.2 / 3.0, 0.0]), energy_J=0.0,
-                        adiabaticity=1e-3 * t)
-        for t in (0.0, 1e-5, 2.5e-5)
+    t = np.array([0.0, 1e-5, 2.5e-5])
+    path = Trajectory(
+        t_s=t,
+        position_m=np.column_stack([np.full(3, 1e-6), -t, np.full(3, 3.3e-7)]),
+        velocity_m_s=np.tile([0.1, 0.2 / 3.0, 0.0], (3, 1)),
+        adiabaticity=1e-3 * t,
+        aborted=True,
+        reason="separation below the floor",
     )
-    path = Trajectory(states=states, aborted=True, reason="separation below the floor")
     for table, metadata, expected in (
         (map_table(field), {"skipped": [[0.0, 0.0]]},
          np.column_stack([field.positions, field.field]).tolist()),
         (trajectory_table(path), {"aborted": True, "reason": "separation below the floor"},
-         [[s.t_s, *s.position_m, *s.velocity_m_s, s.adiabaticity] for s in states]),
+         np.column_stack([t, path.position_m, path.velocity_m_s, 1e-3 * t]).tolist()),
     ):
         columns, rows = _csv_values(to_csv(table))
         doc = json.loads(to_json(table))
@@ -169,7 +171,7 @@ def test_small_numeric_tables_keep_their_bytes(argv, csv_text, json_text, capsys
 
 def test_empty_scan_keeps_its_bytes():
     drive, model = build_experiment(RunConfig(preset="gaetan2009", detuning_ratio=-1.0))
-    table = scan_table(scan_1d(drive, model, ("1", "+", "-"), r_grid=()))
+    table = scan_table(scan_1d(drive, model, r_grid=()))
     assert to_csv(table) == SCAN_CSV
     assert to_json(table) == SCAN_HEAD + '"rows": []}\n'
 
