@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import _field_slope, _positive_finite, _radial_spectrum
+from .gauge import _field_slope, _positive_finite, _radial_solve, _radial_spectrum
 from .model import DriveParams, InteractionModel, ReducedParameters, reduced_parameters
 from .spectrum import LABEL_INDEX, _check_label, near_degenerate
 
@@ -28,42 +28,75 @@ BRACKET_POINTS = 400
 SCAN_LABELS = ("1", "+", "-")  # row order of a scan, column order of its table
 REFINE_TOL = 1e-12  # crossover units; contract asks for 1e-10
 FIT_RESIDUAL_LIMIT = 0.05
-# points a scan solves, and rows ``tables.render`` formats, at once: a block's
-# temporaries stay near the 2 MiB L2 cache, so their pages are reused, not faulted in again
+# points a scan solves, and rows ``tables.render`` formats and writes, at once: a
+# block's temporaries stay near the 2 MiB L2 cache, so their pages are reused, not
+# faulted in again
 _BLOCK = 1024
 
 
 @dataclass(frozen=True)
 class ScanTable:
-    """Gauge quantities per label over a separation grid, model units.
+    """A scan of A, B_phi and phi of the three labels over a separation grid.
 
-    The value arrays have one row per label, in ``SCAN_LABELS`` order.
+    Nothing is solved until its rows are asked for: ``blocks`` solves the
+    grid ``_BLOCK`` points at a time, and ``count_excluded`` counts the
+    near-degenerate points with one solve per block, so a scan holds its
+    grid and one block, never its whole table.
     """
 
     metadata: dict
-    r_over_rc: np.ndarray  # (n,)
-    vector_potential: np.ndarray  # (3, n), hbar*k_L
-    azimuthal_field: np.ndarray  # (3, n), B0
-    scalar_potential: np.ndarray  # (3, n), hbar^2*k_L^2/(2m)
-    excluded_count: int = 0
+    grid: np.ndarray  # (n,) r/r_c, finite, > 0 and strictly increasing
+    reduced: ReducedParameters
 
-    def __post_init__(self) -> None:
-        if self.r_over_rc.size and not np.all(np.diff(self.r_over_rc) > 0.0):
-            raise ValueError("scan grid must be strictly increasing")
-        for block in (self.vector_potential, self.azimuthal_field, self.scalar_potential):
-            if np.any(~np.isfinite(block)):
+    def _grid_blocks(self):
+        for start in range(0, self.grid.size, _BLOCK):
+            yield self.grid[start : start + _BLOCK]
+
+    def blocks(self):
+        """Per block of the grid, its kept rows (r/r_c, A, B_phi, phi), model units.
+
+        r/r_c has shape (k,); A (hbar*k_L), B_phi (B0) and phi
+        (hbar^2*k_L^2/(2m)) have shape (3, k), rows in ``SCAN_LABELS``
+        order.  A block's one cubic solve gives its rows and their
+        degeneracy flags, and a point's numbers do not depend on its block.
+        Each block is checked before it is yielded: a row that is not
+        finite raises, after the blocks before it and before any after it.
+        """
+        rows = [LABEL_INDEX[label] for label in SCAN_LABELS]
+        for x in self._grid_blocks():
+            # where u overflows, or underflows to the defective point u = 2w = 0, the
+            # point is excluded as near degenerate or its row rejected as not finite
+            with np.errstate(all="ignore"):
+                spec = _radial_spectrum(x, self.reduced)
+                keep = ~near_degenerate(spec.energies)
+                values = [v[rows][:, keep] for v in
+                          (spec.connection, spec.da_dx, spec.scalar(self.reduced.kappa))]
+            if not all(np.isfinite(v).all() for v in values):
                 raise ValueError("scan rows must be finite")
+            yield (x[keep], *values)
+
+    def count_excluded(self) -> int:
+        """How many grid points ``blocks`` leaves out as near degenerate.
+
+        One solve per block, of the same points with the same bits as the
+        row solve, and the same exclusion rule.
+        """
+        excluded = 0
+        for x in self._grid_blocks():
+            with np.errstate(all="ignore"):
+                _, (energies, _, _) = _radial_solve(x, self.reduced)
+                excluded += int(np.count_nonzero(near_degenerate(energies)))
+        return excluded
 
 
 def scan_1d(params: DriveParams, model: InteractionModel, r_grid) -> ScanTable:
-    """Tabulate A, B_phi and phi of the three labels, rows in ``SCAN_LABELS`` order.
+    """The scan of A, B_phi and phi of the three labels over ``r_grid``.
 
-    The grid is solved ``_BLOCK`` points at a time, so a block's
-    temporaries stay near L2 size; each block's one cubic solve gives its
-    rows and their degeneracy flags, and a point's numbers do not depend
-    on its block.  Grid points whose dressed ladder is near degenerate are
-    excluded and counted instead of producing unreliable rows.  An empty
-    grid gives an empty table; every separation must be finite and > 0.
+    The grid is checked here, and nothing is solved: the returned table
+    solves it one block at a time as its rows are read.  Grid points whose
+    dressed ladder is near degenerate are excluded and counted instead of
+    producing unreliable rows.  An empty grid gives an empty table; every
+    separation must be finite and > 0, the grid strictly increasing.
     """
     grid = _positive_finite(r_grid, "separation in r_grid")
     if grid.size and not np.all(np.diff(grid) > 0.0):
@@ -77,31 +110,7 @@ def scan_1d(params: DriveParams, model: InteractionModel, r_grid) -> ScanTable:
         "kappa": reduced.kappa,
         "labels": ",".join(SCAN_LABELS),
     }
-    rows = [LABEL_INDEX[label] for label in SCAN_LABELS]
-    r = np.empty(grid.size)
-    a, b, phi = (np.empty((len(rows), grid.size)) for _ in range(3))
-    kept = 0
-    for start in range(0, grid.size, _BLOCK):
-        x = grid[start : start + _BLOCK]
-        # where u overflows, or underflows to the defective point u = 2w = 0, the
-        # point is excluded as near degenerate or its row rejected as not finite
-        with np.errstate(all="ignore"):
-            spec = _radial_spectrum(x, reduced)
-            keep = ~near_degenerate(spec.energies)
-            columns = (spec.connection, spec.da_dx, spec.scalar(reduced.kappa))
-        stop = kept + int(np.count_nonzero(keep))
-        r[kept:stop] = x[keep]
-        for out, values in zip((a, b, phi), columns):
-            out[:, kept:stop] = values[rows][:, keep]
-        kept = stop
-    return ScanTable(
-        metadata=metadata,
-        r_over_rc=r[:kept],
-        vector_potential=a[:, :kept],
-        azimuthal_field=b[:, :kept],
-        scalar_potential=phi[:, :kept],
-        excluded_count=grid.size - kept,
-    )
+    return ScanTable(metadata=metadata, grid=grid, reduced=reduced)
 
 
 @dataclass(frozen=True)

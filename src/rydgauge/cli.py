@@ -3,7 +3,9 @@
 Subcommands: scan, map, peaks, scaling, trajectory, validate, presets.
 All numeric output is dimensionless by default (--si switches the scan
 columns to SI); errors go to stderr with exit code 2 for usage problems
-and 1 for failed validations or aborted runs.
+(an allocation that fails is one) and 1 for failed validations or aborted
+runs.  A reader that closes stdout early ends the run with 141, as SIGPIPE
+would, and no message.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -52,11 +55,18 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _write(config, table: tables.Table) -> None:
-    """Write a table in the run's format to its output file or stdout, a piece at a time."""
+    """Write a table in the run's format to its output file or stdout, a piece at a time.
+
+    The output file is opened once the head is ready, that is once a scan's
+    first block is solved and checked: a scan that fails there writes nothing.
+    """
+    pieces = tables.render(table, config.format)
+    head = next(pieces)
     path = config.output
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="\n")) as out:
-        for text in tables.render(table, config.format):
+        tables.write_text(out, head)
+        for text in pieces:
             tables.write_text(out, text)
 
 
@@ -69,10 +79,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     drive, model = build_experiment(config)
     grid = np.geomspace(config.rmin, config.rmax, config.points)
     # A scan carries all three labels; the label subset in the config only
-    # narrows peaks/scaling.
-    table = analysis.scan_1d(drive, model, grid)
+    # narrows peaks/scaling.  It is solved, checked and written a block at a time.
+    scan = analysis.scan_1d(drive, model, grid)
     units = ModelUnits.from_experiment(drive, model) if config.si else None
-    _write(config, tables.scan_table(table, units))
+    _write(config, tables.scan_table(scan, units))
     return 0
 
 
@@ -253,8 +263,15 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
-    except (ValueError, OSError) as exc:
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit-time flush
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left (``| head``): say nothing, exit as SIGPIPE would,
+        # and point fd 1 at devnull so the exit-time flush of what is left stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,6 +67,12 @@ class _RadialSpectrum:
         return dark + radial + phase
 
 
+def _radial_solve(x: np.ndarray, reduced: ReducedParameters):
+    """u at separations x and the labeled spectrum there, as ``_radial_spectrum`` solves it."""
+    u = reduced.shift_ratio(x)
+    return u, labeled_spectrum(u, reduced.detuning_ratio)
+
+
 def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
     """One solve of the cubic plus closed-form radial derivatives.
 
@@ -80,8 +86,7 @@ def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
     energies never coincide.
     """
     x = np.asarray(x_over_rc, dtype=float)
-    u = reduced.shift_ratio(x)
-    energies, ee, gg = labeled_spectrum(u, reduced.detuning_ratio)
+    u, (energies, ee, gg) = _radial_solve(x, reduced)
     n2 = 1.0 / (ee * ee + gg * gg + 2.0 * ee * ee * gg * gg)
     du_dx = -reduced.power * u / x
     weight = n2 * ee

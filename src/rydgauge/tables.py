@@ -11,13 +11,16 @@ CSV values.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _floattext
-from .analysis import _BLOCK, PeakReport, ScalingFit, ScanTable
+from . import _floattext, analysis
+from .analysis import PeakReport, ScalingFit, ScanTable
 from .dynamics import Trajectory
 from .gauge import FieldMap
 from .model import ModelUnits
@@ -29,22 +32,24 @@ SCAN_HEADER = (
 
 @dataclass(frozen=True)
 class Table:
-    """One output table: column names, its values, JSON-only metadata.
+    """One output table: column names, its rows, JSON-only metadata.
 
-    A numeric table holds one float64 array per column in ``values``;
-    ``_floattext`` writes its text ``analysis._BLOCK`` rows at a time.  A keyed
-    table holds ``rows`` that also carry text, bools and tuples of flags,
-    and writes its JSON rows as objects keyed by column name.
+    A numeric table's ``blocks`` is called once per document and gives its
+    rows as (rows, columns) float64 blocks, which ``_floattext`` writes one
+    at a time; a keyed table (no ``blocks``) holds ``rows`` that also carry
+    text, bools and tuples of flags, and writes its JSON rows as objects
+    keyed by column name.  ``metadata`` is called only for a JSON head, so
+    what it costs (a scan's count of excluded points) CSV never pays.
     """
 
     columns: tuple
-    values: tuple = ()
+    blocks: Callable[[], Iterable[np.ndarray]] | None = None
     rows: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    metadata: Callable[[], dict] = dict
 
     @property
     def keyed(self) -> bool:
-        return not self.values
+        return self.blocks is None
 
 
 def format_float(value: float) -> str:
@@ -65,29 +70,42 @@ def _cell(value) -> str:
 def render(table: Table, fmt: str):
     """The table's CSV (or, for ``fmt`` "json", JSON) text, piece by piece.
 
-    A numeric table yields its head, the text ``_floattext`` gives for each
-    ``analysis._BLOCK`` rows, then its tail, so the whole document is never
-    held at once and a block's temporaries stay near L2 size.  The JSON
-    document is ``{"metadata": ..., "rows": [...]}`` with "rows" the last
-    key, spliced in as text.
+    The pieces are the head, the text ``_floattext`` gives for each
+    non-empty block of rows, then the tail, so the whole document is never
+    held at once.  The head waits for the first block: a scan whose first
+    block fails to solve or check yields nothing, and one whose later block
+    fails stops after the complete rows of the blocks before it.  Only JSON
+    calls ``metadata``, before the first block.  The JSON document is
+    ``{"metadata": ..., "rows": [...]}`` with "rows" the last key, spliced
+    in as text.
     """
     as_json = fmt == "json"
     if as_json:
-        metadata = dict(table.metadata, columns=list(table.columns))
-        yield json.dumps({"metadata": metadata, "rows": []}, sort_keys=True)[: -len("]}")]
+        metadata = dict(table.metadata(), columns=list(table.columns))
+        head = json.dumps({"metadata": metadata, "rows": []}, sort_keys=True)[: -len("]}")]
     else:
-        yield ",".join(table.columns) + "\n"
+        head = ",".join(table.columns) + "\n"
+    blocks = iter(() if table.keyed else table.blocks())
+    first = list(itertools.islice(blocks, 1))
+    yield head
     if table.keyed and as_json:
         yield json.dumps([dict(zip(table.columns, row)) for row in table.rows], sort_keys=True)[1:-1]
     elif table.keyed:
         yield "".join([",".join(map(_cell, row)) + "\n" for row in table.rows])
-    else:
-        rows_text = _floattext.json_rows if as_json else _floattext.csv_rows
-        for start in range(0, table.values[0].size, _BLOCK):
-            block = np.column_stack([c[start : start + _BLOCK] for c in table.values])
-            yield ", " * (as_json and start > 0) + rows_text(block).decode("ascii")
+    rows_text = _floattext.json_rows if as_json else _floattext.csv_rows
+    separator = ""
+    for block in itertools.chain(first, blocks):
+        if len(block):
+            yield separator + rows_text(block).decode("ascii")
+            separator = ", " if as_json else ""
     if as_json:
         yield "]}\n"
+
+
+def _column_blocks(values: tuple):
+    """Blocks of ``analysis._BLOCK`` rows sliced from equal-length columns."""
+    for start in range(0, values[0].size, analysis._BLOCK):
+        yield np.column_stack([c[start : start + analysis._BLOCK] for c in values])
 
 
 def to_csv(table: Table) -> str:
@@ -100,37 +118,43 @@ def to_json(table: Table) -> str:
     return "".join(render(table, "json"))
 
 
-def scan_table(table: ScanTable, units: ModelUnits | None = None) -> Table:
-    """The nine value columns, each block in ``analysis.SCAN_LABELS`` order; SI
-    exactly when ``units`` is given."""
-    r = table.r_over_rc
-    a, b, phi = table.vector_potential, table.azimuthal_field, table.scalar_potential
+def scan_table(scan: ScanTable, units: ModelUnits | None = None) -> Table:
+    """The nine value columns, each group in ``analysis.SCAN_LABELS`` order, a
+    block of the scan at a time; SI exactly when ``units`` is given."""
     names = SCAN_HEADER.split(",")
     if units is not None:
         names[0] = "r_m"
-        r = units.to_si(r, "length")
-        a = units.to_si(a, "vector_potential")
-        b = units.to_si(b, "field")
-        phi = units.to_si(phi, "scalar_a")
-    columns = [r, *a, *b, *phi]
-    metadata = dict(table.metadata, excluded_rows=table.excluded_count)
-    return Table(tuple(names), tuple(columns), metadata=metadata)
+
+    def blocks():
+        for r, a, b, phi in scan.blocks():
+            if units is not None:
+                r = units.to_si(r, "length")
+                a = units.to_si(a, "vector_potential")
+                b = units.to_si(b, "field")
+                phi = units.to_si(phi, "scalar_a")
+            yield np.column_stack((r, a.T, b.T, phi.T))
+
+    def metadata():
+        return dict(scan.metadata, excluded_rows=scan.count_excluded())
+
+    return Table(tuple(names), blocks, metadata=metadata)
 
 
 def trajectory_table(trajectory: Trajectory) -> Table:
+    values = (trajectory.t_s, *trajectory.position_m.T, *trajectory.velocity_m_s.T,
+              trajectory.adiabaticity)
     return Table(
         ("t_s", "x_m", "y_m", "z_m", "vx", "vy", "vz", "adiabaticity"),
-        (trajectory.t_s, *trajectory.position_m.T, *trajectory.velocity_m_s.T,
-         trajectory.adiabaticity),
-        metadata={"aborted": trajectory.aborted, "reason": trajectory.reason},
+        functools.partial(_column_blocks, values),
+        metadata=functools.partial(dict, aborted=trajectory.aborted, reason=trajectory.reason),
     )
 
 
 def map_table(field_map: FieldMap) -> Table:
     return Table(
         ("x_over_rc", "z_over_rc", "Bx", "By", "Bz"),
-        (*field_map.positions.T, *field_map.field.T),
-        metadata={"skipped": [list(point) for point in field_map.skipped]},
+        functools.partial(_column_blocks, (*field_map.positions.T, *field_map.field.T)),
+        metadata=functools.partial(dict, skipped=[list(point) for point in field_map.skipped]),
     )
 
 

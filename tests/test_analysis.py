@@ -11,7 +11,6 @@ from rydgauge import analysis, tables
 from rydgauge.analysis import (
     SCAN_LABELS,
     PeakReport,
-    ScanTable,
     _zeroin,
     find_peaks,
     scaling_fit,
@@ -41,15 +40,20 @@ def _drive(w):
     return _drive_of("gaetan2009", w)
 
 
+def _rows(table):
+    """A scan's kept rows, its blocks joined: r/r_c (n,) and A, B_phi, phi (3, n)."""
+    parts = list(zip(*table.blocks())) or [[np.empty(0)], *[[np.empty((3, 0))]] * 3]
+    return [np.concatenate(part, axis=-1) for part in parts]
+
+
 def test_scan_shapes_and_metadata():
     drive = _drive(-1.0)
     grid = np.geomspace(0.5, 2.0, 5)
     table = scan_1d(drive, GAETAN.interaction, grid)
-    assert table.r_over_rc.shape == (5,)
-    assert table.vector_potential.shape == (3, 5)
-    assert table.azimuthal_field.shape == (3, 5)
-    assert table.scalar_potential.shape == (3, 5)
-    assert table.excluded_count == 0
+    r, a, b, phi = _rows(table)
+    assert r.shape == (5,)
+    assert a.shape == b.shape == phi.shape == (3, 5)
+    assert table.count_excluded() == 0
     assert table.metadata["interaction"] == "rdd"
     assert table.metadata["labels"] == "1,+,-"
     assert table.metadata["detuning_ratio"] == pytest.approx(-1.0)
@@ -62,78 +66,104 @@ def test_scan_rows_agree_with_single_point_gauge_calls():
     reduced = reduced_parameters(drive, GAETAN.interaction)
     row, scan_row = LABEL_INDEX["+"], SCAN_LABELS.index("+")
     grid = np.array([0.4, 1.0, 3.0])
-    table = scan_1d(drive, GAETAN.interaction, r_grid=grid)
+    _, vector, azimuthal, scalar = _rows(scan_1d(drive, GAETAN.interaction, r_grid=grid))
     for j, x in enumerate(grid):
         a = connection_profile(float(x), reduced)[row]
-        assert table.vector_potential[scan_row, j] == pytest.approx(a, rel=1e-12)
+        assert vector[scan_row, j] == pytest.approx(a, rel=1e-12)
         phi = scalar_profile(float(x), reduced)[row]
-        assert table.scalar_potential[scan_row, j] == pytest.approx(phi, rel=1e-12)
+        assert scalar[scan_row, j] == pytest.approx(phi, rel=1e-12)
         b_vec = magnetic_field(drive, GAETAN.interaction, "+", (float(x), 0.0, 0.0))
         # the scan's azimuthal column is the coefficient along e_r x khat,
         # which points along -y for a separation on the x axis
         phi_hat = np.cross([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        assert table.azimuthal_field[scan_row, j] == pytest.approx(b_vec @ phi_hat, rel=1e-12)
+        assert azimuthal[scan_row, j] == pytest.approx(b_vec @ phi_hat, rel=1e-12)
 
 
 def test_scan_excludes_near_degenerate_points():
     # at zero detuning the dressed ladder collapses far out; that grid
     # point is dropped and counted rather than emitted as noise
     table = scan_1d(_drive(0.0), GAETAN.interaction, r_grid=[0.5, 1.0, 5000.0])
-    assert table.excluded_count == 1
-    assert table.r_over_rc.tolist() == [0.5, 1.0]
-    assert np.all(np.isfinite(table.vector_potential))
+    r, a, _, _ = _rows(table)
+    assert table.count_excluded() == 1
+    assert r.tolist() == [0.5, 1.0]
+    assert np.all(np.isfinite(a))
 
 
 def test_scan_is_one_solve_over_the_grid(solves):
     table = scan_1d(_drive(0.0), GAETAN.interaction, r_grid=np.geomspace(0.5, 5000.0, 50))
+    assert solves == []  # nothing is solved before the rows are read
+    r, *_ = _rows(table)
     assert solves == [50]  # the degeneracy flag and every row from one solve
-    assert table.excluded_count > 0
+    assert table.count_excluded() == 50 - r.size > 0
+    assert solves == [50, 50]  # the count solves again, rows not formed
 
 
 BLOCK = 7  # a solve block small enough for every boundary case
+# scans at zero detuning; at 0 detuning gaetan2009's ladder is near degenerate
+# beyond 1708 r_c, so the excluded points are a tail of the grid
+SCAN_GRIDS = {
+    "deflated": ("beguin2013", 0.01, 20.0),  # vdW: deflated points below 0.46 r_c, trig beyond
+    "excluded_from_first": ("gaetan2009", 1000.0, 1e5),  # from the first block's 4th point
+    "excluded_from_middle": ("gaetan2009", 1.0, 1e5),  # from the third block's first point
+    "excluded_last": ("gaetan2009", 0.5, 2000.0),  # the last block's one point
+}
 
 
-def _scan_documents(drive, model, grid):
-    table = scan_1d(drive, model, grid)
-    return table.excluded_count, to_csv(scan_table(table)), to_json(scan_table(table))
-
-
-@pytest.mark.parametrize("points", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK + 3])
-@pytest.mark.parametrize("preset, rmin, rmax", [
-    ("beguin2013", 0.01, 20.0),  # vdW: deflated points below 0.46 r_c, trig beyond
-    ("gaetan2009", 0.5, 5000.0),  # the far points are near degenerate: excluded
+@pytest.mark.parametrize("si", [False, True], ids=["model", "si"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid, points, excluded", [
+    ("deflated", 1, 0),
+    ("deflated", BLOCK - 1, 0),
+    ("deflated", BLOCK, 0),
+    ("deflated", BLOCK + 1, 0),
+    ("deflated", 3 * BLOCK + 1, 0),
+    ("excluded_from_first", 3 * BLOCK + 1, 3 * BLOCK + 1 - 3),
+    ("excluded_from_middle", 3 * BLOCK + 1, BLOCK + 1),
+    ("excluded_last", 3 * BLOCK + 1, 1),
 ])
-def test_blocked_scan_matches_the_one_block_solve_bit_for_bit(preset, rmin, rmax, points,
-                                                              monkeypatch):
-    """Blocks of 7 give the bytes of one block: a point's numbers never depend on its block."""
-    drive, model = _drive_of(preset, 0.0), PRESETS[preset].interaction
-    grid = np.geomspace(rmin, rmax, points)
-    whole = _scan_documents(drive, model, grid)
+def test_blocked_scan_matches_the_one_block_solve_bit_for_bit(grid, points, excluded, fmt, si,
+                                                              solves, monkeypatch, capsys):
+    """Blocks of 7 give the CLI's bytes of one block: a point's numbers never depend on
+    its block.  CSV solves each block once; JSON twice, its excluded rows counted first.
+    The empty grid, which the CLI refuses, is in test_tables."""
+    preset, rmin, rmax = SCAN_GRIDS[grid]
+    argv = ["scan", "--preset", preset, "--detuning-ratio", "0", "--rmin", repr(rmin),
+            "--rmax", repr(rmax), "--points", str(points), "--format", fmt] + ["--si"] * si
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
     monkeypatch.setattr(analysis, "_BLOCK", BLOCK)
-    assert _scan_documents(drive, model, grid) == whole
-    if points == 4 * BLOCK + 3:  # several blocks, carrying the cases they are meant to
-        deflated = np.abs(reduced_parameters(drive, model).shift_ratio(grid)) > DEFLATE_AT
-        excluded = whole[0]
-        if preset == "beguin2013":
-            assert deflated[:BLOCK].all() and not deflated[-BLOCK:].any() and excluded == 0
-        else:
-            assert not deflated.any() and 0 < excluded < BLOCK
+    solves.clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    sizes = [min(BLOCK, points - start) for start in range(0, points, BLOCK)]
+    assert solves == sizes * (1 + (fmt == "json"))
+    if fmt == "json":
+        doc = json.loads(whole)
+        assert doc["metadata"]["excluded_rows"] == points - len(doc["rows"]) == excluded
+    else:
+        assert len(whole.splitlines()) == 1 + points - excluded
+    if grid == "deflated" and points == 3 * BLOCK + 1:  # blocks carrying what they are meant to
+        drive, model = _drive_of(preset, 0.0), PRESETS[preset].interaction
+        u = reduced_parameters(drive, model).shift_ratio(np.geomspace(rmin, rmax, points))
+        deflated = np.abs(u) > DEFLATE_AT
+        assert deflated[:BLOCK].all() and not deflated[-BLOCK:].any()
 
 
 def test_scan_solves_once_per_block(solves, monkeypatch):
     monkeypatch.setattr(analysis, "_BLOCK", BLOCK)
-    scan_1d(_drive(-1.0), GAETAN.interaction, r_grid=np.geomspace(0.5, 5.0, 2 * BLOCK + 1))
+    table = scan_1d(_drive(-1.0), GAETAN.interaction, r_grid=np.geomspace(0.5, 5.0, 2 * BLOCK + 1))
+    assert [r.size for r, *_ in table.blocks()] == [BLOCK, BLOCK, 1]
     assert solves == [BLOCK, BLOCK, 1]
 
 
 @pytest.mark.parametrize("points", [0, 1, 3, 7])
 def test_scan_serialization_matches_the_per_value_loop(points, monkeypatch):
     """Rows converted and spliced block by block give the bytes of one value at a time."""
-    monkeypatch.setattr(tables, "_BLOCK", 3)  # empty, partial, whole and several blocks
+    monkeypatch.setattr(analysis, "_BLOCK", 3)  # empty, partial, whole and several blocks
     grid = np.geomspace(0.05, 5.0, points)
     table = scan_1d(_drive(-1.0), GAETAN.interaction, r_grid=grid)
-    columns = [table.r_over_rc, *table.vector_potential, *table.azimuthal_field,
-               *table.scalar_potential]
+    r, a, b, phi = _rows(table)
+    columns = [r, *a, *b, *phi]
     lines = [",".join(format_float(col[i]) for col in columns) for i in range(points)]
     rendered = scan_table(table)
     assert to_csv(rendered) == "\n".join([SCAN_HEADER, *lines]) + "\n"
@@ -146,9 +176,8 @@ def test_scan_serialization_matches_the_per_value_loop(points, monkeypatch):
 
 def test_scan_empty_grid():
     table = scan_1d(_drive(-1.0), GAETAN.interaction, r_grid=())
-    assert table.r_over_rc.size == 0
-    assert table.vector_potential.shape == (3, 0)
-    assert table.excluded_count == 0
+    assert list(table.blocks()) == []
+    assert table.count_excluded() == 0
 
 
 def test_scan_rejects_bad_input():
@@ -168,15 +197,25 @@ def test_scan_rejects_non_finite_separations(bad):
             scan_1d(_drive(-1.0), GAETAN.interaction, r_grid=grid)
 
 
-def test_scan_table_guards_its_own_rows():
-    with pytest.raises(ValueError, match="finite"):
-        ScanTable(
-            metadata={},
-            r_over_rc=np.array([1.0]),
-            vector_potential=np.array([[np.nan]]),
-            azimuthal_field=np.array([[0.0]]),
-            scalar_potential=np.array([[0.0]]),
-        )
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_non_finite_row_stops_the_scan_after_the_blocks_before_it(fmt, monkeypatch, capsys):
+    """The last grid point lies exactly on the defective point u = 2w, where the rows are
+    0/0: the scan exits 2, and stdout holds the complete rows of the blocks before it."""
+    rmax = 1.0378908155562134  # u = 2w bit for bit at w = -0.5
+    points = 3 * BLOCK + 1
+    argv = ["scan", "--preset", "gaetan2009", "--detuning-ratio", "-0.5", "--rmin", "0.5",
+            "--rmax", repr(rmax), "--points", str(points), "--format", fmt]
+    monkeypatch.setattr(analysis, "_BLOCK", BLOCK)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: scan rows must be finite\n"
+    drive = _drive_of("gaetan2009", -0.5)
+    reduced = reduced_parameters(drive, GAETAN.interaction)
+    grid = np.geomspace(0.5, rmax, points)
+    assert reduced.shift_ratio(grid[-1]) == 2.0 * reduced.detuning_ratio
+    earlier = scan_table(scan_1d(drive, GAETAN.interaction, grid[:-1]))
+    assert captured.out == (to_csv(earlier) if fmt == "csv" else to_json(earlier)[: -len("]}\n")])
+    assert len(json.loads(to_json(earlier))["rows"]) == 3 * BLOCK
 
 
 # extrema of the signed azimuthal field at zero detuning, attractive

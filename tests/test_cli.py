@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import rydgauge
 from rydgauge import dynamics
 from rydgauge.cli import build_parser, main
 from rydgauge.config import RunConfig, parse_config, read_config_file
@@ -63,20 +66,50 @@ def test_scan_csv_and_json_carry_identical_values(capsys):
         assert parsed == pytest.approx(row, rel=0.0, abs=0.0)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_bulk_scan_memory_stays_a_block_plus_the_table(fmt, tmp_path):
-    """One 1e5-point scan holds its table's 8 MB of columns, one solve block and one block
-    of text; the whole document or whole-grid temporaries would not fit."""
+def _scan_peak_bytes(points, fmt, out_dir):
     argv = ["scan", "--preset", "beguin2013", "--detuning-ratio", "0", "--rmin", "0.01",
-            "--rmax", "20", "--points", "100000", "--format", fmt,
-            "--output", str(tmp_path / f"scan.{fmt}")]
+            "--rmax", "20", "--points", str(points), "--format", fmt,
+            "--output", str(out_dir / f"scan.{fmt}")]
     tracemalloc.start()
     try:
         assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bulk_scan_memory_stays_a_block_plus_the_grid(fmt, tmp_path):
+    """A scan holds its 8-byte-per-point grid, one solve block and one block of text:
+    a 1e5-point scan peaks near 2.5 MiB, and 9e4 more points add little beyond their
+    0.7 MiB of grid.  A whole table of values (8 MB) or the whole document would not fit."""
+    big = _scan_peak_bytes(100_000, fmt, tmp_path)
+    small = _scan_peak_bytes(10_000, fmt, tmp_path)
+    assert big <= 4 * 2**20
+    assert big - small < 2**20
+
+
+def test_scan_with_more_points_than_memory_is_a_usage_error(capsys):
+    # 8e15 bytes of grid: the allocation fails at once, before anything is solved
+    assert main(["scan", "--preset", "gaetan2009", "--points", str(10**15)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_a_reader_that_leaves_early_ends_the_scan_quietly():
+    """``rydgauge scan ... | head -1``: once the reader closes the pipe the scan stops,
+    exits 141 (128 + SIGPIPE) and writes nothing to stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rydgauge.__file__).resolve().parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "rydgauge", "scan", "--preset", "gaetan2009", "--points", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as scan:
+        assert scan.stdout.readline().decode() == SCAN_HEADER + "\n"
+        scan.stdout.close()
+        assert scan.wait(timeout=120) == 141
+        assert scan.stderr.read() == b""
 
 
 def test_scan_si_flag_switches_the_length_column(capsys):
@@ -92,6 +125,16 @@ def test_scan_output_file(tmp_path, capsys):
     assert main(SCAN_ARGS + ["--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text().splitlines()[0] == SCAN_HEADER
+
+
+def test_a_scan_failing_in_its_first_block_opens_no_file(tmp_path, capsys):
+    # every point overflows u; the head waits for the first block, so no file is made
+    target = tmp_path / "scan.csv"
+    argv = ["scan", "--preset", "beguin2013", "--rmin", "1e-300", "--rmax", "1e-299",
+            "--points", "3", "--output", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: scan rows must be finite\n"
+    assert not target.exists()
 
 
 def test_config_file_parsing(tmp_path):

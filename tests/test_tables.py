@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from rydgauge import tables
+from rydgauge import analysis, tables
 from rydgauge.analysis import PeakReport, ScalingFit, scan_1d
 from rydgauge.cli import main
 from rydgauge.config import RunConfig, build_experiment
 from rydgauge.dynamics import Trajectory
 from rydgauge.gauge import FieldMap
+from rydgauge.model import ModelUnits
 from rydgauge.tables import (
     map_table,
     peaks_table,
@@ -169,11 +170,15 @@ def test_small_numeric_tables_keep_their_bytes(argv, csv_text, json_text, capsys
         assert capsys.readouterr().out == expected
 
 
-def test_empty_scan_keeps_its_bytes():
+def test_empty_scan_keeps_its_bytes(solves):
+    """The empty grid, which the CLI's --points refuses, in model units and SI: no solve."""
     drive, model = build_experiment(RunConfig(preset="gaetan2009", detuning_ratio=-1.0))
-    table = scan_table(scan_1d(drive, model, r_grid=()))
-    assert to_csv(table) == SCAN_CSV
-    assert to_json(table) == SCAN_HEAD + '"rows": []}\n'
+    scan = scan_1d(drive, model, r_grid=())
+    for table, r in ((scan_table(scan), "r_over_rc"),
+                     (scan_table(scan, ModelUnits.from_experiment(drive, model)), "r_m")):
+        assert to_csv(table) == SCAN_CSV.replace("r_over_rc", r)
+        assert to_json(table) == SCAN_HEAD.replace("r_over_rc", r) + '"rows": []}\n'
+    assert solves == []
 
 
 # one small command per table kind
@@ -193,7 +198,7 @@ STREAMED = {
 def test_streamed_documents_are_the_joined_text(kind, fmt, tmp_path, monkeypatch, capsys):
     """The CLI writes a table piece by piece, to a file or stdout, with the bytes of
     to_csv/to_json; every byte goes through tables.write_text, which counts them."""
-    monkeypatch.setattr(tables, "_BLOCK", 4)  # several row blocks per numeric table
+    monkeypatch.setattr(analysis, "_BLOCK", 4)  # several row blocks per numeric table
     rendered, pieces = [], []
     render, write_text = tables.render, tables.write_text
 
