@@ -95,10 +95,13 @@ def scan_1d(params: DriveParams, model: InteractionModel, r_grid) -> ScanTable:
     The grid is checked here, and nothing is solved: the returned table
     solves it one block at a time as its rows are read.  Grid points whose
     dressed ladder is near degenerate are excluded and counted instead of
-    producing unreliable rows.  An empty grid gives an empty table; every
-    separation must be finite and > 0, the grid strictly increasing.
+    producing unreliable rows.  An empty grid gives an empty table; the
+    grid must be one-dimensional and strictly increasing, every separation
+    finite and > 0.
     """
     grid = _positive_finite(r_grid, "separation in r_grid")
+    if grid.ndim != 1:
+        raise ValueError(f"scan grid must be one-dimensional, got shape {grid.shape}")
     if grid.size and not np.all(np.diff(grid) > 0.0):
         raise ValueError("scan grid must be strictly increasing")
     reduced = reduced_parameters(params, model)

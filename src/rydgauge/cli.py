@@ -59,15 +59,23 @@ def _write(config, table: tables.Table) -> None:
 
     The output file is opened once the head is ready, that is once a scan's
     first block is solved and checked: a scan that fails there writes nothing.
+    A run that fails after the file is opened removes the file it wrote, if
+    that is a regular file, so no partial table is left behind; a device such
+    as /dev/null stays, also behind a symlink.
     """
     pieces = tables.render(table, config.format)
     head = next(pieces)
     path = config.output
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="\n")) as out:
-        tables.write_text(out, head)
-        for text in pieces:
-            tables.write_text(out, text)
+        try:
+            tables.write_text(out, head)
+            for text in pieces:
+                tables.write_text(out, text)
+        except BaseException:
+            if path is not None and os.path.isfile(path):
+                os.unlink(os.path.realpath(path))
+            raise
 
 
 def _load_config(args: argparse.Namespace):

@@ -5,7 +5,7 @@ Schema (one ``key = value`` per line, ``#`` starts a comment):
     preset          built-in experiment name (gaetan2009, beguin2013)
     interaction     rdd or vdw
     c3              RDD coefficient, 2*pi MHz um^3, signed
-    c6              vdW coefficient, 2*pi GHz um^6, signed
+    c6              vdW coefficient, 2*pi GHz um^6, signed (c3 or c6, not both)
     rabi_mhz        |Omega|/2*pi in MHz
     wavelength_nm   drive wavelength in nm
     detuning_ratio  delta/|Omega|
@@ -38,6 +38,15 @@ DEFAULT_MASS_KG = 87.0 * ATOMIC_MASS
 
 _FLOAT_KEYS = ("c3", "c6", "rabi_mhz", "wavelength_nm", "detuning_ratio", "rmin", "rmax")
 
+# interaction -> its coefficient's key and that key's unit as two SI factors,
+# 2*pi MHz um^3 for rdd and 2*pi GHz um^6 for vdw
+_INTERACTIONS = {"rdd": ("c3", 1e6, 1e-18), "vdw": ("c6", 1e9, 1e-36)}
+
+
+def _given_kinds(config) -> list[str]:
+    """The interactions whose coefficient ``config`` sets."""
+    return [kind for kind, (key, _, _) in _INTERACTIONS.items() if getattr(config, key) is not None]
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -59,12 +68,14 @@ class RunConfig:
     si: bool = False
 
     def __post_init__(self) -> None:
-        if self.interaction is not None and self.interaction not in ("rdd", "vdw"):
+        if self.interaction is not None and self.interaction not in _INTERACTIONS:
             raise ValueError("interaction must be 'rdd' or 'vdw'")
-        if self.interaction == "vdw" and self.c3 is not None:
-            raise ValueError("c3 invalid for vdw")
-        if self.interaction == "rdd" and self.c6 is not None:
-            raise ValueError("c6 invalid for rdd")
+        given = _given_kinds(self)
+        for kind in given:
+            if self.interaction not in (None, kind):
+                raise ValueError(f"{_INTERACTIONS[kind][0]} invalid for {self.interaction}")
+        if len(given) > 1:
+            raise ValueError("c3 and c6 cannot both be given: choose one interaction")
         for label in self.labels:
             if label not in LABELS:
                 raise ValueError(f"labels must come from {LABELS}")
@@ -198,22 +209,15 @@ def build_experiment(config: RunConfig) -> tuple[DriveParams, InteractionModel]:
             detuning_rad_s=config.detuning_ratio * drive.rabi_magnitude_rad_s,
         )
 
-    if config.interaction == "rdd" or (config.interaction is None and config.c3 is not None):
-        if config.c3 is None:
-            if interaction is None or interaction.kind is not InteractionKind.RDD:
-                raise ValueError("interaction rdd requires c3")
-        else:
+    kind = config.interaction or next(iter(_given_kinds(config)), None)
+    if kind is not None:
+        key, scale, unit = _INTERACTIONS[kind]
+        value = getattr(config, key)
+        if value is not None:
             interaction = InteractionModel(
-                kind=InteractionKind.RDD, coefficient=TWOPI * config.c3 * 1e6 * 1e-18
-            )
-    elif config.interaction == "vdw" or config.c6 is not None:
-        if config.c6 is None:
-            if interaction is None or interaction.kind is not InteractionKind.VDW:
-                raise ValueError("interaction vdw requires c6")
-        else:
-            interaction = InteractionModel(
-                kind=InteractionKind.VDW, coefficient=TWOPI * config.c6 * 1e9 * 1e-36
-            )
+                kind=InteractionKind(kind), coefficient=TWOPI * value * scale * unit)
+        elif interaction is None or interaction.kind is not InteractionKind(kind):
+            raise ValueError(f"interaction {kind} requires {key}")
     if interaction is None:
         raise ValueError("either preset or an interaction definition must be given")
     return drive, interaction

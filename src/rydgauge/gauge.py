@@ -231,29 +231,20 @@ def scalar_profile(x_over_rc, reduced: ReducedParameters) -> np.ndarray:
     return _profile_spectrum(x_over_rc, reduced).scalar(reduced.kappa)
 
 
-def magnetic_field(
-    params: DriveParams,
-    model: InteractionModel,
-    label: str,
-    r_vec,
-    frame: str = "atom_a",
-) -> np.ndarray:
-    """Artificial magnetic field at separation vectors r_vec (B0 units).
+def magnetic_field(params: DriveParams, model: InteractionModel, label: str, r_vec) -> np.ndarray:
+    """Artificial magnetic field on atom a at separation vectors r_vec (B0 units).
 
     r_vec, of shape (3,) or (n, 3), points from atom b to atom a; the
-    field for atom b is the exact negative.  B = da/dx · (e_r x e_k), and
-    one closed-form :func:`field_profile` call serves all n; separations
-    parallel to the beam give exactly zero (the azimuthal direction
-    degenerates).
+    field on atom b is the exact negative of the returned one.  B = da/dx ·
+    (e_r x e_k), and one closed-form :func:`field_profile` call serves all
+    n; separations parallel to the beam give exactly zero (the azimuthal
+    direction degenerates).
     """
     _check_label(label)
-    if frame not in ("atom_a", "atom_b"):
-        raise ValueError("frame must be 'atom_a' or 'atom_b'")
     r_vec, r = _separation_vectors(r_vec)
     da_dx = field_profile(r, reduced_parameters(params, model))[LABEL_INDEX[label]]
     khat = np.asarray(params.wavevector_direction, dtype=float)
-    b = da_dx[..., None] * np.cross(r_vec / r[..., None], khat)
-    return -b if frame == "atom_b" else b
+    return da_dx[..., None] * np.cross(r_vec / r[..., None], khat)
 
 
 @dataclass(frozen=True)

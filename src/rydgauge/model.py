@@ -116,12 +116,12 @@ def characteristic_field(params: DriveParams, crossover_m: float) -> float:
 
 @dataclass(frozen=True)
 class ModelUnits:
-    """Conversion factors between model units and SI.
+    """The SI value of each model unit; a model-unit value times its
+    attribute is that value in SI.
 
     Energies are measured in hbar·|Omega|, lengths in r_c, vector
     potentials in hbar·k_L, magnetic fields in B0 = hbar·k_L/(e·r_c) and
-    scalar potentials in the recoil-like unit hbar^2·k_L^2/(2m), which is
-    mass dependent and therefore tagged per atom.
+    scalar potentials in the recoil-like unit hbar^2·k_L^2/(2m_a) of atom a.
     """
 
     energy_J: float
@@ -129,7 +129,6 @@ class ModelUnits:
     vector_potential_kg_m_s: float
     field_T: float
     scalar_a_J: float
-    scalar_b_J: float
 
     @classmethod
     def from_experiment(cls, params: DriveParams, model: InteractionModel) -> "ModelUnits":
@@ -141,28 +140,7 @@ class ModelUnits:
             vector_potential_kg_m_s=HBAR * k_l,
             field_T=characteristic_field(params, r_c),
             scalar_a_J=HBAR**2 * k_l**2 / (2.0 * params.mass_a_kg),
-            scalar_b_J=HBAR**2 * k_l**2 / (2.0 * params.mass_b_kg),
         )
-
-    def _unit(self, quantity: str) -> float:
-        units = {
-            "energy": self.energy_J,
-            "length": self.length_m,
-            "vector_potential": self.vector_potential_kg_m_s,
-            "field": self.field_T,
-            "scalar_a": self.scalar_a_J,
-            "scalar_b": self.scalar_b_J,
-        }
-        try:
-            return units[quantity]
-        except KeyError:
-            raise ValueError(f"unknown quantity {quantity!r}") from None
-
-    def to_si(self, value, quantity: str):
-        return np.asarray(value) * self._unit(quantity)
-
-    def to_model(self, value, quantity: str):
-        return np.asarray(value) / self._unit(quantity)
 
 
 @dataclass(frozen=True)

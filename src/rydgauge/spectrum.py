@@ -33,12 +33,12 @@ DEGENERACY_TOL = 1e-10  # model units
 _TRIG_OFFSETS = np.array([0.0, -TWOPI / 3.0, TWOPI / 3.0])  # angles of E_1, E_-, E_+
 
 
-def _polish(e, u, w, steps=2):
-    """Newton-polish roots of the monic characteristic cubic."""
+def _polish(e, u, w):
+    """Two Newton steps on roots of the monic characteristic cubic."""
     c = u * w - w * w - 1.0
     d = 0.5 * u
     two_u = 2.0 * u
-    for _ in range(steps):
+    for _ in range(2):
         f = ((e - u) * e + c) * e + d
         fp = (3.0 * e - two_u) * e + c
         e = e - np.divide(f, fp, out=np.zeros(fp.shape), where=fp != 0.0)

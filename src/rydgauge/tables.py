@@ -15,7 +15,7 @@ import functools
 import itertools
 import json
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -128,10 +128,10 @@ def scan_table(scan: ScanTable, units: ModelUnits | None = None) -> Table:
     def blocks():
         for r, a, b, phi in scan.blocks():
             if units is not None:
-                r = units.to_si(r, "length")
-                a = units.to_si(a, "vector_potential")
-                b = units.to_si(b, "field")
-                phi = units.to_si(phi, "scalar_a")
+                r = r * units.length_m
+                a = a * units.vector_potential_kg_m_s
+                b = b * units.field_T
+                phi = phi * units.scalar_a_J
             yield np.column_stack((r, a.T, b.T, phi.T))
 
     def metadata():
@@ -158,24 +158,19 @@ def map_table(field_map: FieldMap) -> Table:
     )
 
 
+def _record_table(cls, records: list, skip: tuple = ()) -> Table:
+    """A keyed table of ``cls`` records: one column per field of the
+    dataclass, in declaration order, less the fields named in ``skip``."""
+    columns = tuple(f.name for f in fields(cls) if f.name not in skip)
+    return Table(columns, rows=[[getattr(rec, name) for name in columns] for rec in records])
+
+
 def peaks_table(reports: list[PeakReport]) -> Table:
-    rows = [
-        [rep.label, rep.kind, float(rep.r_peak_over_rc), float(rep.field_peak),
-         float(rep.detuning_ratio), rep.found, rep.note]
-        for rep in reports
-    ]
-    columns = ("label", "kind", "r_peak_over_rc", "field_peak", "detuning_ratio", "found", "note")
-    return Table(columns, rows=rows)
+    return _record_table(PeakReport, reports)
 
 
 def scaling_table(fits: list[ScalingFit]) -> Table:
-    rows = [
-        [fit.label, fit.kind, float(fit.exponent), float(fit.coefficient),
-         float(fit.position), float(fit.residual), tuple(fit.flags)]
-        for fit in fits
-    ]
-    columns = ("label", "kind", "exponent", "coefficient", "position", "residual", "flags")
-    return Table(columns, rows=rows)
+    return _record_table(ScalingFit, fits, skip=("reports",))
 
 
 def write_text(out, text: str) -> None:

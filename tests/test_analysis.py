@@ -186,6 +186,9 @@ def test_scan_rejects_bad_input():
         scan_1d(drive, GAETAN.interaction, r_grid=[1.0, 0.5])
     with pytest.raises(ValueError, match="separation in r_grid must be finite and > 0"):
         scan_1d(drive, GAETAN.interaction, r_grid=[-1.0, 0.5])
+    for grid in (1.0, [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="scan grid must be one-dimensional"):
+            scan_1d(drive, GAETAN.interaction, r_grid=grid)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import rydgauge
-from rydgauge import dynamics
+from rydgauge import analysis, dynamics
 from rydgauge.cli import build_parser, main
-from rydgauge.config import RunConfig, parse_config, read_config_file
+from rydgauge.config import RunConfig, build_experiment, parse_config, read_config_file
+from rydgauge.model import ModelUnits
 from rydgauge.tables import SCAN_HEADER
 
 SCAN_ARGS = [
@@ -112,12 +113,30 @@ def test_a_reader_that_leaves_early_ends_the_scan_quietly():
         assert scan.stderr.read() == b""
 
 
-def test_scan_si_flag_switches_the_length_column(capsys):
-    assert main(SCAN_ARGS + ["--si"]) == 0
+def _scan_document(argv, fmt, capsys):
+    """A scan's column names and its rows parsed to floats, from CSV or JSON."""
+    assert main(argv + ["--format", fmt]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[0].startswith("r_m,")
-    first_r = float(out.splitlines()[1].split(",")[0])
-    assert first_r == pytest.approx(0.5 * 7.896e-6, rel=1e-3)
+    if fmt == "json":
+        document = json.loads(out)
+        return document["metadata"]["columns"], document["rows"]
+    lines = out.splitlines()
+    return lines[0].split(","), [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_si_flag_switches_the_length_column(fmt, capsys):
+    """Each SI column is its model-unit column times its ModelUnits scale, bit for bit."""
+    columns, rows = _scan_document(SCAN_ARGS, fmt, capsys)
+    si_columns, si_rows = _scan_document(SCAN_ARGS + ["--si"], fmt, capsys)
+    assert si_columns == ["r_m"] + columns[1:]
+    assert si_rows[0][0] == pytest.approx(0.5 * 7.896e-6, rel=1e-3)
+    units = ModelUnits.from_experiment(*build_experiment(RunConfig(preset="gaetan2009")))
+    scales = [units.length_m] + [units.vector_potential_kg_m_s] * 3 + [units.field_T] * 3 \
+        + [units.scalar_a_J] * 3
+    assert len(si_rows) == len(rows) == 7
+    for row, si_row in zip(rows, si_rows):
+        assert si_row == [value * scale for value, scale in zip(row, scales)]
 
 
 def test_scan_output_file(tmp_path, capsys):
@@ -135,6 +154,40 @@ def test_a_scan_failing_in_its_first_block_opens_no_file(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: scan rows must be finite\n"
     assert not target.exists()
+    target.write_text("kept\n")  # nor is an existing file touched
+    assert main(argv) == 2
+    assert target.read_text() == "kept\n"
+
+
+# 22 points in blocks of 7: the last point lies exactly on u = 2w, where the rows are 0/0
+LATE_FAILURE = ["scan", "--preset", "gaetan2009", "--detuning-ratio=-0.5", "--rmin", "0.5",
+                "--rmax", "1.0378908155562134", "--points", "22"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_scan_failing_in_a_later_block_leaves_no_file(fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "_BLOCK", 7)
+    target = tmp_path / f"scan.{fmt}"
+    target.write_text("an earlier table\n")
+    assert main(LATE_FAILURE + ["--format", fmt, "--output", str(target)]) == 2
+    assert capsys.readouterr().err == "error: scan rows must be finite\n"
+    assert not target.exists()
+
+
+def test_a_late_failure_through_a_symlink_removes_only_a_regular_file(tmp_path, monkeypatch,
+                                                                       capsys):
+    monkeypatch.setattr(analysis, "_BLOCK", 7)
+    null, link = tmp_path / "null", tmp_path / "link.csv"
+    null.symlink_to(os.devnull)
+    assert main(LATE_FAILURE + ["--output", str(null)]) == 2
+    assert null.is_symlink()
+    assert Path(os.devnull).is_char_device()
+    target = tmp_path / "target.csv"
+    target.write_text("an earlier table\n")
+    link.symlink_to(target)
+    assert main(LATE_FAILURE + ["--output", str(link)]) == 2
+    assert not target.exists()  # the file written, not just the link to it
+    assert capsys.readouterr().err == "error: scan rows must be finite\n" * 2
 
 
 def test_config_file_parsing(tmp_path):
@@ -191,6 +244,8 @@ def test_run_config_validation():
         RunConfig(interaction="vdw", c3=100.0)
     with pytest.raises(ValueError, match="c6 invalid for rdd"):
         RunConfig(interaction="rdd", c6=100.0)
+    with pytest.raises(ValueError, match="c3 and c6 cannot both be given"):
+        RunConfig(c3=-3200.0, c6=-300.0)
     with pytest.raises(ValueError, match="rmax"):
         RunConfig(rmin=2.0, rmax=1.0)
     with pytest.raises(ValueError, match="labels"):
@@ -201,13 +256,27 @@ def test_run_config_validation():
                 RunConfig(**{key: bad})
 
 
-def test_config_errors_surface_as_exit_2(capsys):
-    code = main(
-        ["scan", "--preset", "gaetan2009", "--interaction", "vdw",
-         "--c3", "3200", "--rmin", "0.5", "--rmax", "2", "--points", "3"]
-    )
+@pytest.mark.parametrize("flags, message", [
+    (["--interaction", "vdw", "--c3", "3200"], "c3 invalid for vdw"),
+    (["--interaction", "vdw"], "interaction vdw requires c6"),
+    (["--c3", "-3200", "--c6", "-300"], "c3 and c6 cannot both be given: choose one interaction"),
+], ids=["c3-for-vdw", "vdw-without-c6", "c3-and-c6"])
+def test_config_errors_surface_as_exit_2(flags, message, capsys):
+    code = main(["scan", "--preset", "gaetan2009", *flags, "--rmin", "0.5", "--rmax", "2",
+                 "--points", "3"])
     assert code == 2
-    assert "error: c3 invalid for vdw" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_a_config_file_with_both_coefficients_is_refused(tmp_path, capsys):
+    path = tmp_path / "both.conf"
+    path.write_text("preset = gaetan2009\nc3 = -3200\nc6 = -300\n")
+    with pytest.raises(ValueError, match="c3 and c6 cannot both be given"):
+        parse_config(str(path))
+    assert main(["scan", "--config", str(path), "--points", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: c3 and c6 cannot both be given")
 
 
 def test_peaks_subcommand(capsys):

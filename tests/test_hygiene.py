@@ -1,0 +1,60 @@
+"""Source hygiene of the package: no import left unused, no private name left unread.
+
+Both checks read the syntax trees of ``src/rydgauge``; a deletion that
+leaves an import or a ``_private`` helper behind fails here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rydgauge"
+MODULES = sorted(PACKAGE.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+
+
+def _loaded(tree: ast.AST) -> set:
+    """Every name read in ``tree``: bare names and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def _imported(tree: ast.Module) -> set:
+    """The names the module's imports bind, ``from __future__`` excepted."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """Module-level ``_private`` functions, classes and constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+@pytest.mark.parametrize("name", [path.name for path in MODULES if path.name != "__init__.py"])
+def test_every_import_is_used(name):
+    tree = TREES[name]
+    assert sorted(_imported(tree) - _loaded(tree)) == []
+
+
+def test_every_private_definition_is_read():
+    loaded = set().union(*(_loaded(tree) for tree in TREES.values()))
+    unread = {name: sorted(_private_definitions(tree) - loaded) for name, tree in TREES.items()}
+    assert {name: defs for name, defs in unread.items() if defs} == {}

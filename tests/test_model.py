@@ -3,7 +3,6 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from rydgauge.constants import BOLTZMANN, HBAR, TWOPI
@@ -130,16 +129,6 @@ def test_reduced_shift_ratio():
     assert reduced.shift_ratio(1.0) == pytest.approx(-1.0, rel=1e-12)
     assert reduced.shift_ratio(2.0) == pytest.approx(-0.125, rel=1e-12)
     assert reduced.kappa == pytest.approx(167.61016921193385, rel=1e-12)
-
-
-def test_model_units_round_trip():
-    units = ModelUnits.from_experiment(GAETAN.drive, GAETAN.interaction)
-    values = np.array([0.25, -1.5, 3.0])
-    for quantity in ("energy", "length", "vector_potential", "field", "scalar_a", "scalar_b"):
-        back = units.to_model(units.to_si(values, quantity), quantity)
-        assert np.allclose(back, values, rtol=1e-15)
-    with pytest.raises(ValueError):
-        units.to_si(1.0, "volume")
 
 
 def test_characteristic_field_formula():
