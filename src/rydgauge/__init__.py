@@ -60,7 +60,6 @@ from .regimes import (
     blockade_gauge,
     effective_hamiltonian,
     single_atom_gauge,
-    validity_advisory,
     weak_expansion,
 )
 from .spectrum import (

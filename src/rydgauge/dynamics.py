@@ -4,7 +4,8 @@ The mobile atom (atom a) feels the artificial Lorentz force of its
 labeled internal state and the gradient of the dressed energy; the
 partner sits at the origin and does not recoil.  By default the motion
 is integrated with adaptive Dormand-Prince 5(4) (Dormand & Prince,
-J. Comput. Appl. Math. 6, 19 (1980)); an explicit time step selects
+J. Comput. Appl. Math. 6, 19 (1980)), whose records between step ends
+come from its fourth-order dense output; an explicit time step selects
 classic fixed-step RK4.  Both abort where the adiabatic model itself
 stops being trustworthy.  A run is returned as columns: times,
 positions, velocities and the closed-form adiabaticity parameter
@@ -47,7 +48,8 @@ APPROACH_RC = 6.0
 SCENARIO_STRIDE = 200
 
 # Dormand-Prince 5(4): stage matrix (row 6 is the fifth-order solution,
-# so its stage is the next step's first) and fifth minus fourth order weights
+# so its stage is the next step's first), fifth minus fourth order weights
+# and the weights of the fourth-order dense output (Hairer's dopri5 d_i)
 _DP_A = np.zeros((7, 6))
 _DP_A[1, :1] = [1 / 5]
 _DP_A[2, :2] = [3 / 40, 9 / 40]
@@ -58,6 +60,10 @@ _DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+_DP_D = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
+])
 _SAFETY, _FAC_MIN, _FAC_MAX = 0.9, 0.2, 10.0  # step shrinks at most 5x, grows at most 10x
 _PI_BETA = 0.04
 _PI_ALPHA = 0.2 - 0.75 * _PI_BETA
@@ -212,6 +218,25 @@ def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s):
     return np.where(gap < DEGENERACY_GAP, np.where(coupling == 0.0, 0.0, np.inf), ratio).max(axis=0)
 
 
+def _check_chord(engine: _Engine, start: np.ndarray, end: np.ndarray) -> None:
+    """Raise if the straight path of an accepted step passes below the validity floor.
+
+    The force checks the floor only where a stage lands, and a step can
+    leap across the partner between stages; the chord from ``start`` to
+    ``end`` (positions, m) catches that.
+    """
+    chord = end - start
+    length2 = chord.dot(chord)
+    s = min(1.0, max(0.0, -start.dot(chord) / length2)) if length2 > 0.0 else 0.0
+    closest = start + s * chord
+    x = math.sqrt(closest.dot(closest)) / engine.r_c_m
+    if x < MIN_SEPARATION_RC:
+        raise ModelValidityError(
+            f"step passes {x:.4f} r_c from the partner, below validity floor "
+            f"{MIN_SEPARATION_RC} r_c"
+        )
+
+
 def _step_count(max_time_s: float, step_s: float) -> int:
     """Fixed steps to reach max_time_s, the last one shortened to land on it."""
     # a ratio within 1e-9 of an integer is that integer, so rounding in
@@ -250,7 +275,9 @@ def _rk4_records(config: TrajectoryConfig, engine: _Engine):
         k3p = vel + 0.5 * dt * k2v
         k4v = acceleration(pos + dt * k3p, vel + dt * k3v)
         k4p = vel + dt * k3v
-        pos = pos + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        pos_new = pos + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        _check_chord(engine, pos, pos_new)
+        pos = pos_new
         vel = vel + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if step % config.output_stride == 0 or step == n_steps:
             yield t, pos, vel
@@ -261,9 +288,11 @@ def _dp54_records(config: TrajectoryConfig, engine: _Engine):
 
     FSAL, the PI step controller of Hairer, Norsett & Wanner (Solving
     ODEs I, II.4-II.5) on the mixed error norm with scales
-    ``atol_i + RTOL * max(|y_i|, |y_new_i|)``.  The steps up to the next
-    record time split it evenly, so every record is an accepted step
-    that lands on it exactly, with no interpolation.
+    ``atol_i + RTOL * max(|y_i|, |y_new_i|)``.  Steps run at the length
+    the controller chooses; a record time inside an accepted step is
+    written from the fourth-order dense output of that step (ibid.
+    II.6), built from its seven stages.  Only the last step is clipped,
+    so the final record is a step end at ``max_time_s`` exactly.
     """
     y = np.array([*config.initial_position_m, *config.initial_velocity_m_s], dtype=float)
     # absolute floors from the problem's own scales: r_c for positions and
@@ -284,31 +313,46 @@ def _dp54_records(config: TrajectoryConfig, engine: _Engine):
     scale = atol + RTOL * np.abs(y)
     d0, d1 = norm(y, scale), norm(k[0], scale)
     h = 0.01 * d0 / d1 if d1 > 0.0 else config.max_time_s
-    t = 0.0
+    t, t_end = 0.0, config.max_time_s
+    records = iter(_record_times(config, RECORD_STEP_S)[:-1])  # interior; the last is t_end
+    t_record = next(records, math.inf)
     err_old = ERR_FLOOR
     rejected = False
-    for t_record in _record_times(config, RECORD_STEP_S):
-        while t < t_record:
-            n_left = math.ceil((t_record - t) / h)
-            h_step = (t_record - t) / n_left
-            for i in range(1, 7):
-                y_new = y + h_step * (_DP_A[i, :i] @ k[:i])
-                rhs(y_new, k[i])
-            err = norm(h_step * (_DP_E @ k), atol + RTOL * np.maximum(np.abs(y), np.abs(y_new)))
-            if err <= 1.0:
-                fac = err**_PI_ALPHA / err_old**_PI_BETA / _SAFETY
-                h = h_step / min(1.0 / _FAC_MIN, max(1.0 / _FAC_MAX, fac))
-                if rejected:
-                    h = min(h, h_step)
-                err_old = max(err, ERR_FLOOR)
-                rejected = False
-                t = t_record if n_left == 1 else t + h_step
-                y = y_new
-                k[0] = k[6]
-            else:
-                h = h_step / min(1.0 / _FAC_MIN, err**_PI_ALPHA / _SAFETY)
-                rejected = True
-        yield t, y[:3], y[3:]
+    while True:
+        last = h >= t_end - t
+        h_step = t_end - t if last else h
+        for i in range(1, 7):
+            y_new = y + h_step * (_DP_A[i, :i] @ k[:i])
+            rhs(y_new, k[i])
+        err = norm(h_step * (_DP_E @ k), atol + RTOL * np.maximum(np.abs(y), np.abs(y_new)))
+        if err > 1.0:
+            h = h_step / min(1.0 / _FAC_MIN, err**_PI_ALPHA / _SAFETY)
+            rejected = True
+            continue
+        _check_chord(engine, y[:3], y_new[:3])
+        t_new = t_end if last else t + h_step
+        if t_record <= t_new:
+            # Hairer's contd5: y + th (dy + (1 - th)(b + th (dy - h k7 - b + (1 - th) h D.k)))
+            dy = y_new - y
+            bspl = h_step * k[0] - dy
+            tail = dy - h_step * k[6] - bspl
+            hdk = h_step * (_DP_D @ k)
+            while t_record <= t_new:
+                th = (t_record - t) / h_step
+                y_rec = y + th * (dy + (1.0 - th) * (bspl + th * (tail + (1.0 - th) * hdk)))
+                yield t_record, y_rec[:3], y_rec[3:]
+                t_record = next(records, math.inf)
+        if last:
+            yield t_end, y_new[:3], y_new[3:]
+            return
+        fac = err**_PI_ALPHA / err_old**_PI_BETA / _SAFETY
+        h = h_step / min(1.0 / _FAC_MIN, max(1.0 / _FAC_MAX, fac))
+        if rejected:
+            h = min(h, h_step)
+        err_old = max(err, ERR_FLOOR)
+        rejected = False
+        t, y = t_new, y_new
+        k[0] = k[6]
 
 
 def integrate(config: TrajectoryConfig) -> Trajectory:
@@ -319,8 +363,11 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
     classic fixed-step RK4.  Either way the run ends exactly at
     ``max_time_s`` and states are recorded at t = 0, at every
     ``output_stride`` steps of the fixed step (50 ns on the adaptive
-    path), and at the end.  A force evaluation below the validity floor
-    ends the run: the partial trajectory is returned with the reason.
+    path), and at the end.  On the adaptive path only the final record
+    is a step end; the others are interpolated from the dense output of
+    the step that holds them.  A force evaluation below the validity
+    floor, or an accepted step whose chord passes below it, ends the
+    run: the partial trajectory is returned with the reason.
     The adiabaticity of all records, a partial run's included, comes from
     one batched call after the run.
     """

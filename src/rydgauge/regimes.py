@@ -16,11 +16,6 @@ import numpy as np
 
 from .model import ReducedParameters
 
-# advisory threshold: the elimination of the doubly excited state needs
-# the interaction to dominate the drive
-VALIDITY_RATIO = 0.2
-
-
 def _markov_gap(u, w) -> np.ndarray:
     """u - 4w/3, the denominator of the light shift; raises at its pole."""
     u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
@@ -37,15 +32,6 @@ def _markov_gap(u, w) -> np.ndarray:
             "(single-photon antiblockade resonance)"
         )
     return gap
-
-
-def validity_advisory(u, w) -> np.ndarray:
-    """True where the drive is not negligible against the interaction.
-
-    The rule is sqrt(1 + w^2) >= VALIDITY_RATIO * |u|; there the
-    elimination of |ee> behind the blockade effective theory is in doubt.
-    """
-    return np.hypot(1.0, w) >= VALIDITY_RATIO * np.abs(u)
 
 
 def effective_hamiltonian(u, w) -> np.ndarray:

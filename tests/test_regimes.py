@@ -21,7 +21,6 @@ from rydgauge.regimes import (
     blockade_gauge,
     effective_hamiltonian,
     single_atom_gauge,
-    validity_advisory,
     weak_expansion,
 )
 from rydgauge.spectrum import LABEL_INDEX, labeled_spectrum
@@ -95,12 +94,6 @@ def test_effective_theory_singularity():
     for closed_form in (effective_hamiltonian, blockade_effective):
         with pytest.raises(ValueError, match="antiblockade"):
             closed_form(resonant, reduced.detuning_ratio)
-
-
-def test_advisory_when_drive_not_negligible():
-    reduced = _reduced(0.0)
-    u = reduced.shift_ratio(np.array([0.05, 1.0]))
-    assert validity_advisory(u, 0.0).tolist() == [False, True]
 
 
 def test_blockade_gauge_zero_detuning_closed_form():

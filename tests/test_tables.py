@@ -143,21 +143,22 @@ PINNED = [
      + "0.0000000000000000e+00,-4.7376552809965747e-05,7.8960921349942906e-06,"
      "0.0000000000000000e+00,1.0000000000000000e+01,0.0000000000000000e+00,"
      "0.0000000000000000e+00,2.3816784517516722e-05\n"
-     "9.4753105619931498e-06,4.7376551806135658e-05,7.8961202472588549e-06,"
-     "6.9214463651817061e-09,9.9999999999982450e+00,5.9337925834906834e-06,"
-     "2.5977860871791711e-09,2.3816776102320912e-05\n",
+     "9.4753105619931498e-06,4.7376551806135644e-05,7.8961202472588583e-06,"
+     "6.9214463627491722e-09,9.9999999999982361e+00,5.9337925831912564e-06,"
+     "2.5972696636921660e-09,2.3816776102319008e-05\n",
      '{"metadata": {"aborted": false, ' + TRAJECTORY_HEAD + ', "reason": ""}, "rows": ['
      "[0.0, -4.737655280996575e-05, 7.89609213499429e-06, 0.0, 10.0, 0.0, 0.0, "
-     "2.3816784517516722e-05], [9.47531056199315e-06, 4.737655180613566e-05, "
-     "7.896120247258855e-06, 6.921446365181706e-09, 9.999999999998245, 5.933792583490683e-06, "
-     "2.597786087179171e-09, 2.3816776102320912e-05]]}\n"),
+     "2.3816784517516722e-05], [9.47531056199315e-06, 4.7376551806135644e-05, "
+     "7.896120247258858e-06, 6.921446362749172e-09, 9.999999999998236, 5.933792583191256e-06, "
+     "2.597269663692166e-09, 2.3816776102319008e-05]]}\n"),
     (["trajectory", "--speed", "10", "--impact-parameter-rc", "0"],
      TRAJECTORY_CSV
      + "0.0000000000000000e+00,-4.7376552809965747e-05,0.0000000000000000e+00,"
      "0.0000000000000000e+00,1.0000000000000000e+01,0.0000000000000000e+00,"
      "0.0000000000000000e+00,2.5510665636262077e-05\n",
      '{"metadata": {"aborted": true, ' + TRAJECTORY_HEAD
-     + ', "reason": "separation 0.0087 r_c below validity floor 0.01 r_c"}, "rows": ['
+     + ', "reason": "step passes 0.0009 r_c from the partner, below validity floor 0.01 r_c"}, '
+     '"rows": ['
      "[0.0, -4.737655280996575e-05, 0.0, 0.0, 10.0, 0.0, 0.0, 2.5510665636262077e-05]]}\n"),
 ]
 
