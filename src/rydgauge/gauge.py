@@ -260,18 +260,28 @@ class BerryConnection:
     gauge_discontinuity: np.ndarray  # step halving never restored a smooth stencil
 
 
-def _eigenvector_field(params: DriveParams, reduced: ReducedParameters):
+def _eigenvector_field(params: DriveParams, reduced: ReducedParameters, stencil_axes: int = 0):
     """states(pos_a, label): the gauge-fixed eigenvectors of ``label`` with
     atom a at ``pos_a`` (..., 3) and atom b at the origin, crossover
-    units, as the finite-difference oracles sample them."""
+    units, as the finite-difference oracles sample them.
+
+    The detuning ratio, dressing ratio and kappa of ``reduced`` may hold
+    one entry per sample; they broadcast against the sample axes of
+    ``pos_a``, which ``stencil_axes`` stencil axes follow.
+    """
     khat = np.asarray(params.wavevector_direction, dtype=float)
+    w, lam, kappa = (
+        np.reshape(value, np.shape(value) + (1,) * stencil_axes)
+        for value in (reduced.detuning_ratio, reduced.dressing_ratio, reduced.kappa)
+    )
+    per_sample = ReducedParameters(w, lam, reduced.interaction_sign, reduced.power, kappa)
 
     def states(pos_a, label):
         return bare_state_vector(
-            reduced.shift_ratio(_row_norms(pos_a)),
-            reduced.detuning_ratio,
+            per_sample.shift_ratio(_row_norms(pos_a)),
+            w,
             label,
-            phase_a=reduced.kappa * _row_dots(pos_a, khat),
+            phase_a=kappa * _row_dots(pos_a, khat),
             phase_b=0.0,
             rabi_phase=params.rabi_phase_rad,
         )
@@ -289,7 +299,7 @@ def _richardson(outer_p, outer_m, inner_p, inner_m, h):
 
 def berry_connection_fd(
     params: DriveParams,
-    model: InteractionModel,
+    reduced: ReducedParameters,
     label,
     r_vec,
     step: float = FD_STEP,
@@ -298,33 +308,34 @@ def berry_connection_fd(
 
     ``r_vec``, of shape (3,) or (n, 3), is the position of atom a with
     atom b at the origin; ``label`` is one label or one per separation.
-    Differentiates the gauge-fixed eigenvector with respect to the
-    position of atom a, component by component, with Richardson
-    extrapolation; each stencil offset is one batched
-    :func:`bare_state_vector` call over every sample and component.  If
-    the eigenvector field is not smooth across a component's stencil
-    (overlap of the outer samples < 0.99) that step is halved and the
-    outer pair retried, four attempts in all; persistent failure flags
-    the sample.
+    ``params`` gives the Rabi phase and the beam direction; the detuning
+    ratio, dressing ratio and kappa of ``reduced`` are one drive or
+    arrays with one entry per separation.  Differentiates the gauge-fixed
+    eigenvector with respect to the position of atom a, component by
+    component, with Richardson extrapolation.  The +-h pair is one
+    :func:`bare_state_vector` call over every sample and component, and
+    +-h/2 with the centre one more.  If the eigenvector field is not
+    smooth across a component's stencil (overlap of the outer samples
+    < 0.99) that step is halved and the outer pair retried, four attempts
+    in all; persistent failure flags the sample.
     """
     r_vec, _ = _separation_vectors(r_vec)
-    reduced = reduced_parameters(params, model)
-    states = _eigenvector_field(params, reduced)
+    states = _eigenvector_field(params, reduced, stencil_axes=1)
     label = np.asarray(label)[..., None]  # one label per sample, for all three axes
 
-    def state(offset):  # offset (..., 3): the displacement along each axis
-        return states(r_vec[..., None, :] + offset[..., None] * np.eye(3), label)
+    def state(offsets):  # offsets (k, ..., 3): k displacements along each axis
+        return states(r_vec[..., None, :] + offsets[..., None] * np.eye(3), label)
 
     h = np.full(np.broadcast_shapes(r_vec.shape[:-1] + (3,), label.shape), step)
     for attempt in range(4):
-        outer_p, outer_m = state(h), state(-h)
+        outer_p, outer_m = state(np.stack([h, -h]))
         smooth = np.abs(_row_dots(outer_p.conj(), outer_m)) >= 0.99
         if smooth.all() or attempt == 3:
             break
         h = np.where(smooth, h, h / 2.0)
-    derivative = _richardson(outer_p, outer_m, state(h / 2.0), state(-h / 2.0), h[..., None])
-    center = states(r_vec[..., None, :], label)
-    value = 1j * _row_dots(center.conj(), derivative) / reduced.kappa
+    inner_p, inner_m, center = state(np.stack([h / 2.0, -h / 2.0, np.zeros(h.shape)]))
+    derivative = _richardson(outer_p, outer_m, inner_p, inner_m, h[..., None])
+    value = 1j * _row_dots(center.conj(), derivative) / np.expand_dims(reduced.kappa, -1)
     return BerryConnection(
         vector=value.real,
         imag_residual=np.abs(value.imag).max(axis=-1),
@@ -345,7 +356,7 @@ def _overlap_sq(bra, ket) -> np.ndarray:
 
 def scalar_potential_fd(
     params: DriveParams,
-    model: InteractionModel,
+    reduced: ReducedParameters,
     label,
     r_ab,
     step: float = 1e-5,
@@ -357,14 +368,17 @@ def scalar_potential_fd(
     dark state included) for the radial and beam-axis displacements; the
     third axis contributes nothing at first order in this geometry.
     ``r_ab`` is one separation or an array of them and ``label`` one label
-    or an array broadcasting against it; each stencil offset is one
-    batched :func:`bare_state_vector` call.  Units hbar^2*k_L^2/(2m), like
-    :func:`scalar_profile`.
+    or an array broadcasting against it; ``params`` gives the Rabi phase
+    and the beam direction, and the detuning ratio, dressing ratio and
+    kappa of ``reduced`` are one drive or arrays broadcasting against
+    ``r_ab``.  Both axes' four stencil offsets are one batched
+    :func:`bare_state_vector` call, the bright states at ``r_ab`` one more.
+    Units hbar^2*k_L^2/(2m), like :func:`scalar_profile`.
     """
     r_ab = _positive_finite(r_ab, "separation r_ab")
-    reduced = reduced_parameters(params, model)
-    khat = np.asarray(params.wavevector_direction, dtype=float)
     rows = _label_rows(label)
+    r_ab = np.broadcast_to(r_ab, np.broadcast_shapes(r_ab.shape, rows.shape))
+    khat = np.asarray(params.wavevector_direction, dtype=float)
     states = _eigenvector_field(params, reduced)
     helper = np.array([1.0, 0.0, 0.0])
     if abs(np.dot(helper, khat)) > 0.9:
@@ -372,7 +386,10 @@ def scalar_potential_fd(
     e_sep = helper - np.dot(helper, khat) * khat
     e_sep = e_sep / np.linalg.norm(e_sep)
 
+    offsets = np.array([step, -step, step / 2, -step / 2])
+    moves = offsets[None, :, None] * np.stack([e_sep, khat])[:, None, :]  # (axis, offset, 3)
     base = r_ab[..., None] * e_sep
+    stencil = states(base + moves.reshape((2, 4) + (1,) * r_ab.ndim + (3,)), label)
     bright = bare_state_vector(
         reduced.shift_ratio(r_ab),
         reduced.detuning_ratio,
@@ -380,12 +397,9 @@ def scalar_potential_fd(
         rabi_phase=params.rabi_phase_rad,
     )
     dark = dark_state_vector(0.0, 0.0)
-    total = np.zeros(np.broadcast_shapes(r_ab.shape, rows.shape))
-    for axis in (e_sep, khat):
-        derivative = _richardson(
-            *(states(base + offset * axis, label) for offset in (step, -step, step / 2, -step / 2)),
-            step,
-        )
+    total = np.zeros(r_ab.shape)
+    for samples in stencil:  # the radial axis, then the beam axis
+        derivative = _richardson(*samples, step)
         for row, other in enumerate(bright):  # the other bright labels, then the dark state
             total += np.where(rows == row, 0.0, _overlap_sq(other, derivative))
         total += _overlap_sq(dark, derivative)

@@ -161,11 +161,12 @@ def near_degenerate(energies) -> np.ndarray:
 
     ``energies`` has the bright energies along its first axis, as
     returned by :func:`labeled_spectrum`; the dark level at zero is added.
-    The result has the shape of the remaining axes.
+    The result has the shape of the remaining axes.  The smallest of the
+    six pairwise gaps is the same float as the smallest adjacent gap of
+    the sorted ladder (rounding is monotone), with no sort.
     """
-    energies = np.asarray(energies, dtype=float)
-    ladder = np.concatenate([np.zeros((1,) + energies.shape[1:]), energies])
-    gaps = np.diff(np.sort(ladder, axis=0), axis=0)
+    e1, e2, e3 = np.asarray(energies, dtype=float)
+    gaps = np.abs([e1, e2, e3, e1 - e2, e1 - e3, e2 - e3])  # |0 - E| is |E| exactly
     return gaps.min(axis=0) < DEGENERACY_TOL
 
 

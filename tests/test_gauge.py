@@ -79,9 +79,10 @@ def test_frozen_gauge_values(w, model, x, expected):
 def test_berry_connection_oracle(w, x):
     """Closed form against i<chi|grad chi> finite differences."""
     drive = _drive(w)
+    reduced = reduced_parameters(drive, GAETAN.interaction)
     for label in LABELS:
         closed = _vector(drive, GAETAN.interaction, label, x)
-        fd = berry_connection_fd(drive, GAETAN.interaction, label, (x, 0, 0))
+        fd = berry_connection_fd(drive, reduced, label, (x, 0, 0))
         assert not fd.gauge_discontinuity
         assert np.linalg.norm(fd.vector - closed) < 1e-6 * np.linalg.norm(closed)
         assert fd.imag_residual < 1e-6
@@ -90,16 +91,17 @@ def test_berry_connection_oracle(w, x):
 def test_berry_connection_oracle_vdw():
     drive = _drive(-1.0)
     closed = _vector(drive, VDW_ATT, "+", 0.7)
-    fd = berry_connection_fd(drive, VDW_ATT, "+", (0.0, 0.7, 0.0))
+    fd = berry_connection_fd(drive, reduced_parameters(drive, VDW_ATT), "+", (0.0, 0.7, 0.0))
     assert np.linalg.norm(fd.vector - closed) < 1e-6 * np.linalg.norm(closed)
 
 
 @pytest.mark.parametrize("w,x", [(-2.0, 0.4), (0.0, 1.0), (1.0, 3.0)])
 def test_scalar_potential_oracle(w, x):
     drive = _drive(w)
-    closed = scalar_profile(x, reduced_parameters(drive, GAETAN.interaction))
+    reduced = reduced_parameters(drive, GAETAN.interaction)
+    closed = scalar_profile(x, reduced)
     for label in LABELS:
-        fd = scalar_potential_fd(drive, GAETAN.interaction, label, x)
+        fd = scalar_potential_fd(drive, reduced, label, x)
         assert fd == pytest.approx(closed[LABEL_INDEX[label]], rel=1e-6)
 
 
@@ -148,17 +150,18 @@ def test_berry_oracle_batch_equals_single_points(monkeypatch, w, step):
     and at 1e-2 r_c some samples stay flagged after four attempts.
     """
     drive = _drive(w)
+    reduced = reduced_parameters(drive, GAETAN.interaction)
     rng = np.random.default_rng(11)
     direction = rng.normal(size=(12, 3))
     r_vec = direction / np.linalg.norm(direction, axis=1)[:, None]
     r_vec *= np.geomspace(0.05, 3.0, 12)[:, None]
     labels = np.array(LABELS * 4)
     calls = _counting(monkeypatch, gauge, "bare_state_vector")
-    batch = berry_connection_fd(drive, GAETAN.interaction, labels, r_vec, step=step)
-    halvings = (len(calls) - 5) // 2  # centre, +-h and +-h/2, plus one +-h pair per retry
+    batch = berry_connection_fd(drive, reduced, labels, r_vec, step=step)
+    halvings = len(calls) - 2  # the +-h pair per attempt, then +-h/2 with the centre
     assert batch.vector.shape == (12, 3)
     for i, (label, r) in enumerate(zip(labels, r_vec)):
-        one = berry_connection_fd(drive, GAETAN.interaction, label, r, step=step)
+        one = berry_connection_fd(drive, reduced, label, r, step=step)
         assert batch.vector[i].tobytes() == one.vector.tobytes()
         assert batch.imag_residual[i].tobytes() == one.imag_residual.tobytes()
         assert batch.gauge_discontinuity[i] == one.gauge_discontinuity
@@ -183,12 +186,13 @@ def test_overlap_squares_have_the_bits_of_abs_vdot_squared():
 def test_scalar_oracle_batch_equals_single_points(w):
     """Both solver branches (0.05 r_c is deflated), every label, one call."""
     drive = _drive(w)
+    reduced = reduced_parameters(drive, VDW_ATT)
     x = np.repeat(np.geomspace(0.05, 20.0, 6), 3)
     labels = np.array(LABELS * 6)
-    batch = scalar_potential_fd(drive, VDW_ATT, labels, x)
+    batch = scalar_potential_fd(drive, reduced, labels, x)
     assert batch.shape == x.shape
     for i, (label, r) in enumerate(zip(labels, x)):
-        one = scalar_potential_fd(drive, VDW_ATT, label, float(r))
+        one = scalar_potential_fd(drive, reduced, label, float(r))
         assert batch[i].tobytes() == np.float64(one).tobytes()
 
 
@@ -422,11 +426,11 @@ _REDUCED = reduced_parameters(*_PAIR)
     (lambda: field_profile(_NAN, _REDUCED), "x_over_rc"),
     (lambda: scalar_profile(np.array([[0.5], [-_INF]]), _REDUCED), "x_over_rc"),
     (lambda: com_scalar_potentials(*_PAIR, np.array([1.0, _NAN])), "r_ab"),
-    (lambda: scalar_potential_fd(*_PAIR, "1", _INF), "r_ab"),
-    (lambda: scalar_potential_fd(*_PAIR, "1", np.array([1.0, _NAN])), "r_ab"),
-    (lambda: berry_connection_fd(*_PAIR, "1", [_INF, 0.0, 0.0]), "r_vec"),
-    (lambda: berry_connection_fd(*_PAIR, "1", [[1.0, 0.0, 0.0], [_NAN, 0.0, 0.0]]), "r_vec"),
-    (lambda: berry_connection_fd(*_PAIR, "1", [0.0, 0.0, 0.0]), "r_vec"),
+    (lambda: scalar_potential_fd(_PAIR[0], _REDUCED, "1", _INF), "r_ab"),
+    (lambda: scalar_potential_fd(_PAIR[0], _REDUCED, "1", np.array([1.0, _NAN])), "r_ab"),
+    (lambda: berry_connection_fd(_PAIR[0], _REDUCED, "1", [_INF, 0.0, 0.0]), "r_vec"),
+    (lambda: berry_connection_fd(_PAIR[0], _REDUCED, "1", [[1.0, 0.0, 0.0], [_NAN, 0.0, 0.0]]), "r_vec"),
+    (lambda: berry_connection_fd(_PAIR[0], _REDUCED, "1", [0.0, 0.0, 0.0]), "r_vec"),
     (lambda: adiabaticity_fd(*_PAIR, "1", [_NAN, 0.0, 1.0], [0.0, 0.0, 1.0]), "r_vec"),
     (lambda: adiabaticity_fd(*_PAIR, "1", [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]), "r_vec"),
     (lambda: adiabaticity_fd(*_PAIR, "1", [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]), "velocity"),

@@ -12,6 +12,7 @@ from rydgauge.gauge import _radial_spectrum
 from rydgauge.model import ReducedParameters, get_preset, reduced_parameters
 from rydgauge.spectrum import (
     DEFLATE_AT,
+    DEGENERACY_TOL,
     LABELS,
     bare_state_vector,
     dark_state_vector,
@@ -216,6 +217,28 @@ def test_eigenvector_residual():
         assert np.linalg.norm(h @ vec - energy * vec) < 1e-12
         # gauge fix: the |gg> coefficient carries the phase of Omega*
         assert np.angle(vec[3]) == pytest.approx(-theta, abs=1e-12)
+
+
+def test_near_degenerate_is_the_sorted_ladder_rule():
+    """The six pairwise gaps give the booleans of the smallest adjacent gap of
+    the sorted ladder {0, E_1, E_-, E_+}: on 1e5 random spectra (both solver
+    branches) and on every triple of signed zeros, ties, near-ties, NaN and
+    infinities."""
+    rng = np.random.default_rng(23)
+    u = rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-3.0, 7.0, 100_000)
+    random, _, _ = labeled_spectrum(u, rng.uniform(-5.0, 5.0, 100_000))
+    specials = [0.0, -0.0, 1e-10, -1e-10, 5e-11, 1e-10 + 5e-11, 1.0, 1.0 + 5e-11, -1.0,
+                np.nan, np.inf, -np.inf]
+    triples = np.array(np.meshgrid(specials, specials, specials, indexing="ij")).reshape(3, -1)
+    for energies in (random, triples):
+        ladder = np.concatenate([np.zeros((1,) + energies.shape[1:]), energies])
+        with np.errstate(invalid="ignore"):  # inf - inf
+            expected = np.diff(np.sort(ladder, axis=0), axis=0).min(axis=0) < DEGENERACY_TOL
+            assert np.array_equal(near_degenerate(energies), expected)
+    assert 0 < expected.sum() < expected.size
+    for row in triples.T[:50]:  # a single spectrum is a batch of one
+        with np.errstate(invalid="ignore"):
+            assert near_degenerate(row) == near_degenerate(row[:, None])[0]
 
 
 def test_bare_vectors_are_dense_eigenvectors_in_one_batch():

@@ -1,9 +1,12 @@
 """Tests for the shared oracle checks behind `rydgauge validate`."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rydgauge import gauge, validate
+from rydgauge.cli import main
 from rydgauge.model import InteractionKind, reduced_parameters
 from rydgauge.spectrum import LABELS
 
@@ -94,8 +97,8 @@ def test_fd_oracles_do_not_use_the_closed_form(monkeypatch):
     monkeypatch.setattr(gauge, "_radial_spectrum", forbidden)
     with pytest.raises(AssertionError):
         gauge.connection_profile(x, reduced)
-    berry = gauge.berry_connection_fd(drive, model, labels, np.outer(x, [1.0, 0.0, 0.0]))
-    overlap = gauge.scalar_potential_fd(drive, model, labels, x)
+    berry = gauge.berry_connection_fd(drive, reduced, labels, np.outer(x, [1.0, 0.0, 0.0]))
+    overlap = gauge.scalar_potential_fd(drive, reduced, labels, x)
     assert np.abs(berry.vector[:, 2] / a - 1.0).max() < 1e-6
     assert np.abs(berry.vector[:, :2]).max() < 1e-6 * np.abs(a).min()
     assert np.abs(overlap / phi - 1.0).max() < 1e-6
@@ -108,3 +111,136 @@ def test_full_tier_passes_with_its_report_names_in_order():
     assert results[0].detail.startswith("10000 draws")
     assert results[1].detail.startswith("240 samples")
     assert validate.report(results).splitlines()[-1] == "oracles: 12 passed, 0 failed"
+
+
+def _nan_from_call(monkeypatch, name, first, edit):
+    """Patch validate.<name> so that its calls from the ``first``-th (0-based)
+    on return ``edit`` of their value, a copy holding a NaN."""
+    original, calls = getattr(validate, name), []
+
+    def poisoned(*args, **kwargs):
+        value = original(*args, **kwargs)
+        calls.append(name)
+        return edit(value) if len(calls) > first else value
+
+    monkeypatch.setattr(validate, name, poisoned)
+    return calls
+
+
+def _nan_at(index):
+    def edit(value):
+        value = np.array(value, dtype=float)
+        value[index] = np.nan
+        return value
+
+    return edit
+
+
+def _berry_nan(field):
+    return lambda oracle: dataclasses.replace(
+        oracle, **{field: _nan_at((Ellipsis, -1))(getattr(oracle, field))})
+
+
+_LAST = _nan_at((Ellipsis, -1))
+
+
+@pytest.mark.parametrize("check,name,first,edit", [
+    # A and phi: a NaN in the batch after the first, at the closed form or the oracle
+    (lambda: validate._check_berry(POINTS), "connection_profile", 1, _LAST),
+    (lambda: validate._check_berry(POINTS), "berry_connection_fd", 1, _berry_nan("vector")),
+    (lambda: validate._check_berry(POINTS), "berry_connection_fd", 1,
+     _berry_nan("imag_residual")),
+    (lambda: validate._check_scalar(POINTS), "scalar_profile", 1, _LAST),
+    (lambda: validate._check_scalar(POINTS), "scalar_potential_fd", 1, _LAST),
+    # the plateaus: the near one ('+' sorts a NaN last) and the far one
+    (validate._check_plateaus, "connection_profile", 0, _nan_at(1)),
+    (validate._check_plateaus, "connection_profile", 1, _nan_at(1)),
+    # B's label swap ('1' against '+'), its '-' row, its azimuthal direction
+    (lambda: validate._check_symmetry(np.geomspace(0.3, 3.0, 7)), "field_profile", 1,
+     _nan_at((2, -1))),
+    (lambda: validate._check_symmetry(np.geomspace(0.3, 3.0, 7)), "field_profile", 1,
+     _nan_at((1, -1))),
+    (lambda: validate._check_symmetry(np.geomspace(0.3, 3.0, 7)), "magnetic_field", 0,
+     _nan_at(0)),
+    # the effective spectrum (a NaN in h itself makes eigvalsh raise)
+    (validate._check_effective_hamiltonian, "blockade_effective", 0, _nan_at(1)),
+    # the single atom's A and phi
+    (validate._check_single_atom, "single_atom_gauge", 0, lambda v: (_nan_at(0)(v[0]), v[1])),
+    (validate._check_single_atom, "single_atom_gauge", 0, lambda v: (v[0], _nan_at(0)(v[1]))),
+], ids=["berry-closed", "berry-oracle", "berry-imag", "scalar-closed", "scalar-oracle",
+        "plateau-near", "plateau-far", "symmetry-one-plus", "symmetry-minus", "symmetry-azimuth",
+        "effective-spectrum", "single-atom-a", "single-atom-phi"])
+def test_a_nan_in_any_term_fails_its_check(monkeypatch, check, name, first, edit):
+    """Python's max drops a NaN after its first argument; every check must not."""
+    assert check().passed
+    calls = _nan_from_call(monkeypatch, name, first, edit)
+    result = check()
+    assert len(calls) > first
+    assert not result.passed and "nan" in result.detail
+
+
+def test_kind_batches_keep_the_bits_of_one_drive_calls():
+    """The batched oracles and closed forms give every point the bytes of
+    one call at its own drive and interaction."""
+    drive = validate._drive()
+    columns = []
+    for reduced, x, labels in validate._kind_batches(POINTS):
+        berry = gauge.berry_connection_fd(drive, reduced, labels, np.outer(x, [1.0, 0.0, 0.0]))
+        overlap = gauge.scalar_potential_fd(drive, reduced, labels, x)
+        a, phi = gauge.connection_profile(x, reduced), gauge.scalar_profile(x, reduced)
+        columns += zip(berry.vector, berry.imag_residual, overlap, a.T, phi.T)
+    in_batch_order = [p for kind in InteractionKind for p in POINTS if p[2] is kind]
+    assert len(columns) == len(in_batch_order) == len(POINTS)
+    for (x, w, kind, label), batched in zip(in_batch_order, columns):
+        own = validate._drive(w)
+        reduced = reduced_parameters(own, validate._model(kind, -1.0))
+        berry = gauge.berry_connection_fd(own, reduced, label, [x, 0.0, 0.0])
+        single = (berry.vector, berry.imag_residual, gauge.scalar_potential_fd(own, reduced, label, x),
+                  gauge.connection_profile(x, reduced), gauge.scalar_profile(x, reduced))
+        assert [v.tobytes() for v in batched] == [np.asarray(v).tobytes() for v in single]
+
+
+def test_full_tier_oracles_make_eight_solves(monkeypatch):
+    """Berry and scalar at 240 points: per interaction kind, the +-h pair, then
+    +-h/2 with the centre, then the scalar stencil and its bright states."""
+    calls = []
+    solve = gauge.bare_state_vector
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "bare_state_vector", counted)
+    results = [r for r in validate.run_checks(quick=False) if "_fd" in r.name]
+    assert [r.passed for r in results] == [True, True]
+    assert len(calls) <= 8
+
+
+QUICK_REPORT = """\
+PASS eigenvalues_analytic_vs_dense: 2000 draws, worst rel 2.58e-15
+PASS berry_connection_closed_vs_fd: 6 samples, worst rel 1.97e-12
+PASS scalar_potential_closed_vs_fd: 6 samples, worst rel 5.02e-12
+"""
+FULL_REPORT = """\
+PASS eigenvalues_analytic_vs_dense: 10000 draws, worst rel 2.96e-15
+PASS berry_connection_closed_vs_fd: 240 samples, worst rel 4.33e-12
+PASS scalar_potential_closed_vs_fd: 240 samples, worst rel 1.29e-12
+"""
+SHARED_REPORT = """\
+PASS vector_potential_plateaus: worst plateau deviation 2.00e-06 hbar*k_L
+PASS blockade_limit_matches_general: dev at 0.05 r_c 7.88e-09, monotone True
+PASS weak_expansion_quadratic_residual: residual ratio under V halving 4.0000
+PASS field_symmetries: worst deviation 1.89e-17 B0
+PASS com_frame_decomposition: variance identity rel 0.00e+00
+PASS antiblockade_distances_solve_resonance: residual of V(r) at resonance 2.22e-16
+PASS blockade_effective_spectrum: worst deviation 1.11e-16 (hbar*|Omega| units)
+PASS single_atom_limits: delta=0 branch '+' deviation 0.00e+00
+PASS scan_serialization_deterministic: 2656 bytes, identical True
+oracles: 12 passed, 0 failed
+"""
+
+
+@pytest.mark.parametrize("tier,head", [("--quick", QUICK_REPORT), ("--full", FULL_REPORT)])
+def test_validate_reports_keep_their_bytes(tier, head, capsys):
+    assert main(["validate", tier]) == 0
+    assert capsys.readouterr().out == head + SHARED_REPORT
