@@ -1,12 +1,11 @@
 """Semiclassical motion of one dressed atom past a pinned partner.
 
 The mobile atom (atom a) feels the artificial Lorentz force of its
-labeled internal state and the gradient of the dressed energy; the
-partner sits at the origin and does not recoil.  By default the motion
-is integrated with adaptive Dormand-Prince 5(4) (Dormand & Prince,
-J. Comput. Appl. Math. 6, 19 (1980)), whose records between step ends
-come from its fourth-order dense output; an explicit time step selects
-classic fixed-step RK4.  Both abort where the adiabatic model itself
+labeled internal state; the partner sits at the origin and does not
+recoil.  By default the motion is integrated with adaptive
+Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 19
+(1980)), whose records between step ends come from its fourth-order
+dense output; an explicit time step selects classic fixed-step RK4.  Both abort where the adiabatic model itself
 stops being trustworthy.  A run is returned as columns: times,
 positions, velocities and the closed-form adiabaticity parameter
 (Dalibard et al., Rev. Mod. Phys. 83, 1523 (2011)) of every record.
@@ -43,7 +42,7 @@ RECORD_STEP_S = 50e-9
 # records one run may keep, about the rows of a bulk scan table: far past it a
 # run would not finish building its list of record times before its first step
 MAX_RECORDS = 1_000_000
-# deflection scenario: start this many r_c out, record every this many steps
+# the deflection scenario starts this many r_c out; every run records every this many steps
 APPROACH_RC = 6.0
 SCENARIO_STRIDE = 200
 
@@ -78,11 +77,9 @@ class TrajectoryConfig:
     """Everything one integration needs.
 
     Positions and velocities are SI; the pinned atom is at the origin.
-    Switches pick force terms independently.  The Lorentz term carries the
-    elementary charge, the e of the field unit B0 = hbar*k_L/(e*r_c).  The
-    scalar potential's gradient is left out: it is of recoil scale and
-    usually compensated by light shifts.  A run may record at most
-    ``MAX_RECORDS`` states.
+    Every run feels the same Lorentz force and records every
+    ``SCENARIO_STRIDE`` steps, so only what a flyby varies is here.  A
+    run may record at most ``MAX_RECORDS`` states.
     """
 
     drive: DriveParams
@@ -92,9 +89,6 @@ class TrajectoryConfig:
     max_time_s: float
     label: str = "+"  # connects to |gg> at large separation
     time_step_s: float | None = None  # None: adaptive Dormand-Prince 5(4)
-    include_lorentz: bool = True
-    include_adiabatic_potential: bool = True
-    output_stride: int = 1
 
     def __post_init__(self) -> None:
         _check_label(self.label)
@@ -104,14 +98,12 @@ class TrajectoryConfig:
             raise ValueError(f"time step must be finite and positive, got {self.time_step_s!r}")
         if not (math.isfinite(self.max_time_s) and self.max_time_s > 0.0):
             raise ValueError(f"max time must be finite and positive, got {self.max_time_s!r}")
-        if not isinstance(self.output_stride, (int, np.integer)) or self.output_stride < 1:
-            raise ValueError(f"output_stride must be an integer >= 1, got {self.output_stride!r}")
         step_s = RECORD_STEP_S if self.time_step_s is None else self.time_step_s
-        records = self.max_time_s / step_s / self.output_stride  # a float: it may be inf
+        records = self.max_time_s / step_s / SCENARIO_STRIDE  # a float: it may be inf
         if records > MAX_RECORDS:
             raise ValueError(
                 f"max time {self.max_time_s:.6g} s makes about {records:.3g} records, one per "
-                f"{self.output_stride} steps of {step_s:g} s; at most {MAX_RECORDS:,} are kept"
+                f"{SCENARIO_STRIDE} steps of {step_s:g} s; at most {MAX_RECORDS:,} are kept"
             )
         for name, value in (("initial position", self.initial_position_m),
                             ("initial velocity", self.initial_velocity_m_s)):
@@ -139,14 +131,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class _Engine:
-    """Precomputed conversion factors for one configuration."""
+    """Precomputed conversion factors and the label's row for one configuration."""
 
     reduced: object
     khat: np.ndarray
     r_c_m: float
-    energy_J: float  # hbar*|Omega|
     field_T: float
     mass_kg: float
+    row: int  # the label's row of the spectrum
 
 
 def _engine(config: TrajectoryConfig) -> _Engine:
@@ -155,9 +147,9 @@ def _engine(config: TrajectoryConfig) -> _Engine:
         reduced=reduced_parameters(config.drive, config.interaction),
         khat=np.asarray(config.drive.wavevector_direction, dtype=float),
         r_c_m=units.length_m,
-        energy_J=units.energy_J,
         field_T=units.field_T,
         mass_kg=config.drive.mass_a_kg,
+        row=LABEL_INDEX[config.label],
     )
 
 
@@ -167,7 +159,16 @@ def _cross(a, b) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
+def _force(engine: _Engine, position_m, velocity_m_s):
+    """The artificial Lorentz force q v x B on atom a, B = B0 B_phi e_r x k, in N.
+
+    Only this term acts: the in-plane gradient of the dressed energy would
+    dominate the motion long before the crossing and bury the transverse
+    deflection that a flyby measures.  A later workload that needs the
+    dressed-energy force can add it back as a closed form on the same solve:
+    Hellmann-Feynman's dE/dx = n2 ee^2 du/dx reads only fields that
+    ``_RadialSpectrum`` already carries.
+    """
     pos = np.asarray(position_m, dtype=float)
     vel = np.asarray(velocity_m_s, dtype=float)
     r_m = math.sqrt(pos.dot(pos))  # the bits of np.linalg.norm, without its overhead
@@ -176,17 +177,9 @@ def _force(config: TrajectoryConfig, engine: _Engine, position_m, velocity_m_s):
         raise ModelValidityError(
             f"separation {x:.4f} r_c below validity floor {MIN_SEPARATION_RC} r_c"
         )
-    row = LABEL_INDEX[config.label]
-    e_r = pos / r_m
-    total = np.zeros(3)
-    if config.include_lorentz or config.include_adiabatic_potential:
-        spec = _radial_spectrum(x, engine.reduced)  # solved only for a term that reads it
-    if config.include_lorentz:
-        b_si = engine.field_T * spec.da_dx[row] * _cross(e_r, engine.khat)
-        total += ELEMENTARY_CHARGE * _cross(vel, b_si)
-    if config.include_adiabatic_potential:
-        total += -spec.de_dx[row] * (engine.energy_J / engine.r_c_m) * e_r
-    return total
+    da_dx = _radial_spectrum(x, engine.reduced).da_dx[engine.row]
+    b_si = engine.field_T * da_dx * _cross(pos / r_m, engine.khat)
+    return ELEMENTARY_CHARGE * _cross(vel, b_si)
 
 
 def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s):
@@ -204,7 +197,7 @@ def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s):
     vel = np.asarray(velocity_m_s, dtype=float)
     r_m = _row_norms(pos)
     spectrum = _radial_spectrum(r_m / engine.r_c_m, engine.reduced)
-    row = LABEL_INDEX[config.label]
+    row = engine.row
     radial, phase, dark = _pair_amplitudes(spectrum)
     along_r = _row_dots(vel, pos) / r_m
     along_k = engine.reduced.kappa * _row_dots(vel, engine.khat)
@@ -246,10 +239,10 @@ def _step_count(max_time_s: float, step_s: float) -> int:
 
 def _record_times(config: TrajectoryConfig, step_s: float) -> list[float]:
     """Times of the recorded states after t = 0 on the fixed-step grid of
-    ``step_s``: every ``output_stride`` steps and, last, ``max_time_s``."""
+    ``step_s``: every ``SCENARIO_STRIDE`` steps and, last, ``max_time_s``."""
     n_steps = _step_count(config.max_time_s, step_s)
-    stride = config.output_stride
-    return [step * step_s for step in range(stride, n_steps, stride)] + [config.max_time_s]
+    grid = range(SCENARIO_STRIDE, n_steps, SCENARIO_STRIDE)
+    return [step * step_s for step in grid] + [config.max_time_s]
 
 
 def _rk4_records(config: TrajectoryConfig, engine: _Engine):
@@ -257,7 +250,7 @@ def _rk4_records(config: TrajectoryConfig, engine: _Engine):
     n_steps = _step_count(config.max_time_s, config.time_step_s)
 
     def acceleration(pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
-        return _force(config, engine, pos, vel) / engine.mass_kg
+        return _force(engine, pos, vel) / engine.mass_kg
 
     pos = np.asarray(config.initial_position_m, dtype=float)
     vel = np.asarray(config.initial_velocity_m_s, dtype=float)
@@ -279,7 +272,7 @@ def _rk4_records(config: TrajectoryConfig, engine: _Engine):
         _check_chord(engine, pos, pos_new)
         pos = pos_new
         vel = vel + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if step % config.output_stride == 0 or step == n_steps:
+        if step % SCENARIO_STRIDE == 0 or step == n_steps:
             yield t, pos, vel
 
 
@@ -302,7 +295,7 @@ def _dp54_records(config: TrajectoryConfig, engine: _Engine):
 
     def rhs(y: np.ndarray, out: np.ndarray) -> None:
         out[:3] = y[3:]
-        np.divide(_force(config, engine, y[:3], y[3:]), engine.mass_kg, out=out[3:])
+        np.divide(_force(engine, y[:3], y[3:]), engine.mass_kg, out=out[3:])
 
     def norm(v: np.ndarray, scale: np.ndarray) -> float:
         return math.sqrt(np.add.reduce((v / scale) ** 2) / v.size)  # np.mean's bits
@@ -362,7 +355,7 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
     5(4) at relative tolerance ``RTOL``; an explicit ``time_step_s`` runs
     classic fixed-step RK4.  Either way the run ends exactly at
     ``max_time_s`` and states are recorded at t = 0, at every
-    ``output_stride`` steps of the fixed step (50 ns on the adaptive
+    ``SCENARIO_STRIDE`` steps of the fixed step (50 ns on the adaptive
     path), and at the end.  On the adaptive path only the final record
     is a step end; the others are interpolated from the dense output of
     the step that holds them.  A force evaluation below the validity
@@ -404,13 +397,10 @@ def deflection_scenario(
 
     The atom crosses the interaction region in the plane perpendicular
     to the beam, from ``APPROACH_RC`` crossover distances out to as far
-    past the partner, recording every ``SCENARIO_STRIDE`` steps, so
-    the deflection along the beam axis is the integrated signature of
-    the azimuthal field.  Only the Lorentz term is enabled: the in-plane
-    energy gradient would dominate the motion long before the crossing
-    and bury the transverse signal this scenario measures.  Without
-    ``time_step_s`` the run uses the adaptive integrator; a step given
-    here selects fixed-step RK4 at that step.
+    past the partner, so the deflection along the beam axis is the
+    integrated signature of the azimuthal field.  Without ``time_step_s``
+    the run uses the adaptive integrator; a step given here selects
+    fixed-step RK4 at that step.
     """
     if not (math.isfinite(speed_m_s) and speed_m_s > 0):
         raise ValueError(f"speed must be finite and positive, got {speed_m_s!r} m/s")
@@ -427,6 +417,4 @@ def deflection_scenario(
         max_time_s=2.0 * APPROACH_RC * r_c / speed_m_s,
         label=label,
         time_step_s=time_step_s,
-        include_adiabatic_potential=False,
-        output_stride=SCENARIO_STRIDE,
     )

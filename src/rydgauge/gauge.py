@@ -53,7 +53,6 @@ class _RadialSpectrum:
     gg: np.ndarray
     n2: np.ndarray
     du_dx: np.ndarray
-    de_dx: np.ndarray
     da_dx: np.ndarray  # slope of the vector potential a, i.e. B in B0 units
 
     @property
@@ -100,7 +99,6 @@ def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
         gg=gg,
         n2=n2,
         du_dx=du_dx,
-        de_dx=weight * ee * du_dx,
         da_dx=da_du * du_dx,
     )
 

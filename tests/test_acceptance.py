@@ -212,8 +212,8 @@ def test_flyby_deflection_scenario():
     energy_drift = (speeds.max() - speeds.min()) / speeds[0]
 
     def endpoint(dt_s):
-        # order probe: cross the strong-field region with all force terms
-        # active, on the repulsive branch so the path stays resolvable
+        # order probe: cross the strong-field region under the Lorentz
+        # force, on the repulsive branch so the path stays resolvable
         config = dataclasses.replace(
             scenario,
             interaction=RDD_REP,
@@ -221,8 +221,6 @@ def test_flyby_deflection_scenario():
             initial_velocity_m_s=(0.15, 0.0, 0.0),
             max_time_s=160e-6,
             time_step_s=dt_s,
-            include_adiabatic_potential=True,
-            output_stride=10**6,
         )
         run = integrate(config)
         assert not run.aborted

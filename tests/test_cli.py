@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -430,6 +431,19 @@ def test_trajectory_subcommand_reports_deflection(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[-1].startswith("z-deflection: ")
     assert out.splitlines()[-1].endswith(" um")
+
+
+@pytest.mark.parametrize("step_flags, sha256", [
+    ([], "13223c97724bc1f6d9779d96b63caa88fe6d75277eef464432a141ce2bcbedea"),
+    (["--time-step-s", "2e-6"], "04f1ec5cb59f471e1d80cfe97a564c97fd97e18ac9d8a73767324e575bca443f"),
+], ids=["adaptive", "rk4"])
+def test_readme_trajectory_csv_keeps_its_bytes(step_flags, sha256, tmp_path, capsys):
+    """The README flyby CSV, adaptive and at a fixed 2 us RK4 step (SHA-256 of the file)."""
+    path = tmp_path / "traj.csv"
+    argv = ["trajectory", "--preset", "gaetan2009", "--speed", "0.10",
+            "--impact-parameter-rc", "1.0", *step_flags, "--output", str(path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -25,7 +25,6 @@ from rydgauge.gauge import (
     _pair_amplitudes,
     _radial_spectrum,
     adiabaticity_fd,
-    field_profile,
 )
 from rydgauge.spectrum import LABELS, bare_state_vector, labeled_spectrum
 from rydgauge.model import (
@@ -65,9 +64,6 @@ def test_config_validation():
             _config(time_step_s=bad_step)
     with pytest.raises(ValueError, match="max time"):
         _config(max_time_s=-1.0)
-    for bad_stride in (0, 2.5):
-        with pytest.raises(ValueError, match="output_stride"):
-            _config(output_stride=bad_stride)
     with pytest.raises(ValueError, match="separation"):
         _config(initial_position_m=(0.0, 0.0, 0.0))
 
@@ -76,11 +72,13 @@ def _no_record_times(config, step_s):
     raise AssertionError("record times built for a run the config should have rejected")
 
 
+STRIDE_S = dynamics.SCENARIO_STRIDE * dynamics.RECORD_STEP_S  # 10 us between adaptive records
+
+
 @pytest.mark.parametrize("overrides, records", [
-    ({"time_step_s": None, "max_time_s": 1.1 * dynamics.MAX_RECORDS * dynamics.RECORD_STEP_S},
-     "1.1e+06"),
-    ({"time_step_s": 1e-12, "max_time_s": 2e-6, "output_stride": 1}, "2e+06"),
-    ({"time_step_s": None, "max_time_s": 9.5e25, "output_stride": 200}, "9.5e+30"),
+    ({"time_step_s": None, "max_time_s": 1.1 * dynamics.MAX_RECORDS * STRIDE_S}, "1.1e+06"),
+    ({"time_step_s": 1e-12, "max_time_s": 400e-6}, "2e+06"),
+    ({"time_step_s": None, "max_time_s": 9.5e25}, "9.5e+30"),
     ({"time_step_s": 5e-324, "max_time_s": 1e300}, "inf"),  # the ratio overflows
 ], ids=["adaptive", "rk4", "speed-1e-30", "overflow"])
 def test_config_rejects_a_run_with_too_many_records(overrides, records, monkeypatch):
@@ -91,9 +89,9 @@ def test_config_rejects_a_run_with_too_many_records(overrides, records, monkeypa
 
 
 def test_config_keeps_a_run_below_the_record_bound():
-    max_time_s = 0.9 * dynamics.MAX_RECORDS * dynamics.RECORD_STEP_S
+    max_time_s = 0.9 * dynamics.MAX_RECORDS * STRIDE_S
     assert _config(time_step_s=None, max_time_s=max_time_s).max_time_s == max_time_s
-    assert _config(max_time_s=200 * max_time_s, output_stride=200).output_stride == 200
+    assert _config(time_step_s=50e-9, max_time_s=max_time_s).max_time_s == max_time_s  # RK4
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -107,112 +105,80 @@ def test_config_rejects_a_non_finite_start(overrides, message):
         _config(time_step_s=None, **overrides)
 
 
-def test_no_forces_gives_a_straight_line():
+def _null_force(engine, position_m, velocity_m_s):
+    return np.zeros(3)
+
+
+def test_no_forces_gives_a_straight_line(monkeypatch):
     # max times off the 50 ns grid end with a shortened step, exactly on
     # max_time_s whether max_time_s/dt rounds down (400.2) or up (400.8)
+    monkeypatch.setattr(dynamics, "_force", _null_force)
     for max_time_s in (20e-6, 20.01e-6, 20.04e-6):
-        config = _config(
-            include_lorentz=False, include_adiabatic_potential=False, max_time_s=max_time_s
-        )
+        config = _config(max_time_s=max_time_s)
         traj = integrate(config)
         assert not traj.aborted
         assert traj.t_s[-1] == max_time_s
         expected = np.asarray(config.initial_position_m) + max_time_s * np.asarray(
             config.initial_velocity_m_s
         )
-        # each of the n records rounds a coordinate by at most eps*max|x0|
+        # each of the n steps rounds a coordinate by at most eps*max|x0|
         x0 = np.abs(config.initial_position_m).max()
-        bound = traj.t_s.size * np.finfo(float).eps * x0
+        bound = dynamics._step_count(max_time_s, config.time_step_s) * np.finfo(float).eps * x0
         assert np.abs(traj.position_m[-1] - expected).max() <= bound
         assert np.array_equal(traj.velocity_m_s[-1], config.initial_velocity_m_s)
 
 
 def test_lorentz_force_is_perpendicular_to_velocity():
-    config = _config(include_adiabatic_potential=False)
+    config = _config()
     pos = (-1.5 * R_C, 1.0 * R_C, 0.0)
     vel = (0.10, 0.02, 0.0)
-    f1 = _force(config, _engine(config), pos, vel)
+    f1 = _force(_engine(config), pos, vel)
     assert abs(np.dot(f1, vel)) <= 1e-12 * np.linalg.norm(f1) * np.linalg.norm(vel)
 
 
+def _force_reference(pos_vels):
+    """For every label, assert _force has the bytes of a reference written
+    with np.linalg.norm and np.cross at each (position, velocities) pair."""
+    reduced = reduced_parameters(GAETAN.drive, GAETAN.interaction)
+    field_T = ModelUnits.from_experiment(GAETAN.drive, GAETAN.interaction).field_T
+    khat = np.asarray(GAETAN.drive.wavevector_direction)
+    for row, label in enumerate(LABELS):
+        engine = _engine(_config(label=label))
+        for pos, vels in pos_vels(row):
+            r_m = float(np.linalg.norm(pos))
+            da_dx = _radial_spectrum(r_m / R_C, reduced).da_dx[row]
+            b_si = field_T * da_dx * np.cross(pos / r_m, khat)
+            expected = ELEMENTARY_CHARGE * np.cross(vels, b_si)  # row by row, np.cross's bits
+            for vel, want in zip(vels, expected):
+                got = _force(engine, pos, vel)
+                assert got.tobytes() == want.tobytes(), (pos, vel, label)
+
+
 def test_lorentz_force_matches_np_cross_bit_for_bit():
-    """q v x (B0 B_phi e_r x k) on Python floats gives np.cross's bytes, signed zeros included."""
+    """q v x (B0 B_phi e_r x k) on Python floats gives np.cross's bytes,
+    signed zeros included, on every label."""
     signed = (-1.3, -0.0, 0.0, 0.7)
     vectors = [np.array(c) for c in itertools.product(signed, repeat=3)]
     for a in vectors:
         for b in vectors:
             assert _cross(a, b).tobytes() == np.cross(a, b).tobytes(), (a, b)
-    config = _config(include_adiabatic_potential=False)
-    engine = _engine(config)
-    reduced = reduced_parameters(GAETAN.drive, GAETAN.interaction)
-    field_T = ModelUnits.from_experiment(GAETAN.drive, GAETAN.interaction).field_T
-    khat = np.asarray(GAETAN.drive.wavevector_direction)
-    for pos in vectors:
-        if not np.any(pos):
-            continue
-        pos = pos * R_C
-        r_m = float(np.linalg.norm(pos))
-        da_dx = field_profile(r_m / R_C, reduced)[2]  # label "+"
-        b_si = field_T * da_dx * np.cross(pos / r_m, khat)
-        for vel in vectors:
-            vel = 0.1 * vel
-            expected = np.zeros(3)  # force sums its terms into zeros: -0.0 reads +0.0
-            expected += ELEMENTARY_CHARGE * np.cross(vel, b_si)
-            got = _force(config, engine, pos, vel)
-            assert got.tobytes() == expected.tobytes(), (pos, vel)
+    grid = [(pos * R_C, 0.1 * np.array(vectors)) for pos in vectors if np.any(pos)]
+    _force_reference(lambda row: grid)
 
 
 def test_force_matches_a_norm_and_cross_reference_bit_for_bit():
-    """Both terms on, every label, random positions and velocities: the
-    bytes of a reference written with np.linalg.norm and np.cross."""
+    """Every label, 200 random positions and velocities: the bytes of a
+    reference written with np.linalg.norm and np.cross."""
     rng = np.random.default_rng(7)
     positions = rng.normal(size=(200, 3)) * rng.uniform(0.05, 5.0, size=(200, 1)) * R_C
     velocities = rng.normal(scale=0.1, size=(200, 3))
-    reduced = reduced_parameters(GAETAN.drive, GAETAN.interaction)
-    units = ModelUnits.from_experiment(GAETAN.drive, GAETAN.interaction)
-    khat = np.asarray(GAETAN.drive.wavevector_direction)
-    for j, (pos, vel) in enumerate(zip(positions, velocities)):
-        label = LABELS[j % 3]
-        config = _config(label=label)
-        assert config.include_lorentz and config.include_adiabatic_potential
-        r_m = float(np.linalg.norm(pos))
-        e_r = pos / r_m
-        spec = _radial_spectrum(r_m / R_C, reduced)
-        row = LABELS.index(label)
-        b_si = units.field_T * spec.da_dx[row] * np.cross(e_r, khat)
-        expected = np.zeros(3)
-        expected += ELEMENTARY_CHARGE * np.cross(vel, b_si)
-        expected += -spec.de_dx[row] * (units.energy_J / R_C) * e_r
-        got = _force(config, _engine(config), pos, vel)
-        assert got.tobytes() == expected.tobytes(), (pos, vel, label)
-
-
-def test_adiabatic_force_is_radial():
-    config = _config(include_lorentz=False)
-    pos = np.array([-1.5 * R_C, 1.0 * R_C, 0.0])
-    f = _force(config, _engine(config), pos, (0.0, 0.0, 0.0))
-    assert np.linalg.norm(np.cross(f, pos)) <= 1e-12 * np.linalg.norm(f) * np.linalg.norm(pos)
-
-
-def test_force_skips_the_solve_when_no_term_needs_it(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return radial(*args)
-
-    radial = dynamics._radial_spectrum
-    monkeypatch.setattr(dynamics, "_radial_spectrum", counted)
-    off = _config(include_lorentz=False, include_adiabatic_potential=False)
-    pos, vel = (-1.2 * R_C, 0.8 * R_C, 0.0), (0.1, 0.05, 0.0)
-    assert _force(off, _engine(off), pos, vel).tobytes() == np.zeros(3).tobytes()
-    assert calls == []
-    _force(_config(include_adiabatic_potential=False), _engine(off), pos, vel)
-    assert len(calls) == 1
+    _force_reference(lambda row: [
+        (pos, vel[None]) for pos, vel in zip(positions[row::3], velocities[row::3])
+    ])
 
 
 def test_kinetic_energy_is_conserved_under_lorentz_only():
-    config = _config(include_adiabatic_potential=False, output_stride=100)
+    config = _config()
     traj = integrate(config)
     assert not traj.aborted
     v0, v1 = np.linalg.norm(traj.velocity_m_s[[0, -1]], axis=1)
@@ -228,7 +194,6 @@ def test_rk4_is_fourth_order():
             initial_velocity_m_s=(0.15, 0.0, 0.0),
             max_time_s=160e-6,
             time_step_s=dt_s,
-            output_stride=10**6,
         )
         traj = integrate(config)
         assert not traj.aborted
@@ -240,15 +205,14 @@ def test_rk4_is_fourth_order():
 
 
 def test_abort_below_the_validity_floor():
-    # drift in slowly with the steep core force off, so the integrator
-    # samples the floor band instead of leaping across it in one substep
+    # drift in slowly, so the integrator samples the floor band instead of
+    # leaping across it in one substep; 2.5 ns steps record every 0.5 us,
+    # so the path on the way in is recorded too
     config = _config(
         initial_position_m=(0.05 * R_C, 0.0, 0.0),
         initial_velocity_m_s=(-0.2, 0.0, 0.0),
         max_time_s=5e-6,
-        time_step_s=10e-9,
-        include_adiabatic_potential=False,
-        output_stride=50,
+        time_step_s=2.5e-9,
     )
     traj = integrate(config)
     assert traj.aborted
@@ -265,8 +229,6 @@ def test_adaptive_run_aborts_below_the_validity_floor():
         initial_velocity_m_s=(-0.2, 0.0, 0.0),
         max_time_s=5e-6,
         time_step_s=None,
-        include_adiabatic_potential=False,
-        output_stride=50,
     )
     traj = integrate(config)
     assert traj.aborted
@@ -312,7 +274,7 @@ def test_adaptive_flyby_matches_the_dop853_reference(
 
     # the fixed 50 ns path records at the same times, bit for bit; its
     # record grid does not depend on the force, so a null force builds it
-    monkeypatch.setattr(dynamics, "_force", lambda *args: np.zeros(3))
+    monkeypatch.setattr(dynamics, "_force", _null_force)
     fixed = integrate(dataclasses.replace(scenario, time_step_s=50e-9))
     assert traj.t_s.tobytes() == fixed.t_s.tobytes()
 
@@ -508,8 +470,6 @@ def test_label_swap_matches_between_branches():
         initial_velocity_m_s=(0.10, 0.0, 0.0),
         max_time_s=40e-6,
         time_step_s=100e-9,
-        include_adiabatic_potential=False,
-        output_stride=100,
     )
     attractive = TrajectoryConfig(
         drive=drive0, interaction=GAETAN.interaction, label="1", **shared
@@ -523,14 +483,12 @@ def test_label_swap_matches_between_branches():
     assert t_att.position_m[-1] == pytest.approx(t_rep.position_m[-1], rel=1e-13, abs=0)
 
 
-def test_traversal_time_of_a_straight_crossing():
+def test_traversal_time_of_a_straight_crossing(monkeypatch):
+    monkeypatch.setattr(dynamics, "_force", _null_force)
     speed = 0.20
     config = _config(
-        include_lorentz=False,
-        include_adiabatic_potential=False,
         initial_velocity_m_s=(speed, 0.0, 0.0),
         max_time_s=6.0 * R_C / speed,
-        output_stride=20,
     )
     traj = integrate(config)
     xs = traj.position_m[:, 0]
@@ -540,16 +498,13 @@ def test_traversal_time_of_a_straight_crossing():
 
 def test_deflection_scenario_wiring():
     scenario = deflection_scenario(speed_m_s=0.12, impact_parameter_rc=0.8)
-    assert scenario.include_lorentz
-    assert not scenario.include_adiabatic_potential
     assert scenario.label == "+"
     assert scenario.initial_position_m[0] == pytest.approx(-6.0 * R_C)
     assert scenario.initial_position_m[1] == pytest.approx(0.8 * R_C)
     assert scenario.initial_velocity_m_s == (0.12, 0.0, 0.0)
     assert scenario.max_time_s == pytest.approx(12.0 * R_C / 0.12)
-    assert scenario.output_stride == 200
     # smoke: the first microseconds integrate cleanly
-    probe = dataclasses.replace(scenario, max_time_s=2e-6, output_stride=10)
+    probe = dataclasses.replace(scenario, max_time_s=2e-6)
     assert not integrate(probe).aborted
 
 

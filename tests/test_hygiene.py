@@ -1,7 +1,8 @@
 """Source hygiene of the package: no import left unused, no private name left unread.
 
-Both checks read the syntax trees of ``src/rydgauge``; a deletion that
-leaves an import or a ``_private`` helper behind fails here.
+The checks read the syntax trees of ``src/rydgauge``; a deletion that
+leaves an import, a ``_private`` helper or a field of a ``_Private``
+dataclass behind fails here.
 """
 
 import ast
@@ -48,6 +49,21 @@ def _private_definitions(tree: ast.Module) -> set:
     return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
+def _private_dataclass_fields(tree: ast.Module) -> dict:
+    """Annotated fields of each module-level ``_Private`` dataclass, by class name."""
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return isinstance(target, ast.Name) and target.id == "dataclass"
+
+    return {
+        node.name: [field.target.id for field in node.body
+                    if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_")
+        and any(is_dataclass(d) for d in node.decorator_list)
+    }
+
+
 @pytest.mark.parametrize("name", [path.name for path in MODULES if path.name != "__init__.py"])
 def test_every_import_is_used(name):
     tree = TREES[name]
@@ -58,3 +74,13 @@ def test_every_private_definition_is_read():
     loaded = set().union(*(_loaded(tree) for tree in TREES.values()))
     unread = {name: sorted(_private_definitions(tree) - loaded) for name, tree in TREES.items()}
     assert {name: defs for name, defs in unread.items() if defs} == {}
+
+
+def test_every_private_dataclass_field_is_read():
+    attributes = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = {(name, cls): fields for name, tree in TREES.items()
+              for cls, fields in _private_dataclass_fields(tree).items()}
+    assert set(fields) >= {("dynamics.py", "_Engine"), ("gauge.py", "_RadialSpectrum")}
+    unread = {key: sorted(set(names) - attributes) for key, names in fields.items()}
+    assert {key: names for key, names in unread.items() if names} == {}

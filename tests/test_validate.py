@@ -162,7 +162,7 @@ _LAST = _nan_at((Ellipsis, -1))
      _nan_at((1, -1))),
     (lambda: validate._check_symmetry(np.geomspace(0.3, 3.0, 7)), "magnetic_field", 0,
      _nan_at(0)),
-    # the effective spectrum (a NaN in h itself makes eigvalsh raise)
+    # the effective spectrum (a NaN in h itself: the eigvalsh test below)
     (validate._check_effective_hamiltonian, "blockade_effective", 0, _nan_at(1)),
     # the single atom's A and phi
     (validate._check_single_atom, "single_atom_gauge", 0, lambda v: (_nan_at(0)(v[0]), v[1])),
@@ -177,6 +177,28 @@ def test_a_nan_in_any_term_fails_its_check(monkeypatch, check, name, first, edit
     result = check()
     assert len(calls) > first
     assert not result.passed and "nan" in result.detail
+
+
+@pytest.mark.parametrize("name,first,check", [
+    ("dense_hamiltonian", 1, "eigenvalues_analytic_vs_dense"),  # the last chunk's last draw
+    ("effective_hamiltonian", 0, "blockade_effective_spectrum"),
+])
+def test_a_nan_handed_to_eigvalsh_fails_its_check_by_name(monkeypatch, name, first, check):
+    """LAPACK raises or returns finite values on a NaN, by build; either way
+    the run goes on and reports that check, and only it, as failed.  The NaN
+    sits below the diagonal, where eigvalsh alone reads it."""
+    def edit(h):
+        h = h.copy()
+        h.reshape(-1, *h.shape[-2:])[-1, 2, 1] = np.nan  # the last matrix of the stack
+        return h
+
+    calls = _nan_from_call(monkeypatch, name, first, edit)
+    results = validate.run_checks(quick=True)
+    assert len(calls) > first
+    assert len(results) == 12
+    failed = [line for line in validate.report(results).splitlines() if line.startswith("FAIL")]
+    assert failed == [f"FAIL {check}: {r.detail}" for r in results if r.name == check]
+    assert "nan" in failed[0]
 
 
 def test_kind_batches_keep_the_bits_of_one_drive_calls():
