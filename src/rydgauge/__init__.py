@@ -30,7 +30,6 @@ from .dynamics import (
 from .gauge import (
     BerryConnection,
     FieldMap,
-    adiabaticity_fd,
     berry_connection_fd,
     connection_profile,
     field_map,

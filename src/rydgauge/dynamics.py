@@ -5,10 +5,11 @@ labeled internal state; the partner sits at the origin and does not
 recoil.  By default the motion is integrated with adaptive
 Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 19
 (1980)), whose records between step ends come from its fourth-order
-dense output; an explicit time step selects classic fixed-step RK4.  Both abort where the adiabatic model itself
-stops being trustworthy.  A run is returned as columns: times,
-positions, velocities and the closed-form adiabaticity parameter
-(Dalibard et al., Rev. Mod. Phys. 83, 1523 (2011)) of every record.
+dense output; an explicit time step selects classic fixed-step RK4.
+Both abort where the adiabatic model itself stops being trustworthy.  A
+run is returned as columns: times, positions, velocities and the
+closed-form adiabaticity parameter (Dalibard et al., Rev. Mod. Phys. 83,
+1523 (2011)) of every record.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ labeled internal state, all from one solve of the cubic over a batch of
 separations (a single point is a batch of one).  The radial coupling
 <chi_j|d chi_i/dx> between labels is Hellmann-Feynman's; phi, the
 adiabaticity monitor and the center-of-mass split all read it.  The
-finite-difference Berry-connection, overlap and adiabaticity oracles check
-the closed forms.
+finite-difference Berry-connection and overlap oracles, which ``validate``
+runs, check the closed forms.
 
 Outputs are in model units: A in hbar·k_L, B in B0 = hbar·k_L/(e·r_c),
 scalar potentials in hbar^2·k_L^2/(2m) of the tagged atom.  Separations
@@ -341,15 +341,10 @@ def berry_connection_fd(
     )
 
 
-def _overlap(bra, ket) -> np.ndarray:
-    """|<bra|ket>| over the last axis, with the bits of abs(np.vdot(...)) per row."""
-    z = _row_dots(bra.conj(), ket)
-    return np.hypot(z.real, z.imag)
-
-
 def _overlap_sq(bra, ket) -> np.ndarray:
-    """|<bra|ket>|^2 over the last axis, with the bits of abs(np.vdot(...)) ** 2."""
-    return np.float_power(_overlap(bra, ket), 2)
+    """|<bra|ket>|^2 over the last axis, with the bits of abs(np.vdot(...)) ** 2 per row."""
+    z = _row_dots(bra.conj(), ket)
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
 def scalar_potential_fd(
@@ -402,39 +397,6 @@ def scalar_potential_fd(
             total += np.where(rows == row, 0.0, _overlap_sq(other, derivative))
         total += _overlap_sq(dark, derivative)
     return total / reduced.kappa**2
-
-
-def adiabaticity_fd(
-    params: DriveParams, model: InteractionModel, label: str, r_vec, velocity, step: float = FD_STEP
-) -> np.ndarray:
-    """Adiabaticity hbar|<chi_j|d/dt chi_i>| / |E_i - E_j|, worst over j != i, by central differences.
-
-    ``r_vec``, of shape (3,) or (n, 3), places atom a with atom b at the
-    origin, crossover units; ``velocity``, of the same shape, is nonzero
-    and in r_c·|Omega|.  The eigenvector is differentiated along the
-    velocity at a fixed step and projected on the other bright states and
-    on the dark state at zero energy.  Oracle for ``dynamics.adiabaticity``.
-    """
-    r_vec, r = _separation_vectors(r_vec)
-    velocity = np.asarray(velocity, dtype=float)
-    speed = _positive_finite(_row_norms(velocity), "speed in velocity")
-    reduced = reduced_parameters(params, model)
-    states = _eigenvector_field(params, reduced)
-    direction = velocity / speed[..., None]
-    derivative = _richardson(
-        *(states(r_vec + offset * direction, label) for offset in (step, -step, step / 2, -step / 2)),
-        step,
-    )
-    bright = states(r_vec, np.reshape(LABELS, (3,) + (1,) * (r_vec.ndim - 1)))
-    phase = reduced.kappa * _row_dots(r_vec, np.asarray(params.wavevector_direction, dtype=float))
-    z = np.exp(-1j * phase) * derivative[..., 1] - derivative[..., 2]  # sqrt(2) <dark|d chi>
-    dark = np.hypot(z.real, z.imag) / np.sqrt(2.0)
-    energies, _, _ = labeled_spectrum(reduced.shift_ratio(r), reduced.detuning_ratio)
-    row = LABEL_INDEX[label]
-    gaps = np.abs(energies[row] - energies)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the label's own zero gap
-        worst = np.delete(_overlap(bright, derivative) / gaps, row, axis=0)
-    return speed * np.maximum(worst.max(axis=0), dark / np.abs(energies[row]))
 
 
 @dataclass(frozen=True)

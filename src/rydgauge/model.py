@@ -119,12 +119,11 @@ class ModelUnits:
     """The SI value of each model unit; a model-unit value times its
     attribute is that value in SI.
 
-    Energies are measured in hbar·|Omega|, lengths in r_c, vector
-    potentials in hbar·k_L, magnetic fields in B0 = hbar·k_L/(e·r_c) and
-    scalar potentials in the recoil-like unit hbar^2·k_L^2/(2m_a) of atom a.
+    Lengths are measured in r_c, vector potentials in hbar·k_L, magnetic
+    fields in B0 = hbar·k_L/(e·r_c) and scalar potentials in the
+    recoil-like unit hbar^2·k_L^2/(2m_a) of atom a.
     """
 
-    energy_J: float
     length_m: float
     vector_potential_kg_m_s: float
     field_T: float
@@ -135,7 +134,6 @@ class ModelUnits:
         r_c = crossover_distance(model, params)
         k_l = params.wavenumber_rad_m
         return cls(
-            energy_J=HBAR * params.rabi_magnitude_rad_s,
             length_m=r_c,
             vector_potential_kg_m_s=HBAR * k_l,
             field_T=characteristic_field(params, r_c),

@@ -92,10 +92,11 @@ def _roots_deflated(u, w):
     e_big = u - t
     q = -u / (2.0 * e_big)  # product of the two remaining roots
     disc = np.sqrt(t * t - 4.0 * q)
-    pair = _polish(0.5 * (t + np.concatenate([disc[None], -disc[None]])), u, w)
-    # descending: the dominant root leads for u > 0 and trails for u < 0
-    ladder = np.concatenate([e_big[None], pair, e_big[None]])
-    return np.where(u > 0, ladder[:3], ladder[1:])
+    high, low = _polish(0.5 * (t + np.concatenate([disc[None], -disc[None]])), u, w)
+    # descending by value: between the antiblockade line u = 2w and
+    # |u| = DEFLATE_AT the dominant root is the middle or the top one
+    middle = np.minimum(np.maximum(e_big, low), high)
+    return np.stack([np.maximum(e_big, high), middle, np.minimum(e_big, low)])
 
 
 def _roots_canonical_half(u, w):

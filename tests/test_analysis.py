@@ -350,6 +350,40 @@ def test_peaks_and_scaling_commands_solve_once_per_step(solves, capsys):
     capsys.readouterr()
 
 
+def _csv_rows(text):
+    """The rows of a CSV report as dicts keyed by its header."""
+    header, *lines = text.splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def test_scaling_at_large_detuning_fits_the_antiblockade_asymptote(capsys):
+    """At |w| >= 40 the '-' minimum and '+' maximum of B sit on the crossing
+    u = 2w, where |B_peak| x* tends to p w^2 (x* the second antiblockade
+    radius, which tends to 2^(-1/p)): exponent 2, coefficient p 2^(1/p)."""
+    assert main(["scaling", "--preset", "beguin2013", "--labels=-,+",
+                 "--detuning-ratios=-40,-80,-160"]) == 0
+    rows = _csv_rows(capsys.readouterr().out)
+    assert [(row["label"], row["kind"], row["flags"]) for row in rows] == [
+        ("-", "min", ""), ("+", "max", "")]
+    for row in rows:  # measured: exponents 2.00003 and 2.00021, coefficients 6.7338 and 6.7291
+        assert float(row["exponent"]) == pytest.approx(2.0, rel=2e-4, abs=0.0)
+        coefficient = float(row["coefficient"])
+        assert coefficient == pytest.approx(6.0 * 2.0 ** (1.0 / 6.0), rel=1e-3, abs=0.0)
+
+
+def test_peaks_at_w_minus_160_find_the_antiblockade_field(capsys):
+    """Both crossing extrema are found at x*, with |B| = p w^2 / x* (1.724e5 B0)."""
+    assert main(["peaks", "--preset", "beguin2013", "--labels=-,+", "--detuning-ratio=-160",
+                 "--rmin", "0.85", "--rmax", "0.95"]) == 0
+    found = [row for row in _csv_rows(capsys.readouterr().out) if row["found"] == "true"]
+    assert [(row["label"], row["kind"]) for row in found] == [("-", "min"), ("+", "max")]
+    x_star = (math.hypot(1.0, 160.0) / 320.0) ** (1.0 / 6.0)
+    for row in found:
+        assert float(row["r_peak_over_rc"]) == pytest.approx(x_star, rel=1e-6, abs=0.0)
+        field = abs(float(row["field_peak"]))
+        assert field == pytest.approx(6.0 * 160.0**2 / x_star, rel=1e-3, abs=0.0)
+
+
 def test_scaling_fit_frozen():
     fit = scaling_fit(GAETAN.drive, GAETAN.interaction, "1", (-10.0, -20.0, -40.0))
     assert fit.kind == "min"

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import dense_oracle
 from rydgauge import dynamics
 from rydgauge.constants import ELEMENTARY_CHARGE, TWOPI
 from rydgauge.dynamics import (
@@ -20,13 +21,8 @@ from rydgauge.dynamics import (
     deflection_scenario,
     integrate,
 )
-from rydgauge.gauge import (
-    FD_STEP,
-    _pair_amplitudes,
-    _radial_spectrum,
-    adiabaticity_fd,
-)
-from rydgauge.spectrum import LABELS, bare_state_vector, labeled_spectrum
+from rydgauge.gauge import _pair_amplitudes, _radial_spectrum
+from rydgauge.spectrum import LABELS
 from rydgauge.model import (
     InteractionKind,
     InteractionModel,
@@ -341,45 +337,61 @@ def test_adiabaticity_vanishes_at_rest_and_is_linear_in_speed():
 
 def _oracle_cases():
     """(preset, label, positions / r_c, velocities in m/s): in-plane motion,
-    motion with a beam-axis component, and the deflated branch at 0.03 r_c."""
-    positions = np.array([
+    motion with a beam-axis component, the deflated branch at 0.03 r_c, and
+    in-plane motion in deep blockade at 0.02-0.2 r_c; beguin2013 with a Rabi
+    phase of 0.7 rad."""
+    x, angle = np.geomspace(0.02, 0.2, 6), np.linspace(0.3, 5.9, 6)
+    positions = np.concatenate([[
         [-1.5, 1.0, 0.0], [0.6, -0.2, 0.0], [1.2, 0.5, 0.0],
         [0.8, 0.3, 0.5], [-0.4, 0.9, -1.2], [1.7, -1.1, 0.8],
         [0.012, 0.02, 0.019], [0.0, 0.03, 0.0],
-    ])
-    velocities = np.array([
+    ], np.stack([x * np.cos(angle), x * np.sin(angle), 0.0 * x], axis=1)])
+    velocities = np.concatenate([[
         [0.1, -0.08, 0.0], [0.07, 0.02, 0.0], [0.1, 0.05, 0.0],
         [0.1, 0.0, 0.05], [0.03, -0.02, 0.3], [-0.2, 0.1, 0.05],
         [0.02, -0.05, 0.3], [0.01, 0.02, 0.1],
-    ])
-    for preset, label in itertools.product((GAETAN, BEGUIN), LABELS):
+    ], 0.1 * np.stack([np.cos(angle + 1.1), np.sin(angle + 1.1), 0.0 * x], axis=1)])
+    phased = dataclasses.replace(BEGUIN, drive=dataclasses.replace(BEGUIN.drive, rabi_phase_rad=0.7))
+    for preset, label in itertools.product((GAETAN, phased), LABELS):
         yield preset, label, positions, velocities
 
 
-def test_adiabaticity_matches_the_fd_oracle():
-    """Closed form against the FD probe: 8 points x 3 labels on each preset.
+def _dense_adiabaticity(preset, label, positions, velocities):
+    """:func:`dense_oracle.adiabaticity` at positions in r_c and velocities in m/s."""
+    drive = preset.drive
+    reduced = reduced_parameters(drive, preset.interaction)
+    r_c = ModelUnits.from_experiment(drive, preset.interaction).length_m
+    khat = np.asarray(drive.wavevector_direction, dtype=float)
+    x = np.linalg.norm(positions, axis=-1)
+    v = velocities / (r_c * abs(drive.rabi_complex))  # r_c·|Omega|
+    u = reduced.shift_ratio(x)
+    du_dt = -reduced.power * u / x * np.sum(v * positions, axis=-1) / x
+    return dense_oracle.adiabaticity(
+        u, reduced.detuning_ratio, reduced.kappa * (positions @ khat), drive.rabi_phase_rad,
+        du_dt, reduced.kappa * (v @ khat), LABELS.index(label),
+    )
 
-    In-plane motion in deep blockade is left out: there the couplings are
-    ~1e-7 of the eigenvector's scale, below what a 1e-6 stencil resolves."""
+
+def test_adiabaticity_matches_the_dense_oracle():
+    """Closed form against the dense couplings: 14 points x 3 labels on each preset."""
     for preset, label, positions, velocities in _oracle_cases():
-        units = ModelUnits.from_experiment(preset.drive, preset.interaction)
+        r_c = ModelUnits.from_experiment(preset.drive, preset.interaction).length_m
         config = _config(drive=preset.drive, interaction=preset.interaction, label=label)
-        closed = adiabaticity(config, positions * units.length_m, velocities)
-        reduced_velocity = velocities / (units.length_m * abs(preset.drive.rabi_complex))
-        oracle = adiabaticity_fd(preset.drive, preset.interaction, label, positions, reduced_velocity)
-        assert closed == pytest.approx(oracle, rel=1e-8, abs=0.0), (preset.name, label)
+        closed = adiabaticity(config, positions * r_c, velocities)
+        oracle = _dense_adiabaticity(preset, label, positions, velocities)
+        assert closed == pytest.approx(oracle, rel=1e-10, abs=0.0), (preset.name, label)
 
 
 def test_adiabaticity_of_a_row_alone_has_the_bits_it_has_in_the_batch():
-    """Both the closed form and the FD oracle."""
+    """Both the closed form and the dense oracle."""
     for preset, label, positions, velocities in _oracle_cases():
         r_c = ModelUnits.from_experiment(preset.drive, preset.interaction).length_m
         config = _config(drive=preset.drive, interaction=preset.interaction, label=label)
         batch = adiabaticity(config, positions * r_c, velocities)
-        oracle = adiabaticity_fd(preset.drive, preset.interaction, label, positions, velocities)
+        oracle = _dense_adiabaticity(preset, label, positions, velocities)
         for i, (pos, vel) in enumerate(zip(positions, velocities)):
             assert np.float64(adiabaticity(config, pos * r_c, vel)).tobytes() == batch[i].tobytes()
-            alone = adiabaticity_fd(preset.drive, preset.interaction, label, pos, vel)
+            alone = _dense_adiabaticity(preset, label, pos, vel)
             assert alone.tobytes() == oracle[i].tobytes()
 
 
@@ -412,52 +424,6 @@ def test_radial_coupling_is_antisymmetric_bit_for_bit():
         drive = dataclasses.replace(preset.drive, detuning_rad_s=w * preset.drive.rabi_magnitude_rad_s)
         radial, _, _ = _pair_amplitudes(_radial_spectrum(x, reduced_parameters(drive, preset.interaction)))
         assert np.array_equal(radial, -radial.swapaxes(0, 1)), (preset.name, w)
-
-
-def _adiabaticity_one_point(params, model, label, r_vec, velocity):
-    """adiabaticity_fd at one point, with one bare_state_vector call per
-    label and stencil point and the oracle's order of operations."""
-    reduced = reduced_parameters(params, model)
-    khat = np.asarray(params.wavevector_direction, dtype=float)
-    r_vec, velocity = np.asarray(r_vec, dtype=float), np.asarray(velocity, dtype=float)
-    row = LABELS.index(label)
-
-    def state(pos, lab):
-        return bare_state_vector(
-            float(reduced.shift_ratio(float(np.linalg.norm(pos)))),
-            reduced.detuning_ratio,
-            lab,
-            phase_a=reduced.kappa * float(np.dot(pos, khat)),
-            rabi_phase=params.rabi_phase_rad,
-        )
-
-    speed = float(np.linalg.norm(velocity))
-    direction = velocity / speed
-    h = FD_STEP
-    op, om, ip, im = (state(r_vec + d * direction, label) for d in (h, -h, h / 2, -h / 2))
-    dv = (4.0 * ((ip - im) / h) - (op - om) / (2.0 * h)) / 3.0
-    phase = reduced.kappa * float(np.dot(r_vec, khat))
-    dark = abs(np.exp(-1j * phase) * dv[1] - dv[2]) / np.sqrt(2.0)
-    energies, _, _ = labeled_spectrum(
-        reduced.shift_ratio(float(np.linalg.norm(r_vec))), reduced.detuning_ratio
-    )
-    worst = max(
-        abs(np.vdot(state(r_vec, LABELS[j]), dv)) / abs(energies[row] - energies[j])
-        for j in range(3) if j != row
-    )
-    return speed * max(worst, dark / abs(energies[row]))
-
-
-@pytest.mark.parametrize("label", ["1", "-", "+"])
-def test_batched_adiabaticity_matches_one_point_probe(label):
-    """The batched FD oracle gives each row the bytes of the per-label, per-point probe."""
-    drive = dataclasses.replace(GAETAN.drive, rabi_phase_rad=0.7)
-    positions = np.array([[-1.5, 1.0, 0.0], [0.03, 0.02, 0.01], [4.0, -2.0, 1.0]])  # 0.03: deflated
-    velocities = np.array([[0.1, 0.0, 0.0], [0.02, -0.05, 0.3], [-0.2, 0.1, 0.05]])
-    batch = adiabaticity_fd(drive, GAETAN.interaction, label, positions, velocities)
-    for i, (pos, vel) in enumerate(zip(positions, velocities)):
-        one = _adiabaticity_one_point(drive, GAETAN.interaction, label, pos, vel)
-        assert np.float64(one).tobytes() == batch[i].tobytes()
 
 
 def test_label_swap_matches_between_branches():

@@ -1,8 +1,10 @@
-"""Source hygiene of the package: no import left unused, no private name left unread.
+"""Source hygiene of the package: no import left unused, no private name left
+unread, no oracle outside ``validate``.
 
 The checks read the syntax trees of ``src/rydgauge``; a deletion that
 leaves an import, a ``_private`` helper or a field of a ``_Private``
-dataclass behind fails here.
+dataclass behind fails here, and so does a finite-difference oracle that
+only the tests call.
 """
 
 import ast
@@ -84,3 +86,12 @@ def test_every_private_dataclass_field_is_read():
     assert set(fields) >= {("dynamics.py", "_Engine"), ("gauge.py", "_RadialSpectrum")}
     unread = {key: sorted(set(names) - attributes) for key, names in fields.items()}
     assert {key: names for key, names in unread.items() if names} == {}
+
+
+def test_every_oracle_in_the_package_is_read_by_validate():
+    """An oracle in the package belongs to the suite that ``validate`` and the
+    acceptance tests share; an oracle only the tests read lives in the tests."""
+    oracles = {node.name for tree in TREES.values() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.endswith("_fd")}
+    assert oracles >= {"berry_connection_fd", "scalar_potential_fd"}
+    assert sorted(oracles - _loaded(TREES["validate.py"])) == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from rydgauge.gauge import _radial_spectrum
 from rydgauge.model import ReducedParameters, get_preset, reduced_parameters
 from rydgauge.spectrum import (
@@ -120,6 +121,21 @@ def test_deflated_roots_match_dense(w):
             dense = np.linalg.eigvalsh(block)[::-1]
             e, _, _ = labeled_spectrum(u, w)
             np.testing.assert_allclose(e, dense, rtol=1e-13)
+
+
+def test_labels_stay_descending_between_the_antiblockade_line_and_deflation():
+    """Across u = 2w at |w| >= 50 the deflated root u - t is the middle or the
+    top one while u < 0 (and the mirror for u > 0): energies stay descending
+    and equal the dense levels in label order."""
+    rng = np.random.default_rng(20261019)
+    w = rng.uniform(-200.0, -50.0, 10_000)
+    u = 2.0 * w * (1.0 + rng.uniform(-0.6, 0.6, w.size))
+    u, w = np.concatenate([u, -u]), np.concatenate([w, -w])
+    energies, _, _ = labeled_spectrum(u, w)
+    assert np.all(energies[0] >= energies[1]) and np.all(energies[1] >= energies[2])
+    dense, _, _ = dense_oracle.eigensystem(u, w)
+    labeled = dense[:, :3].T
+    assert np.all(np.abs(energies - labeled) <= 1e-10 * np.maximum(1.0, np.abs(labeled)))
 
 
 def test_batch_equals_single_points():
