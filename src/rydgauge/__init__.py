@@ -28,14 +28,11 @@ from .dynamics import (
     integrate,
 )
 from .gauge import (
-    BerryConnection,
     FieldMap,
-    berry_connection_fd,
     connection_profile,
     field_map,
     field_profile,
     magnetic_field,
-    scalar_potential_fd,
     scalar_profile,
 )
 from .model import (

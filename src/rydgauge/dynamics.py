@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ELEMENTARY_CHARGE
-from .gauge import _pair_amplitudes, _radial_spectrum
+from .gauge import _pair_amplitudes, _radial_spectrum, _separation_vectors
 from .model import (
     DriveParams,
     InteractionModel,
@@ -28,7 +28,7 @@ from .model import (
     get_preset,
     reduced_parameters,
 )
-from .spectrum import LABEL_INDEX, _check_label, _row_dots, _row_norms
+from .spectrum import LABEL_INDEX, _check_label, _row_dots
 
 MIN_SEPARATION_RC = 0.01  # below this the adiabatic pair model is not credible
 DEGENERACY_GAP = 1e-12
@@ -186,17 +186,20 @@ def _force(engine: _Engine, position_m, velocity_m_s):
 def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s):
     """Worst ratio hbar|<chi_j|d/dt chi_i>| / |E_i - E_j| over j != i.
 
-    Positions and velocities are (3,) or (n, 3).  With the couplings of
-    ``gauge._pair_amplitudes`` (R_ij the Hellmann-Feynman radial coupling
-    that phi also reads), |<chi_j|d/dt chi_i>| is |v·e_r R_ij +
-    i kappa v·k Q_ij| / r_c for bright j and |kappa v·k D_i| / r_c for the
-    dark state at zero energy.  One solve serves every row.  A gap below
-    ``DEGENERACY_GAP`` is skipped if its coupling is zero, else infinite.
+    Positions and velocities are finite, of one shape, (3,) or (n, 3), and
+    no position is at the origin; a ValueError names the argument that is
+    not.  With the couplings of ``gauge._pair_amplitudes`` (R_ij the
+    Hellmann-Feynman radial coupling that phi also reads),
+    |<chi_j|d/dt chi_i>| is |v·e_r R_ij + i kappa v·k Q_ij| / r_c for
+    bright j and |kappa v·k D_i| / r_c for the dark state at zero energy.
+    One solve serves every row.  A gap below ``DEGENERACY_GAP`` is skipped
+    if its coupling is zero, else infinite.
     """
     engine = _engine(config)
-    pos = np.asarray(position_m, dtype=float)
+    pos, r_m = _separation_vectors(position_m, "position_m")
     vel = np.asarray(velocity_m_s, dtype=float)
-    r_m = _row_norms(pos)
+    if vel.shape != pos.shape or not np.isfinite(vel).all():
+        raise ValueError("velocity_m_s must be finite, with the shape of position_m")
     spectrum = _radial_spectrum(r_m / engine.r_c_m, engine.reduced)
     row = engine.row
     radial, phase, dark = _pair_amplitudes(spectrum)

@@ -4,9 +4,9 @@ Closed-form vector potential, magnetic field and scalar potential for each
 labeled internal state, all from one solve of the cubic over a batch of
 separations (a single point is a batch of one).  The radial coupling
 <chi_j|d chi_i/dx> between labels is Hellmann-Feynman's; phi, the
-adiabaticity monitor and the center-of-mass split all read it.  The
-finite-difference Berry-connection and overlap oracles, which ``validate``
-runs, check the closed forms.
+adiabaticity monitor and the center-of-mass split all read it.
+``validate`` checks A and phi against couplings of the dense
+Hamiltonian's ``eigh`` eigenvectors, which never call this module.
 
 Outputs are in model units: A in hbar·k_L, B in B0 = hbar·k_L/(e·r_c),
 scalar potentials in hbar^2·k_L^2/(2m) of the tagged atom.  Separations
@@ -25,19 +25,7 @@ from .model import (
     ReducedParameters,
     reduced_parameters,
 )
-from .spectrum import (
-    LABEL_INDEX,
-    LABELS,
-    _check_label,
-    _label_rows,
-    _row_dots,
-    _row_norms,
-    bare_state_vector,
-    dark_state_vector,
-    labeled_spectrum,
-)
-
-FD_STEP = 1e-6  # finite-difference step of the oracles, crossover units
+from .spectrum import LABEL_INDEX, _check_label, _row_norms, labeled_spectrum
 
 
 @dataclass(frozen=True)
@@ -188,15 +176,16 @@ def _positive_finite(values, quantity: str) -> np.ndarray:
     return values
 
 
-def _separation_vectors(r_vec):
+def _separation_vectors(r_vec, quantity: str = "r_vec"):
     """Check r_vec, shape (3,) or (n, 3); return it and its nonzero, finite lengths.
 
     Each length has the bits of ``np.linalg.norm`` of its vector alone.
+    Errors name ``quantity``.
     """
     r_vec = np.asarray(r_vec, dtype=float)
     if r_vec.ndim not in (1, 2) or r_vec.shape[-1] != 3:
-        raise ValueError("r_vec must have shape (3,) or (n, 3)")
-    return r_vec, _positive_finite(_row_norms(r_vec), "separation in r_vec")
+        raise ValueError(f"{quantity} must have shape (3,) or (n, 3)")
+    return r_vec, _positive_finite(_row_norms(r_vec), f"separation in {quantity}")
 
 
 def _profile_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
@@ -243,160 +232,6 @@ def magnetic_field(params: DriveParams, model: InteractionModel, label: str, r_v
     da_dx = field_profile(r, reduced_parameters(params, model))[LABEL_INDEX[label]]
     khat = np.asarray(params.wavevector_direction, dtype=float)
     return da_dx[..., None] * np.cross(r_vec / r[..., None], khat)
-
-
-@dataclass(frozen=True)
-class BerryConnection:
-    """Finite-difference Berry connection with its quality diagnostics.
-
-    Shapes follow the separations: ``vector`` is (3,) or (n, 3), the other
-    two fields () or (n,).
-    """
-
-    vector: np.ndarray  # hbar·k_L units
-    imag_residual: np.ndarray  # largest |imaginary part| over the components
-    gauge_discontinuity: np.ndarray  # step halving never restored a smooth stencil
-
-
-def _eigenvector_field(params: DriveParams, reduced: ReducedParameters, stencil_axes: int = 0):
-    """states(pos_a, label): the gauge-fixed eigenvectors of ``label`` with
-    atom a at ``pos_a`` (..., 3) and atom b at the origin, crossover
-    units, as the finite-difference oracles sample them.
-
-    The detuning ratio, dressing ratio and kappa of ``reduced`` may hold
-    one entry per sample; they broadcast against the sample axes of
-    ``pos_a``, which ``stencil_axes`` stencil axes follow.
-    """
-    khat = np.asarray(params.wavevector_direction, dtype=float)
-    w, lam, kappa = (
-        np.reshape(value, np.shape(value) + (1,) * stencil_axes)
-        for value in (reduced.detuning_ratio, reduced.dressing_ratio, reduced.kappa)
-    )
-    per_sample = ReducedParameters(w, lam, reduced.interaction_sign, reduced.power, kappa)
-
-    def states(pos_a, label):
-        return bare_state_vector(
-            per_sample.shift_ratio(_row_norms(pos_a)),
-            w,
-            label,
-            phase_a=kappa * _row_dots(pos_a, khat),
-            phase_b=0.0,
-            rabi_phase=params.rabi_phase_rad,
-        )
-
-    return states
-
-
-def _richardson(outer_p, outer_m, inner_p, inner_m, h):
-    """Derivative from states at offsets +-h and +-h/2: central differences
-    at both steps, Richardson-extrapolated to (4 d(h/2) - d(h)) / 3."""
-    d1 = (outer_p - outer_m) / (2.0 * h)
-    d2 = (inner_p - inner_m) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
-def berry_connection_fd(
-    params: DriveParams,
-    reduced: ReducedParameters,
-    label,
-    r_vec,
-    step: float = FD_STEP,
-) -> BerryConnection:
-    """Berry connection i·hbar<chi|grad_a chi> by central differences.
-
-    ``r_vec``, of shape (3,) or (n, 3), is the position of atom a with
-    atom b at the origin; ``label`` is one label or one per separation.
-    ``params`` gives the Rabi phase and the beam direction; the detuning
-    ratio, dressing ratio and kappa of ``reduced`` are one drive or
-    arrays with one entry per separation.  Differentiates the gauge-fixed
-    eigenvector with respect to the position of atom a, component by
-    component, with Richardson extrapolation.  The +-h pair is one
-    :func:`bare_state_vector` call over every sample and component, and
-    +-h/2 with the centre one more.  If the eigenvector field is not
-    smooth across a component's stencil (overlap of the outer samples
-    < 0.99) that step is halved and the outer pair retried, four attempts
-    in all; persistent failure flags the sample.
-    """
-    r_vec, _ = _separation_vectors(r_vec)
-    states = _eigenvector_field(params, reduced, stencil_axes=1)
-    label = np.asarray(label)[..., None]  # one label per sample, for all three axes
-
-    def state(offsets):  # offsets (k, ..., 3): k displacements along each axis
-        return states(r_vec[..., None, :] + offsets[..., None] * np.eye(3), label)
-
-    h = np.full(np.broadcast_shapes(r_vec.shape[:-1] + (3,), label.shape), step)
-    for attempt in range(4):
-        outer_p, outer_m = state(np.stack([h, -h]))
-        smooth = np.abs(_row_dots(outer_p.conj(), outer_m)) >= 0.99
-        if smooth.all() or attempt == 3:
-            break
-        h = np.where(smooth, h, h / 2.0)
-    inner_p, inner_m, center = state(np.stack([h / 2.0, -h / 2.0, np.zeros(h.shape)]))
-    derivative = _richardson(outer_p, outer_m, inner_p, inner_m, h[..., None])
-    value = 1j * _row_dots(center.conj(), derivative) / np.expand_dims(reduced.kappa, -1)
-    return BerryConnection(
-        vector=value.real,
-        imag_residual=np.abs(value.imag).max(axis=-1),
-        gauge_discontinuity=~smooth.all(axis=-1),
-    )
-
-
-def _overlap_sq(bra, ket) -> np.ndarray:
-    """|<bra|ket>|^2 over the last axis, with the bits of abs(np.vdot(...)) ** 2 per row."""
-    z = _row_dots(bra.conj(), ket)
-    return np.float_power(np.hypot(z.real, z.imag), 2)
-
-
-def scalar_potential_fd(
-    params: DriveParams,
-    reduced: ReducedParameters,
-    label,
-    r_ab,
-    step: float = 1e-5,
-):
-    """Scalar potential as a summed finite-difference overlap oracle.
-
-    Places the separation perpendicular to the beam and accumulates
-    |<chi_j|grad_a chi_i>|^2 over the three other internal states (the
-    dark state included) for the radial and beam-axis displacements; the
-    third axis contributes nothing at first order in this geometry.
-    ``r_ab`` is one separation or an array of them and ``label`` one label
-    or an array broadcasting against it; ``params`` gives the Rabi phase
-    and the beam direction, and the detuning ratio, dressing ratio and
-    kappa of ``reduced`` are one drive or arrays broadcasting against
-    ``r_ab``.  Both axes' four stencil offsets are one batched
-    :func:`bare_state_vector` call, the bright states at ``r_ab`` one more.
-    Units hbar^2*k_L^2/(2m), like :func:`scalar_profile`.
-    """
-    r_ab = _positive_finite(r_ab, "separation r_ab")
-    rows = _label_rows(label)
-    r_ab = np.broadcast_to(r_ab, np.broadcast_shapes(r_ab.shape, rows.shape))
-    khat = np.asarray(params.wavevector_direction, dtype=float)
-    states = _eigenvector_field(params, reduced)
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(np.dot(helper, khat)) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    e_sep = helper - np.dot(helper, khat) * khat
-    e_sep = e_sep / np.linalg.norm(e_sep)
-
-    offsets = np.array([step, -step, step / 2, -step / 2])
-    moves = offsets[None, :, None] * np.stack([e_sep, khat])[:, None, :]  # (axis, offset, 3)
-    base = r_ab[..., None] * e_sep
-    stencil = states(base + moves.reshape((2, 4) + (1,) * r_ab.ndim + (3,)), label)
-    bright = bare_state_vector(
-        reduced.shift_ratio(r_ab),
-        reduced.detuning_ratio,
-        np.reshape(LABELS, (3,) + (1,) * r_ab.ndim),
-        rabi_phase=params.rabi_phase_rad,
-    )
-    dark = dark_state_vector(0.0, 0.0)
-    total = np.zeros(r_ab.shape)
-    for samples in stencil:  # the radial axis, then the beam axis
-        derivative = _richardson(*samples, step)
-        for row, other in enumerate(bright):  # the other bright labels, then the dark state
-            total += np.where(rows == row, 0.0, _overlap_sq(other, derivative))
-        total += _overlap_sq(dark, derivative)
-    return total / reduced.kappa**2
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,8 @@ def dense_hamiltonian(
     shift_ratio, detuning_ratio, phase_a=0.0, phase_b=0.0, rabi_phase=0.0
 ) -> np.ndarray:
     """The 4x4 pair Hamiltonian in units of hbar|Omega|, in the bare basis
-    (ee, eg, ge, gg) of :func:`bare_state_vector` (the dense oracle).
+    (ee, eg, ge, gg) of :func:`bare_state_vector`; ``validate`` diagonalizes
+    it as the dense oracle of the energies, A and phi.
 
     Every argument broadcasts against the others; the result has the
     broadcast shape plus two last axes of length 4.  The diagonal is
@@ -259,8 +260,7 @@ def bare_state_vector(
     a batch.  ``phase_a``/``phase_b`` are the accumulated laser phases
     k_L·r at the two atom positions.  The gauge is fixed so the |gg>
     coefficient carries the phase of Omega* (real positive for a real
-    drive), which keeps the vector field smooth for finite-difference
-    derivatives.
+    drive), the gauge in which ``validate``'s dense oracle states A.
 
     Raises ValueError where the closed-form vector vanishes, at isolated
     defective points such as u = 2w for the "-" label; the eigenvectors

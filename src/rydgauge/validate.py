@@ -2,16 +2,20 @@
 
 Every check is deterministic (fixed seeds, fixed grids) and returns a
 named pass/fail with a one-line detail, so two consecutive runs produce
-byte-identical reports.  The quick tier draws 2,000 dense spectra and
-checks the finite-difference oracles at 6 points; the full tier draws
-10,000 and checks 240 points (8 separations x 5 detunings x 2
-interactions x 3 labels), as one batch per interaction kind with one
-drive per point: each oracle and each closed form is one call per kind.
-The acceptance tests run the same check functions at 10,000 draws and
-360 points (12 separations), the field symmetries on 9 separations
-instead of 7 and the COM split on 200 separations instead of 1.  The
-checks of the limits work in reduced units on (u, w) grids: one general
-solve and one call of the limit's array function in ``regimes`` each.
+byte-identical reports.  The dense oracle diagonalizes
+``dense_hamiltonian`` with ``eigh`` and labels its states without
+``labeled_spectrum``; first-order couplings <j|dH|i>/(E_i - E_j) of its
+eigenvectors give A and phi, which the closed forms must match.  The
+quick tier draws 2,000 dense spectra and checks A and phi at 6 points;
+the full tier draws 10,000 and checks 240 points (8 separations x 5
+detunings x 2 interactions x 3 labels), as one batch per interaction
+kind with one drive per point: each closed form is one call per kind,
+and so is the oracle of each check.  The acceptance tests run the same
+check functions at 10,000 draws and 360 points (12 separations), the
+field symmetries on 9 separations instead of 7 and the COM split on 200
+separations instead of 1.  The checks of the limits work in reduced
+units on (u, w) grids: one general solve and one call of the limit's
+array function in ``regimes`` each.
 """
 
 from __future__ import annotations
@@ -26,11 +30,9 @@ from .com_frame import com_scalar_potentials, com_vector_potentials
 from .constants import TWOPI
 from .gauge import (
     _radial_spectrum,
-    berry_connection_fd,
     connection_profile,
     field_profile,
     magnetic_field,
-    scalar_potential_fd,
     scalar_profile,
 )
 from .model import (
@@ -53,7 +55,6 @@ from .regimes import (
 from .spectrum import (
     LABELS,
     _label_rows,
-    _row_norms,
     dense_hamiltonian,
     labeled_spectrum,
 )
@@ -61,6 +62,7 @@ from .tables import scan_table, to_csv
 
 SEED = 20260819
 _DRAW_CHUNK = 1000  # eigenvalue draws checked at once
+_EXCITED_A = np.array([1.0, 1.0, 0.0, 0.0])  # atom a excited, in the bare basis (ee, eg, ge, gg)
 
 
 @dataclass(frozen=True)
@@ -88,26 +90,109 @@ def _model(kind: InteractionKind, sign: float) -> InteractionModel:
     return InteractionModel(kind=kind, coefficient=sign * coefficient)
 
 
-def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh of a stack of Hermitian matrices; NaN for each one
-    with a non-finite entry.  LAPACK is never handed those: given one it
-    raises or returns finite values, depending on the build, and either
-    would keep a NaN from failing the check that asked."""
+def _finite_stack(h: np.ndarray):
+    """(h, finite): a stack of Hermitian matrices with each one that has a
+    non-finite entry zeroed, and the mask of the others.  LAPACK is never
+    handed those: given one it raises or returns finite values, depending
+    on the build, and either would keep a NaN from failing the check that
+    asked."""
     finite = np.isfinite(h).all(axis=(-2, -1))
     if not finite.all():
         h = np.where(finite[..., None, None], h, 0.0)
+    return h, finite
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh of a stack of Hermitian matrices; NaN for each one
+    with a non-finite entry."""
+    h, finite = _finite_stack(h)
     return np.where(finite[..., None], np.linalg.eigvalsh(h), np.nan)
 
 
+def _eigensystem(u, w, phase_a=0.0, rabi_phase=0.0):
+    """Dense oracle of the pair's states: (energies, vectors, h).
+
+    ``h`` is :func:`dense_hamiltonian` (phase_b = 0) and ``eigh``
+    diagonalizes it, so ``labeled_spectrum`` is never called.  The dark
+    state is the eigenvector of largest overlap with (0, e^{i phase_a},
+    -1, 0)/sqrt(2) and comes last; the other three are "1", "-", "+" by
+    descending energy.  Levels run along the last axis of ``energies``
+    (..., 4) and of ``vectors`` (..., 4, 4), whose columns are the states;
+    both are NaN where ``h`` has a non-finite entry.
+    """
+    h = dense_hamiltonian(u, w, phase_a, 0.0, rabi_phase)
+    safe, finite = _finite_stack(h)
+    energies, vectors = np.linalg.eigh(safe)
+    energies = np.where(finite[..., None], energies, np.nan)
+    vectors = np.where(finite[..., None, None], vectors, np.nan)
+    phase_a = np.broadcast_to(phase_a, energies.shape[:-1])
+    dark = np.stack(np.broadcast_arrays(0.0, np.exp(1j * phase_a), -1.0, 0.0), axis=-1)
+    overlap = np.abs((dark.conj()[..., None, :] @ vectors)[..., 0, :])
+    is_dark = np.arange(4) == overlap.argmax(axis=-1)[..., None]
+    order = np.argsort(np.where(is_dark, np.inf, -energies), axis=-1, kind="stable")
+    return (np.take_along_axis(energies, order, -1),
+            np.take_along_axis(vectors, order[..., None, :], -1), h)
+
+
+def _couplings(energies, vectors, h):
+    """First-order couplings of the states of :func:`_eigensystem`.
+
+    Returns (radial, phase), each (..., 4, 4) with [..., j, i] =
+    <j|dH|i> / (E_i - E_j) and a zero diagonal: <j|d i> for dH = |ee><ee|,
+    per unit u, and for dH = i (n_a,row - n_a,col) H, per unit phase_a,
+    which enters H as e^{i phase_a} on each transition that excites atom a.
+    """
+    gap = energies[..., None, :] - energies[..., :, None]  # [j, i]: E_i - E_j
+    bra = vectors.conj().swapaxes(-1, -2)
+    radial = bra[..., :, :1] * vectors[..., None, 0, :]  # <j|ee><ee|i>
+    phase = bra @ (1j * (_EXCITED_A[:, None] - _EXCITED_A[None, :]) * h) @ vectors
+    inverse = np.divide(1.0, gap, out=np.zeros(gap.shape), where=~np.eye(4, dtype=bool))
+    return radial * inverse, phase * inverse
+
+
+def _dense_gauge(reduced: ReducedParameters, x, labels, rabi_phase: float = 0.0):
+    """A and phi of each point's own label from the dense oracle: (a, phi).
+
+    Atom a sits at separation ``x`` (crossover units) from atom b,
+    perpendicular to the beam, so a radial step moves only u (du/dx =
+    -p u/x) and a step along the beam only phase_a (by kappa).  With C_j
+    the couplings of :func:`_couplings` along one direction and the |gg>
+    coefficient c_gg kept at the phase of Omega* (the gauge of
+    ``bare_state_vector``), A = Im(sum_j c_j,gg C_j / c_i,gg) / kappa:
+    ``a`` (..., 2) holds it along e_r and e_k in hbar·k_L.  ``phi`` is
+    sum_j |C_j|^2 / kappa^2 over both directions and every j != i, the
+    dark state included, in hbar^2·k_L^2/(2m).
+    """
+    u = reduced.shift_ratio(x)
+    kappa = np.broadcast_to(reduced.kappa, u.shape)
+    energies, vectors, h = _eigensystem(u, reduced.detuning_ratio, 0.0, rabi_phase)
+    own = _label_rows(labels)[..., None, None]
+    radial, phase = (np.take_along_axis(m, own, -1)[..., 0]
+                     for m in _couplings(energies, vectors, h))
+    coupling = np.stack([radial * (-reduced.power * u / x)[..., None],
+                         phase * kappa[..., None]], axis=-2)  # [..., direction, j]
+    gg = vectors[..., 3, :]
+    own_gg = np.take_along_axis(gg, own[..., 0], -1)
+    shift = (coupling @ gg[..., :, None])[..., 0] * own_gg.conj()  # times |c_i,gg|^2
+    a = shift.imag / ((own_gg.real ** 2 + own_gg.imag ** 2) * kappa[..., None])
+    phi = np.sum(coupling.real ** 2 + coupling.imag ** 2, axis=(-2, -1)) / kappa ** 2
+    return a, phi
+
+
 def _check_eigenvalues(draws: int) -> CheckResult:
+    """Closed-form energies against eigvalsh, sorted with the dark zero, and
+    in label order: sorted equality plus E_1 >= E_- >= E_+ at every draw
+    is equality label by label."""
     rng = np.random.default_rng(SEED)
     w = rng.uniform(-5.0, 5.0, size=draws)
     u = rng.uniform(-100.0, 100.0, size=draws)
     rabi_phase, phase_a = rng.uniform(0.0, TWOPI, size=(draws, 2)).T
     chunk_worst = []  # the dense 4x4s of all draws at once would set validate's peak memory
+    ordered = True
     for start in range(0, draws, _DRAW_CHUNK):
         part = slice(start, start + _DRAW_CHUNK)
         energies, _, _ = labeled_spectrum(u[part], w[part])
+        ordered &= bool(np.all(energies[:-1] >= energies[1:]))
         analytic = np.sort(np.vstack([np.zeros(energies.shape[1]), energies]).T, axis=1)  # dark 0
         numeric = _eigvalsh(
             dense_hamiltonian(u[part], w[part], phase_a[part], 0.0, rabi_phase[part]))
@@ -115,7 +200,7 @@ def _check_eigenvalues(draws: int) -> CheckResult:
     worst = float(np.max(chunk_worst))  # a NaN in any chunk propagates and fails the check
     return CheckResult(
         name="eigenvalues_analytic_vs_dense",
-        passed=worst < 1e-10,
+        passed=ordered and worst < 1e-10,
         detail=f"{draws} draws, worst rel {worst:.2e}",
     )
 
@@ -149,34 +234,33 @@ def _own_rows(per_label: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _check_berry(points) -> CheckResult:
-    """Closed-form A against the FD Berry connection, one oracle call per interaction kind."""
-    drive = _drive()  # the Rabi phase and beam direction of every point
-    khat = np.asarray(drive.wavevector_direction, dtype=float)
+    """Closed-form A against the dense Berry connection, one eigh per interaction kind."""
+    rabi_phase = _drive().rabi_phase_rad
     worst = []
     for reduced, x, labels in _kind_batches(points):
-        closed = _own_rows(connection_profile(x, reduced), labels)[:, None] * khat
-        oracle = berry_connection_fd(drive, reduced, labels, np.outer(x, [1.0, 0.0, 0.0]))
-        rel = _row_norms(oracle.vector - closed) / _row_norms(closed)
-        worst += [rel.max(), oracle.imag_residual.max()]
+        closed = _own_rows(connection_profile(x, reduced), labels)
+        oracle, _ = _dense_gauge(reduced, x, labels, rabi_phase)
+        rel = np.hypot(oracle[:, 0], oracle[:, 1] - closed) / np.abs(closed)
+        worst.append(rel.max())
     worst = float(np.max(worst))  # a NaN in any batch propagates and fails the check
     return CheckResult(
-        name="berry_connection_closed_vs_fd",
+        name="berry_connection_closed_vs_dense",
         passed=worst < 1e-6,
         detail=f"{len(points)} samples, worst rel {worst:.2e}",
     )
 
 
 def _check_scalar(points) -> CheckResult:
-    """Closed-form phi against the FD overlap sum, one oracle call per interaction kind."""
-    drive = _drive()  # the Rabi phase and beam direction of every point
+    """Closed-form phi against the dense coupling sum, one eigh per interaction kind."""
+    rabi_phase = _drive().rabi_phase_rad
     worst = []
     for reduced, x, labels in _kind_batches(points):
         closed = _own_rows(scalar_profile(x, reduced), labels)
-        oracle = scalar_potential_fd(drive, reduced, labels, x)
+        _, oracle = _dense_gauge(reduced, x, labels, rabi_phase)
         worst.append((np.abs(oracle - closed) / np.abs(closed)).max())
     worst = float(np.max(worst))  # a NaN in any batch propagates and fails the check
     return CheckResult(
-        name="scalar_potential_closed_vs_fd",
+        name="scalar_potential_closed_vs_dense",
         passed=worst < 1e-6,
         detail=f"{len(points)} samples, worst rel {worst:.2e}",
     )

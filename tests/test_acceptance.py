@@ -69,7 +69,7 @@ def _oracle_grid():
 def test_vector_potential_matches_berry_connection_oracle():
     result = _check_berry(_oracle_grid())
     _emit(
-        "vector potential vs finite-difference geometric connection",
+        "vector potential vs dense Berry connection",
         result.passed,
         f"{result.detail} (< 1e-6)",
     )
@@ -78,7 +78,7 @@ def test_vector_potential_matches_berry_connection_oracle():
 def test_scalar_potential_matches_summed_overlap_oracle():
     result = _check_scalar(_oracle_grid())
     _emit(
-        "scalar potential vs summed finite-difference overlaps",
+        "scalar potential vs summed dense couplings",
         result.passed,
         f"{result.detail} (< 1e-6)",
     )

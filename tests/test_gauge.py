@@ -10,13 +10,12 @@ import dense_oracle
 from rydgauge import gauge, validate
 from rydgauge.com_frame import com_scalar_potentials, com_vector_potentials
 from rydgauge.constants import TWOPI
+from rydgauge.dynamics import adiabaticity, deflection_scenario
 from rydgauge.gauge import (
-    berry_connection_fd,
     connection_profile,
     field_map,
     field_profile,
     magnetic_field,
-    scalar_potential_fd,
     scalar_profile,
 )
 from rydgauge.model import (
@@ -39,14 +38,8 @@ def _drive(w):
     return dataclasses.replace(base, detuning_rad_s=w * base.rabi_magnitude_rad_s)
 
 
-def _vector(drive, model, label, x):
-    """The closed-form vector potential a(x)·e_k of one label."""
-    a = connection_profile(x, reduced_parameters(drive, model))[LABEL_INDEX[label]]
-    return a * np.asarray(drive.wavevector_direction, dtype=float)
-
-
-# Closed-form values pinned after validating against the finite-difference
-# oracles below; keyed (drive detuning ratio, model, x).
+# Closed-form values pinned after validating against the dense oracle
+# below; keyed (drive detuning ratio, model, x).
 FROZEN = [
     (0.0, GAETAN.interaction, 1.0, {
         "1": (-0.35267367313531095, 0.22830225160975401),
@@ -75,35 +68,49 @@ def test_frozen_gauge_values(w, model, x, expected):
         assert phi[LABEL_INDEX[label]] == pytest.approx(phi_ref, rel=1e-13)
 
 
+def _dense_errors(drive, model, labels, x):
+    """Relative errors of A and phi of the closed form against
+    ``validate._dense_gauge`` at separations x, one label each."""
+    reduced = reduced_parameters(drive, model)
+    a, phi = validate._dense_gauge(reduced, x, labels, drive.rabi_phase_rad)
+    rows = [LABEL_INDEX[label] for label in labels], np.arange(np.size(x))
+    closed_a = connection_profile(x, reduced)[rows]
+    closed_phi = scalar_profile(x, reduced)[rows]
+    return (np.hypot(a[:, 0], a[:, 1] - closed_a) / np.abs(closed_a),
+            np.abs(phi - closed_phi) / closed_phi)
+
+
 @pytest.mark.parametrize("w", [-2.0, 0.0, 1.0])
 @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
 def test_berry_connection_oracle(w, x):
-    """Closed form against i<chi|grad chi> finite differences."""
-    drive = _drive(w)
-    reduced = reduced_parameters(drive, GAETAN.interaction)
-    for label in LABELS:
-        closed = _vector(drive, GAETAN.interaction, label, x)
-        fd = berry_connection_fd(drive, reduced, label, (x, 0, 0))
-        assert not fd.gauge_discontinuity
-        assert np.linalg.norm(fd.vector - closed) < 1e-6 * np.linalg.norm(closed)
-        assert fd.imag_residual < 1e-6
+    """Closed-form A of every label against the dense Berry connection."""
+    rel_a, _ = _dense_errors(_drive(w), GAETAN.interaction, np.array(LABELS), np.full(3, x))
+    assert rel_a.max() <= 1.2e-13  # measured 1.14e-13 at w = 1, x = 0.1
 
 
 def test_berry_connection_oracle_vdw():
-    drive = _drive(-1.0)
-    closed = _vector(drive, VDW_ATT, "+", 0.7)
-    fd = berry_connection_fd(drive, reduced_parameters(drive, VDW_ATT), "+", (0.0, 0.7, 0.0))
-    assert np.linalg.norm(fd.vector - closed) < 1e-6 * np.linalg.norm(closed)
+    rel_a, _ = _dense_errors(_drive(-1.0), VDW_ATT, np.array(["+"]), np.array([0.7]))
+    assert rel_a.max() <= 1.5e-15  # measured 1.45e-15
 
 
 @pytest.mark.parametrize("w,x", [(-2.0, 0.4), (0.0, 1.0), (1.0, 3.0)])
 def test_scalar_potential_oracle(w, x):
-    drive = _drive(w)
-    reduced = reduced_parameters(drive, GAETAN.interaction)
-    closed = scalar_profile(x, reduced)
-    for label in LABELS:
-        fd = scalar_potential_fd(drive, reduced, label, x)
-        assert fd == pytest.approx(closed[LABEL_INDEX[label]], rel=1e-6)
+    _, rel_phi = _dense_errors(_drive(w), GAETAN.interaction, np.array(LABELS), np.full(3, x))
+    assert rel_phi.max() <= 2.8e-15  # measured 2.78e-15 at w = 0, x = 1
+
+
+@pytest.mark.parametrize("rabi_phase", [0.7, 2.5, -3.0])
+def test_dense_oracle_holds_at_any_rabi_phase(rabi_phase):
+    """arg(Omega) makes eigh's eigenvectors complex, each with a phase of its
+    own; the dense A and phi still match the closed forms, which do not
+    depend on it."""
+    x, labels = np.repeat(np.geomspace(0.1, 10.0, 5), 3), np.array(LABELS * 5)
+    worst = 0.0
+    for w in (-1.0, 0.0, 2.0):
+        drive = dataclasses.replace(_drive(w), rabi_phase_rad=rabi_phase)
+        rel_a, rel_phi = _dense_errors(drive, GAETAN.interaction, labels, x)
+        worst = max(worst, rel_a.max(), rel_phi.max())
+    assert worst <= 1.8e-12  # measured 1.73e-12 at 0.7 rad
 
 
 # phi's radial part per label on beguin2013 deep in blockade (|u| ~ 1e11-1e12),
@@ -127,74 +134,29 @@ def test_radial_part_of_phi_matches_high_precision_deep_in_blockade():
         assert radial == pytest.approx(reference, rel=1e-12, abs=0.0), (w, x)
 
 
-def _counting(monkeypatch, module, name):
-    """Wrap module.name so each call is recorded; return the record."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
+def _dense_rows_match_single_points(reduced, x, labels, quantity):
+    """Every row of ``validate._dense_gauge``'s A (quantity 0) or phi (1)
+    over the separations x has the bytes of its one-point call."""
+    batch = validate._dense_gauge(reduced, x, labels)[quantity]
+    assert batch.shape[0] == x.size
+    for i, (label, r) in enumerate(zip(labels, x)):
+        one = validate._dense_gauge(reduced, float(r), label)[quantity]
+        assert batch[i].tobytes() == np.asarray(one).tobytes()
 
 
 @pytest.mark.parametrize("w", [-1.5, 1.0])
-@pytest.mark.parametrize("step", [1e-6, 3e-3, 1e-2])
-def test_berry_oracle_batch_equals_single_points(monkeypatch, w, step):
-    """Every sample of a batched call has the bytes of its one-point call.
-
-    Separations from 0.05 to 3 r_c reach both solver branches.  The laser
-    phase turns the eigenvectors quickly along the beam (kappa ~ 150), so
-    at 3e-3 r_c some components halve their step while others keep it,
-    and at 1e-2 r_c some samples stay flagged after four attempts.
-    """
-    drive = _drive(w)
-    reduced = reduced_parameters(drive, GAETAN.interaction)
-    rng = np.random.default_rng(11)
-    direction = rng.normal(size=(12, 3))
-    r_vec = direction / np.linalg.norm(direction, axis=1)[:, None]
-    r_vec *= np.geomspace(0.05, 3.0, 12)[:, None]
-    labels = np.array(LABELS * 4)
-    calls = _counting(monkeypatch, gauge, "bare_state_vector")
-    batch = berry_connection_fd(drive, reduced, labels, r_vec, step=step)
-    halvings = len(calls) - 2  # the +-h pair per attempt, then +-h/2 with the centre
-    assert batch.vector.shape == (12, 3)
-    for i, (label, r) in enumerate(zip(labels, r_vec)):
-        one = berry_connection_fd(drive, reduced, label, r, step=step)
-        assert batch.vector[i].tobytes() == one.vector.tobytes()
-        assert batch.imag_residual[i].tobytes() == one.imag_residual.tobytes()
-        assert batch.gauge_discontinuity[i] == one.gauge_discontinuity
-    if step == 1e-6:
-        assert halvings == 0 and not batch.gauge_discontinuity.any()
-    elif step == 3e-3:
-        assert halvings > 0 and not batch.gauge_discontinuity.any()
-    else:
-        assert 0 < batch.gauge_discontinuity.sum() < 12
-
-
-def test_overlap_squares_have_the_bits_of_abs_vdot_squared():
-    rng = np.random.default_rng(2)
-    bra, ket = rng.normal(size=(2, 200, 4)) + 1j * rng.normal(size=(2, 200, 4))
-    ket *= np.geomspace(1e-8, 1e8, 200)[:, None]
-    batch = gauge._overlap_sq(bra, ket)
-    for i in range(200):
-        assert batch[i].tobytes() == (abs(np.vdot(bra[i], ket[i])) ** 2).tobytes()
+def test_berry_oracle_batch_equals_single_points(w):
+    """Separations from 0.05 r_c (the deflated branch of the closed form) to 3 r_c."""
+    reduced = reduced_parameters(_drive(w), GAETAN.interaction)
+    _dense_rows_match_single_points(reduced, np.geomspace(0.05, 3.0, 12), np.array(LABELS * 4), 0)
 
 
 @pytest.mark.parametrize("w", [-1.5, 1.0])
 def test_scalar_oracle_batch_equals_single_points(w):
     """Both solver branches (0.05 r_c is deflated), every label, one call."""
-    drive = _drive(w)
-    reduced = reduced_parameters(drive, VDW_ATT)
+    reduced = reduced_parameters(_drive(w), VDW_ATT)
     x = np.repeat(np.geomspace(0.05, 20.0, 6), 3)
-    labels = np.array(LABELS * 6)
-    batch = scalar_potential_fd(drive, reduced, labels, x)
-    assert batch.shape == x.shape
-    for i, (label, r) in enumerate(zip(labels, x)):
-        one = scalar_potential_fd(drive, reduced, label, float(r))
-        assert batch[i].tobytes() == np.float64(one).tobytes()
+    _dense_rows_match_single_points(reduced, x, np.array(LABELS * 6), 1)
 
 
 def test_single_atom_gauge():
@@ -444,6 +406,7 @@ def test_input_validation():
 _NAN, _INF = float("nan"), float("inf")
 _PAIR = (_drive(0.0), GAETAN.interaction)
 _REDUCED = reduced_parameters(*_PAIR)
+_FLYBY = deflection_scenario()
 
 
 @pytest.mark.parametrize("call, quantity", [
@@ -465,18 +428,19 @@ _REDUCED = reduced_parameters(*_PAIR)
     (lambda: field_profile(_NAN, _REDUCED), "x_over_rc"),
     (lambda: scalar_profile(np.array([[0.5], [-_INF]]), _REDUCED), "x_over_rc"),
     (lambda: com_scalar_potentials(*_PAIR, np.array([1.0, _NAN])), "r_ab"),
-    (lambda: scalar_potential_fd(_PAIR[0], _REDUCED, "1", _INF), "r_ab"),
-    (lambda: scalar_potential_fd(_PAIR[0], _REDUCED, "1", np.array([1.0, _NAN])), "r_ab"),
-    (lambda: berry_connection_fd(_PAIR[0], _REDUCED, "1", [_INF, 0.0, 0.0]), "r_vec"),
-    (lambda: berry_connection_fd(_PAIR[0], _REDUCED, "1", [[1.0, 0.0, 0.0], [_NAN, 0.0, 0.0]]), "r_vec"),
-    (lambda: berry_connection_fd(_PAIR[0], _REDUCED, "1", [0.0, 0.0, 0.0]), "r_vec"),
+    (lambda: adiabaticity(_FLYBY, [[1e-6, 0.0, 0.0], [_NAN, 0.0, 0.0]], np.zeros((2, 3))),
+     "position_m"),
+    (lambda: adiabaticity(_FLYBY, [0.0, 0.0, 0.0], [0.1, 0.0, 0.0]), "position_m"),
+    (lambda: adiabaticity(_FLYBY, [1e-6, 0.0], [0.1, 0.0]), "position_m"),
+    (lambda: adiabaticity(_FLYBY, [1e-6, 0.0, 0.0], [_INF, 0.0, 0.0]), "velocity_m_s"),
+    (lambda: adiabaticity(_FLYBY, [1e-6, 0.0, 0.0], [[0.1, 0.0, 0.0]]), "velocity_m_s"),
 ], ids=[
     "scalar-inf", "scalar-nan", "vector-inf", "field-inf", "field-nan-row", "com-scalar-inf",
     "com-vector-zero-total-mass", "com-vector-negative-mass",
     "com-vector-inf-mass", "blockade-inf", "blockade-nan", "effective-inf-u",
     "connection-negative", "scalar-zero", "field-zero-row", "field-nan", "scalar-minus-inf-row",
-    "com-scalar-nan-row", "scalar-fd-inf", "scalar-fd-nan-row", "berry-fd-inf",
-    "berry-fd-nan-row", "berry-fd-origin",
+    "com-scalar-nan-row", "adiabaticity-nan-row", "adiabaticity-origin", "adiabaticity-shape",
+    "adiabaticity-inf-velocity", "adiabaticity-velocity-shape",
 ])
 def test_non_finite_inputs_raise_naming_the_quantity(call, quantity):
     """No NaN and no wrong error: each bad input names itself."""

@@ -1,10 +1,10 @@
 """Source hygiene of the package: no import left unused, no private name left
-unread, no oracle outside ``validate``.
+unread, one oracle mechanism.
 
 The checks read the syntax trees of ``src/rydgauge``; a deletion that
 leaves an import, a ``_private`` helper or a field of a ``_Private``
-dataclass behind fails here, and so does a finite-difference oracle that
-only the tests call.
+dataclass behind fails here, and so does a finite-difference oracle or a
+diagonalization of the tests' own beside ``validate``'s dense oracle.
 """
 
 import ast
@@ -14,6 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rydgauge"
 MODULES = sorted(PACKAGE.glob("*.py"))
+DENSE_ORACLE = Path(__file__).resolve().parent / "dense_oracle.py"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
 
 
@@ -39,8 +40,8 @@ def _imported(tree: ast.Module) -> set:
     return names
 
 
-def _private_definitions(tree: ast.Module) -> set:
-    """Module-level ``_private`` functions, classes and constants."""
+def _definitions(tree: ast.Module) -> set:
+    """Module-level functions, classes and constants."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -48,7 +49,13 @@ def _private_definitions(tree: ast.Module) -> set:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """Module-level ``_private`` functions, classes and constants."""
+    return {name for name in _definitions(tree)
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def _private_dataclass_fields(tree: ast.Module) -> dict:
@@ -89,9 +96,12 @@ def test_every_private_dataclass_field_is_read():
 
 
 def test_every_oracle_in_the_package_is_read_by_validate():
-    """An oracle in the package belongs to the suite that ``validate`` and the
-    acceptance tests share; an oracle only the tests read lives in the tests."""
-    oracles = {node.name for tree in TREES.values() for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name.endswith("_fd")}
-    assert oracles >= {"berry_connection_fd", "scalar_potential_fd"}
-    assert sorted(oracles - _loaded(TREES["validate.py"])) == []
+    """One oracle mechanism: no finite-difference oracle or step is left in
+    the package, and the tests' dense oracle reduces ``validate``'s
+    eigensystem instead of diagonalizing on its own."""
+    defined = set().union(*(_definitions(tree) for tree in TREES.values()))
+    stencils = [name for name in defined if name.endswith("_fd") or name.startswith("FD_")]
+    assert sorted(stencils) == []
+    dense_oracle = ast.parse(DENSE_ORACLE.read_text(encoding="utf-8"))
+    assert "eigh" not in _loaded(dense_oracle)
+    assert {"_eigensystem", "_couplings"} <= _loaded(dense_oracle)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dense_oracle
 from rydgauge.gauge import _radial_spectrum
 from rydgauge.model import ReducedParameters, get_preset, reduced_parameters
 from rydgauge.spectrum import (
@@ -21,6 +20,7 @@ from rydgauge.spectrum import (
     labeled_spectrum,
     near_degenerate,
 )
+from rydgauge.validate import _eigensystem
 
 GAETAN = get_preset("gaetan2009")
 
@@ -133,7 +133,7 @@ def test_labels_stay_descending_between_the_antiblockade_line_and_deflation():
     u, w = np.concatenate([u, -u]), np.concatenate([w, -w])
     energies, _, _ = labeled_spectrum(u, w)
     assert np.all(energies[0] >= energies[1]) and np.all(energies[1] >= energies[2])
-    dense, _, _ = dense_oracle.eigensystem(u, w)
+    dense, _, _ = _eigensystem(u, w)
     labeled = dense[:, :3].T
     assert np.all(np.abs(energies - labeled) <= 1e-10 * np.maximum(1.0, np.abs(labeled)))
 

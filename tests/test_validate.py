@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rydgauge import gauge, validate
+from rydgauge import gauge, spectrum, validate
 from rydgauge.cli import main
 from rydgauge.model import InteractionKind, reduced_parameters
 from rydgauge.spectrum import LABELS
@@ -19,8 +19,8 @@ POINTS = [
 ]
 CHECK_NAMES = [
     "eigenvalues_analytic_vs_dense",
-    "berry_connection_closed_vs_fd",
-    "scalar_potential_closed_vs_fd",
+    "berry_connection_closed_vs_dense",
+    "scalar_potential_closed_vs_dense",
     "vector_potential_plateaus",
     "blockade_limit_matches_general",
     "weak_expansion_quadratic_residual",
@@ -80,8 +80,27 @@ def test_eigenvalue_check_reads_every_chunk(monkeypatch, bad):
     assert not validate._check_eigenvalues(2500).passed
 
 
-def test_fd_oracles_do_not_use_the_closed_form(monkeypatch):
-    """The oracles agree with A and phi while the closed-form solve raises."""
+@pytest.mark.parametrize("rows", [[0, 1], [1, 2]], ids=["1-minus", "minus-plus"])
+def test_eigenvalue_check_fails_on_two_labels_swapped_at_one_draw(monkeypatch, rows):
+    """Sorted with the dark zero, swapped energies would still match eigvalsh;
+    the label order E_1 >= E_- >= E_+ catches them."""
+    solve = validate.labeled_spectrum
+
+    def swapped(u, w):
+        energies, ee, gg = solve(u, w)
+        energies[rows, 7] = energies[rows[::-1], 7]  # two labels at one draw
+        return energies, ee, gg
+
+    before = validate._check_eigenvalues(200)
+    assert before.passed
+    monkeypatch.setattr(validate, "labeled_spectrum", swapped)
+    after = validate._check_eigenvalues(200)
+    assert not after.passed and after.detail == before.detail
+
+
+def test_dense_oracle_does_not_use_the_closed_form(monkeypatch):
+    """The dense A and phi agree with the closed forms while every
+    closed-form solve raises."""
     drive = validate._drive(-1.0)
     model = validate._model(RDD, -1.0)
     reduced = reduced_parameters(drive, model)
@@ -92,16 +111,17 @@ def test_fd_oracles_do_not_use_the_closed_form(monkeypatch):
     phi = gauge.scalar_profile(x, reduced)[pick]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("oracle called gauge._radial_spectrum")
+        raise AssertionError("oracle called the closed-form solver")
 
+    for module in (spectrum, gauge, validate):
+        monkeypatch.setattr(module, "labeled_spectrum", forbidden)
     monkeypatch.setattr(gauge, "_radial_spectrum", forbidden)
     with pytest.raises(AssertionError):
         gauge.connection_profile(x, reduced)
-    berry = gauge.berry_connection_fd(drive, reduced, labels, np.outer(x, [1.0, 0.0, 0.0]))
-    overlap = gauge.scalar_potential_fd(drive, reduced, labels, x)
-    assert np.abs(berry.vector[:, 2] / a - 1.0).max() < 1e-6
-    assert np.abs(berry.vector[:, :2]).max() < 1e-6 * np.abs(a).min()
-    assert np.abs(overlap / phi - 1.0).max() < 1e-6
+    dense_a, dense_phi = validate._dense_gauge(reduced, x, labels, drive.rabi_phase_rad)
+    assert np.abs(dense_a[:, 1] / a - 1.0).max() < 1e-6
+    assert np.abs(dense_a[:, 0]).max() < 1e-6 * np.abs(a).min()
+    assert np.abs(dense_phi / phi - 1.0).max() < 1e-6
 
 
 def test_full_tier_passes_with_its_report_names_in_order():
@@ -113,15 +133,15 @@ def test_full_tier_passes_with_its_report_names_in_order():
     assert validate.report(results).splitlines()[-1] == "oracles: 12 passed, 0 failed"
 
 
-def _nan_from_call(monkeypatch, name, first, edit):
-    """Patch validate.<name> so that its calls from the ``first``-th (0-based)
-    on return ``edit`` of their value, a copy holding a NaN."""
+def _nan_at_call(monkeypatch, name, first, edit):
+    """Patch validate.<name> so that its ``first``-th call (0-based) returns
+    ``edit`` of its value, a copy holding a NaN."""
     original, calls = getattr(validate, name), []
 
     def poisoned(*args, **kwargs):
         value = original(*args, **kwargs)
         calls.append(name)
-        return edit(value) if len(calls) > first else value
+        return edit(value) if len(calls) == first + 1 else value
 
     monkeypatch.setattr(validate, name, poisoned)
     return calls
@@ -136,22 +156,27 @@ def _nan_at(index):
     return edit
 
 
-def _berry_nan(field):
-    return lambda oracle: dataclasses.replace(
-        oracle, **{field: _nan_at((Ellipsis, -1))(getattr(oracle, field))})
+def _dense_nan(quantity, index):
+    """Edit of ``_dense_gauge``'s (a, phi): a NaN at ``index`` of one of them."""
+    def edit(value):
+        value = list(value)
+        value[quantity] = _nan_at(index)(value[quantity])
+        return tuple(value)
+
+    return edit
 
 
 _LAST = _nan_at((Ellipsis, -1))
 
 
 @pytest.mark.parametrize("check,name,first,edit", [
-    # A and phi: a NaN in the batch after the first, at the closed form or the oracle
+    # A and phi: a NaN in the batch after the first, at the closed form or the
+    # oracle, whose A has a component along the beam and a radial one
     (lambda: validate._check_berry(POINTS), "connection_profile", 1, _LAST),
-    (lambda: validate._check_berry(POINTS), "berry_connection_fd", 1, _berry_nan("vector")),
-    (lambda: validate._check_berry(POINTS), "berry_connection_fd", 1,
-     _berry_nan("imag_residual")),
+    (lambda: validate._check_berry(POINTS), "_dense_gauge", 1, _dense_nan(0, (-1, 1))),
+    (lambda: validate._check_berry(POINTS), "_dense_gauge", 1, _dense_nan(0, (-1, 0))),
     (lambda: validate._check_scalar(POINTS), "scalar_profile", 1, _LAST),
-    (lambda: validate._check_scalar(POINTS), "scalar_potential_fd", 1, _LAST),
+    (lambda: validate._check_scalar(POINTS), "_dense_gauge", 1, _dense_nan(1, -1)),
     # the plateaus: the near one ('+' sorts a NaN last) and the far one
     (validate._check_plateaus, "connection_profile", 0, _nan_at(1)),
     (validate._check_plateaus, "connection_profile", 1, _nan_at(1)),
@@ -167,13 +192,13 @@ _LAST = _nan_at((Ellipsis, -1))
     # the single atom's A and phi
     (validate._check_single_atom, "single_atom_gauge", 0, lambda v: (_nan_at(0)(v[0]), v[1])),
     (validate._check_single_atom, "single_atom_gauge", 0, lambda v: (v[0], _nan_at(0)(v[1]))),
-], ids=["berry-closed", "berry-oracle", "berry-imag", "scalar-closed", "scalar-oracle",
+], ids=["berry-closed", "berry-oracle", "berry-radial", "scalar-closed", "scalar-oracle",
         "plateau-near", "plateau-far", "symmetry-one-plus", "symmetry-minus", "symmetry-azimuth",
         "effective-spectrum", "single-atom-a", "single-atom-phi"])
 def test_a_nan_in_any_term_fails_its_check(monkeypatch, check, name, first, edit):
     """Python's max drops a NaN after its first argument; every check must not."""
     assert check().passed
-    calls = _nan_from_call(monkeypatch, name, first, edit)
+    calls = _nan_at_call(monkeypatch, name, first, edit)
     result = check()
     assert len(calls) > first
     assert not result.passed and "nan" in result.detail
@@ -182,17 +207,18 @@ def test_a_nan_in_any_term_fails_its_check(monkeypatch, check, name, first, edit
 @pytest.mark.parametrize("name,first,check", [
     ("dense_hamiltonian", 1, "eigenvalues_analytic_vs_dense"),  # the last chunk's last draw
     ("effective_hamiltonian", 0, "blockade_effective_spectrum"),
+    ("dense_hamiltonian", 2, "berry_connection_closed_vs_dense"),  # the first kind's last point
 ])
 def test_a_nan_handed_to_eigvalsh_fails_its_check_by_name(monkeypatch, name, first, check):
     """LAPACK raises or returns finite values on a NaN, by build; either way
     the run goes on and reports that check, and only it, as failed.  The NaN
-    sits below the diagonal, where eigvalsh alone reads it."""
+    sits below the diagonal, where eigvalsh and eigh alone read it."""
     def edit(h):
         h = h.copy()
         h.reshape(-1, *h.shape[-2:])[-1, 2, 1] = np.nan  # the last matrix of the stack
         return h
 
-    calls = _nan_from_call(monkeypatch, name, first, edit)
+    calls = _nan_at_call(monkeypatch, name, first, edit)
     results = validate.run_checks(quick=True)
     assert len(calls) > first
     assert len(results) == 12
@@ -202,51 +228,47 @@ def test_a_nan_handed_to_eigvalsh_fails_its_check_by_name(monkeypatch, name, fir
 
 
 def test_kind_batches_keep_the_bits_of_one_drive_calls():
-    """The batched oracles and closed forms give every point the bytes of
+    """The batched oracle and closed forms give every point the bytes of
     one call at its own drive and interaction."""
-    drive = validate._drive()
     columns = []
     for reduced, x, labels in validate._kind_batches(POINTS):
-        berry = gauge.berry_connection_fd(drive, reduced, labels, np.outer(x, [1.0, 0.0, 0.0]))
-        overlap = gauge.scalar_potential_fd(drive, reduced, labels, x)
+        dense_a, dense_phi = validate._dense_gauge(reduced, x, labels)
         a, phi = gauge.connection_profile(x, reduced), gauge.scalar_profile(x, reduced)
-        columns += zip(berry.vector, berry.imag_residual, overlap, a.T, phi.T)
+        columns += zip(dense_a, dense_phi, a.T, phi.T)
     in_batch_order = [p for kind in InteractionKind for p in POINTS if p[2] is kind]
     assert len(columns) == len(in_batch_order) == len(POINTS)
     for (x, w, kind, label), batched in zip(in_batch_order, columns):
-        own = validate._drive(w)
-        reduced = reduced_parameters(own, validate._model(kind, -1.0))
-        berry = gauge.berry_connection_fd(own, reduced, label, [x, 0.0, 0.0])
-        single = (berry.vector, berry.imag_residual, gauge.scalar_potential_fd(own, reduced, label, x),
+        reduced = reduced_parameters(validate._drive(w), validate._model(kind, -1.0))
+        single = (*validate._dense_gauge(reduced, x, label),
                   gauge.connection_profile(x, reduced), gauge.scalar_profile(x, reduced))
         assert [v.tobytes() for v in batched] == [np.asarray(v).tobytes() for v in single]
 
 
-def test_full_tier_oracles_make_eight_solves(monkeypatch):
-    """Berry and scalar at 240 points: per interaction kind, the +-h pair, then
-    +-h/2 with the centre, then the scalar stencil and its bright states."""
+def test_full_tier_oracles_make_one_eigh_per_kind_per_check(monkeypatch):
+    """A and phi at 240 points: one dense eigensystem per interaction kind
+    in each of the two checks."""
     calls = []
-    solve = gauge.bare_state_vector
+    solve = validate._eigensystem
 
     def counted(*args, **kwargs):
         calls.append(None)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(gauge, "bare_state_vector", counted)
-    results = [r for r in validate.run_checks(quick=False) if "_fd" in r.name]
+    monkeypatch.setattr(validate, "_eigensystem", counted)
+    results = [r for r in validate.run_checks(quick=False) if r.name.endswith("_closed_vs_dense")]
     assert [r.passed for r in results] == [True, True]
-    assert len(calls) <= 8
+    assert len(calls) == 4
 
 
 QUICK_REPORT = """\
 PASS eigenvalues_analytic_vs_dense: 2000 draws, worst rel 2.58e-15
-PASS berry_connection_closed_vs_fd: 6 samples, worst rel 1.97e-12
-PASS scalar_potential_closed_vs_fd: 6 samples, worst rel 5.02e-12
+PASS berry_connection_closed_vs_dense: 6 samples, worst rel 1.48e-14
+PASS scalar_potential_closed_vs_dense: 6 samples, worst rel 1.52e-14
 """
 FULL_REPORT = """\
 PASS eigenvalues_analytic_vs_dense: 10000 draws, worst rel 2.96e-15
-PASS berry_connection_closed_vs_fd: 240 samples, worst rel 4.33e-12
-PASS scalar_potential_closed_vs_fd: 240 samples, worst rel 1.29e-12
+PASS berry_connection_closed_vs_dense: 240 samples, worst rel 2.67e-10
+PASS scalar_potential_closed_vs_dense: 240 samples, worst rel 6.77e-10
 """
 SHARED_REPORT = """\
 PASS vector_potential_plateaus: worst plateau deviation 2.00e-06 hbar*k_L
