@@ -1,21 +1,24 @@
 """Self-contained oracle and invariant checks behind `validate`.
 
-Every check is deterministic (fixed seeds, fixed grids) and returns a
-named pass/fail with a one-line detail, so two consecutive runs produce
-byte-identical reports.  The dense oracle diagonalizes
+Every check is deterministic (a fixed draw design, fixed grids) and
+returns a named pass/fail with a one-line detail, so two consecutive
+runs produce byte-identical reports.  The dense oracle diagonalizes
 ``dense_hamiltonian`` with ``eigh`` and labels its states without
 ``labeled_spectrum``; first-order couplings <j|dH|i>/(E_i - E_j) of its
 eigenvectors give A and phi, which the closed forms must match.  The
-quick tier draws 2,000 dense spectra and checks A and phi at 6 points;
-the full tier draws 10,000 and checks 240 points (8 separations x 5
-detunings x 2 interactions x 3 labels), as one batch per interaction
-kind with one drive per point: each closed form is one call per kind,
-and so is the oracle of each check.  The acceptance tests run the same
-check functions at 10,000 draws and 360 points (12 separations), the
-field symmetries on 9 separations instead of 7 and the COM split on 200
-separations instead of 1.  The checks of the limits work in reduced
-units on (u, w) grids: one general solve and one call of the limit's
-array function in ``regimes`` each.
+energies are compared at the draws of :func:`_draws`: four fifths fill
+the box |u| <= 100, |w| <= 5 with a low-discrepancy sequence, one fifth
+lies in the band around the antiblockade line u = 2w at |w| in
+[50, 200].  The quick tier compares 2,000 dense spectra and checks A and
+phi at 6 points; the full tier compares 10,000 and checks 240 points (8
+separations x 5 detunings x 2 interactions x 3 labels), as one batch per
+interaction kind with one drive per point: each closed form is one call
+per kind, and so is the oracle of each check.  The acceptance tests run
+the same check functions at 10,000 draws and 360 points (12
+separations), the field symmetries on 9 separations instead of 7 and the
+COM split on 200 separations instead of 1.  The checks of the limits
+work in reduced units on (u, w) grids: one general solve and one call of
+the limit's array function in ``regimes`` each.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ from .spectrum import (
 )
 from .tables import scan_table, to_csv
 
-SEED = 20260819
 _DRAW_CHUNK = 1000  # eigenvalue draws checked at once
+_G = 1.1673039782614187  # real root of g**5 = g + 1, the generalized golden ratio of R_4
 _EXCITED_A = np.array([1.0, 1.0, 0.0, 0.0])  # atom a excited, in the bare basis (ee, eg, ge, gg)
 
 
@@ -179,14 +182,33 @@ def _dense_gauge(reduced: ReducedParameters, x, labels, rabi_phase: float = 0.0)
     return a, phi
 
 
+def _draws(n: int):
+    """The eigenvalue check's n draws (u, w, rabi_phase, phase_a), the same
+    bits on every call.
+
+    Draw i = 1..n starts from the R_4 low-discrepancy point
+    frac(0.5 + i / g**[1, 2, 3, 4]), g**5 = g + 1, scaled to the box
+    |u| <= 100, |w| <= 5 and phases in [0, 2 pi).  The last n // 5 draws
+    move to the band around the antiblockade line u = 2w instead: |w| in
+    [50, 200], of alternating sign, and u = 2w (1 + s) with |s| log-spaced
+    from 1e-12 to 1 and the sign of s alternating in pairs, so both sides
+    of the line are drawn and |u| runs past ``spectrum.DEFLATE_AT``.
+    """
+    x = (0.5 + np.arange(1, n + 1)[:, None] / _G ** np.arange(1, 5)) % 1.0
+    u, w = 200.0 * x[:, 0] - 100.0, 10.0 * x[:, 1] - 5.0
+    k = np.arange(n // 5)
+    band = slice(n - k.size, n)
+    w[band] = np.where(k % 2, -1.0, 1.0) * (50.0 + 150.0 * x[band, 1])
+    s = np.where(k // 2 % 2, -1.0, 1.0) * np.geomspace(1e-12, 1.0, k.size)
+    u[band] = 2.0 * w[band] * (1.0 + s)
+    return u, w, TWOPI * x[:, 2], TWOPI * x[:, 3]
+
+
 def _check_eigenvalues(draws: int) -> CheckResult:
     """Closed-form energies against eigvalsh, sorted with the dark zero, and
     in label order: sorted equality plus E_1 >= E_- >= E_+ at every draw
     is equality label by label."""
-    rng = np.random.default_rng(SEED)
-    w = rng.uniform(-5.0, 5.0, size=draws)
-    u = rng.uniform(-100.0, 100.0, size=draws)
-    rabi_phase, phase_a = rng.uniform(0.0, TWOPI, size=(draws, 2)).T
+    u, w, rabi_phase, phase_a = _draws(draws)
     chunk_worst = []  # the dense 4x4s of all draws at once would set validate's peak memory
     ordered = True
     for start in range(0, draws, _DRAW_CHUNK):

@@ -1,10 +1,11 @@
 """Source hygiene of the package: no import left unused, no private name left
-unread, one oracle mechanism.
+unread, one oracle mechanism, no random numbers.
 
 The checks read the syntax trees of ``src/rydgauge``; a deletion that
 leaves an import, a ``_private`` helper or a field of a ``_Private``
-dataclass behind fails here, and so does a finite-difference oracle or a
-diagonalization of the tests' own beside ``validate``'s dense oracle.
+dataclass behind fails here, and so does a finite-difference oracle, a
+diagonalization of the tests' own beside ``validate``'s dense oracle, or
+any use of ``numpy.random`` in the package.
 """
 
 import ast
@@ -105,3 +106,24 @@ def test_every_oracle_in_the_package_is_read_by_validate():
     dense_oracle = ast.parse(DENSE_ORACLE.read_text(encoding="utf-8"))
     assert "eigh" not in _loaded(dense_oracle)
     assert {"_eigensystem", "_couplings"} <= _loaded(dense_oracle)
+
+
+def test_no_module_uses_numpy_random():
+    """The package draws nothing at random: ``validate``'s draws are a fixed
+    design, and numpy.random's first use would load its extension modules
+    and OpenSSL's hashing into every run that reaches it."""
+    uses = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "random":
+                target = node.value.id if isinstance(node.value, ast.Name) else None
+                if target in ("np", "numpy"):
+                    uses.append((name, node.lineno))
+            elif isinstance(node, ast.Import):
+                uses += [(name, node.lineno) for alias in node.names
+                         if alias.name.startswith("numpy.random")]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.startswith("numpy.random") or (
+                        node.module == "numpy" and any(a.name == "random" for a in node.names)):
+                    uses.append((name, node.lineno))
+    assert uses == []

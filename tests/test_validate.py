@@ -1,14 +1,20 @@
 """Tests for the shared oracle checks behind `rydgauge validate`."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rydgauge
 from rydgauge import gauge, spectrum, validate
 from rydgauge.cli import main
+from rydgauge.constants import TWOPI
 from rydgauge.model import InteractionKind, reduced_parameters
-from rydgauge.spectrum import LABELS
+from rydgauge.spectrum import DEFLATE_AT, LABELS
 
 RDD, VDW = InteractionKind.RDD, InteractionKind.VDW
 POINTS = [
@@ -17,6 +23,8 @@ POINTS = [
     (0.05, -2.0, VDW, "-"),  # deflated branch
     (5.0, 1.0, RDD, "-"),
 ]
+CHUNKED = 7500  # draws: the box, then 1,500 band draws in chunks 6 and 7 of 1,000
+BAND_CHUNKS = {6: "band", 7: "last, partial"}
 CHECK_NAMES = [
     "eigenvalues_analytic_vs_dense",
     "berry_connection_closed_vs_dense",
@@ -60,24 +68,92 @@ def test_checks_fail_on_a_closed_form_off_by_1e5(monkeypatch, name, perturb, che
     assert not check().passed
 
 
+@pytest.mark.parametrize("draws", [10_000, CHUNKED])
+def test_draws_are_fixed_and_fill_the_box_and_the_band(draws):
+    """The same bits on every call; four fifths of the draws in the box
+    |u| <= 100, |w| <= 5, the rest in the band around u = 2w with both signs
+    of w and points past DEFLATE_AT on each side of the line."""
+    first, second = validate._draws(draws), validate._draws(draws)
+    assert [v.tobytes() for v in first] == [v.tobytes() for v in second]
+    u, w, rabi_phase, phase_a = first
+    for phase in (rabi_phase, phase_a):
+        assert np.all((phase >= 0.0) & (phase < TWOPI))
+    box, band = slice(0, draws - draws // 5), slice(draws - draws // 5, None)
+    assert np.all(np.abs(u[box]) <= 100.0) and np.all(np.abs(w[box]) <= 5.0)
+    assert np.all((np.abs(w[band]) >= 50.0) & (np.abs(w[band]) <= 200.0))
+    side = u[band] / (2.0 * w[band]) - 1.0
+    assert np.abs(side).min() < 1e-11 and np.abs(side).max() > 0.99
+    deflated = np.abs(u[band]) > DEFLATE_AT
+    for w_sign in (-1.0, 1.0):
+        for s_sign in (-1.0, 1.0):
+            assert np.any(deflated & (np.sign(w[band]) == w_sign) & (np.sign(side) == s_sign))
+
+
+def _deflated_roots_as_swapped(roots_deflated):
+    """``roots_deflated`` with the interaction root (the one nearest u - w)
+    put first where u > 0 and last where u < 0 instead of by value, the
+    order that swaps '-' and '+' between u = 2w and |u| = DEFLATE_AT."""
+    def swapped(u, w):
+        roots = roots_deflated(u, w)
+        rows = np.arange(3).reshape(-1, *([1] * np.ndim(u)))
+        interaction = rows == np.abs(roots - (u - w)).argmin(axis=0)
+        key = np.where(interaction, np.copysign(np.inf, -u), -roots)
+        return np.take_along_axis(roots, np.argsort(key, axis=0, kind="stable"), 0)
+
+    return swapped
+
+
+@pytest.mark.parametrize("draws", [2000, 10_000])
+def test_eigenvalue_check_fails_on_the_deflated_swap(monkeypatch, draws):
+    """Both tiers' energy checks see '-' and '+' swapped on the deflated
+    branch: only the band reaches it, and no box draw is out of order."""
+    assert validate._check_eigenvalues(draws).passed
+    monkeypatch.setattr(spectrum, "_roots_deflated",
+                        _deflated_roots_as_swapped(spectrum._roots_deflated))
+    u, w, _, _ = validate._draws(draws)
+    energies, _, _ = spectrum.labeled_spectrum(u, w)
+    unordered = np.any(energies[:-1] < energies[1:], axis=0)
+    box = draws - draws // 5
+    assert not unordered[:box].any() and unordered[box:].any()
+    assert not validate._check_eigenvalues(draws).passed
+
+
+def test_validate_loads_no_random_number_generator():
+    """A fresh ``rydgauge validate --full`` imports neither numpy.random nor
+    the OpenSSL hashing that its seeding pulls in."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rydgauge.__file__).resolve().parents[1]))
+    script = ("import sys; from rydgauge.cli import main; code = main(['validate', '--full']); "
+              "print(code, sorted({'numpy.random', '_hashlib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def _last_energy_times(bad):
+    """Edit of ``labeled_spectrum``'s (energies, ee, gg): the '1' energy of
+    the last draw times ``bad``."""
+    def edit(value):
+        energies = value[0].copy()
+        energies[0, -1] *= bad
+        return (energies, *value[1:])
+
+    return edit
+
+
 @pytest.mark.parametrize("bad", [np.nan, 1.0 + 1e-5])
 def test_eigenvalue_check_reads_every_chunk(monkeypatch, bad):
-    """The draws are checked in chunks with the report of one chunk, and one wrong
-    energy in the last, partial chunk still fails the check."""
-    whole = validate._check_eigenvalues(2500)
-    monkeypatch.setattr(validate, "_DRAW_CHUNK", 2500)
-    assert validate._check_eigenvalues(2500) == whole
-    monkeypatch.setattr(validate, "_DRAW_CHUNK", 1000)
-    spectrum = validate.labeled_spectrum
-
-    def last_chunk_off(u, w):
-        energies, ee, gg = spectrum(u, w)
-        if u.size < 1000:
-            energies[0, -1] *= bad
-        return energies, ee, gg
-
-    monkeypatch.setattr(validate, "labeled_spectrum", last_chunk_off)
-    assert not validate._check_eigenvalues(2500).passed
+    """The draws are checked in chunks with the report of one chunk, and one
+    wrong energy in a chunk of band draws or in the last, partial chunk still
+    fails the check."""
+    whole = validate._check_eigenvalues(CHUNKED)
+    monkeypatch.setattr(validate, "_DRAW_CHUNK", CHUNKED)
+    assert validate._check_eigenvalues(CHUNKED) == whole
+    monkeypatch.undo()
+    for chunk, where in BAND_CHUNKS.items():
+        calls = _nan_at_call(monkeypatch, "labeled_spectrum", chunk, _last_energy_times(bad))
+        assert not validate._check_eigenvalues(CHUNKED).passed, where
+        assert len(calls) == 8
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("rows", [[0, 1], [1, 2]], ids=["1-minus", "minus-plus"])
@@ -135,7 +211,7 @@ def test_full_tier_passes_with_its_report_names_in_order():
 
 def _nan_at_call(monkeypatch, name, first, edit):
     """Patch validate.<name> so that its ``first``-th call (0-based) returns
-    ``edit`` of its value, a copy holding a NaN."""
+    ``edit`` of its value, a copy with one wrong entry, most often a NaN."""
     original, calls = getattr(validate, name), []
 
     def poisoned(*args, **kwargs):
@@ -204,27 +280,38 @@ def test_a_nan_in_any_term_fails_its_check(monkeypatch, check, name, first, edit
     assert not result.passed and "nan" in result.detail
 
 
+def _nan_below_diagonal(h):
+    """A copy of a stack of Hamiltonians with a NaN below the diagonal of its
+    last matrix, where eigvalsh and eigh alone read it."""
+    h = h.copy()
+    h.reshape(-1, *h.shape[-2:])[-1, 2, 1] = np.nan
+    return h
+
+
 @pytest.mark.parametrize("name,first,check", [
-    ("dense_hamiltonian", 1, "eigenvalues_analytic_vs_dense"),  # the last chunk's last draw
+    # the last chunk's last draw, a band draw
+    ("dense_hamiltonian", 1, "eigenvalues_analytic_vs_dense"),
     ("effective_hamiltonian", 0, "blockade_effective_spectrum"),
     ("dense_hamiltonian", 2, "berry_connection_closed_vs_dense"),  # the first kind's last point
 ])
 def test_a_nan_handed_to_eigvalsh_fails_its_check_by_name(monkeypatch, name, first, check):
     """LAPACK raises or returns finite values on a NaN, by build; either way
-    the run goes on and reports that check, and only it, as failed.  The NaN
-    sits below the diagonal, where eigvalsh and eigh alone read it."""
-    def edit(h):
-        h = h.copy()
-        h.reshape(-1, *h.shape[-2:])[-1, 2, 1] = np.nan  # the last matrix of the stack
-        return h
-
-    calls = _nan_at_call(monkeypatch, name, first, edit)
+    the run goes on and reports that check, and only it, as failed."""
+    calls = _nan_at_call(monkeypatch, name, first, _nan_below_diagonal)
     results = validate.run_checks(quick=True)
     assert len(calls) > first
     assert len(results) == 12
     failed = [line for line in validate.report(results).splitlines() if line.startswith("FAIL")]
     assert failed == [f"FAIL {check}: {r.detail}" for r in results if r.name == check]
     assert "nan" in failed[0]
+
+
+@pytest.mark.parametrize("chunk", list(BAND_CHUNKS), ids=["band", "last-partial"])
+def test_a_nan_handed_to_eigvalsh_in_a_late_chunk_fails_the_energy_check(monkeypatch, chunk):
+    calls = _nan_at_call(monkeypatch, "dense_hamiltonian", chunk, _nan_below_diagonal)
+    result = validate._check_eigenvalues(CHUNKED)
+    assert len(calls) == 8
+    assert not result.passed and "nan" in result.detail
 
 
 def test_kind_batches_keep_the_bits_of_one_drive_calls():
@@ -261,12 +348,12 @@ def test_full_tier_oracles_make_one_eigh_per_kind_per_check(monkeypatch):
 
 
 QUICK_REPORT = """\
-PASS eigenvalues_analytic_vs_dense: 2000 draws, worst rel 2.58e-15
+PASS eigenvalues_analytic_vs_dense: 2000 draws, worst rel 1.68e-11
 PASS berry_connection_closed_vs_dense: 6 samples, worst rel 1.48e-14
 PASS scalar_potential_closed_vs_dense: 6 samples, worst rel 1.52e-14
 """
 FULL_REPORT = """\
-PASS eigenvalues_analytic_vs_dense: 10000 draws, worst rel 2.96e-15
+PASS eigenvalues_analytic_vs_dense: 10000 draws, worst rel 1.93e-11
 PASS berry_connection_closed_vs_dense: 240 samples, worst rel 2.67e-10
 PASS scalar_potential_closed_vs_dense: 240 samples, worst rel 6.77e-10
 """
