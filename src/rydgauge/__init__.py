@@ -60,8 +60,6 @@ from .regimes import (
 )
 from .spectrum import (
     LABELS,
-    bare_state_vector,
-    dark_state_vector,
     dense_hamiltonian,
     labeled_spectrum,
 )

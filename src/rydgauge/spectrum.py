@@ -3,9 +3,10 @@
 The two-atom internal Hamiltonian decouples an antisymmetric dark state
 (energy exactly zero) from a 3x3 bright block.  This module solves the
 bright block's characteristic cubic in closed form with a stable labeling
-scheme and produces gauge-fixed eigenvectors.  ``dense_hamiltonian`` builds
-the 4x4 Hamiltonian itself, in the same reduced units and bare basis, as
-the reference for dense diagonalization.
+scheme and gives the eigenvectors' amplitude factors.
+``dense_hamiltonian`` builds the 4x4 Hamiltonian itself, in the same
+reduced units and the bare basis (ee, eg, ge, gg), as the reference for
+dense diagonalization.
 
 Dimensionless conventions used by the closed-form solvers:
     u = V/|Omega|   (interaction shift over Rabi magnitude)
@@ -175,8 +176,8 @@ def dense_hamiltonian(
     shift_ratio, detuning_ratio, phase_a=0.0, phase_b=0.0, rabi_phase=0.0
 ) -> np.ndarray:
     """The 4x4 pair Hamiltonian in units of hbar|Omega|, in the bare basis
-    (ee, eg, ge, gg) of :func:`bare_state_vector`; ``validate`` diagonalizes
-    it as the dense oracle of the energies, A and phi.
+    (ee, eg, ge, gg); ``validate`` diagonalizes it as the dense oracle of
+    the energies, A and phi.
 
     Every argument broadcasts against the others; the result has the
     broadcast shape plus two last axes of length 4.  The diagonal is
@@ -218,85 +219,15 @@ def _label_rows(label) -> np.ndarray:
 def _row_dots(a, b) -> np.ndarray:
     """Dot products over the last axis, broadcast over the leading axes.
 
-    Each row goes through the BLAS dot that ``np.dot``, ``np.vdot`` (pass
-    ``a.conj()``) and ``np.linalg.norm`` use for a single vector, so a row
-    gives the same bits alone or inside a batch; ``einsum`` and
-    ``sum(axis=-1)`` can differ in the last bit.
+    Each row goes through the BLAS dot that ``np.dot`` and
+    ``np.linalg.norm`` use for a single vector, so a row gives the same
+    bits alone or inside a batch; ``einsum`` and ``sum(axis=-1)`` can
+    differ in the last bit.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _row_norms(v) -> np.ndarray:
-    """Euclidean norms over the last axis, with the bits of ``np.linalg.norm`` per row."""
-    v = np.asarray(v)
-    if np.iscomplexobj(v):
-        return np.sqrt(_row_dots(v.real, v.real) + _row_dots(v.imag, v.imag))
+    """Euclidean norms of real rows over the last axis, with the bits of
+    ``np.linalg.norm`` per row."""
     return np.sqrt(_row_dots(v, v))
-
-
-def _product(a, b) -> np.ndarray:
-    """a * b of complex arrays, with the operations of numpy's complex scalar
-    multiply; the vectorized complex multiply fuses multiply-adds on some
-    CPUs, which would give a point other bits alone than inside a batch."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def bare_state_vector(
-    shift_ratio,
-    detuning_ratio,
-    label,
-    phase_a=0.0,
-    phase_b=0.0,
-    rabi_phase=0.0,
-) -> np.ndarray:
-    """Normalized, gauge-fixed eigenvectors in the bare basis (ee, eg, ge, gg).
-
-    Every argument broadcasts against the others, ``label`` included (one
-    label or an array of them); the result has the broadcast shape plus a
-    last axis of length 4, and a point gives the same bits alone or inside
-    a batch.  ``phase_a``/``phase_b`` are the accumulated laser phases
-    k_L·r at the two atom positions.  The gauge is fixed so the |gg>
-    coefficient carries the phase of Omega* (real positive for a real
-    drive), the gauge in which ``validate``'s dense oracle states A.
-
-    Raises ValueError where the closed-form vector vanishes, at isolated
-    defective points such as u = 2w for the "-" label; the eigenvectors
-    of :func:`dense_hamiltonian` still exist there.
-    """
-    rows = _label_rows(label)
-    _, ee_amp, gg_amp = labeled_spectrum(shift_ratio, detuning_ratio)
-    ee, gg, theta, phase_a, phase_b = np.broadcast_arrays(
-        np.choose(rows, ee_amp), np.choose(rows, gg_amp), rabi_phase, phase_a, phase_b
-    )
-    raw = np.stack(
-        [
-            ee * np.exp(1j * (theta + phase_a + phase_b)),
-            ee * gg * np.exp(1j * phase_a),
-            ee * gg * np.exp(1j * phase_b),
-            gg * np.exp(-1j * theta),
-        ],
-        axis=-1,
-    )
-    nrm = _row_norms(raw)
-    if np.any(nrm < 1e-13):
-        raise ValueError(
-            "closed-form eigenvector vanishes at a defective (u, w); "
-            "diagonalize dense_hamiltonian there instead"
-        )
-    vec = raw / nrm[..., None]
-    # rotate the global phase so the |gg> coefficient has the phase of Omega*
-    g = vec[..., 3]
-    size = np.hypot(g.real, g.imag)  # abs() of one complex number, bit for bit
-    fix = size > 1e-12
-    factor = _product(np.exp(-1j * theta), np.conj(g)) / np.where(fix, size, 1.0)
-    return np.where(fix[..., None], vec * factor[..., None], vec)
-
-
-def dark_state_vector(phase_a: float = 0.0, phase_b: float = 0.0) -> np.ndarray:
-    """Antisymmetric zero-energy eigenvector in the bare basis."""
-    return np.array(
-        [0.0, np.exp(1j * phase_a), -np.exp(1j * phase_b), 0.0]
-    ) / np.sqrt(2.0)

@@ -1,12 +1,11 @@
 """Deterministic CSV and JSON serialization of result tables.
 
 Each output is a ``Table`` built by one schema function (scan, trajectory,
-map, peaks, scaling) and rendered piece by piece by ``render``, whose
-pieces ``to_csv`` and ``to_json`` join: fixed columns, newline endings, no
-timestamps.  CSV floats carry 17 significant digits; JSON numbers are the
-shortest text that reads back to the same double.  Identical inputs
-produce byte-identical files, and the JSON rows parse back to exactly the
-CSV values.
+map, peaks, scaling) and rendered piece by piece by ``render``: fixed
+columns, newline endings, no timestamps.  CSV floats carry 17 significant
+digits; JSON numbers are the shortest text that reads back to the same
+double.  Identical inputs produce byte-identical files, and the JSON rows
+parse back to exactly the CSV values.
 """
 
 from __future__ import annotations
@@ -111,11 +110,6 @@ def _column_blocks(values: tuple):
 def to_csv(table: Table) -> str:
     """The header line, then one line per row."""
     return "".join(render(table, "csv"))
-
-
-def to_json(table: Table) -> str:
-    """``{"metadata": ..., "rows": [...]}``, metadata keys sorted."""
-    return "".join(render(table, "json"))
 
 
 def scan_table(scan: ScanTable, units: ModelUnits | None = None) -> Table:

@@ -158,10 +158,11 @@ def _dense_gauge(reduced: ReducedParameters, x, labels, rabi_phase: float = 0.0)
 
     Atom a sits at separation ``x`` (crossover units) from atom b,
     perpendicular to the beam, so a radial step moves only u (du/dx =
-    -p u/x) and a step along the beam only phase_a (by kappa).  With C_j
-    the couplings of :func:`_couplings` along one direction and the |gg>
-    coefficient c_gg kept at the phase of Omega* (the gauge of
-    ``bare_state_vector``), A = Im(sum_j c_j,gg C_j / c_i,gg) / kappa:
+    -p u/x) and a step along the beam only phase_a (by kappa).  A is
+    stated in the gauge where each state's |gg> coefficient c_gg has the
+    phase of Omega* (real positive for a real drive).  With C_j the
+    couplings of :func:`_couplings` along one direction, that gauge gives
+    A = Im(sum_j c_j,gg C_j / c_i,gg) / kappa:
     ``a`` (..., 2) holds it along e_r and e_k in hbar·k_L.  ``phi`` is
     sum_j |C_j|^2 / kappa^2 over both directions and every j != i, the
     dark state included, in hbar^2·k_L^2/(2m).

@@ -26,7 +26,7 @@ from rydgauge.gauge import (
 )
 from rydgauge.model import PRESETS, get_preset, reduced_parameters
 from rydgauge.spectrum import DEFLATE_AT, LABEL_INDEX
-from rydgauge.tables import SCAN_HEADER, format_float, scan_table, to_csv, to_json
+from rydgauge.tables import SCAN_HEADER, format_float, render, scan_table, to_csv
 
 GAETAN = get_preset("gaetan2009")
 
@@ -171,7 +171,7 @@ def test_scan_serialization_matches_the_per_value_loop(points, monkeypatch):
     metadata = dict(table.metadata, columns=SCAN_HEADER.split(","), excluded_rows=0)
     rows = [[float(col[i]) for col in columns] for i in range(points)]
     document = json.dumps({"metadata": metadata, "rows": rows}, sort_keys=True) + "\n"
-    assert to_json(rendered) == document
+    assert "".join(render(rendered, "json")) == document
 
 
 def test_scan_empty_grid():
@@ -217,8 +217,9 @@ def test_a_non_finite_row_stops_the_scan_after_the_blocks_before_it(fmt, monkeyp
     grid = np.geomspace(0.5, rmax, points)
     assert reduced.shift_ratio(grid[-1]) == 2.0 * reduced.detuning_ratio
     earlier = scan_table(scan_1d(drive, GAETAN.interaction, grid[:-1]))
-    assert captured.out == (to_csv(earlier) if fmt == "csv" else to_json(earlier)[: -len("]}\n")])
-    assert len(json.loads(to_json(earlier))["rows"]) == 3 * BLOCK
+    document = "".join(render(earlier, fmt))
+    assert captured.out == (document if fmt == "csv" else document[: -len("]}\n")])
+    assert len(json.loads("".join(render(earlier, "json")))["rows"]) == 3 * BLOCK
 
 
 # extrema of the signed azimuthal field at zero detuning, attractive

@@ -1,11 +1,12 @@
 """Source hygiene of the package: no import left unused, no private name left
-unread, one oracle mechanism, no random numbers.
+unread, no public function without a caller, one oracle mechanism, no
+random numbers.
 
 The checks read the syntax trees of ``src/rydgauge``; a deletion that
-leaves an import, a ``_private`` helper or a field of a ``_Private``
-dataclass behind fails here, and so does a finite-difference oracle, a
-diagonalization of the tests' own beside ``validate``'s dense oracle, or
-any use of ``numpy.random`` in the package.
+leaves an import, a ``_private`` helper, a public function or a field of a
+``_Private`` dataclass behind fails here, and so does a finite-difference
+oracle, a diagonalization of the tests' own beside ``validate``'s dense
+oracle, or any use of ``numpy.random`` in the package.
 """
 
 import ast
@@ -84,6 +85,19 @@ def test_every_private_definition_is_read():
     loaded = set().union(*(_loaded(tree) for tree in TREES.values()))
     unread = {name: sorted(_private_definitions(tree) - loaded) for name, tree in TREES.items()}
     assert {name: defs for name, defs in unread.items() if defs} == {}
+
+
+def test_every_public_function_has_a_caller():
+    """Each public module-level function is read somewhere in the package
+    outside its own body; an ``__init__`` re-export is not a reader, so an
+    API that only the tests run fails here."""
+    public = {(name, node.name) for name, tree in TREES.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")}
+    read = set().union(*(_loaded(node) - {getattr(node, "name", None)}
+                         for name, tree in TREES.items() if name != "__init__.py"
+                         for node in tree.body))
+    assert sorted(f"{name}:{function}" for name, function in public if function not in read) == []
 
 
 def test_every_private_dataclass_field_is_read():

@@ -1,4 +1,5 @@
-"""README's `rydgauge` commands run, and print what README shows.
+"""README's `rydgauge` commands run, and print what README shows; the API
+names its prose quotes exist.
 
 A ``sh`` block holds one command and, on the lines after it, its output;
 a block with the command alone takes its output from a plain block right
@@ -7,16 +8,21 @@ text inside the line; a line of just ``...`` stands for the real lines
 before the ones shown.  ``--output`` files go to a temporary directory.
 """
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import rydgauge
 from rydgauge.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 _FENCE = re.compile(r"^```(\w*)\n(.*?)^```\n", re.M | re.S)
+_SPAN = re.compile(r"`([^`]+)`")  # inline code, which may wrap a line
+_DOTTED = re.compile(r"\b(\w+)\.(\w+)")  # module.name, digits included (scan_1d)
 
 
 def _examples():
@@ -60,3 +66,17 @@ def test_readme_command(command, shown, tmp_path, capsys):
     assert len(real) >= len(shown)
     for shown_line, real_line in zip(shown, real):
         assert _line_matches(shown_line, real_line), (shown_line, real_line)
+
+
+def test_readme_names_resolve():
+    """Every backticked ``module.name`` of a rydgauge submodule in README's
+    prose is an attribute of that module, so API prose cannot outlive a
+    deletion."""
+    submodules = {m.name for m in pkgutil.iter_modules(rydgauge.__path__)} - {"__main__"}
+    prose = _FENCE.sub("", README.read_text(encoding="utf-8"))
+    quoted = {match.groups() for span in _SPAN.findall(prose)
+              for match in _DOTTED.finditer(span) if match.group(1) in submodules}
+    assert len(quoted) >= 10
+    missing = [f"{module}.{name}" for module, name in sorted(quoted)
+               if not hasattr(importlib.import_module(f"rydgauge.{module}"), name)]
+    assert missing == []

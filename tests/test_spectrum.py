@@ -1,4 +1,5 @@
-"""Tests for the closed-form internal spectrum and its eigenvectors."""
+"""Tests for the closed-form internal spectrum, its amplitude factors and the
+dense Hamiltonian they are checked against."""
 
 import dataclasses
 import hashlib
@@ -13,9 +14,6 @@ from rydgauge.model import ReducedParameters, get_preset, reduced_parameters
 from rydgauge.spectrum import (
     DEFLATE_AT,
     DEGENERACY_TOL,
-    LABELS,
-    bare_state_vector,
-    dark_state_vector,
     dense_hamiltonian,
     labeled_spectrum,
     near_degenerate,
@@ -31,7 +29,8 @@ def _drive(w):
 
 
 def test_frozen_roots():
-    """Two pinned parameter points, one per solver branch."""
+    """Two pinned parameter points, one per solver branch, and the
+    antiblockade line u = 2w, where E_- = w exactly."""
     e, _, _ = labeled_spectrum(3.7, -1.2)
     assert e == pytest.approx(
         [5.0016057474183739, 0.23994153029659274, -1.5415472777149664], rel=1e-14
@@ -40,6 +39,8 @@ def test_frozen_roots():
     assert e == pytest.approx(
         [2.225114719410195, -0.22101636097945065, -122.00409835843074], rel=1e-14
     )
+    e, _, _ = labeled_spectrum(-4.0, -2.0)
+    assert e[1] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_interaction_free_point():
@@ -97,18 +98,59 @@ def test_dense_hamiltonian_layout():
     batch = dense_hamiltonian([1.0, 2.0], 0.3, [[0.0], [1.0], [2.0]])
     assert batch.shape == (3, 2, 4, 4)
     assert batch[2, 1].tobytes() == dense_hamiltonian(2.0, 0.3, 2.0).tobytes()
+    # the antisymmetric dark state is a zero mode: H times it is a difference of
+    # two products of the same phases, zero up to rounding, not by construction
+    reduced = reduced_parameters(_drive(1.1), GAETAN.interaction)
+    r_a = np.array([0.7, 0.0, 0.4])  # atom b at the origin, k_L along z
+    phase_a = reduced.kappa * r_a[2]
+    h = dense_hamiltonian(reduced.shift_ratio(np.linalg.norm(r_a)), reduced.detuning_ratio,
+                          phase_a, 0.0, 1.0)
+    dark = np.array([0.0, np.exp(1j * phase_a), -1.0, 0.0]) / np.sqrt(2.0)
+    assert np.linalg.norm(h @ dark) <= 1e-15
+
+
+def _gauge_spectrum(u, w):
+    """The radial spectrum gauge reads, at shift ratios u: at x = 1 the
+    shift ratio is sign * dressing, u itself."""
+    u = np.asarray(u, dtype=float)
+    return _radial_spectrum(1.0, ReducedParameters(w, np.abs(u), np.sign(u), 3, 1.0))
 
 
 def test_hellmann_feynman_slope():
-    """dE/du equals the doubly-excited weight of the eigenvector."""
+    """dE/du equals the doubly-excited weight n2 ee^2 of the eigenvector."""
     h = 1e-6
     for u, w in ((0.8, -0.5), (-2.5, 1.3), (12.0, 0.0)):
         e_plus, _, _ = labeled_spectrum(u + h, w)
         e_minus, _, _ = labeled_spectrum(u - h, w)
         slope = (e_plus - e_minus) / (2.0 * h)
-        for i, label in enumerate(LABELS):
-            vec = bare_state_vector(u, w, label)
-            assert slope[i] == pytest.approx(abs(vec[0]) ** 2, abs=2e-6)
+        spec = _gauge_spectrum(u, w)
+        np.testing.assert_allclose(slope, spec.n2 * spec.ee ** 2, rtol=0.0, atol=2e-6)
+
+
+def test_gauge_amplitudes_are_dense_populations():
+    """The populations gauge reads from labeled_spectrum, n2 ee^2 on |ee>,
+    n2 ee^2 gg^2 on |eg> and on |ge> and n2 gg^2 on |gg>, are the |V[k, i]|^2
+    of validate's dense eigh, label by label.
+
+    Both solver branches (|u| up to 1e7), both signs of u and w, random
+    laser phases.  Near the defective line u = 2w the '-' amplitudes lose
+    digits to cancellation (ROADMAP item 3); these draws stay at least 1.6
+    from the line.
+    """
+    rng = np.random.default_rng(11)
+    n = 200
+    u = np.concatenate([rng.uniform(-99.0, 99.0, n // 2),
+                        rng.choice([-1.0, 1.0], n // 2) * np.geomspace(1e2, 1e7, n // 2)])
+    w = rng.uniform(-4.0, 4.0, n)
+    phase_a, _, theta = rng.uniform(-9.0, 9.0, (3, n))
+    assert (np.abs(u) > DEFLATE_AT).any() and (np.abs(u) < DEFLATE_AT).any()
+    assert (w > 0).any() and (w < 0).any()
+    spec = _gauge_spectrum(u, w)
+    ee2, gg2 = spec.n2 * spec.ee ** 2, spec.n2 * spec.gg ** 2
+    closed = np.stack([ee2, ee2 * spec.gg ** 2, ee2 * spec.gg ** 2, gg2])  # [k, label, point]
+    _, vectors, _ = _eigensystem(u, w, phase_a, theta)
+    dense = np.abs(vectors[..., :3]) ** 2  # [point, k, label], the dark column dropped
+    assert np.max(np.abs(dense - closed.transpose(2, 0, 1))) <= 1e-14
 
 
 @pytest.mark.parametrize("w", [-3.0, -1.0, -0.2, 0.0, 1.0])
@@ -215,26 +257,6 @@ def test_solve_keeps_its_bytes():
     assert digest.hexdigest() == _SOLVE_DIGEST
 
 
-def test_eigenvector_residual():
-    """The gauge-fixed bare vectors are eigenvectors of the dense Hamiltonian.
-
-    One pair of positions under the gaetan2009 drive, with k_L along z.
-    """
-    reduced = reduced_parameters(_drive(-0.8), GAETAN.interaction)
-    r_a, r_b = np.array([0.9, 0.3, 0.2]), np.array([0.0, 0.1, -0.5])
-    u, w = reduced.shift_ratio(np.linalg.norm(r_a - r_b)), reduced.detuning_ratio
-    phase_a, phase_b, theta = reduced.kappa * r_a[2], reduced.kappa * r_b[2], 0.4
-    h = dense_hamiltonian(u, w, phase_a, phase_b, theta)
-    energies, _, _ = labeled_spectrum(u, w)
-    assert not near_degenerate(energies)
-    vectors = bare_state_vector(u, w, LABELS, phase_a, phase_b, theta)
-    for energy, vec in zip(energies, vectors):
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
-        assert np.linalg.norm(h @ vec - energy * vec) < 1e-12
-        # gauge fix: the |gg> coefficient carries the phase of Omega*
-        assert np.angle(vec[3]) == pytest.approx(-theta, abs=1e-12)
-
-
 def test_near_degenerate_is_the_sorted_ladder_rule():
     """The six pairwise gaps give the booleans of the smallest adjacent gap of
     the sorted ladder {0, E_1, E_-, E_+}: on 1e5 random spectra (both solver
@@ -255,102 +277,6 @@ def test_near_degenerate_is_the_sorted_ladder_rule():
     for row in triples.T[:50]:  # a single spectrum is a batch of one
         with np.errstate(invalid="ignore"):
             assert near_degenerate(row) == near_degenerate(row[:, None])[0]
-
-
-def test_bare_vectors_are_dense_eigenvectors_in_one_batch():
-    """All three rows of one batched bare_state_vector call against dense_hamiltonian.
-
-    Both solver branches (|u| up to 1e7), both signs of u and w, random
-    laser phases.  Near the defective line u = 2w the '-' amplitudes lose
-    digits to cancellation (ROADMAP item 2): the '-' residual reaches 8e-13
-    at |u - 2w| = 1e-3.  These draws stay at least 1.6 from the line, where
-    every residual is below 2e-15.
-    """
-    rng = np.random.default_rng(11)
-    n = 200
-    u = np.concatenate([rng.uniform(-99.0, 99.0, n // 2),
-                        rng.choice([-1.0, 1.0], n // 2) * np.geomspace(1e2, 1e7, n // 2)])
-    w = rng.uniform(-4.0, 4.0, n)
-    phase_a, phase_b, theta = rng.uniform(-9.0, 9.0, (3, n))
-    assert (np.abs(u) > DEFLATE_AT).any() and (np.abs(u) < DEFLATE_AT).any()
-    assert (w > 0).any() and (w < 0).any()
-    energies, _, _ = labeled_spectrum(u, w)
-    vectors = bare_state_vector(u, w, np.reshape(LABELS, (3, 1)), phase_a, phase_b, theta)
-    h = dense_hamiltonian(u, w, phase_a, phase_b, theta)
-    residual = np.linalg.norm((h @ vectors[..., None])[..., 0] - energies[..., None] * vectors,
-                              axis=-1)
-    assert residual.shape == (3, n)
-    assert np.all(residual <= 1e-13 * np.maximum(1.0, np.abs(energies)))
-
-
-def test_defective_point_falls_back():
-    """At u = 2w the closed-form '-' eigenvector degenerates; the dense oracle does not."""
-    reduced = reduced_parameters(_drive(-2.0), GAETAN.interaction)
-    x = (np.hypot(1.0, 2.0) / 4.0) ** (1.0 / 3.0)  # u(x) = -4
-    u, w = reduced.shift_ratio(x), reduced.detuning_ratio
-    energies, _, _ = labeled_spectrum(u, w)
-    assert energies[1] == pytest.approx(-2.0, abs=1e-12)
-    with pytest.raises(ValueError, match="defective"):
-        bare_state_vector(u, w, "-")
-    with pytest.raises(ValueError, match="defective"):  # also inside a batch
-        bare_state_vector([0.5, u], w, "-")
-    # the dense eigenpair exists: E = -2 with weight 1/2 on |ee> and on |gg>
-    h = dense_hamiltonian(u, w)
-    evals, evecs = np.linalg.eigh(h)
-    col = int(np.argmin(np.abs(evals - energies[1])))
-    vec = evecs[:, col]
-    assert evals[col] == pytest.approx(-2.0, abs=1e-12)
-    assert np.abs(vec) == pytest.approx(
-        [1.0 / np.sqrt(2.0), 0.0, 0.0, 1.0 / np.sqrt(2.0)], abs=1e-12
-    )
-    assert np.linalg.norm(h @ vec - energies[1] * vec) < 1e-12
-
-
-def test_bare_state_vector_batch_equals_single_points():
-    """A point's eigenvector has the same bytes alone or inside a batch.
-
-    Both solver branches (|u| up to 1e7), both half-planes of w, every
-    label and random laser phases; a label axis broadcasts like the rest.
-    """
-    rng = np.random.default_rng(5)
-    n = 120
-    u = np.concatenate([rng.uniform(-99.0, 99.0, n // 2),
-                        rng.choice([-1.0, 1.0], n // 2) * np.geomspace(1e2, 1e7, n // 2)])
-    w = rng.uniform(-4.0, 4.0, n)
-    labels = rng.choice(LABELS, n)
-    phase_a, phase_b, theta = rng.uniform(-9.0, 9.0, (3, n))
-    batch = bare_state_vector(u, w, labels, phase_a, phase_b, theta)
-    assert batch.shape == (n, 4)
-    for i in range(n):
-        one = bare_state_vector(u[i], w[i], labels[i], phase_a[i], phase_b[i], theta[i])
-        assert one.shape == (4,)
-        assert batch[i].tobytes() == one.tobytes(), (u[i], w[i], labels[i])
-    every = bare_state_vector(u, w, np.reshape(LABELS, (3, 1)), phase_a, phase_b, theta)
-    assert every.shape == (3, n, 4)
-    for row, label in enumerate(LABELS):
-        pick = labels == label
-        assert every[row, pick].tobytes() == batch[pick].tobytes()
-    with pytest.raises(ValueError, match="label"):
-        bare_state_vector(0.3, 0.1, "x")
-
-
-def test_state_vectors_orthonormal():
-    u, w = -1.7, 0.6
-    vectors = [bare_state_vector(u, w, label, 0.8, -0.3, 0.25) for label in LABELS]
-    vectors.append(dark_state_vector(0.8, -0.3))
-    gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
-    assert np.allclose(gram, np.eye(4), atol=1e-12)
-
-
-def test_dark_state_is_zero_mode():
-    """H times the dark vector is a difference of two products of the same phases:
-    zero up to rounding, not by construction."""
-    reduced = reduced_parameters(_drive(1.1), GAETAN.interaction)
-    r_a = np.array([0.7, 0.0, 0.4])  # atom b at the origin, k_L along z
-    phase_a = reduced.kappa * r_a[2]
-    h = dense_hamiltonian(reduced.shift_ratio(np.linalg.norm(r_a)), reduced.detuning_ratio,
-                          phase_a, 0.0, 1.0)
-    assert np.linalg.norm(h @ dark_state_vector(phase_a, 0.0)) <= 1e-15
 
 
 def test_labeled_spectrum_broadcasts():

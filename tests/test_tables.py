@@ -15,10 +15,10 @@ from rydgauge.model import ModelUnits
 from rydgauge.tables import (
     map_table,
     peaks_table,
+    render,
     scan_table,
     scaling_table,
     to_csv,
-    to_json,
     trajectory_table,
 )
 
@@ -40,7 +40,7 @@ def test_documents_of_every_table_kind():
         "-,min,9.7499999999999998e-01,-5.0000000000000000e-01,5.0000000000000000e-01,"
         "true,\n"
     )
-    assert to_json(peaks) == (
+    assert "".join(render(peaks, "json")) == (
         '{"metadata": {"columns": ["label", "kind", "r_peak_over_rc", "field_peak", '
         '"detuning_ratio", "found", "note"]}, "rows": ['
         '{"detuning_ratio": 0.5, "field_peak": -7.5e-05, "found": false, "kind": "max", '
@@ -61,7 +61,7 @@ def test_documents_of_every_table_kind():
         "+,max,-2.0000000000000000e+00,3.0000000000000000e+00,7.5000000000000000e-01,"
         "0.0000000000000000e+00,\n"
     )
-    assert to_json(scaling) == (
+    assert "".join(render(scaling, "json")) == (
         '{"metadata": {"columns": ["label", "kind", "exponent", "coefficient", "position", '
         '"residual", "flags"]}, "rows": ['
         '{"coefficient": 0.5, "exponent": 1.0, "flags": ["low_confidence", "edge"], '
@@ -92,7 +92,7 @@ def test_documents_of_every_table_kind():
          np.column_stack([t, path.position_m, path.velocity_m_s, 1e-3 * t]).tolist()),
     ):
         columns, rows = _csv_values(to_csv(table))
-        doc = json.loads(to_json(table))
+        doc = json.loads("".join(render(table, "json")))
         assert doc["metadata"] == dict(metadata, columns=columns)
         assert rows == expected
         assert doc["rows"] == expected
@@ -178,7 +178,8 @@ def test_empty_scan_keeps_its_bytes(solves):
     for table, r in ((scan_table(scan), "r_over_rc"),
                      (scan_table(scan, ModelUnits.from_experiment(drive, model)), "r_m")):
         assert to_csv(table) == SCAN_CSV.replace("r_over_rc", r)
-        assert to_json(table) == SCAN_HEAD.replace("r_over_rc", r) + '"rows": []}\n'
+        assert "".join(render(table, "json")) == (
+            SCAN_HEAD.replace("r_over_rc", r) + '"rows": []}\n')
     assert solves == []
 
 
@@ -198,10 +199,11 @@ STREAMED = {
 @pytest.mark.parametrize("kind", sorted(STREAMED))
 def test_streamed_documents_are_the_joined_text(kind, fmt, tmp_path, monkeypatch, capsys):
     """The CLI writes a table piece by piece, to a file or stdout, with the bytes of
-    to_csv/to_json; every byte goes through tables.write_text, which counts them."""
+    the whole document render gives; every byte goes through tables.write_text,
+    which counts them."""
     monkeypatch.setattr(analysis, "_BLOCK", 4)  # several row blocks per numeric table
     rendered, pieces = [], []
-    render, write_text = tables.render, tables.write_text
+    write_text = tables.write_text
 
     def recording_render(table, fmt):
         rendered.append(table)
@@ -222,7 +224,7 @@ def test_streamed_documents_are_the_joined_text(kind, fmt, tmp_path, monkeypatch
     pieces.clear()
     assert main(argv) == 0
     on_stdout = capsys.readouterr().out
-    expected = to_json(rendered[0]) if fmt == "json" else to_csv(rendered[0])
+    expected = "".join(render(rendered[0], fmt))
     assert in_file.decode("utf-8") == on_stdout == "".join(pieces) == expected
     if kind == "scan":
         assert len(pieces) == 4 + (fmt == "json")  # head, three row blocks, JSON tail
