@@ -29,8 +29,7 @@ def _drive(w):
 
 
 def test_frozen_roots():
-    """Two pinned parameter points, one per solver branch, and the
-    antiblockade line u = 2w, where E_- = w exactly."""
+    """Two pinned parameter points, one per solver branch."""
     e, _, _ = labeled_spectrum(3.7, -1.2)
     assert e == pytest.approx(
         [5.0016057474183739, 0.23994153029659274, -1.5415472777149664], rel=1e-14
@@ -39,8 +38,6 @@ def test_frozen_roots():
     assert e == pytest.approx(
         [2.225114719410195, -0.22101636097945065, -122.00409835843074], rel=1e-14
     )
-    e, _, _ = labeled_spectrum(-4.0, -2.0)
-    assert e[1] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_interaction_free_point():
@@ -98,8 +95,11 @@ def test_dense_hamiltonian_layout():
     batch = dense_hamiltonian([1.0, 2.0], 0.3, [[0.0], [1.0], [2.0]])
     assert batch.shape == (3, 2, 4, 4)
     assert batch[2, 1].tobytes() == dense_hamiltonian(2.0, 0.3, 2.0).tobytes()
-    # the antisymmetric dark state is a zero mode: H times it is a difference of
-    # two products of the same phases, zero up to rounding, not by construction
+
+
+def test_dark_state_is_zero_mode():
+    """H times the antisymmetric dark vector is a difference of two products of
+    the same phases: zero up to rounding, not by construction."""
     reduced = reduced_parameters(_drive(1.1), GAETAN.interaction)
     r_a = np.array([0.7, 0.0, 0.4])  # atom b at the origin, k_L along z
     phase_a = reduced.kappa * r_a[2]
@@ -277,6 +277,31 @@ def test_near_degenerate_is_the_sorted_ladder_rule():
     for row in triples.T[:50]:  # a single spectrum is a batch of one
         with np.errstate(invalid="ignore"):
             assert near_degenerate(row) == near_degenerate(row[:, None])[0]
+
+
+def test_defective_point_falls_back():
+    """At u = 2w the closed-form '-' amplitudes degenerate; the dense oracle does not."""
+    reduced = reduced_parameters(_drive(-2.0), GAETAN.interaction)
+    x = (np.hypot(1.0, 2.0) / 4.0) ** (1.0 / 3.0)  # u(x) = -4
+    u, w = reduced.shift_ratio(x), reduced.detuning_ratio
+    energies, _, _ = labeled_spectrum(u, w)
+    assert energies[1] == pytest.approx(-2.0, abs=1e-12)
+    # ee = gg = 0 on '-': the squared norm 1/n2 of its unnormalised amplitudes
+    # vanishes to rounding, so n2 is not finite or has no digits left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spec = _gauge_spectrum(u, w)
+    assert spec.ee[1] == pytest.approx(0.0, abs=1e-12)
+    assert 1.0 / spec.n2[1] <= 1e-20
+    # the dense eigenpair exists: E = -2 with weight 1/2 on |ee> and on |gg>
+    h = dense_hamiltonian(u, w)
+    evals, evecs = np.linalg.eigh(h)
+    col = int(np.argmin(np.abs(evals - energies[1])))
+    vec = evecs[:, col]
+    assert evals[col] == pytest.approx(-2.0, abs=1e-12)
+    assert np.abs(vec) == pytest.approx(
+        [1.0 / np.sqrt(2.0), 0.0, 0.0, 1.0 / np.sqrt(2.0)], abs=1e-12
+    )
+    assert np.linalg.norm(h @ vec - energies[1] * vec) < 1e-12
 
 
 def test_labeled_spectrum_broadcasts():
