@@ -25,16 +25,15 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .constants import ATOMIC_MASS, TWOPI
+from .constants import TWOPI
 from .model import (
+    _RB87_KG,
     DriveParams,
     InteractionKind,
     InteractionModel,
     get_preset,
 )
 from .spectrum import LABELS
-
-DEFAULT_MASS_KG = 87.0 * ATOMIC_MASS
 
 _FLOAT_KEYS = ("c3", "c6", "rabi_mhz", "wavelength_nm", "detuning_ratio", "rmin", "rmax")
 
@@ -192,8 +191,8 @@ def build_experiment(config: RunConfig) -> tuple[DriveParams, InteractionModel]:
                 detuning_rad_s=0.0,
                 wavenumber_rad_m=_wavenumber_rad_m(config.wavelength_nm),
                 wavevector_direction=(0.0, 0.0, 1.0),
-                mass_a_kg=DEFAULT_MASS_KG,
-                mass_b_kg=DEFAULT_MASS_KG,
+                mass_a_kg=_RB87_KG,
+                mass_b_kg=_RB87_KG,
             )
         else:
             drive = dataclasses.replace(drive, rabi_magnitude_rad_s=rabi)

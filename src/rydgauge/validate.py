@@ -13,12 +13,12 @@ lies in the band around the antiblockade line u = 2w at |w| in
 phi at 6 points; the full tier compares 10,000 and checks 240 points (8
 separations x 5 detunings x 2 interactions x 3 labels), as one batch per
 interaction kind with one drive per point: each closed form is one call
-per kind, and so is the oracle of each check.  The acceptance tests run
-the same check functions at 10,000 draws and 360 points (12
-separations), the field symmetries on 9 separations instead of 7 and the
-COM split on 200 separations instead of 1.  The checks of the limits
-work in reduced units on (u, w) grids: one general solve and one call of
-the limit's array function in ``regimes`` each.
+per kind, and so is the oracle, one eigh that serves both A and phi.
+The acceptance tests run the same check functions at 10,000 draws and
+360 points (12 separations), the field symmetries on 9 separations
+instead of 7 and the COM split on 200 separations instead of 1.  The
+checks of the limits work in reduced units on (u, w) grids: one general
+solve and one call of the limit's array function in ``regimes`` each.
 """
 
 from __future__ import annotations
@@ -76,13 +76,8 @@ class CheckResult:
 
 
 def _drive(detuning_ratio: float = 0.0) -> DriveParams:
-    rabi = TWOPI * 6.5 * 1e6
     base = get_preset("gaetan2009").drive
-    return dataclasses.replace(
-        base,
-        rabi_magnitude_rad_s=rabi,
-        detuning_rad_s=detuning_ratio * rabi,
-    )
+    return dataclasses.replace(base, detuning_rad_s=detuning_ratio * base.rabi_magnitude_rad_s)
 
 
 def _model(kind: InteractionKind, sign: float) -> InteractionModel:
@@ -256,36 +251,23 @@ def _own_rows(per_label: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return per_label[_label_rows(labels), np.arange(labels.size)]
 
 
-def _check_berry(points) -> CheckResult:
-    """Closed-form A against the dense Berry connection, one eigh per interaction kind."""
+def _check_gauge(points) -> tuple[CheckResult, CheckResult]:
+    """Closed-form A against the dense Berry connection and closed-form phi
+    against the dense coupling sum, from one eigh per interaction kind."""
     rabi_phase = _drive().rabi_phase_rad
     worst = []
     for reduced, x, labels in _kind_batches(points):
-        closed = _own_rows(connection_profile(x, reduced), labels)
-        oracle, _ = _dense_gauge(reduced, x, labels, rabi_phase)
-        rel = np.hypot(oracle[:, 0], oracle[:, 1] - closed) / np.abs(closed)
-        worst.append(rel.max())
-    worst = float(np.max(worst))  # a NaN in any batch propagates and fails the check
-    return CheckResult(
-        name="berry_connection_closed_vs_dense",
-        passed=worst < 1e-6,
-        detail=f"{len(points)} samples, worst rel {worst:.2e}",
-    )
-
-
-def _check_scalar(points) -> CheckResult:
-    """Closed-form phi against the dense coupling sum, one eigh per interaction kind."""
-    rabi_phase = _drive().rabi_phase_rad
-    worst = []
-    for reduced, x, labels in _kind_batches(points):
-        closed = _own_rows(scalar_profile(x, reduced), labels)
-        _, oracle = _dense_gauge(reduced, x, labels, rabi_phase)
-        worst.append((np.abs(oracle - closed) / np.abs(closed)).max())
-    worst = float(np.max(worst))  # a NaN in any batch propagates and fails the check
-    return CheckResult(
-        name="scalar_potential_closed_vs_dense",
-        passed=worst < 1e-6,
-        detail=f"{len(points)} samples, worst rel {worst:.2e}",
+        closed_a = _own_rows(connection_profile(x, reduced), labels)
+        closed_phi = _own_rows(scalar_profile(x, reduced), labels)
+        a, phi = _dense_gauge(reduced, x, labels, rabi_phase)
+        worst.append([(np.hypot(a[:, 0], a[:, 1] - closed_a) / np.abs(closed_a)).max(),
+                      (np.abs(phi - closed_phi) / np.abs(closed_phi)).max()])
+    worst = np.max(worst, axis=0).tolist()  # a NaN in any batch propagates and fails its check
+    names = ("berry_connection_closed_vs_dense", "scalar_potential_closed_vs_dense")
+    return tuple(
+        CheckResult(name=name, passed=rel < 1e-6,
+                    detail=f"{len(points)} samples, worst rel {rel:.2e}")
+        for name, rel in zip(names, worst)
     )
 
 
@@ -293,8 +275,8 @@ def _check_plateaus() -> CheckResult:
     drive = _drive(0.0)
     model = _model(InteractionKind.RDD, -1.0)
     reduced = reduced_parameters(drive, model)
-    near = np.sort(connection_profile(0.02, reduced))
-    far = connection_profile(50.0, reduced)
+    near, far = connection_profile([0.02, 50.0], reduced).T
+    near = np.sort(near)
     dev = float(np.max([  # unlike max(), np.max keeps a NaN, which fails the check
         abs(near[0] + 1.0),
         abs(near[1] + 0.25),
@@ -479,8 +461,7 @@ def run_checks(quick: bool = True) -> list[CheckResult]:
         ]
     return [
         _check_eigenvalues(draws),
-        _check_berry(oracle_points),
-        _check_scalar(oracle_points),
+        *_check_gauge(oracle_points),
         _check_plateaus(),
         _check_blockade(),
         _check_weak(),

@@ -8,6 +8,7 @@ import dataclasses
 import time
 
 import numpy as np
+import pytest
 
 from rydgauge.analysis import scaling_fit
 from rydgauge.cli import main
@@ -15,12 +16,11 @@ from rydgauge.constants import BOLTZMANN, TWOPI
 from rydgauge.dynamics import deflection_scenario, integrate
 from rydgauge.model import InteractionKind, InteractionModel, ModelUnits, get_preset
 from rydgauge.validate import (
-    _check_berry,
     _check_blockade,
     _check_com,
     _check_eigenvalues,
+    _check_gauge,
     _check_plateaus,
-    _check_scalar,
     _check_symmetry,
     _check_weak,
     report,
@@ -66,8 +66,14 @@ def _oracle_grid():
     ]
 
 
-def test_vector_potential_matches_berry_connection_oracle():
-    result = _check_berry(_oracle_grid())
+@pytest.fixture(scope="module")
+def gauge_checks():
+    """The A and phi checks over the grid, from one dense eigh per kind."""
+    return _check_gauge(_oracle_grid())
+
+
+def test_vector_potential_matches_berry_connection_oracle(gauge_checks):
+    result, _ = gauge_checks
     _emit(
         "vector potential vs dense Berry connection",
         result.passed,
@@ -75,8 +81,8 @@ def test_vector_potential_matches_berry_connection_oracle():
     )
 
 
-def test_scalar_potential_matches_summed_overlap_oracle():
-    result = _check_scalar(_oracle_grid())
+def test_scalar_potential_matches_summed_overlap_oracle(gauge_checks):
+    _, result = gauge_checks
     _emit(
         "scalar potential vs summed dense couplings",
         result.passed,

@@ -53,19 +53,27 @@ def _scaled(profile, factor):
     return lambda *args: profile(*args) * factor
 
 
+CHECK_OF = {  # the check that reads each closed form
+    "labeled_spectrum": "eigenvalues_analytic_vs_dense",
+    "connection_profile": "berry_connection_closed_vs_dense",
+    "scalar_profile": "scalar_potential_closed_vs_dense",
+}
+
+
 @pytest.mark.parametrize(
     "name,perturb,check",
     [
-        ("labeled_spectrum", _energies_scaled, lambda: validate._check_eigenvalues(200)),
-        ("connection_profile", _scaled, lambda: validate._check_berry(POINTS)),
-        ("scalar_profile", _scaled, lambda: validate._check_scalar(POINTS)),
+        ("labeled_spectrum", _energies_scaled, lambda: [validate._check_eigenvalues(200)]),
+        ("connection_profile", _scaled, lambda: validate._check_gauge(POINTS)),
+        ("scalar_profile", _scaled, lambda: validate._check_gauge(POINTS)),
     ],
 )
 def test_checks_fail_on_a_closed_form_off_by_1e5(monkeypatch, name, perturb, check):
-    """Each oracle check resolves a 1e-5 relative error of its closed form."""
-    assert check().passed
+    """Each oracle check resolves a 1e-5 relative error of its closed form,
+    and the A and phi checks, which share one eigh, fail only on their own."""
+    assert all(r.passed for r in check())
     monkeypatch.setattr(validate, name, perturb(getattr(validate, name), 1.0 + 1e-5))
-    assert not check().passed
+    assert [r.name for r in check() if not r.passed] == [CHECK_OF[name]]
 
 
 @pytest.mark.parametrize("draws", [10_000, CHUNKED])
@@ -248,14 +256,15 @@ _LAST = _nan_at((Ellipsis, -1))
 @pytest.mark.parametrize("check,name,first,edit", [
     # A and phi: a NaN in the batch after the first, at the closed form or the
     # oracle, whose A has a component along the beam and a radial one
-    (lambda: validate._check_berry(POINTS), "connection_profile", 1, _LAST),
-    (lambda: validate._check_berry(POINTS), "_dense_gauge", 1, _dense_nan(0, (-1, 1))),
-    (lambda: validate._check_berry(POINTS), "_dense_gauge", 1, _dense_nan(0, (-1, 0))),
-    (lambda: validate._check_scalar(POINTS), "scalar_profile", 1, _LAST),
-    (lambda: validate._check_scalar(POINTS), "_dense_gauge", 1, _dense_nan(1, -1)),
-    # the plateaus: the near one ('+' sorts a NaN last) and the far one
-    (validate._check_plateaus, "connection_profile", 0, _nan_at(1)),
-    (validate._check_plateaus, "connection_profile", 1, _nan_at(1)),
+    (lambda: validate._check_gauge(POINTS)[0], "connection_profile", 1, _LAST),
+    (lambda: validate._check_gauge(POINTS)[0], "_dense_gauge", 1, _dense_nan(0, (-1, 1))),
+    (lambda: validate._check_gauge(POINTS)[0], "_dense_gauge", 1, _dense_nan(0, (-1, 0))),
+    (lambda: validate._check_gauge(POINTS)[1], "scalar_profile", 1, _LAST),
+    (lambda: validate._check_gauge(POINTS)[1], "_dense_gauge", 1, _dense_nan(1, -1)),
+    # the plateaus, both separations in one call: the near one ('+' sorts a
+    # NaN last) and the far one
+    (validate._check_plateaus, "connection_profile", 0, _nan_at((1, 0))),
+    (validate._check_plateaus, "connection_profile", 0, _nan_at((1, 1))),
     # B's label swap ('1' against '+'), its '-' row, its azimuthal direction
     (lambda: validate._check_symmetry(np.geomspace(0.3, 3.0, 7)), "field_profile", 1,
      _nan_at((2, -1))),
@@ -288,6 +297,9 @@ def _nan_below_diagonal(h):
     return h
 
 
+SHARED_EIGH = ("berry_connection_closed_vs_dense", "scalar_potential_closed_vs_dense")
+
+
 @pytest.mark.parametrize("name,first,check", [
     # the last chunk's last draw, a band draw
     ("dense_hamiltonian", 1, "eigenvalues_analytic_vs_dense"),
@@ -296,14 +308,16 @@ def _nan_below_diagonal(h):
 ])
 def test_a_nan_handed_to_eigvalsh_fails_its_check_by_name(monkeypatch, name, first, check):
     """LAPACK raises or returns finite values on a NaN, by build; either way
-    the run goes on and reports that check, and only it, as failed."""
+    the run goes on and reports that check, and only it, as failed.  The A
+    and phi checks read one eigh, so a NaN handed to it fails both."""
     calls = _nan_at_call(monkeypatch, name, first, _nan_below_diagonal)
     results = validate.run_checks(quick=True)
     assert len(calls) > first
     assert len(results) == 12
+    failing = SHARED_EIGH if check in SHARED_EIGH else (check,)
     failed = [line for line in validate.report(results).splitlines() if line.startswith("FAIL")]
-    assert failed == [f"FAIL {check}: {r.detail}" for r in results if r.name == check]
-    assert "nan" in failed[0]
+    assert failed == [f"FAIL {r.name}: {r.detail}" for r in results if r.name in failing]
+    assert all("nan" in line for line in failed)
 
 
 @pytest.mark.parametrize("chunk", list(BAND_CHUNKS), ids=["band", "last-partial"])
@@ -331,9 +345,10 @@ def test_kind_batches_keep_the_bits_of_one_drive_calls():
         assert [v.tobytes() for v in batched] == [np.asarray(v).tobytes() for v in single]
 
 
-def test_full_tier_oracles_make_one_eigh_per_kind_per_check(monkeypatch):
-    """A and phi at 240 points: one dense eigensystem per interaction kind
-    in each of the two checks."""
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_a_and_phi_share_one_eigh_per_kind(monkeypatch, quick):
+    """A and phi at 6 or 240 points: one dense eigensystem per interaction
+    kind serves both checks."""
     calls = []
     solve = validate._eigensystem
 
@@ -342,9 +357,9 @@ def test_full_tier_oracles_make_one_eigh_per_kind_per_check(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(validate, "_eigensystem", counted)
-    results = [r for r in validate.run_checks(quick=False) if r.name.endswith("_closed_vs_dense")]
+    results = [r for r in validate.run_checks(quick=quick) if r.name in SHARED_EIGH]
     assert [r.passed for r in results] == [True, True]
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 QUICK_REPORT = """\
