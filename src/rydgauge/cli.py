@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     traj.add_argument("--label", default="+", choices=("1", "+", "-"))
     traj.add_argument(
-        "--time-step-s", type=float, default=None,
-        help="fixed RK4 step in seconds (default: adaptive Dormand-Prince 5(4))",
+        "--time-step-s", type=float, default=dynamics.RECORD_STEP_S,
+        help=f"step of the record grid in seconds, a record every {dynamics.SCENARIO_STRIDE} "
+        "steps; the adaptive integrator's steps do not depend on it (default: %(default)g)",
     )
     _add_output_flags(traj)
     traj.set_defaults(handler=_cmd_trajectory)

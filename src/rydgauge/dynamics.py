@@ -2,14 +2,13 @@
 
 The mobile atom (atom a) feels the artificial Lorentz force of its
 labeled internal state; the partner sits at the origin and does not
-recoil.  By default the motion is integrated with adaptive
-Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 19
-(1980)), whose records between step ends come from its fourth-order
-dense output; an explicit time step selects classic fixed-step RK4.
-Both abort where the adiabatic model itself stops being trustworthy.  A
-run is returned as columns: times, positions, velocities and the
-closed-form adiabaticity parameter (Dalibard et al., Rev. Mod. Phys. 83,
-1523 (2011)) of every record.
+recoil.  The motion is integrated with adaptive Dormand-Prince 5(4)
+(Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980)), whose records
+between step ends come from its fourth-order dense output on a fixed
+record grid; a run aborts where the adiabatic model itself stops being
+trustworthy.  A run is returned as columns: times, positions, velocities
+and the closed-form adiabaticity parameter (Dalibard et al., Rev. Mod.
+Phys. 83, 1523 (2011)) of every record.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from .spectrum import LABEL_INDEX, _check_label, _row_dots
 MIN_SEPARATION_RC = 0.01  # below this the adiabatic pair model is not credible
 DEGENERACY_GAP = 1e-12
 
-# adaptive path: relative tolerance, absolute floor as a fraction of the
-# problem's scales (r_c, |v0|), floor of the previous error norm in the PI
-# controller; states are recorded on the grid of a RECORD_STEP_S fixed step
+# relative tolerance, absolute floor as a fraction of the problem's scales
+# (r_c, |v0|), floor of the previous error norm in the PI controller, and
+# the default step of the record grid
 RTOL = 1e-10
 ATOL_FRACTION = 1e-12
 ERR_FLOOR = 1e-4
@@ -78,9 +77,10 @@ class TrajectoryConfig:
     """Everything one integration needs.
 
     Positions and velocities are SI; the pinned atom is at the origin.
-    Every run feels the same Lorentz force and records every
-    ``SCENARIO_STRIDE`` steps, so only what a flyby varies is here.  A
-    run may record at most ``MAX_RECORDS`` states.
+    Every run feels the same Lorentz force, so only what a flyby varies is
+    here.  ``time_step_s`` is the step of the record grid, not of the
+    integrator: a state is recorded every ``SCENARIO_STRIDE`` steps of it.
+    A run may record at most ``MAX_RECORDS`` states.
     """
 
     drive: DriveParams
@@ -89,22 +89,20 @@ class TrajectoryConfig:
     initial_velocity_m_s: tuple
     max_time_s: float
     label: str = "+"  # connects to |gg> at large separation
-    time_step_s: float | None = None  # None: adaptive Dormand-Prince 5(4)
+    time_step_s: float = RECORD_STEP_S
 
     def __post_init__(self) -> None:
         _check_label(self.label)
-        if self.time_step_s is not None and not (
-            math.isfinite(self.time_step_s) and self.time_step_s > 0.0
-        ):
+        if not (math.isfinite(self.time_step_s) and self.time_step_s > 0.0):
             raise ValueError(f"time step must be finite and positive, got {self.time_step_s!r}")
         if not (math.isfinite(self.max_time_s) and self.max_time_s > 0.0):
             raise ValueError(f"max time must be finite and positive, got {self.max_time_s!r}")
-        step_s = RECORD_STEP_S if self.time_step_s is None else self.time_step_s
-        records = self.max_time_s / step_s / SCENARIO_STRIDE  # a float: it may be inf
+        records = self.max_time_s / self.time_step_s / SCENARIO_STRIDE  # a float: it may be inf
         if records > MAX_RECORDS:
             raise ValueError(
                 f"max time {self.max_time_s:.6g} s makes about {records:.3g} records, one per "
-                f"{SCENARIO_STRIDE} steps of {step_s:g} s; at most {MAX_RECORDS:,} are kept"
+                f"{SCENARIO_STRIDE} steps of {self.time_step_s:g} s; at most {MAX_RECORDS:,} "
+                "are kept"
             )
         for name, value in (("initial position", self.initial_position_m),
                             ("initial velocity", self.initial_velocity_m_s)):
@@ -234,50 +232,14 @@ def _check_chord(engine: _Engine, start: np.ndarray, end: np.ndarray) -> None:
         )
 
 
-def _step_count(max_time_s: float, step_s: float) -> int:
-    """Fixed steps to reach max_time_s, the last one shortened to land on it."""
+def _record_times(config: TrajectoryConfig) -> list[float]:
+    """Times of the interior records: every ``SCENARIO_STRIDE`` steps of the
+    record grid before ``max_time_s``, where the last record is."""
+    step_s = config.time_step_s
     # a ratio within 1e-9 of an integer is that integer, so rounding in
-    # max_time_s/step_s never leaves a sliver of a last step
-    return max(1, int(np.ceil(max_time_s / step_s - 1e-9)))
-
-
-def _record_times(config: TrajectoryConfig, step_s: float) -> list[float]:
-    """Times of the recorded states after t = 0 on the fixed-step grid of
-    ``step_s``: every ``SCENARIO_STRIDE`` steps and, last, ``max_time_s``."""
-    n_steps = _step_count(config.max_time_s, step_s)
-    grid = range(SCENARIO_STRIDE, n_steps, SCENARIO_STRIDE)
-    return [step * step_s for step in grid] + [config.max_time_s]
-
-
-def _rk4_records(config: TrajectoryConfig, engine: _Engine):
-    """Classic fixed-step RK4; yields (t, position, velocity) at each record time."""
-    n_steps = _step_count(config.max_time_s, config.time_step_s)
-
-    def acceleration(pos: np.ndarray, vel: np.ndarray) -> np.ndarray:
-        return _force(engine, pos, vel) / engine.mass_kg
-
-    pos = np.asarray(config.initial_position_m, dtype=float)
-    vel = np.asarray(config.initial_velocity_m_s, dtype=float)
-    for step in range(1, n_steps + 1):
-        dt = config.time_step_s
-        t = step * dt
-        if step == n_steps:
-            dt = config.max_time_s - (n_steps - 1) * dt
-            t = config.max_time_s
-        k1v = acceleration(pos, vel)
-        k1p = vel
-        k2v = acceleration(pos + 0.5 * dt * k1p, vel + 0.5 * dt * k1v)
-        k2p = vel + 0.5 * dt * k1v
-        k3v = acceleration(pos + 0.5 * dt * k2p, vel + 0.5 * dt * k2v)
-        k3p = vel + 0.5 * dt * k2v
-        k4v = acceleration(pos + dt * k3p, vel + dt * k3v)
-        k4p = vel + dt * k3v
-        pos_new = pos + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        _check_chord(engine, pos, pos_new)
-        pos = pos_new
-        vel = vel + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if step % SCENARIO_STRIDE == 0 or step == n_steps:
-            yield t, pos, vel
+    # max_time_s/step_s never puts a record a sliver before the end
+    n_steps = max(1, int(np.ceil(config.max_time_s / step_s - 1e-9)))
+    return [step * step_s for step in range(SCENARIO_STRIDE, n_steps, SCENARIO_STRIDE)]
 
 
 def _dp54_records(config: TrajectoryConfig, engine: _Engine):
@@ -311,7 +273,7 @@ def _dp54_records(config: TrajectoryConfig, engine: _Engine):
     d0, d1 = norm(y, scale), norm(k[0], scale)
     h = 0.01 * d0 / d1 if d1 > 0.0 else config.max_time_s
     t, t_end = 0.0, config.max_time_s
-    records = iter(_record_times(config, RECORD_STEP_S)[:-1])  # interior; the last is t_end
+    records = iter(_record_times(config))
     t_record = next(records, math.inf)
     err_old = ERR_FLOOR
     rejected = False
@@ -355,14 +317,12 @@ def _dp54_records(config: TrajectoryConfig, engine: _Engine):
 def integrate(config: TrajectoryConfig) -> Trajectory:
     """Integrate until max time or a validity abort.
 
-    With ``time_step_s`` unset the default path is adaptive Dormand-Prince
-    5(4) at relative tolerance ``RTOL``; an explicit ``time_step_s`` runs
-    classic fixed-step RK4.  Either way the run ends exactly at
-    ``max_time_s`` and states are recorded at t = 0, at every
-    ``SCENARIO_STRIDE`` steps of the fixed step (50 ns on the adaptive
-    path), and at the end.  On the adaptive path only the final record
-    is a step end; the others are interpolated from the dense output of
-    the step that holds them.  A force evaluation below the validity
+    Adaptive Dormand-Prince 5(4) at relative tolerance ``RTOL`` runs to
+    ``max_time_s`` exactly.  States are recorded at t = 0, at every
+    ``SCENARIO_STRIDE`` steps of the record grid ``time_step_s``, and at
+    the end.  Only the final record is a step end; the others are
+    interpolated from the dense output of the step that holds them, so
+    the record grid moves no step.  A force evaluation below the validity
     floor, or an accepted step whose chord passes below it, ends the
     run: the partial trajectory is returned with the reason.
     The adiabaticity of all records, a partial run's included, comes from
@@ -370,10 +330,9 @@ def integrate(config: TrajectoryConfig) -> Trajectory:
     """
     engine = _engine(config)
     records = [(0.0, config.initial_position_m, config.initial_velocity_m_s)]
-    stepper = _dp54_records if config.time_step_s is None else _rk4_records
     aborted, reason = False, ""
     try:
-        for record in stepper(config, engine):
+        for record in _dp54_records(config, engine):
             records.append(record)
     except ModelValidityError as exc:
         aborted, reason = True, str(exc)
@@ -395,16 +354,15 @@ def deflection_scenario(
     speed_m_s: float = 0.10,
     impact_parameter_rc: float = 1.0,
     label: str = "+",
-    time_step_s: float | None = None,
+    time_step_s: float = RECORD_STEP_S,
 ) -> TrajectoryConfig:
     """Far-approach flyby probing the transverse Lorentz deflection.
 
     The atom crosses the interaction region in the plane perpendicular
     to the beam, from ``APPROACH_RC`` crossover distances out to as far
     past the partner, so the deflection along the beam axis is the
-    integrated signature of the azimuthal field.  Without ``time_step_s``
-    the run uses the adaptive integrator; a step given here selects
-    fixed-step RK4 at that step.
+    integrated signature of the azimuthal field.  ``time_step_s`` sets
+    only the record grid; the path is the same at every grid.
     """
     if not (math.isfinite(speed_m_s) and speed_m_s > 0):
         raise ValueError(f"speed must be finite and positive, got {speed_m_s!r} m/s")

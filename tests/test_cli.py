@@ -411,7 +411,7 @@ def test_scan_past_the_finite_range_of_u_warns_nothing(capsys):
 
 def test_trajectory_rejects_a_run_with_too_many_records(monkeypatch, capsys):
     # 12 r_c at 1e-30 m/s is 9.5e25 s; its list of record times would never finish
-    def never(config, step_s):
+    def never(config):
         raise AssertionError("record times built for a rejected run")
 
     monkeypatch.setattr(dynamics, "_record_times", never)
@@ -433,17 +433,31 @@ def test_trajectory_subcommand_reports_deflection(capsys):
     assert out.splitlines()[-1].endswith(" um")
 
 
-@pytest.mark.parametrize("step_flags, sha256", [
-    ([], "13223c97724bc1f6d9779d96b63caa88fe6d75277eef464432a141ce2bcbedea"),
-    (["--time-step-s", "2e-6"], "04f1ec5cb59f471e1d80cfe97a564c97fd97e18ac9d8a73767324e575bca443f"),
-], ids=["adaptive", "rk4"])
-def test_readme_trajectory_csv_keeps_its_bytes(step_flags, sha256, tmp_path, capsys):
-    """The README flyby CSV, adaptive and at a fixed 2 us RK4 step (SHA-256 of the file)."""
-    path = tmp_path / "traj.csv"
+def _readme_flyby_csv(grid_flags, path) -> bytes:
     argv = ["trajectory", "--preset", "gaetan2009", "--speed", "0.10",
-            "--impact-parameter-rc", "1.0", *step_flags, "--output", str(path)]
+            "--impact-parameter-rc", "1.0", *grid_flags, "--output", str(path)]
     assert main(argv) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("grid_flags, sha256", [
+    ([], "13223c97724bc1f6d9779d96b63caa88fe6d75277eef464432a141ce2bcbedea"),
+    (["--time-step-s", "2e-6"], "fc21c1282e85a0ba5f175aaf58e97ac27669873328761077fe92ed9f513d52f9"),
+], ids=["adaptive", "2us-record-grid"])
+def test_readme_trajectory_csv_keeps_its_bytes(grid_flags, sha256, tmp_path, capsys):
+    """The README flyby CSV on the default and on a 2 us record grid (SHA-256 of the file)."""
+    data = _readme_flyby_csv(grid_flags, tmp_path / "traj.csv")
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
+def test_the_record_grid_moves_no_step(tmp_path, capsys):
+    """Each of the four rows on a 2 us record grid (t = 0, 400 us, 800 us and
+    the end) is byte for byte a row of the default run."""
+    default = _readme_flyby_csv([], tmp_path / "default.csv").decode().splitlines()
+    coarse = _readme_flyby_csv(["--time-step-s", "2e-6"], tmp_path / "coarse.csv").decode()
+    header, *rows = coarse.splitlines()
+    assert header == default[0] and len(rows) == 4
+    assert set(rows) <= set(default[1:])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -476,6 +490,10 @@ def test_benchmark_commands_still_parse(tmp_path):
             assert args.command == cmd.kind
             seen.add(cmd.kind)
     assert seen == {"trajectory", "peaks", "scaling", "map", "scan", "validate"}
+    # the coarse flyby of bench/tests/test_checks.py, its arguments as it passes them
+    argv = ["trajectory", "--preset", workloads["FLYBY"]["preset"], "--time-step-s", 2e-6,
+            "--output", tmp_path / "t.csv"]
+    assert parser.parse_args([str(arg) for arg in argv]).time_step_s == 2e-6
 
 
 def test_sweep_commands_repeat_in_one_process(tmp_path, capsys):

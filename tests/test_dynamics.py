@@ -45,7 +45,6 @@ def _config(**overrides):
         initial_velocity_m_s=(0.10, 0.0, 0.0),
         max_time_s=20e-6,
         label="+",
-        time_step_s=50e-9,
     )
     base.update(overrides)
     return TrajectoryConfig(**base)
@@ -54,7 +53,7 @@ def _config(**overrides):
 def test_config_validation():
     with pytest.raises(ValueError, match="label"):
         _config(label="x")
-    assert _config(time_step_s=None).time_step_s is None  # adaptive
+    assert _config().time_step_s == dynamics.RECORD_STEP_S
     for bad_step in (0.0, -50e-9, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="time step"):
             _config(time_step_s=bad_step)
@@ -64,19 +63,19 @@ def test_config_validation():
         _config(initial_position_m=(0.0, 0.0, 0.0))
 
 
-def _no_record_times(config, step_s):
+def _no_record_times(config):
     raise AssertionError("record times built for a run the config should have rejected")
 
 
-STRIDE_S = dynamics.SCENARIO_STRIDE * dynamics.RECORD_STEP_S  # 10 us between adaptive records
+STRIDE_S = dynamics.SCENARIO_STRIDE * dynamics.RECORD_STEP_S  # 10 us between default records
 
 
 @pytest.mark.parametrize("overrides, records", [
-    ({"time_step_s": None, "max_time_s": 1.1 * dynamics.MAX_RECORDS * STRIDE_S}, "1.1e+06"),
+    ({"max_time_s": 1.1 * dynamics.MAX_RECORDS * STRIDE_S}, "1.1e+06"),
     ({"time_step_s": 1e-12, "max_time_s": 400e-6}, "2e+06"),
-    ({"time_step_s": None, "max_time_s": 9.5e25}, "9.5e+30"),
+    ({"max_time_s": 9.5e25}, "9.5e+30"),
     ({"time_step_s": 5e-324, "max_time_s": 1e300}, "inf"),  # the ratio overflows
-], ids=["adaptive", "rk4", "speed-1e-30", "overflow"])
+], ids=["adaptive", "1ps-record-grid", "speed-1e-30", "overflow"])
 def test_config_rejects_a_run_with_too_many_records(overrides, records, monkeypatch):
     # the unbounded list of record times is never built, not even to be counted
     monkeypatch.setattr(dynamics, "_record_times", _no_record_times)
@@ -86,8 +85,7 @@ def test_config_rejects_a_run_with_too_many_records(overrides, records, monkeypa
 
 def test_config_keeps_a_run_below_the_record_bound():
     max_time_s = 0.9 * dynamics.MAX_RECORDS * STRIDE_S
-    assert _config(time_step_s=None, max_time_s=max_time_s).max_time_s == max_time_s
-    assert _config(time_step_s=50e-9, max_time_s=max_time_s).max_time_s == max_time_s  # RK4
+    assert _config(max_time_s=max_time_s).max_time_s == max_time_s
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -98,7 +96,7 @@ def test_config_keeps_a_run_below_the_record_bound():
 ], ids=["nan-velocity", "inf-velocity", "inf-position", "nan-position"])
 def test_config_rejects_a_non_finite_start(overrides, message):
     with pytest.raises(ValueError, match=message):
-        _config(time_step_s=None, **overrides)
+        _config(**overrides)
 
 
 def _null_force(engine, position_m, velocity_m_s):
@@ -106,20 +104,31 @@ def _null_force(engine, position_m, velocity_m_s):
 
 
 def test_no_forces_gives_a_straight_line(monkeypatch):
-    # max times off the 50 ns grid end with a shortened step, exactly on
-    # max_time_s whether max_time_s/dt rounds down (400.2) or up (400.8)
-    monkeypatch.setattr(dynamics, "_force", _null_force)
+    # max times off the 50 ns record grid end exactly on max_time_s whether
+    # max_time_s/dt rounds down (400.2) or up (400.8)
+    calls = 0
+
+    def counted_null_force(*args):
+        nonlocal calls
+        calls += 1
+        return _null_force(*args)
+
+    monkeypatch.setattr(dynamics, "_force", counted_null_force)
     for max_time_s in (20e-6, 20.01e-6, 20.04e-6):
         config = _config(max_time_s=max_time_s)
+        calls = 0
         traj = integrate(config)
         assert not traj.aborted
         assert traj.t_s[-1] == max_time_s
         expected = np.asarray(config.initial_position_m) + max_time_s * np.asarray(
             config.initial_velocity_m_s
         )
-        # each of the n steps rounds a coordinate by at most eps*max|x0|
+        # each of the n steps rounds a coordinate by at most eps*max|x0|; a
+        # zero error estimate rejects no step, so n is (evaluations - 1) / 6
+        steps, rest = divmod(calls - 1, 6)
+        assert rest == 0 and 1 <= steps <= 5
         x0 = np.abs(config.initial_position_m).max()
-        bound = dynamics._step_count(max_time_s, config.time_step_s) * np.finfo(float).eps * x0
+        bound = steps * np.finfo(float).eps * x0
         assert np.abs(traj.position_m[-1] - expected).max() <= bound
         assert np.array_equal(traj.velocity_m_s[-1], config.initial_velocity_m_s)
 
@@ -181,29 +190,35 @@ def test_kinetic_energy_is_conserved_under_lorentz_only():
     assert abs(v1 - v0) / v0 < 1e-10
 
 
-def test_rk4_is_fourth_order():
-    # halving the step must shrink the endpoint error about sixteenfold;
-    # the repulsive branch keeps the flyby away from the validity floor
-    def endpoint(dt_s):
-        config = _config(
-            interaction=RDD_REP,
-            initial_velocity_m_s=(0.15, 0.0, 0.0),
-            max_time_s=160e-6,
-            time_step_s=dt_s,
-        )
-        traj = integrate(config)
-        assert not traj.aborted
-        return traj.position_m[-1]
+# final z (um) of the DOP853 flyby in bench/reference.py (rtol 1e-13),
+# integrated to each scenario's max_time_s
+DOP853_Z_UM = {"readme": 0.7000195652292, "beguin2013": 0.1126333630437}
+SCENARIOS = {"readme": {}, "beguin2013": dict(preset_name="beguin2013", speed_m_s=1.0,
+                                              impact_parameter_rc=0.5)}
 
-    p4, p2, p1 = endpoint(4e-6), endpoint(2e-6), endpoint(1e-6)
-    ratio = np.linalg.norm(p4 - p2) / np.linalg.norm(p2 - p1)
-    assert 8.0 <= ratio <= 32.0
+
+@pytest.mark.parametrize("name", ["readme", "beguin2013"])
+def test_dp54_error_falls_with_rtol(name, monkeypatch):
+    # |final z - DOP853| falls 2.8e-7 -> 2.4e-11 um (readme) and 2.4e-7 ->
+    # 1.1e-11 um (beguin2013) from RTOL 1e-6 to 1e-10: at most 0.28 RTOL um,
+    # each decade cutting it 5.6-21x; the bounds of RTOL um and 3x per
+    # decade leave 3.5x and 1.9x of headroom
+    scenario = deflection_scenario(**SCENARIOS[name])
+    rtols = (1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
+    errors = []
+    for rtol in rtols:
+        monkeypatch.setattr(dynamics, "RTOL", rtol)
+        traj = integrate(scenario)
+        assert not traj.aborted, traj.reason
+        errors.append(abs(traj.position_m[-1, 2] * 1e6 - DOP853_Z_UM[name]))
+    assert all(err <= rtol for err, rtol in zip(errors, rtols))
+    assert all(coarse >= 3.0 * fine for coarse, fine in zip(errors, errors[1:]))
 
 
 def test_abort_below_the_validity_floor():
     # drift in slowly, so the integrator samples the floor band instead of
-    # leaping across it in one substep; 2.5 ns steps record every 0.5 us,
-    # so the path on the way in is recorded too
+    # leaping across it in one substep; a 2.5 ns record grid records every
+    # 0.5 us, so the path on the way in is recorded too
     config = _config(
         initial_position_m=(0.05 * R_C, 0.0, 0.0),
         initial_velocity_m_s=(-0.2, 0.0, 0.0),
@@ -219,12 +234,11 @@ def test_abort_below_the_validity_floor():
 
 
 def test_adaptive_run_aborts_below_the_validity_floor():
-    # the drift-in case above without a fixed step
+    # the drift-in case above on the default record grid: no interior record
     config = _config(
         initial_position_m=(0.05 * R_C, 0.0, 0.0),
         initial_velocity_m_s=(-0.2, 0.0, 0.0),
         max_time_s=5e-6,
-        time_step_s=None,
     )
     traj = integrate(config)
     assert traj.aborted
@@ -233,23 +247,12 @@ def test_adaptive_run_aborts_below_the_validity_floor():
     assert np.all(np.linalg.norm(traj.position_m, axis=1) / R_C >= 0.01)
 
 
-# final z (um) of the DOP853 flyby in bench/reference.py (rtol 1e-13),
-# integrated to each scenario's max_time_s, and the force evaluations the
-# adaptive run may make (1,363 and 1,207 while steps landed on the records)
-@pytest.mark.parametrize(
-    "scenario_args, z_dop853_um, max_calls",
-    [
-        ({}, 0.7000195652292, 1000),  # the README flyby
-        (dict(preset_name="beguin2013", speed_m_s=1.0, impact_parameter_rc=0.5), 0.1126333630437,
-         1150),
-    ],
-    ids=["readme", "beguin2013"],
-)
-def test_adaptive_flyby_matches_the_dop853_reference(
-    monkeypatch, scenario_args, z_dop853_um, max_calls
-):
-    scenario = deflection_scenario(**scenario_args)
-    assert scenario.time_step_s is None
+# the force evaluations the adaptive run may make (1,363 and 1,207 while
+# steps landed on the records)
+@pytest.mark.parametrize("name, max_calls", [("readme", 1000), ("beguin2013", 1150)],
+                         ids=["readme", "beguin2013"])
+def test_adaptive_flyby_matches_the_dop853_reference(monkeypatch, name, max_calls):
+    scenario = deflection_scenario(**SCENARIOS[name])
     calls = 0
 
     def counted_force(*args):
@@ -260,19 +263,12 @@ def test_adaptive_flyby_matches_the_dop853_reference(
     monkeypatch.setattr(dynamics, "_force", counted_force)
     traj = integrate(scenario)
     assert not traj.aborted, traj.reason
-    # fixed 50 ns RK4 takes 75,800 and 7,342 force evaluations
     assert calls <= max_calls
     assert traj.t_s[-1] == scenario.max_time_s
-    assert abs(traj.position_m[-1, 2] * 1e6 - z_dop853_um) <= 1e-9
+    assert abs(traj.position_m[-1, 2] * 1e6 - DOP853_Z_UM[name]) <= 1e-9
     speed = np.linalg.norm(scenario.initial_velocity_m_s)
     drift = np.max(np.abs(np.linalg.norm(traj.velocity_m_s, axis=1) / speed - 1.0))
     assert drift < 1e-12
-
-    # the fixed 50 ns path records at the same times, bit for bit; its
-    # record grid does not depend on the force, so a null force builds it
-    monkeypatch.setattr(dynamics, "_force", _null_force)
-    fixed = integrate(dataclasses.replace(scenario, time_step_s=50e-9))
-    assert traj.t_s.tobytes() == fixed.t_s.tobytes()
 
 
 # record index -> (z um, vz m/s) of the DOP853 flyby in bench/reference.py
@@ -495,17 +491,19 @@ def test_head_on_deflection_scenario_is_valid():
 # head on, the Lorentz force lifts the atom off the axis by about 0.0093 r_c
 # m/s / speed on gaetan2009 and 0.0084 r_c m/s / speed on beguin2013 (closest
 # approach of the DOP853 flyby in bench/reference.py); at these speeds that is
-# below the floor, and the steps stride across the partner between stages
+# below the floor, and the steps stride across the partner between stages.
+# None keeps the default record grid; on the 1 us grid the first interior
+# record would be at 200 us, so only the start is returned
 @pytest.mark.parametrize("preset_name, speed_m_s, time_step_s", [
     ("gaetan2009", 1.0, None),
     ("gaetan2009", 3.0, None),
     ("beguin2013", 3.0, None),
     ("beguin2013", 10.0, None),
     ("gaetan2009", 3.0, 1e-6),
-    ("beguin2013", 10.0, 50e-9),
 ])
 def test_head_on_flyby_aborts_at_the_validity_floor(preset_name, speed_m_s, time_step_s):
-    scenario = deflection_scenario(preset_name, speed_m_s, 0.0, time_step_s=time_step_s)
+    grid = {} if time_step_s is None else {"time_step_s": time_step_s}
+    scenario = deflection_scenario(preset_name, speed_m_s, 0.0, **grid)
     traj = integrate(scenario)
     assert traj.aborted
     assert "validity floor" in traj.reason
@@ -515,10 +513,9 @@ def test_head_on_flyby_aborts_at_the_validity_floor(preset_name, speed_m_s, time
 
 
 @pytest.mark.parametrize("preset_name", ["gaetan2009", "beguin2013"])
-@pytest.mark.parametrize("time_step_s", [None, 50e-9])
-def test_slow_head_on_flyby_is_lifted_over_the_floor(preset_name, time_step_s):
+def test_slow_head_on_flyby_is_lifted_over_the_floor(preset_name):
     # at 0.3 m/s the DOP853 flyby comes no closer than 0.031 (gaetan2009) and
     # 0.028 r_c (beguin2013), so the chord check must not end it
-    traj = integrate(deflection_scenario(preset_name, 0.3, 0.0, time_step_s=time_step_s))
+    traj = integrate(deflection_scenario(preset_name, 0.3, 0.0))
     assert not traj.aborted, traj.reason
     assert traj.position_m[-1, 0] > 0.0
