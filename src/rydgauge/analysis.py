@@ -108,7 +108,7 @@ def scan_1d(params: DriveParams, model: InteractionModel, r_grid) -> ScanTable:
     metadata = {
         "interaction": model.kind.name.lower(),
         "coefficient_rad_s_m_p": model.coefficient,
-        "rabi_rad_s": abs(params.rabi_complex),
+        "rabi_rad_s": params.rabi_magnitude_rad_s,
         "detuning_ratio": params.detuning_ratio,
         "kappa": reduced.kappa,
         "labels": ",".join(SCAN_LABELS),
@@ -348,7 +348,7 @@ def scaling_fit(
     if min(abs(w) for w in ratios) < 10.0:
         raise ValueError("scaling_fit requires |delta/Omega| >= 10")
 
-    rabi = abs(params.rabi_complex)
+    rabi = params.rabi_magnitude_rad_s
     drives = [dataclasses.replace(params, detuning_rad_s=w * rabi) for w in ratios]
     kinds = ("max", "min") if kind is None else (kind,)
     peaks = find_peaks(model, [(drive, label, k) for drive in drives for k in kinds])

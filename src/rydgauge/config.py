@@ -187,10 +187,8 @@ def build_experiment(config: RunConfig) -> tuple[DriveParams, InteractionModel]:
                 raise ValueError("wavelength_nm required without a preset")
             drive = DriveParams(
                 rabi_magnitude_rad_s=rabi,
-                rabi_phase_rad=0.0,
                 detuning_rad_s=0.0,
                 wavenumber_rad_m=_wavenumber_rad_m(config.wavelength_nm),
-                wavevector_direction=(0.0, 0.0, 1.0),
                 mass_a_kg=_RB87_KG,
                 mass_b_kg=_RB87_KG,
             )

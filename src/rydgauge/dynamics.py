@@ -209,7 +209,7 @@ def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s):
     energies = spectrum.energies
     gap = np.abs(energies[row] - np.concatenate([energies, np.zeros_like(energies[:1])]))
     with np.errstate(divide="ignore", invalid="ignore"):  # the label's own zero gap
-        ratio = coupling / (engine.r_c_m * abs(config.drive.rabi_complex) * gap)
+        ratio = coupling / (engine.r_c_m * config.drive.rabi_magnitude_rad_s * gap)
     return np.where(gap < DEGENERACY_GAP, np.where(coupling == 0.0, 0.0, np.inf), ratio).max(axis=0)
 
 

@@ -223,9 +223,9 @@ def magnetic_field(params: DriveParams, model: InteractionModel, label: str, r_v
 
     r_vec, of shape (3,) or (n, 3), points from atom b to atom a; the
     field on atom b is the exact negative of the returned one.  B = da/dx ·
-    (e_r x e_k), and one closed-form :func:`field_profile` call serves all
-    n; separations parallel to the beam give exactly zero (the azimuthal
-    direction degenerates).
+    (e_r x e_z), with the beam along +z, and one closed-form
+    :func:`field_profile` call serves all n; separations along z give
+    exactly zero (the azimuthal direction degenerates).
     """
     _check_label(label)
     r_vec, r = _separation_vectors(r_vec)
@@ -248,12 +248,11 @@ def field_map(
 ) -> FieldMap:
     """Sample B of one labeled state over an (x, z) grid.
 
-    Atom b sits at the origin with the beam along z; atom a is placed at
-    each grid point (crossover units), x-major.  Points at the origin are
-    skipped and recorded rather than raised; the rest share one solve.
+    Atom b sits at the origin and the beam runs along +z, as for every
+    drive; atom a is placed at each grid point (crossover units), x-major.
+    Points at the origin are skipped and recorded rather than raised; the
+    rest share one solve.
     """
-    if tuple(params.wavevector_direction) != (0.0, 0.0, 1.0):
-        raise ValueError("field_map assumes the beam along +z")
     x, z = np.meshgrid(np.asarray(x_grid, float), np.asarray(z_grid, float), indexing="ij")
     x, z = x.ravel(), z.ravel()
     origin = (x == 0.0) & (z == 0.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,19 +56,25 @@ class InteractionModel:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Uniform laser drive shared by both atoms, plus the atomic masses."""
+    """Uniform laser drive shared by both atoms, plus the atomic masses.
 
-    rabi_magnitude_rad_s: float  # |Omega| > 0 (rad/s)
-    rabi_phase_rad: float  # arg(Omega)
+    The frame is fixed: the beam runs along +z and Omega is real and
+    positive.  Neither choice loses generality.  Another beam axis is a
+    rotation of the separations, and a global phase of Omega is a phase of
+    each internal state, on which no gauge potential depends.
+    """
+
+    wavevector_direction: ClassVar[tuple] = (0.0, 0.0, 1.0)  # the beam's unit vector
+
+    rabi_magnitude_rad_s: float  # Omega > 0 (rad/s)
     detuning_rad_s: float  # delta, signed (rad/s)
     wavenumber_rad_m: float  # k_L > 0 (rad/m)
-    wavevector_direction: tuple[float, float, float]  # unit vector
     mass_a_kg: float
     mass_b_kg: float
 
     def __post_init__(self):
-        for name in ("rabi_magnitude_rad_s", "rabi_phase_rad", "detuning_rad_s",
-                     "wavenumber_rad_m", "mass_a_kg", "mass_b_kg"):
+        for name in ("rabi_magnitude_rad_s", "detuning_rad_s", "wavenumber_rad_m",
+                     "mass_a_kg", "mass_b_kg"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -77,19 +84,6 @@ class DriveParams:
             raise ValueError("wavenumber_rad_m must be positive")
         if not (self.mass_a_kg > 0.0 and self.mass_b_kg > 0.0):
             raise ValueError("atomic masses must be positive")
-        direction = self.wavevector_direction
-        if len(direction) != 3 or not all(math.isfinite(c) for c in direction):
-            raise ValueError(
-                f"wavevector_direction must have three finite components, got {direction!r}")
-        norm = math.sqrt(sum(c * c for c in direction))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("wavevector_direction must be a unit vector")
-
-    @property
-    def rabi_complex(self) -> complex:
-        return self.rabi_magnitude_rad_s * complex(
-            math.cos(self.rabi_phase_rad), math.sin(self.rabi_phase_rad)
-        )
 
     @property
     def detuning_ratio(self) -> float:
@@ -181,14 +175,12 @@ def reduced_parameters(params: DriveParams, model: InteractionModel) -> ReducedP
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """Named bundle of drive, interaction and trap bookkeeping values."""
+    """Named bundle of a drive, an interaction and the Rydberg lifetime."""
 
     name: str
     drive: DriveParams
     interaction: InteractionModel
     lifetime_s: float
-    temperature_K: float
-    beam_waist_m: float
 
 
 _RB87_KG = 87.0 * ATOMIC_MASS
@@ -205,10 +197,8 @@ PRESETS: dict[str, ExperimentPreset] = {
         name="gaetan2009",
         drive=DriveParams(
             rabi_magnitude_rad_s=TWOPI * 6.5e6,
-            rabi_phase_rad=0.0,
             detuning_rad_s=0.0,
             wavenumber_rad_m=_K_L_RAD_M,
-            wavevector_direction=(0.0, 0.0, 1.0),
             mass_a_kg=_RB87_KG,
             mass_b_kg=_RB87_KG,
         ),
@@ -217,8 +207,6 @@ PRESETS: dict[str, ExperimentPreset] = {
             coefficient=-TWOPI * 3200e6 * 1e-18,  # attractive branch by default
         ),
         lifetime_s=500e-6,
-        temperature_K=50e-6,
-        beam_waist_m=1e-6,
     ),
     "beguin2013": ExperimentPreset(
         name="beguin2013",
@@ -226,10 +214,8 @@ PRESETS: dict[str, ExperimentPreset] = {
             rabi_magnitude_rad_s=math.sqrt(
                 BEGUIN2013_RABI_RANGE_RAD_S[0] * BEGUIN2013_RABI_RANGE_RAD_S[1]
             ),
-            rabi_phase_rad=0.0,
             detuning_rad_s=0.0,
             wavenumber_rad_m=_K_L_RAD_M,
-            wavevector_direction=(0.0, 0.0, 1.0),
             mass_a_kg=_RB87_KG,
             mass_b_kg=_RB87_KG,
         ),
@@ -240,8 +226,6 @@ PRESETS: dict[str, ExperimentPreset] = {
             ),
         ),
         lifetime_s=200e-6,
-        temperature_K=50e-6,
-        beam_waist_m=1e-6,
     ),
 }
 

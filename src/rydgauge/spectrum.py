@@ -153,8 +153,7 @@ def labeled_spectrum(shift_ratio, detuning_ratio):
     ee_amp = energies - w
     denom = energies * energies - w * energies - 0.5
     direct = energies + w - u
-    stable = np.divide(ee_amp, 2.0 * denom, out=np.zeros(energies.shape), where=denom != 0)
-    gg_amp = np.where(np.abs(denom) > 1.0, stable, direct)
+    gg_amp = np.divide(ee_amp, 2.0 * denom, out=direct, where=np.abs(denom) > 1.0)
     return energies, ee_amp, gg_amp
 
 

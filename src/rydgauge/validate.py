@@ -254,12 +254,11 @@ def _own_rows(per_label: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def _check_gauge(points) -> tuple[CheckResult, CheckResult]:
     """Closed-form A against the dense Berry connection and closed-form phi
     against the dense coupling sum, from one eigh per interaction kind."""
-    rabi_phase = _drive().rabi_phase_rad
     worst = []
     for reduced, x, labels in _kind_batches(points):
         closed_a = _own_rows(connection_profile(x, reduced), labels)
         closed_phi = _own_rows(scalar_profile(x, reduced), labels)
-        a, phi = _dense_gauge(reduced, x, labels, rabi_phase)
+        a, phi = _dense_gauge(reduced, x, labels)
         worst.append([(np.hypot(a[:, 0], a[:, 1] - closed_a) / np.abs(closed_a)).max(),
                       (np.abs(phi - closed_phi) / np.abs(closed_phi)).max()])
     worst = np.max(worst, axis=0).tolist()  # a NaN in any batch propagates and fails its check

@@ -7,7 +7,9 @@ match single functions by their dotted name, and read their arguments by
 position or keyword: a rename silently zeroes such a metric instead of
 failing.  So this test pins those names and argument names.  ``LAYERS``
 is read with ``ast`` and the matched names as text, so this test imports
-nothing from ``bench``.
+nothing from ``bench``.  The benchmark's reference integrator also reads
+each preset drive's ``wavevector_direction``, pinned here for the same
+reason.
 """
 
 import ast
@@ -16,6 +18,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from rydgauge.model import PRESETS, get_preset
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -60,3 +64,8 @@ def test_every_name_the_tracer_matches_exists(dotted, arguments):
     assert inspect.isfunction(function) and function.__module__ == module.__name__
     parameters = list(inspect.signature(function).parameters)
     assert parameters[: len(arguments)] == list(arguments)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_drive_has_the_beam_along_z(name):
+    assert get_preset(name).drive.wavevector_direction == (0.0, 0.0, 1.0)

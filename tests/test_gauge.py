@@ -68,11 +68,12 @@ def test_frozen_gauge_values(w, model, x, expected):
         assert phi[LABEL_INDEX[label]] == pytest.approx(phi_ref, rel=1e-13)
 
 
-def _dense_errors(drive, model, labels, x):
+def _dense_errors(drive, model, labels, x, rabi_phase=0.0):
     """Relative errors of A and phi of the closed form against
-    ``validate._dense_gauge`` at separations x, one label each."""
+    ``validate._dense_gauge`` at separations x, one label each, with the
+    dense Hamiltonian's Omega at phase ``rabi_phase``."""
     reduced = reduced_parameters(drive, model)
-    a, phi = validate._dense_gauge(reduced, x, labels, drive.rabi_phase_rad)
+    a, phi = validate._dense_gauge(reduced, x, labels, rabi_phase)
     rows = [LABEL_INDEX[label] for label in labels], np.arange(np.size(x))
     closed_a = connection_profile(x, reduced)[rows]
     closed_phi = scalar_profile(x, reduced)[rows]
@@ -107,8 +108,7 @@ def test_dense_oracle_holds_at_any_rabi_phase(rabi_phase):
     x, labels = np.repeat(np.geomspace(0.1, 10.0, 5), 3), np.array(LABELS * 5)
     worst = 0.0
     for w in (-1.0, 0.0, 2.0):
-        drive = dataclasses.replace(_drive(w), rabi_phase_rad=rabi_phase)
-        rel_a, rel_phi = _dense_errors(drive, GAETAN.interaction, labels, x)
+        rel_a, rel_phi = _dense_errors(_drive(w), GAETAN.interaction, labels, x, rabi_phase)
         worst = max(worst, rel_a.max(), rel_phi.max())
     assert worst <= 1.8e-12  # measured 1.73e-12 at 0.7 rad
 
@@ -357,9 +357,6 @@ def test_field_map_grid_handling():
         assert b[0] == b[2] == 0.0  # azimuthal: only the y component survives
         if x == 0.0:  # separation parallel to the beam
             assert b[1] == 0.0
-    tilted = dataclasses.replace(drive, wavevector_direction=(1.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="beam"):
-        field_map(tilted, GAETAN.interaction, "1", grid, grid)
 
 
 def test_field_map_rows_match_single_points(solves):

@@ -3,10 +3,11 @@ unread, no public function without a caller, one oracle mechanism, no
 random numbers.
 
 The checks read the syntax trees of ``src/rydgauge``; a deletion that
-leaves an import, a ``_private`` helper, a public function or a field of a
-``_Private`` dataclass behind fails here, and so does a finite-difference
-oracle, a diagonalization of the tests' own beside ``validate``'s dense
-oracle, or any use of ``numpy.random`` in the package.
+leaves an import, a ``_private`` helper, a public function, a field of a
+``_Private`` dataclass or a field of a ``model.py`` dataclass unread
+fails here, and so does a finite-difference oracle, a diagonalization of
+the tests' own beside ``validate``'s dense oracle, or any use of
+``numpy.random`` in the package.
 """
 
 import ast
@@ -60,19 +61,30 @@ def _private_definitions(tree: ast.Module) -> set:
             if name.startswith("_") and not name.startswith("__")}
 
 
-def _private_dataclass_fields(tree: ast.Module) -> dict:
-    """Annotated fields of each module-level ``_Private`` dataclass, by class name."""
+def _dataclass_fields(tree: ast.Module) -> dict:
+    """Annotated fields of each module-level dataclass, by class name;
+    ``ClassVar`` annotations are class constants, not fields."""
     def is_dataclass(decorator):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         return isinstance(target, ast.Name) and target.id == "dataclass"
 
+    def is_classvar(annotation):
+        target = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+        return isinstance(target, ast.Name) and target.id == "ClassVar"
+
     return {
         node.name: [field.target.id for field in node.body
-                    if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)]
+                    if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                    and not is_classvar(field.annotation)]
         for node in tree.body
-        if isinstance(node, ast.ClassDef) and node.name.startswith("_")
-        and any(is_dataclass(d) for d in node.decorator_list)
+        if isinstance(node, ast.ClassDef) and any(is_dataclass(d) for d in node.decorator_list)
     }
+
+
+def _read_attributes() -> set:
+    """Every attribute name read anywhere in the package."""
+    return {node.attr for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 @pytest.mark.parametrize("name", [path.name for path in MODULES if path.name != "__init__.py"])
@@ -101,13 +113,23 @@ def test_every_public_function_has_a_caller():
 
 
 def test_every_private_dataclass_field_is_read():
-    attributes = {node.attr for tree in TREES.values() for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    attributes = _read_attributes()
     fields = {(name, cls): fields for name, tree in TREES.items()
-              for cls, fields in _private_dataclass_fields(tree).items()}
+              for cls, fields in _dataclass_fields(tree).items() if cls.startswith("_")}
     assert set(fields) >= {("dynamics.py", "_Engine"), ("gauge.py", "_RadialSpectrum")}
     unread = {key: sorted(set(names) - attributes) for key, names in fields.items()}
     assert {key: names for key, names in unread.items() if names} == {}
+
+
+def test_every_model_field_is_read():
+    """A field of a ``model.py`` dataclass that no code in the package reads
+    as an attribute is a setting with no effect; presets would carry it
+    for nothing."""
+    attributes = _read_attributes()
+    fields = _dataclass_fields(TREES["model.py"])
+    assert {"DriveParams", "ExperimentPreset"} <= set(fields)
+    unread = {cls: sorted(set(names) - attributes) for cls, names in fields.items()}
+    assert {cls: names for cls, names in unread.items() if names} == {}
 
 
 def test_every_oracle_in_the_package_is_read_by_validate():

@@ -202,7 +202,7 @@ def test_dense_oracle_does_not_use_the_closed_form(monkeypatch):
     monkeypatch.setattr(gauge, "_radial_spectrum", forbidden)
     with pytest.raises(AssertionError):
         gauge.connection_profile(x, reduced)
-    dense_a, dense_phi = validate._dense_gauge(reduced, x, labels, drive.rabi_phase_rad)
+    dense_a, dense_phi = validate._dense_gauge(reduced, x, labels)
     assert np.abs(dense_a[:, 1] / a - 1.0).max() < 1e-6
     assert np.abs(dense_a[:, 0]).max() < 1e-6 * np.abs(a).min()
     assert np.abs(dense_phi / phi - 1.0).max() < 1e-6
