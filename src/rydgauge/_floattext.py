@@ -17,6 +17,11 @@ the digits n = 0 and exponent k = 0, its sign from its sign bit.
 Non-finite values and nonzero |x| outside [1e-280, 1e280] also go to the
 builtin.  Each float step is its own ufunc call, so none is contracted
 into a fused multiply-add.
+
+Text is laid out in fixed-width cells, one per value, of whole words:
+the digits come four at a time from a 10^4-entry table of ASCII words,
+heads and tails from tables of 8-byte words, and every piece is written
+as whole word columns; the zero pads drop out in one ``bytes.translate``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ _S_MIN, _S_MAX = -266, 298  # scales 16 - k for |x| in [1e-280, 1e280], k off by
 _UNSURE = 1e-9  # band, in units of X, around a tie or interval end sent to the builtin
 _P16, _P17 = 10**16, 10**17
 _E = 400  # exponents -_E.._E index the tail table from 2
-_CSV_CELL, _JSON_CELL = 27, 34  # bytes of a value's cell before its pads drop
 
 
 def _pow10_table() -> tuple:
@@ -49,15 +53,28 @@ def _words(texts) -> np.ndarray:
     return np.frombuffer(b"".join(text.ljust(8, b"\0") for text in texts), np.uint64)
 
 
-def _digit_masks() -> tuple:
-    """Per (shown digits, digit the "." follows) class: digits left and right of the ".", and it.
+def _body_masks() -> tuple:
+    """Per (shown digits, digit the "." follows) class, four words each: 255 at the digits
+    left of the ".", 255 one byte on from those right of it, and the "." itself.
     Plain Python: numpy kernels that formatting never runs would fault in code pages."""
     classes = [(shown, dot) for shown in range(18) for dot in range(18)]
-    left = bytes(i < shown and i <= dot for shown, dot in classes for i in range(17))
-    right = bytes(i < shown and i > dot for shown, dot in classes for i in range(17))
-    point = bytes(46 * (i == dot + 1) for _, dot in classes for i in range(18))
-    return tuple(np.frombuffer(mask, np.uint8).reshape(len(classes), -1)
+    left = bytes(255 * (i < shown and i <= dot) for shown, dot in classes for i in range(32))
+    right = bytes(255 * (dot < i - 1 < shown) for shown, dot in classes for i in range(32))
+    point = bytes(46 * (i == dot + 1 < 18) for _, dot in classes for i in range(32))
+    return tuple(np.frombuffer(mask, np.uint64).reshape(len(classes), 4)
                  for mask in (left, right, point))
+
+
+def _quad_table() -> np.ndarray:
+    """The four ASCII digits of each v < 10^4 as one word, the thousands first in memory.
+    With the 32-bit kernels ``_quads`` runs, which are in memory by then anyway."""
+    v = np.arange(10**4, dtype=np.uint32)
+    digits = np.empty((v.size, 4), np.uint8)
+    for i in range(3, -1, -1):
+        q = v // 10
+        digits[:, i] = v - q * 10 + 48
+        v = q
+    return digits.view(np.uint32).ravel()
 
 
 _TABLE = _pow10_table()
@@ -67,7 +84,11 @@ _HEADS = _words(b"\0" + sign + (b"0." + b"0" * (z - 1) if z else b"")
 # tails: nothing, the "0" of "12.0", or the exponent "e+05"; bytes 5-7 take the separator
 _TAILS = _words([b"", b"0"] + [b"e%+03d" % e for e in range(-_E, _E + 1)])
 _SEPARATORS = _words(b"\0" * 5 + sep for sep in (b",", b"\n", b", ", b"], ", b"]"))
-_LEFT, _RIGHT, _POINT = _digit_masks()
+# CSV leads: a pad, the sign, the first digit and "."; class first digit + 10 sign
+_LEADS = np.frombuffer(b"".join(b"\0" + sign + b"%d." % d for sign in (b"\0", b"-")
+                                for d in range(10)), np.uint32)
+_LEFT, _RIGHT, _POINT = _body_masks()
+_QUADS = _quad_table()
 
 
 def _scaled(a: np.ndarray, k: np.ndarray):
@@ -151,30 +172,52 @@ def _shortest(x: np.ndarray):
     return n, 17 - drop, k + carry, fast
 
 
+def _quads(v: np.ndarray, out: np.ndarray) -> None:
+    """The 16 ASCII digits of each v < 10^16 as four ``_QUADS`` words in ``out``'s columns."""
+    top = v // 10**8
+    for col, part in ((0, top), (2, v - top * 10**8)):
+        part = part.astype(np.uint32)  # below 10^8: 32-bit division is cheaper
+        q = part // 10**4
+        out[:, col] = _QUADS.take(q)
+        out[:, col + 1] = _QUADS.take(part - q * 10**4)
+
+
 def _digits(n: np.ndarray) -> np.ndarray:
-    """The 17 ASCII digits of each 17-digit integer, most significant first."""
-    out = np.empty((n.size, 17), np.uint8)
-    top = n // 10**8
-    for v, places in ((n - top * 10**8, range(16, 8, -1)), (top, range(8, -1, -1))):
-        v = v.astype(np.uint32)  # halves below 10^9: 32-bit division is cheaper
-        for i in places:
-            q = v // 10
-            out[:, i] = v - q * 10
-            v = q
-    out += 48
-    return out
+    """The 17 ASCII digits of each 17-digit integer, most significant first, in bytes 0-16
+    of four words; bytes 17-31 are not set."""
+    words = np.empty((n.size, 8), np.uint32)
+    head = n // 10
+    _quads(head, words)
+    words.view(np.uint8)[:, 16] = n - head * 10 + 48
+    return words.view(np.uint64)
 
 
-def _tails(cells: np.ndarray, rows: int, cols: int, tail: np.ndarray, separators) -> None:
-    """Tail words in the last eight slots; ``separators`` index ``_SEPARATORS`` inside a row,
+def _body(n: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each 17-digit integer's shown digits and "." in bytes 0-17 of four words, zeros after,
+    as its (shown digits, digit the "." follows) class ``mask`` of ``_LEFT``, ``_RIGHT`` and
+    ``_POINT`` places them.  Whole contiguous arrays: numpy's loops over short rows cost more
+    than the bytes."""
+    body = _digits(n)
+    moved = np.empty_like(body)  # the digits one byte on, for those right of the "."
+    moved.view(np.uint8)[:, 1:18] = body.view(np.uint8)[:, :17]
+    moved &= _RIGHT.take(mask, axis=0)
+    body &= _LEFT.take(mask, axis=0)
+    body |= moved
+    body |= _POINT.take(mask, axis=0)
+    return body
+
+
+def _tails(rows: int, cols: int, tail: np.ndarray, separators) -> np.ndarray:
+    """Tail words of a block's values; ``separators`` index ``_SEPARATORS`` inside a row,
     at its end and at the block's end."""
     inner, row_end, block_end = _SEPARATORS.take(separators)
-    words = _TAILS.take(tail).reshape(rows, cols)
-    words[:, :-1] |= inner
-    words[:, -1] |= row_end
+    words = _TAILS.take(tail)
+    words |= inner
+    last = words.reshape(rows, cols)[:, -1]
+    last ^= inner ^ row_end  # a separator shares no byte with a tail: xor swaps it
     if rows:
-        words[-1, -1] ^= row_end ^ block_end  # swaps the row's separator for the block's
-    cells[:, -8:] = words.reshape(-1, 1).view(np.uint8)
+        last[-1] ^= row_end ^ block_end
+    return words
 
 
 def _zeros(x: np.ndarray, n: np.ndarray, fast: np.ndarray) -> None:
@@ -186,43 +229,44 @@ def _zeros(x: np.ndarray, n: np.ndarray, fast: np.ndarray) -> None:
 
 
 def _csv_cells(x: np.ndarray, rows: int, cols: int):
-    """Cells of sign, 17 digits rounded half to even and tail word; the mask of values they hold."""
+    """Cells of seven 4-byte words, the mask of values they hold: the lead word, the other 16
+    digits rounded half to even in four words, and the tail word in the last two."""
     _, k, _, n, frac, fast = _decimal(x)
     fast &= (k >= -6) & (k <= 16) | (np.abs(frac - 0.5) >= _UNSURE)  # exact X: 0 <= 16-k <= 22
     _zeros(x, n, fast)
     carry = n == _P17
     n[carry] = _P16
-    cells = np.empty((x.size, _CSV_CELL), np.uint8)
-    cells[:, 0] = np.signbit(x).view(np.uint8) * np.uint8(45)
-    digits = _digits(n)
-    cells[:, 1] = digits[:, 0]
-    cells[:, 2] = 46
-    cells[:, 3:19] = digits[:, 1:]
-    _tails(cells, rows, cols, k + carry + (_E + 2), (0, 1, 1))
-    return cells, fast
+    cells = np.empty((x.size, 7), np.uint32)
+    first = n // _P16
+    cells[:, 0] = _LEADS.take(first + 10 * np.signbit(x))
+    n -= first * _P16
+    _quads(n, cells[:, 1:5])
+    cells[:, 5:].view(np.uint64)[:, 0] = _tails(rows, cols, k + carry + (_E + 2), (0, 1, 1))
+    return cells.view(np.uint8), fast
 
 
 def _json_cells(x: np.ndarray, rows: int, cols: int):
-    """Cells of head word, digits with their "." and tail word, and the mask of values they hold."""
+    """Cells of nine 4-byte words, the mask of values they hold: the head word in the first
+    two, the digits with their "." in five and the tail word in the last two."""
     n, nd, k, fast = _shortest(x)
     _zeros(x, n, fast)
     sci = (k < -4) | (k > 15)  # repr: exponent form when the point is at <= -4 or > 16
     lead = ~sci & (k < 0)  # "0.", then -k - 1 zeros
     whole = ~sci & ~lead
-    cells = np.empty((x.size, _JSON_CELL), np.uint8)
-    cells[:, :8] = _HEADS.take(np.signbit(x) + 2 * np.where(lead, -k, 0))[:, None].view(np.uint8)
-    cells.reshape(rows, cols, _JSON_CELL)[:, 0, 0] = 91  # "[" opens each row
-    # a whole number shows its digits up to the point, trailing zeros too
-    shown = np.where(whole, np.maximum(nd, k + 1), nd)
-    dot = np.where(whole, k, np.where(sci & (nd > 1), 0, 17))  # digit the "." follows
-    mask = shown * 18 + dot
-    digits = _digits(n)
-    body = cells[:, 8:26]
-    np.multiply(digits, _LEFT.take(mask, axis=0), out=body[:, :17])
-    body[:, 17] = 0
-    body[:, 1:] += digits * _RIGHT.take(mask, axis=0)
-    body += _POINT.take(mask, axis=0)
-    _tails(cells, rows, cols, np.where(sci, k + (_E + 2), whole & (k + 1 >= nd)), (2, 3, 4))
+    # a whole number shows its digits up to the point, trailing zeros too; the "." follows
+    # digit ``dot``, none when it is 17
+    mask = (np.where(whole, np.maximum(nd, k + 1), nd) * 18
+            + np.where(whole, k, np.where(sci & (nd > 1), 0, 17)))
+    body = _body(n, mask)
+    cells = np.empty((x.size, 9), np.uint32)
+    cells[:, :2].view(np.uint64)[:, 0] = _HEADS.take(np.signbit(x) + 2 * np.where(lead, -k, 0))
+    body = body.view(np.uint32)
+    for i in range(5):
+        cells[:, i + 2] = body[:, i]
+    tail = np.where(sci, k + (_E + 2), whole & (k + 1 >= nd))
+    cells[:, 7:].view(np.uint64)[:, 0] = _tails(rows, cols, tail, (2, 3, 4))
+    cells = cells.view(np.uint8)
+    cells.reshape(rows, cols, 36)[:, 0, 0] = 91  # "[" opens each row
     return cells, fast
 
 
@@ -238,10 +282,10 @@ def _text(cells: np.ndarray, fast: np.ndarray, x: np.ndarray, slow, start: int, 
 def csv_rows(block: np.ndarray) -> bytes:
     """CSV lines of a (rows, cols) float64 block, ``\\n`` after each row."""
     x = block.ravel()
-    return _text(*_csv_cells(x, *block.shape), x, lambda v: format(v, ".16e"), 0, 24)
+    return _text(*_csv_cells(x, *block.shape), x, lambda v: format(v, ".16e"), 0, 25)
 
 
 def json_rows(block: np.ndarray) -> bytes:
     """JSON rows ``[a, b], [c, d]`` of a (rows, cols) float64 block, as repr writes them."""
     x = block.ravel()
-    return _text(*_json_cells(x, *block.shape), x, json.dumps, 1, 31)
+    return _text(*_json_cells(x, *block.shape), x, json.dumps, 1, 33)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gauge import _field_slope, _positive_finite, _radial_solve, _radial_spectrum
 from .model import DriveParams, InteractionModel, ReducedParameters, reduced_parameters
-from .spectrum import LABEL_INDEX, _check_label, near_degenerate
+from .spectrum import LABEL_INDEX, _check_label, _clear_of_degeneracy, near_degenerate
 
 # bracketing grid: log-spaced, wide enough for every documented extremum
 # while keeping the vdW peaks resolved
@@ -40,8 +40,9 @@ class ScanTable:
 
     Nothing is solved until its rows are asked for: ``blocks`` solves the
     grid ``_BLOCK`` points at a time, and ``count_excluded`` counts the
-    near-degenerate points with one solve per block, so a scan holds its
-    grid and one block, never its whole table.
+    near-degenerate points from the cubic's coefficients, solving only the
+    points they cannot clear, so a scan holds its grid and one block, never
+    its whole table.
     """
 
     metadata: dict
@@ -78,14 +79,19 @@ class ScanTable:
     def count_excluded(self) -> int:
         """How many grid points ``blocks`` leaves out as near degenerate.
 
-        One solve per block, of the same points with the same bits as the
-        row solve, and the same exclusion rule.
+        ``_clear_of_degeneracy`` clears points from the cubic's coefficients;
+        only the rest are solved, a block's at once, with the bits of the row
+        solve and the same exclusion rule.  Away from the degenerate limits
+        (u -> 0, |u| beyond 1e77, u = 2w at large |w|) nothing is solved.
         """
         excluded = 0
         for x in self._grid_blocks():
             with np.errstate(all="ignore"):
-                _, (energies, _, _) = _radial_solve(x, self.reduced)
-                excluded += int(np.count_nonzero(near_degenerate(energies)))
+                u = self.reduced.shift_ratio(x)
+                unsure = x[~_clear_of_degeneracy(u, self.reduced.detuning_ratio)]
+                if unsure.size:
+                    _, (energies, _, _) = _radial_solve(unsure, self.reduced)
+                    excluded += int(np.count_nonzero(near_degenerate(energies)))
         return excluded
 
 

@@ -140,16 +140,22 @@ def _scalar_terms(spec: _RadialSpectrum, kappa: float):
     Returns (dark, radial, phase): the dark-state channel, and the sums
     over the other bright labels of the squared radial couplings
     (:func:`_radial_coupling`) and of the laser-phase-gradient overlaps.
+    Each pair's two terms are formed once, and each row sums its two
+    terms in label order: the zero diagonal term changes no float.
     """
     ee, gg, n2 = spec.ee, spec.gg, spec.n2
-    ee_i, ee_j = ee[:, None], ee[None, :]
-    gg_i, gg_j = gg[:, None], gg[None, :]
-    phase = ee_i**2 * ee_j**2 * (1.0 + gg_i * gg_j) ** 2
-    diag = np.arange(3)
-    phase[diag, diag] = 0.0
-    dark = n2 * ee * ee * gg * gg / 2.0
-    radial = np.sum(_radial_coupling(spec) ** 2, axis=1) / kappa**2
-    return dark, radial, n2 * np.sum(n2[None] * phase, axis=1)
+    a, ee2 = np.sqrt(n2) * ee, ee**2
+    radial, phase = {}, {}
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        gap = spec.energies[i] - spec.energies[j]
+        coupling = np.divide(spec.du_dx * (a[i] * a[j]), gap, out=np.zeros(gap.shape),
+                             where=gap != 0.0)
+        radial[i, j] = radial[j, i] = coupling**2
+        phase[i, j] = phase[j, i] = ee2[i] * ee2[j] * (1.0 + gg[i] * gg[j]) ** 2
+    others = ((1, 2), (0, 2), (0, 1))  # each label's two others, in label order
+    radial = np.stack([radial[i, j] + radial[i, k] for i, (j, k) in enumerate(others)])
+    phase = np.stack([n2[j] * phase[i, j] + n2[k] * phase[i, k] for i, (j, k) in enumerate(others)])
+    return n2 * ee * ee * gg * gg / 2.0, radial / kappa**2, n2 * phase
 
 
 def _pair_amplitudes(spec: _RadialSpectrum):

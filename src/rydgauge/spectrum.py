@@ -30,6 +30,7 @@ LABEL_INDEX = {"1": 0, "-": 1, "+": 2}
 DEFLATE_AT = 100.0
 
 DEGENERACY_TOL = 1e-10  # model units
+_SURE_GAP = 10.0 * DEGENERACY_TOL  # a gap ``_clear_of_degeneracy`` proves is never flagged
 
 _TRIG_OFFSETS = np.array([0.0, -TWOPI / 3.0, TWOPI / 3.0])  # angles of E_1, E_-, E_+
 
@@ -171,9 +172,36 @@ def near_degenerate(energies) -> np.ndarray:
     return gaps.min(axis=0) < DEGENERACY_TOL
 
 
-def dense_hamiltonian(
-    shift_ratio, detuning_ratio, phase_a=0.0, phase_b=0.0, rabi_phase=0.0
-) -> np.ndarray:
+def _clear_of_degeneracy(u, w) -> np.ndarray:
+    """True where :func:`near_degenerate` cannot flag the solved levels at (u, w),
+    from the cubic p(E) = E^3 - u E^2 + c E + u/2, c = u w - w^2 - 1, alone.
+
+    A point is cleared when every true gap of the four levels is at least
+    ``_SURE_GAP``, ten times ``DEGENERACY_TOL``, and the cubic is well
+    conditioned.  No bright level lies within g of the dark one if |u|/2 >
+    g (3 g^2 + 2 |u| g + C), by the mean value theorem, with C = |u w| +
+    w^2 + 1 >= |c|.  The discriminant Delta = prod (E_i - E_j)^2 bounds the
+    smallest bright gap below by sqrt(Delta) / (2R)^2, with R = |u| + |w| +
+    1.5 above Gershgorin's bound on |E|.  Delta must exceed 1e-8 of Sigma,
+    its terms' absolute sum: its rounding error, within 32 eps Sigma, is then
+    below 1e-6 of it, and the solver's gaps move by at most about 2 eps
+    Sigma / Delta of themselves (measured against mpmath roots).  Points where
+    any of this is not finite are not cleared.
+    """
+    a, w_abs = np.abs(u), np.abs(w)
+    c = u * w - (w * w + 1.0)
+    big_c = a * w_abs + (w * w + 1.0)
+    u2 = u * u
+    delta = u2 * (2.0 * u2 + c * c - 9.0 * c - 6.75) - 4.0 * c * c * c
+    sigma = u2 * (2.0 * u2 + big_c * big_c + 9.0 * big_c + 6.75) + 4.0 * big_c * big_c * big_c
+    r = a + (w_abs + 1.5)
+    g = _SURE_GAP
+    dark = 0.5 * a > g * (3.0 * g * g + 2.0 * g * a + big_c)
+    bright = (delta > 1e-8 * sigma) & (np.sqrt(delta) > 4.0 * g * r * r)
+    return dark & bright
+
+
+def dense_hamiltonian(shift_ratio, detuning_ratio, phase_a=0.0, rabi_phase=0.0) -> np.ndarray:
     """The 4x4 pair Hamiltonian in units of hbar|Omega|, in the bare basis
     (ee, eg, ge, gg); ``validate`` diagonalizes it as the dense oracle of
     the energies, A and phi.
@@ -182,14 +210,12 @@ def dense_hamiltonian(
     broadcast shape plus two last axes of length 4.  The diagonal is
     {u - w, 0, 0, w}.  Exciting atom a (ge -> ee, gg -> eg) carries
     Omega/2 with the laser phase ``phase_a`` = k_L·r_a, exciting atom b
-    (eg -> ee, gg -> ge) carries Omega/2 with ``phase_b``, and
+    (eg -> ee, gg -> ge), at the origin, carries Omega/2, and
     ``rabi_phase`` is arg(Omega).
     """
-    u, w, phase_a, phase_b, theta = np.broadcast_arrays(
-        shift_ratio, detuning_ratio, phase_a, phase_b, rabi_phase
-    )
+    u, w, phase_a, theta = np.broadcast_arrays(shift_ratio, detuning_ratio, phase_a, rabi_phase)
     via_a = 0.5 * np.exp(1j * (theta + phase_a))
-    via_b = 0.5 * np.exp(1j * (theta + phase_b))
+    via_b = 0.5 * np.exp(1j * theta)
     h = np.zeros(u.shape + (4, 4), dtype=complex)
     h[..., 0, 0] = u - w
     h[..., 3, 3] = w

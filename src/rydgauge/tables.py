@@ -38,7 +38,8 @@ class Table:
     at a time; a keyed table (no ``blocks``) holds ``rows`` that also carry
     text, bools and tuples of flags, and writes its JSON rows as objects
     keyed by column name.  ``metadata`` is called only for a JSON head, so
-    what it costs (a scan's count of excluded points) CSV never pays.
+    what it costs (a scan's count of excluded points, which solves only
+    the points the cubic's coefficients cannot clear) CSV never pays.
     """
 
     columns: tuple

@@ -110,7 +110,7 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
 def _eigensystem(u, w, phase_a=0.0, rabi_phase=0.0):
     """Dense oracle of the pair's states: (energies, vectors, h).
 
-    ``h`` is :func:`dense_hamiltonian` (phase_b = 0) and ``eigh``
+    ``h`` is :func:`dense_hamiltonian` and ``eigh``
     diagonalizes it, so ``labeled_spectrum`` is never called.  The dark
     state is the eigenvector of largest overlap with (0, e^{i phase_a},
     -1, 0)/sqrt(2) and comes last; the other three are "1", "-", "+" by
@@ -118,7 +118,7 @@ def _eigensystem(u, w, phase_a=0.0, rabi_phase=0.0):
     (..., 4) and of ``vectors`` (..., 4, 4), whose columns are the states;
     both are NaN where ``h`` has a non-finite entry.
     """
-    h = dense_hamiltonian(u, w, phase_a, 0.0, rabi_phase)
+    h = dense_hamiltonian(u, w, phase_a, rabi_phase)
     safe, finite = _finite_stack(h)
     energies, vectors = np.linalg.eigh(safe)
     energies = np.where(finite[..., None], energies, np.nan)
@@ -213,7 +213,7 @@ def _check_eigenvalues(draws: int) -> CheckResult:
         ordered &= bool(np.all(energies[:-1] >= energies[1:]))
         analytic = np.sort(np.vstack([np.zeros(energies.shape[1]), energies]).T, axis=1)  # dark 0
         numeric = _eigvalsh(
-            dense_hamiltonian(u[part], w[part], phase_a[part], 0.0, rabi_phase[part]))
+            dense_hamiltonian(u[part], w[part], phase_a[part], rabi_phase[part]))
         chunk_worst.append(np.max(np.abs(numeric - analytic) / np.maximum(1.0, np.abs(analytic))))
     worst = float(np.max(chunk_worst))  # a NaN in any chunk propagates and fails the check
     return CheckResult(

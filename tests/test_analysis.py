@@ -25,7 +25,13 @@ from rydgauge.gauge import (
     scalar_profile,
 )
 from rydgauge.model import PRESETS, get_preset, reduced_parameters
-from rydgauge.spectrum import DEFLATE_AT, LABEL_INDEX
+from rydgauge.spectrum import (
+    DEFLATE_AT,
+    LABEL_INDEX,
+    _clear_of_degeneracy,
+    labeled_spectrum,
+    near_degenerate,
+)
 from rydgauge.tables import SCAN_HEADER, format_float, render, scan_table, to_csv
 
 GAETAN = get_preset("gaetan2009")
@@ -95,7 +101,8 @@ def test_scan_is_one_solve_over_the_grid(solves):
     r, *_ = _rows(table)
     assert solves == [50]  # the degeneracy flag and every row from one solve
     assert table.count_excluded() == 50 - r.size > 0
-    assert solves == [50, 50]  # the count solves again, rows not formed
+    # the count solves only the far points the coefficients cannot clear, rows not formed
+    assert solves == [50, 10]
 
 
 BLOCK = 7  # a solve block small enough for every boundary case
@@ -124,7 +131,8 @@ SCAN_GRIDS = {
 def test_blocked_scan_matches_the_one_block_solve_bit_for_bit(grid, points, excluded, fmt, si,
                                                               solves, monkeypatch, capsys):
     """Blocks of 7 give the CLI's bytes of one block: a point's numbers never depend on
-    its block.  CSV solves each block once; JSON twice, its excluded rows counted first.
+    its block.  CSV solves each block once; JSON first counts its excluded rows, solving
+    only each block's points the coefficients cannot clear, none on the deflated grid.
     The empty grid, which the CLI refuses, is in test_tables."""
     preset, rmin, rmax = SCAN_GRIDS[grid]
     argv = ["scan", "--preset", preset, "--detuning-ratio", "0", "--rmin", repr(rmin),
@@ -136,17 +144,75 @@ def test_blocked_scan_matches_the_one_block_solve_bit_for_bit(grid, points, excl
     assert main(argv) == 0
     assert capsys.readouterr().out == whole
     sizes = [min(BLOCK, points - start) for start in range(0, points, BLOCK)]
-    assert solves == sizes * (1 + (fmt == "json"))
+    drive, model = _drive_of(preset, 0.0), PRESETS[preset].interaction
+    u = reduced_parameters(drive, model).shift_ratio(np.geomspace(rmin, rmax, points))
+    unsure = [np.count_nonzero(~_clear_of_degeneracy(u[start : start + BLOCK], 0.0))
+              for start in range(0, points, BLOCK)]
+    count_pass = [n for n in unsure if n] if fmt == "json" else []
+    assert solves == count_pass + sizes
+    assert (count_pass == []) == (grid == "deflated" or fmt == "csv")
     if fmt == "json":
         doc = json.loads(whole)
         assert doc["metadata"]["excluded_rows"] == points - len(doc["rows"]) == excluded
     else:
         assert len(whole.splitlines()) == 1 + points - excluded
     if grid == "deflated" and points == 3 * BLOCK + 1:  # blocks carrying what they are meant to
-        drive, model = _drive_of(preset, 0.0), PRESETS[preset].interaction
-        u = reduced_parameters(drive, model).shift_ratio(np.geomspace(rmin, rmax, points))
         deflated = np.abs(u) > DEFLATE_AT
         assert deflated[:BLOCK].all() and not deflated[-BLOCK:].any()
+
+
+@pytest.mark.parametrize("points", [3 * BLOCK + 1, 1000])
+@pytest.mark.parametrize("grid", sorted(SCAN_GRIDS))
+def test_count_excluded_matches_the_full_solve(grid, points, monkeypatch):
+    preset, rmin, rmax = SCAN_GRIDS[grid]
+    drive, model = _drive_of(preset, 0.0), PRESETS[preset].interaction
+    x = np.geomspace(rmin, rmax, points)
+    u = reduced_parameters(drive, model).shift_ratio(x)
+    flagged = np.count_nonzero(near_degenerate(labeled_spectrum(u, 0.0)[0]))
+    monkeypatch.setattr(analysis, "_BLOCK", BLOCK)
+    assert scan_1d(drive, model, x).count_excluded() == flagged
+
+
+def test_certificate_never_clears_a_flagged_point():
+    """Over |u| from 1e-300 to 1e300, on and beside the defective line u = 2w with
+    |w| up to 1e6, u -> 0 and non-finite u: a point the coefficients clear is
+    never flagged on its solved levels."""
+    rng = np.random.default_rng(36)
+    n = 100_000
+    sign = rng.choice([-1.0, 1.0], n)
+    w = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    w[: n // 10] = 0.0
+    beside = 1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-17.0, -1.0, n)
+    beside[::7] = 1.0
+    shifts = {
+        "wide": sign * 10.0 ** rng.uniform(-300.0, 300.0, n),
+        "line": 2.0 * w * beside,  # u = 2w = 0 at the defective point
+        "to_zero": sign * 10.0 ** rng.uniform(-14.0, -6.0, n),
+        "non_finite": rng.choice([np.nan, np.inf, -np.inf], n),
+    }
+    for name, u in shifts.items():
+        with np.errstate(all="ignore"):
+            flagged = near_degenerate(labeled_spectrum(u, w)[0])
+            clear = _clear_of_degeneracy(u, w)
+        assert not (clear & flagged).any(), name
+        if name != "non_finite":
+            assert clear.any() and flagged.any(), name
+        else:
+            assert not clear.any()
+    # near the line at |w| = 1.2e4 the solved bright gap is 2e-11 against a true 1/|w|:
+    # the gap bounds alone clear these points, the conditioning of Delta does not
+    u = np.array([-23168.359436223152, 23168.53619721053])
+    w = np.array([-11584.179718111576, 11584.268098605258])
+    assert near_degenerate(labeled_spectrum(u, w)[0]).all()
+    assert not _clear_of_degeneracy(u, w).any()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_certificate_clears_the_bulk_grids(preset):
+    """At zero detuning from 0.01 to 20 r_c a JSON scan solves no point twice."""
+    drive, model = _drive_of(preset, 0.0), PRESETS[preset].interaction
+    u = reduced_parameters(drive, model).shift_ratio(np.geomspace(0.01, 20.0, 100_000))
+    assert _clear_of_degeneracy(u, 0.0).all()
 
 
 def test_scan_solves_once_per_block(solves, monkeypatch):

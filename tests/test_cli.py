@@ -450,6 +450,20 @@ def test_readme_trajectory_csv_keeps_its_bytes(grid_flags, sha256, tmp_path, cap
     assert hashlib.sha256(data).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("preset, fmt, sha256", [
+    ("gaetan2009", "csv", "616acccf69efb65bd6e8ff2caa7e9a6a9ff15731968863f863551971316cbfde"),
+    ("gaetan2009", "json", "f518f856ac9bc2c643ff76e484b3f54962aa8f392b71f0d088b1b2ecbe4c4671"),
+    ("beguin2013", "csv", "85c70e7b48bbd99e13c3eb1bdf85e4c108aea3452cd49e1a1a35c7d9cc8d5363"),
+    ("beguin2013", "json", "a03bf4751cc3e78cc8ed6eec31087d424ebbc2d75d58a6c0ba07289bd095445b"),
+])
+def test_bulk_shaped_scan_keeps_its_bytes(preset, fmt, sha256, capsys):
+    """A scan shaped as the benchmark's bulk scan, 2e4 points from 0.01 to 20 r_c at zero
+    detuning, from deep blockade to weak dressing (SHA-256 of stdout)."""
+    assert main(["scan", "--preset", preset, "--rmin", "0.01", "--rmax", "20.0",
+                 "--points", "20000", "--detuning-ratio=0.0", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 def test_the_record_grid_moves_no_step(tmp_path, capsys):
     """Each of the four rows on a 2 us record grid (t = 0, 400 us, 800 us and
     the end) is byte for byte a row of the default run."""

@@ -1,6 +1,7 @@
 """The block formatter writes the builtins' bytes: ``format(x, ".16e")`` and ``json.dumps``."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from rydgauge._floattext import (
     _csv_cells,
     _decimal,
+    _digits,
     _json_cells,
     _shortest,
     _text,
@@ -75,6 +77,24 @@ def test_a_million_random_patterns_match_the_builtins():
         got = rows(block)
         if hashlib.sha256(got).hexdigest() != digest:
             _assert_matches(got.decode(), builtin(block), separator)  # names the cells that differ
+
+
+def test_table_digits_match_digit_by_digit_division():
+    """The four-digit table words give each 17-digit integer's digits, as division by ten
+    does one digit at a time: the bounds, every four-digit group at 0000 and 9999 under
+    each leading digit, both sides of 10^8 and random values."""
+    values = [0, 10**16, 10**17 - 1]
+    for first in range(1, 10):
+        for groups in itertools.product((0, 9999), repeat=4):
+            values.append(first * 10**16 + sum(g * 10 ** (12 - 4 * i)
+                                               for i, g in enumerate(groups)))
+    for base in (10**16, 5 * 10**16, 10**17 - 10**10):  # the words split n // 10 at 10^8
+        values += [base + edge + step for edge in (10**8, 10**9)
+                   for step in (-11, -10, -1, 0, 1, 10)]
+    values += np.random.default_rng(20104).integers(10**16, 10**17, 1000).tolist()
+    digits = _digits(np.array(values, dtype=np.int64)).view(np.uint8)[:, :17]
+    expected = [[48 + v // 10 ** (16 - i) % 10 for i in range(17)] for v in values]
+    assert digits.tolist() == expected
 
 
 def _edges():
@@ -222,7 +242,7 @@ def test_zeros_stay_on_the_block_path():
     def slow(value):
         raise AssertionError(f"{value!r} sent to the builtin")
 
-    assert _text(*_csv_cells(x, 2, 3), x, slow, 0, 24) == (
+    assert _text(*_csv_cells(x, 2, 3), x, slow, 0, 25) == (
         b"0.0000000000000000e+00,-0.0000000000000000e+00,-0.0000000000000000e+00\n"
         b"0.0000000000000000e+00,0.0000000000000000e+00,-0.0000000000000000e+00\n")
-    assert _text(*_json_cells(x, 2, 3), x, slow, 1, 31) == b"[0.0, -0.0, -0.0], [0.0, 0.0, -0.0]"
+    assert _text(*_json_cells(x, 2, 3), x, slow, 1, 33) == b"[0.0, -0.0, -0.0], [0.0, 0.0, -0.0]"

@@ -73,8 +73,8 @@ def test_analytic_matches_dense_with_phases():
     x = np.linalg.norm(rng.uniform(-2, 2, (n, 3)) - rng.uniform(2, 4, (n, 3)), axis=1)
     reduced = ReducedParameters(w, np.hypot(1.0, w), -1.0, 3, 1.0)  # one drive per draw
     u = reduced.shift_ratio(x)
-    phase_a, phase_b, theta = rng.uniform(0.0, 2 * np.pi, (3, n))
-    numeric = np.linalg.eigvalsh(dense_hamiltonian(u, w, phase_a, phase_b, theta))
+    phase_a, theta = rng.uniform(0.0, 2 * np.pi, (2, n))
+    numeric = np.linalg.eigvalsh(dense_hamiltonian(u, w, phase_a, theta))
     energies, _, _ = labeled_spectrum(u, w)
     analytic = np.sort(np.vstack([np.zeros(n), energies]), axis=0).T
     scale = np.maximum(1.0, np.abs(analytic).max(axis=1, keepdims=True))
@@ -82,9 +82,10 @@ def test_analytic_matches_dense_with_phases():
 
 
 def test_dense_hamiltonian_layout():
-    """Diagonal {u - w, 0, 0, w}; Omega/2 with atom a's or atom b's phase per excitation."""
-    h = dense_hamiltonian(3.0, -0.5, 0.7, -1.1, 0.4)
-    via_a, via_b = 0.5 * np.exp(1j * (0.4 + 0.7)), 0.5 * np.exp(1j * (0.4 - 1.1))
+    """Diagonal {u - w, 0, 0, w}; Omega/2 with atom a's laser phase, or none for atom b
+    at the origin, per excitation."""
+    h = dense_hamiltonian(3.0, -0.5, 0.7, 0.4)
+    via_a, via_b = 0.5 * np.exp(1j * (0.4 + 0.7)), 0.5 * np.exp(1j * 0.4)
     expected = np.array([
         [3.5, via_b, via_a, 0.0],
         [np.conj(via_b), 0.0, 0.0, via_a],
@@ -104,7 +105,7 @@ def test_dark_state_is_zero_mode():
     r_a = np.array([0.7, 0.0, 0.4])  # atom b at the origin, k_L along z
     phase_a = reduced.kappa * r_a[2]
     h = dense_hamiltonian(reduced.shift_ratio(np.linalg.norm(r_a)), reduced.detuning_ratio,
-                          phase_a, 0.0, 1.0)
+                          phase_a, 1.0)
     dark = np.array([0.0, np.exp(1j * phase_a), -1.0, 0.0]) / np.sqrt(2.0)
     assert np.linalg.norm(h @ dark) <= 1e-15
 
