@@ -54,14 +54,14 @@ class ScanTable:
             yield self.grid[start : start + _BLOCK]
 
     def blocks(self):
-        """Per block of the grid, its kept rows (r/r_c, A, B_phi, phi), model units.
+        """Per block of the grid, its kept rows as one (k, 10) array, model units.
 
-        r/r_c has shape (k,); A (hbar*k_L), B_phi (B0) and phi
-        (hbar^2*k_L^2/(2m)) have shape (3, k), rows in ``SCAN_LABELS``
-        order.  A block's one cubic solve gives its rows and their
-        degeneracy flags, and a point's numbers do not depend on its block.
-        Each block is checked before it is yielded: a row that is not
-        finite raises, after the blocks before it and before any after it.
+        The columns are ``tables.SCAN_HEADER``'s: r/r_c, then A (hbar*k_L),
+        B_phi (B0) and phi (hbar^2*k_L^2/(2m)) in ``SCAN_LABELS`` order.  A
+        block's one cubic solve gives its rows and their degeneracy flags, and
+        a point's numbers do not depend on its block.  Each block is checked
+        before it is yielded: a row that is not finite raises, after the
+        blocks before it and before any after it.
         """
         rows = [LABEL_INDEX[label] for label in SCAN_LABELS]
         for x in self._grid_blocks():
@@ -70,11 +70,13 @@ class ScanTable:
             with np.errstate(all="ignore"):
                 spec = _radial_spectrum(x, self.reduced)
                 keep = ~near_degenerate(spec.energies)
-                values = [v[rows][:, keep] for v in
-                          (spec.connection, spec.da_dx, spec.scalar(self.reduced.kappa))]
-            if not all(np.isfinite(v).all() for v in values):
+                if np.count_nonzero(keep) == keep.size:
+                    keep = slice(None)  # nothing excluded: views, not boolean copies
+                block = np.concatenate([x[keep, None], *(v[rows][:, keep].T for v in (
+                    spec.connection, spec.da_dx, spec.scalar(self.reduced.kappa)))], axis=1)
+            if not np.isfinite(block).all():
                 raise ValueError("scan rows must be finite")
-            yield (x[keep], *values)
+            yield block
 
     def count_excluded(self) -> int:
         """How many grid points ``blocks`` leaves out as near degenerate.

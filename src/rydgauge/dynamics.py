@@ -152,10 +152,10 @@ def _engine(config: TrajectoryConfig) -> _Engine:
     )
 
 
-def _cross(a, b) -> np.ndarray:
-    """a x b of two 3-vectors on Python floats, in np.cross's order of operations (same bits)."""
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _cross(a, b) -> list:
+    """a x b of two 3-vectors of Python floats, in np.cross's order of operations (same bits)."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
 def _force(engine: _Engine, position_m, velocity_m_s):
@@ -166,19 +166,19 @@ def _force(engine: _Engine, position_m, velocity_m_s):
     deflection that a flyby measures.  A later workload that needs the
     dressed-energy force can add it back as a closed form on the same solve:
     Hellmann-Feynman's dE/dx = n2 ee^2 du/dx reads only fields that
-    ``_RadialSpectrum`` already carries.
+    ``_RadialSpectrum`` already carries.  Position and velocity are float
+    arrays of shape (3,); the vector algebra runs on Python floats.
     """
-    pos = np.asarray(position_m, dtype=float)
-    vel = np.asarray(velocity_m_s, dtype=float)
+    pos = position_m
     r_m = math.sqrt(pos.dot(pos))  # the bits of np.linalg.norm, without its overhead
     x = r_m / engine.r_c_m
     if x < MIN_SEPARATION_RC:
         raise ModelValidityError(
             f"separation {x:.4f} r_c below validity floor {MIN_SEPARATION_RC} r_c"
         )
-    da_dx = _radial_spectrum(x, engine.reduced).da_dx[engine.row]
-    b_si = engine.field_T * da_dx * _cross(pos / r_m, engine.khat)
-    return ELEMENTARY_CHARGE * _cross(vel, b_si)
+    b_T = engine.field_T * float(_radial_spectrum(x, engine.reduced).da_dx[engine.row])
+    b_si = [b_T * c for c in _cross([c / r_m for c in pos.tolist()], engine.khat.tolist())]
+    return np.array([ELEMENTARY_CHARGE * c for c in _cross(velocity_m_s.tolist(), b_si)])
 
 
 def adiabaticity(config: TrajectoryConfig, position_m, velocity_m_s):

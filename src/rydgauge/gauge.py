@@ -25,7 +25,7 @@ from .model import (
     ReducedParameters,
     reduced_parameters,
 )
-from .spectrum import LABEL_INDEX, _check_label, _row_norms, labeled_spectrum
+from .spectrum import LABEL_INDEX, _check_label, _divide_where, _row_norms, labeled_spectrum
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,13 @@ def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
     and the tridiagonal bright block has non-zero couplings, so its
     energies never coincide.
     """
-    x = np.asarray(x_over_rc, dtype=float)
+    x = np.asarray(x_over_rc, dtype=float)[()]  # one point: a numpy scalar, as in the solve
     u, (energies, ee, gg) = _radial_solve(x, reduced)
     n2 = 1.0 / (ee * ee + gg * gg + 2.0 * ee * ee * gg * gg)
     du_dx = -reduced.power * u / x
     weight = n2 * ee
-    gap = energies[:, None] - energies[None, :]  # zero only on the diagonal
-    overlap = ee[:, None] * ee[None, :] - gg[:, None] * gg[None, :]
-    pairs = np.divide(weight[None] * overlap, gap, out=np.zeros(gap.shape), where=gap != 0.0)
-    da_du = -weight * np.add.reduce(pairs, axis=1)
+    overlap = ee[:, None] * ee - gg[:, None] * gg  # [i, j]: ee broadcasts as ee[None, :]
+    da_du = -weight * np.add.reduce(_pair_quotients(weight * overlap, energies), axis=1)
     return _RadialSpectrum(
         energies=energies,
         ee=ee,
@@ -89,6 +87,14 @@ def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
         du_dx=du_dx,
         da_dx=da_du * du_dx,
     )
+
+
+def _pair_quotients(num, energies) -> np.ndarray:
+    """[i, j]: num / (E_i - E_j), +0.0 where that gap is zero.  The zero diagonal
+    keeps every call on the masked divide: a divisor with 1 on it and +0.0 written
+    back takes more numpy calls than that saves, at one point as in a block."""
+    gap = energies[:, None] - energies
+    return _divide_where(num, gap, lambda: np.zeros(gap.shape))
 
 
 def _field_slope(x_over_rc, reduced: ReducedParameters):
@@ -109,9 +115,8 @@ def _field_slope(x_over_rc, reduced: ReducedParameters):
     dn2 = -2.0 * n2 * n2 * (ee * de * (1.0 + 2.0 * gg * gg) + gg * dgg * (1.0 + 2.0 * ee * ee))
     weight = n2 * ee
     dweight = dn2 * ee + n2 * de
-    gap = energies[:, None] - energies[None, :]  # zero only on the diagonal
-    inverse = np.divide(1.0, gap, out=np.zeros(gap.shape), where=gap != 0.0)
-    overlap = ee[:, None] * ee[None, :] - gg[:, None] * gg[None, :]
+    inverse = _pair_quotients(1.0, energies)
+    overlap = ee[:, None] * ee - gg[:, None] * gg
     doverlap = (de[:, None] * ee[None, :] + ee[:, None] * de[None, :]
                 - dgg[:, None] * gg[None, :] - gg[:, None] * dgg[None, :])
     term = weight[None] * overlap * inverse  # [i, j]: the j-th term of da_i/du over -weight_i
@@ -129,9 +134,7 @@ def _radial_coupling(spec: _RadialSpectrum) -> np.ndarray:
     product a_i a_j is formed first, so [j, i] is -[i, j] bit for bit.
     """
     a = np.sqrt(spec.n2) * spec.ee
-    gap = spec.energies[:, None] - spec.energies[None, :]  # zero only on the diagonal
-    pairs = spec.du_dx * (a[:, None] * a[None, :])
-    return np.divide(pairs, gap, out=np.zeros(gap.shape), where=gap != 0.0)
+    return _pair_quotients(spec.du_dx * (a[:, None] * a), spec.energies)
 
 
 def _scalar_terms(spec: _RadialSpectrum, kappa: float):
@@ -148,9 +151,8 @@ def _scalar_terms(spec: _RadialSpectrum, kappa: float):
     radial, phase = {}, {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
         gap = spec.energies[i] - spec.energies[j]
-        coupling = np.divide(spec.du_dx * (a[i] * a[j]), gap, out=np.zeros(gap.shape),
-                             where=gap != 0.0)
-        radial[i, j] = radial[j, i] = coupling**2
+        coupling = _divide_where(spec.du_dx * (a[i] * a[j]), gap, lambda: np.zeros(gap.shape))
+        radial[i, j] = radial[j, i] = coupling * coupling  # ** 2 on a numpy scalar calls pow
         phase[i, j] = phase[j, i] = ee2[i] * ee2[j] * (1.0 + gg[i] * gg[j]) ** 2
     others = ((1, 2), (0, 2), (0, 1))  # each label's two others, in label order
     radial = np.stack([radial[i, j] + radial[i, k] for i, (j, k) in enumerate(others)])

@@ -35,26 +35,40 @@ _SURE_GAP = 10.0 * DEGENERACY_TOL  # a gap ``_clear_of_degeneracy`` proves is ne
 _TRIG_OFFSETS = np.array([0.0, -TWOPI / 3.0, TWOPI / 3.0])  # angles of E_1, E_-, E_+
 
 
+def _divide_where(num, den, fill, where=None):
+    """num / den where ``where`` holds (by default where den != 0), else the array
+    ``fill()``.  A batch wholly on one side takes the plain divide or the fill
+    alone, with the masked form's bits; only a mixed batch pays for that form."""
+    n_where = np.count_nonzero(den if where is None else where)
+    if n_where == den.size:
+        return num / den
+    if not n_where:
+        return fill()
+    return np.divide(num, den, out=fill(), where=den != 0.0 if where is None else where)
+
+
 def _polish(e, u, w):
-    """Two Newton steps on roots of the monic characteristic cubic."""
+    """Two Newton steps on roots of the monic characteristic cubic; a root
+    where the derivative vanishes takes no step."""
     c = u * w - w * w - 1.0
     d = 0.5 * u
     two_u = 2.0 * u
     for _ in range(2):
         f = ((e - u) * e + c) * e + d
         fp = (3.0 * e - two_u) * e + c
-        e = e - np.divide(f, fp, out=np.zeros(fp.shape), where=fp != 0.0)
+        e = e - _divide_where(f, fp, lambda: np.zeros(fp.shape))
     return e
 
 
 def _roots_trig(u, w):
-    """Three real roots by the trigonometric method, shape (3,) + u.shape, descending."""
+    """Three real roots by the trigonometric method, shape (3,) + u.shape, descending;
+    the arccos argument is gamma / s^3, or 1 where s^3 is not > 0 (0 or NaN)."""
     u_w, u_3 = u - w, u / 3.0
     eta = (4.0 / 3.0) * (w * u_w - 1.0 - u * u / 3.0)
     gam = u_3 * ((8.0 / 9.0) * u * u - 4.0 * w * u_w - 2.0)
     s = np.sqrt(np.maximum(-eta, 0.0))
     s3 = s * s * s
-    arg = np.divide(gam, s3, out=np.ones(gam.shape), where=s3 > 0)
+    arg = _divide_where(gam, s3, lambda: np.ones(gam.shape), s3 > 0)
     third = np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0)) / 3.0
     offsets = _TRIG_OFFSETS.reshape((3,) + (1,) * u.ndim)
     return _polish(s * np.cos(third + offsets) + u_3, u, w)
@@ -103,7 +117,7 @@ def _roots_deflated(u, w):
 
 def _roots_canonical_half(u, w):
     """Descending roots, shape (3,) + u.shape, for w < 0 (or w = 0, u <= 0)."""
-    big = np.abs(u) > DEFLATE_AT
+    big = abs(u) > DEFLATE_AT
     n_big = np.count_nonzero(big)
     if not n_big:
         return _roots_trig(u, w)
@@ -137,24 +151,31 @@ def labeled_spectrum(shift_ratio, detuning_ratio):
     -----
     Inputs are canonicalized to the half-plane w < 0 (w = 0, u <= 0) and
     mapped back through E_1(u, w) = -E_+(-u, -w), E_-(u, w) = -E_-(-u, -w),
-    so that symmetry holds bitwise.  The ground amplitude uses the on-shell
-    identity (E - w) / (2 (E^2 - wE - 1/2)) wherever the denominator is
-    well conditioned; the direct form E + w - u cancels catastrophically
-    for the dominant root at large |u|.
+    so that symmetry holds bitwise; only a batch on both sides of the
+    half-plane pays for the selects.  The ground amplitude uses the on-shell
+    identity (E - w) / (2 (E^2 - wE - 1/2)) wherever |E^2 - wE - 1/2| > 1;
+    the direct form E + w - u, which cancels catastrophically for the
+    dominant root at large |u|, is formed only when some point needs it, and
+    the masked divide runs only on a batch that mixes both kinds of point.
     """
-    u = np.asarray(shift_ratio, dtype=float) + 0.0  # -0.0 becomes +0.0
-    w = np.asarray(detuning_ratio, dtype=float) + 0.0
-    if u.shape != w.shape:  # a single point stays 0-d: a batch of shape ()
-        u, w = np.broadcast_arrays(u, w)
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic skips the ufuncs;
+    # adding +0.0 turns -0.0 into +0.0, and a zero of the broadcast shape broadcasts
+    u = np.asarray(shift_ratio, dtype=float)[()]
+    w = np.asarray(detuning_ratio, dtype=float)[()]
+    zero = 0.0 if u.shape == w.shape else np.zeros(np.broadcast(u, w).shape)
+    u, w = u + zero, w + zero  # a single point stays 0-d: a batch of shape ()
     flip = (w > 0.0) | ((w == 0.0) & (u > 0.0))
-    uc = np.where(flip, -u, u)
-    wc = np.where(flip, -w, w)
-    roots = _roots_canonical_half(uc, wc)
-    energies = np.where(flip, -roots[::-1], roots)
+    n_flip = np.count_nonzero(flip)
+    if not n_flip:
+        energies = _roots_canonical_half(u, w)
+    elif n_flip == flip.size:
+        energies = -_roots_canonical_half(-u, -w)[::-1]
+    else:
+        roots = _roots_canonical_half(np.where(flip, -u, u), np.where(flip, -w, w))
+        energies = np.where(flip, -roots[::-1], roots)
     ee_amp = energies - w
     denom = energies * energies - w * energies - 0.5
-    direct = energies + w - u
-    gg_amp = np.divide(ee_amp, 2.0 * denom, out=direct, where=np.abs(denom) > 1.0)
+    gg_amp = _divide_where(ee_amp, 2.0 * denom, lambda: energies + w - u, abs(denom) > 1.0)
     return energies, ee_amp, gg_amp
 
 

@@ -117,17 +117,16 @@ def scan_table(scan: ScanTable, units: ModelUnits | None = None) -> Table:
     """The nine value columns, each group in ``analysis.SCAN_LABELS`` order, a
     block of the scan at a time; SI exactly when ``units`` is given."""
     names = SCAN_HEADER.split(",")
+    blocks = scan.blocks
     if units is not None:
         names[0] = "r_m"
+        scale = np.repeat([units.length_m, units.vector_potential_kg_m_s, units.field_T,
+                           units.scalar_a_J], [1, 3, 3, 3])
 
-    def blocks():
-        for r, a, b, phi in scan.blocks():
-            if units is not None:
-                r = r * units.length_m
-                a = a * units.vector_potential_kg_m_s
-                b = b * units.field_T
-                phi = phi * units.scalar_a_J
-            yield np.column_stack((r, a.T, b.T, phi.T))
+        def blocks():
+            for block in scan.blocks():
+                block *= scale  # each column times its unit, in place
+                yield block
 
     def metadata():
         return dict(scan.metadata, excluded_rows=scan.count_excluded())

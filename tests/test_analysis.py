@@ -48,8 +48,8 @@ def _drive(w):
 
 def _rows(table):
     """A scan's kept rows, its blocks joined: r/r_c (n,) and A, B_phi, phi (3, n)."""
-    parts = list(zip(*table.blocks())) or [[np.empty(0)], *[[np.empty((3, 0))]] * 3]
-    return [np.concatenate(part, axis=-1) for part in parts]
+    rows = np.concatenate([np.empty((0, 10)), *table.blocks()])
+    return [rows[:, 0], rows[:, 1:4].T, rows[:, 4:7].T, rows[:, 7:10].T]
 
 
 def test_scan_shapes_and_metadata():
@@ -218,7 +218,7 @@ def test_certificate_clears_the_bulk_grids(preset):
 def test_scan_solves_once_per_block(solves, monkeypatch):
     monkeypatch.setattr(analysis, "_BLOCK", BLOCK)
     table = scan_1d(_drive(-1.0), GAETAN.interaction, r_grid=np.geomspace(0.5, 5.0, 2 * BLOCK + 1))
-    assert [r.size for r, *_ in table.blocks()] == [BLOCK, BLOCK, 1]
+    assert [len(block) for block in table.blocks()] == [BLOCK, BLOCK, 1]
     assert solves == [BLOCK, BLOCK, 1]
 
 

@@ -135,8 +135,8 @@ def test_no_forces_gives_a_straight_line(monkeypatch):
 
 def test_lorentz_force_is_perpendicular_to_velocity():
     config = _config()
-    pos = (-1.5 * R_C, 1.0 * R_C, 0.0)
-    vel = (0.10, 0.02, 0.0)
+    pos = np.array([-1.5 * R_C, 1.0 * R_C, 0.0])  # _force takes the integrator's float arrays
+    vel = np.array([0.10, 0.02, 0.0])
     f1 = _force(_engine(config), pos, vel)
     assert abs(np.dot(f1, vel)) <= 1e-12 * np.linalg.norm(f1) * np.linalg.norm(vel)
 
@@ -166,7 +166,8 @@ def test_lorentz_force_matches_np_cross_bit_for_bit():
     vectors = [np.array(c) for c in itertools.product(signed, repeat=3)]
     for a in vectors:
         for b in vectors:
-            assert _cross(a, b).tobytes() == np.cross(a, b).tobytes(), (a, b)
+            got = np.array(_cross(a.tolist(), b.tolist()))
+            assert got.tobytes() == np.cross(a, b).tobytes(), (a, b)
     grid = [(pos * R_C, 0.1 * np.array(vectors)) for pos in vectors if np.any(pos)]
     _force_reference(lambda row: grid)
 

@@ -1,13 +1,14 @@
 """Tests for the geometric gauge potentials and the magnetic field."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
 import dense_oracle
-from rydgauge import gauge, validate
+from rydgauge import gauge, spectrum, validate
 from rydgauge.com_frame import com_scalar_potentials, com_vector_potentials
 from rydgauge.constants import TWOPI
 from rydgauge.dynamics import adiabaticity, deflection_scenario
@@ -447,3 +448,99 @@ def test_non_finite_inputs_raise_naming_the_quantity(call, quantity):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=quantity):
             call()
+
+
+def _gauge_outputs(x, reduced):
+    """dB/dx, the scalar potential and the three pair amplitudes at x."""
+    spec, slope = gauge._field_slope(x, reduced)
+    return [np.asarray(v) for v in (slope, spec.scalar(reduced.kappa),
+                                    *gauge._pair_amplitudes(spec))]
+
+
+def _at_shift_ratios(u, w):
+    """Parameters whose shift ratio at x = 1 is u itself, point by point."""
+    u = np.asarray(u, dtype=float)
+    return ReducedParameters(np.asarray(w, dtype=float), np.abs(u), np.sign(u), 3, 1.7)
+
+
+def _fallback_batches():
+    """(x, reduced, alone) batches whose points take each masked path of the
+    solve; ``alone(k)`` gives point k's own x and parameters.
+
+    Non-finite shift ratios (u = +-inf, NaN; x = 0 and NaN), u overflowing
+    on vdW (x = 1e-110), the defective point u = 2w = 0 (x = inf at w = 0)
+    and points on u = 2w, batches on both sides of the half-plane map
+    (both signs of w, or of u at w = 0), both solver branches, and rows
+    whose ground amplitude takes the direct form.  In the last batch a pair
+    coupling c has pow(c, 2) != c * c, which a numpy scalar's ``** 2``
+    would give the point alone, and phi shows it.
+    """
+    u = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 0.3, -0.3, 2.0, -2.0, 150.0, -150.0,
+                  1e160, -1e160])
+    w = np.array([0.0, -1.0, 0.5, -3.0, 3.0, -0.0])
+    u, w = (a.ravel() for a in np.meshgrid(u, w))
+    line = np.array([-3.0, -1.0, -0.5, 0.5, 1.0, 3.0])
+    u, w = np.concatenate([u, 2.0 * line, [2.0, -2.0]]), np.concatenate([w, line, [1.0, -1.0]])
+    yield 1.0, _at_shift_ratios(u, w), lambda k: (1.0, _at_shift_ratios(u[k], w[k]))
+    vdw = dataclasses.replace(GAETAN.interaction, kind=InteractionKind.VDW)
+    for model, w, x in ((vdw, -1.0, [1e-110, 1e-60, 1e-40, 0.01, 0.5, 1.0, 3.0, np.inf]),
+                        (GAETAN.interaction, 0.0,
+                         [np.nan, -2.0, -0.5, 0.0, 0.5, 1.0, 2.0, np.inf]),
+                        (GAETAN.interaction, 0.3,
+                         [0.06008862400353537, 1.9192641500282297, 3.060275142039819])):
+        reduced, x = reduced_parameters(_drive(w), model), np.array(x)
+        yield x, reduced, lambda k, x=x, reduced=reduced: (x[k], reduced)
+
+
+# SHA-256 of the bytes of test_slopes_couplings_and_fallbacks_keep_their_bytes,
+# beside test_spectrum's _SOLVE_DIGEST: the masked fallbacks of the solve
+# and what gauge builds on it keep every bit through a rewrite for speed
+_FALLBACK_DIGEST = "db5f99a571be66cddff757de9ac8c1847bef8a8c7c0bb5cfb0dc5a9d149ec573"
+
+
+def test_slopes_couplings_and_fallbacks_keep_their_bytes():
+    """dB/dx, phi and the pair amplitudes over the _SOLVE_DIGEST grid, then
+    over batches whose points take the masked paths; each of those points
+    gives the same bytes alone as inside its batch."""
+    digest = hashlib.sha256()
+    x = np.geomspace(0.01, 20.0, 97)
+    for name in ("gaetan2009", "beguin2013"):
+        preset = get_preset(name)
+        for w in (-3.0, -1.0, -0.0, 0.0, 0.3, 3.0):
+            drive = dataclasses.replace(
+                preset.drive, detuning_rad_s=w * preset.drive.rabi_magnitude_rad_s
+            )
+            reduced = reduced_parameters(drive, preset.interaction)
+            for xs in (x, *x[::8].tolist()):
+                for value in _gauge_outputs(xs, reduced):
+                    digest.update(value.tobytes())
+    with np.errstate(all="ignore"):
+        for x, reduced, alone in _fallback_batches():
+            batch = _gauge_outputs(x, reduced)
+            for value in batch:
+                digest.update(value.tobytes())
+            for k in range(batch[0].shape[-1]):
+                one = [value.tobytes() for value in _gauge_outputs(*alone(k))]
+                assert [value[..., k].tobytes() for value in batch] == one, k
+    # two masked paths no input above reaches: a Newton step where the
+    # derivative vanishes (e = 0 at u = 2, w = 1, where c = uw - w^2 - 1 = 0)
+    # and two equal energies, set by hand on the first point
+    u, w = np.array([2.0, 2.0]), np.array([1.0, 1.0])
+    roots = np.array([[0.0, 0.3], [1.0, 1.0], [-1.0, -1.0]])
+    polished = spectrum._polish(roots, u, w)
+    digest.update(polished.tobytes())
+    for k in range(2):
+        assert spectrum._polish(roots[:, k], u[k], w[k]).tobytes() == polished[:, k].tobytes()
+    spec = gauge._radial_spectrum(np.array([0.7, 1.3]), reduced_parameters(_drive(-1.0), VDW_ATT))
+    energies = spec.energies.copy()
+    energies[1, 0] = energies[0, 0]
+    spec = dataclasses.replace(spec, energies=energies)
+    batch = [spec.scalar(1.7), *gauge._pair_amplitudes(spec)]
+    for value in batch:
+        digest.update(value.tobytes())
+    for k in range(2):
+        one = gauge._RadialSpectrum(**{field.name: getattr(spec, field.name)[..., k]
+                                       for field in dataclasses.fields(spec)})
+        assert [value[..., k].tobytes() for value in batch] == [
+            np.asarray(value).tobytes() for value in (one.scalar(1.7), *gauge._pair_amplitudes(one))]
+    assert digest.hexdigest() == _FALLBACK_DIGEST

@@ -163,3 +163,30 @@ def test_no_module_uses_numpy_random():
                         node.module == "numpy" and any(a.name == "random" for a in node.names)):
                     uses.append((name, node.lineno))
     assert uses == []
+
+
+def _masked_divides(tree: ast.Module) -> list:
+    """(enclosing function, line) of each ``divide`` call given a ``where=``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "divide"
+                    and any(keyword.arg == "where" for keyword in child.keywords)):
+                found.append((function, child.lineno))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_solve_masks_a_divide_in_one_helper_only():
+    """In ``spectrum`` and ``gauge`` a masked divide sits only in
+    ``spectrum._divide_where``, whose count guard gives a batch wholly on one
+    side of the mask the plain divide or the fill alone.  ``validate`` is
+    exempt: the oracle shares no code with what it checks."""
+    found = [(name, function) for name in ("spectrum.py", "gauge.py")
+             for function, _ in _masked_divides(TREES[name])]
+    assert found == [("spectrum.py", "_divide_where")]
