@@ -58,11 +58,8 @@ from .regimes import (
     single_atom_gauge,
     weak_expansion,
 )
-from .spectrum import (
-    LABELS,
-    dense_hamiltonian,
-    labeled_spectrum,
-)
+from .dense import dense_hamiltonian
+from .spectrum import LABELS, labeled_spectrum
 from .validate import CheckResult, run_checks
 
 __version__ = "0.1.0"

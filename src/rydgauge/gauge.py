@@ -5,8 +5,8 @@ labeled internal state, all from one solve of the cubic over a batch of
 separations (a single point is a batch of one).  The radial coupling
 <chi_j|d chi_i/dx> between labels is Hellmann-Feynman's; phi, the
 adiabaticity monitor and the center-of-mass split all read it.
-``validate`` checks A and phi against couplings of the dense
-Hamiltonian's ``eigh`` eigenvectors, which never call this module.
+``validate`` checks A and phi against the couplings of ``dense``'s
+eigenvectors of the 4x4 Hamiltonian, which never call this module.
 
 Outputs are in model units: A in hbar·k_L, B in B0 = hbar·k_L/(e·r_c),
 scalar potentials in hbar^2·k_L^2/(2m) of the tagged atom.  Separations
@@ -153,7 +153,8 @@ def _scalar_terms(spec: _RadialSpectrum, kappa: float):
         gap = spec.energies[i] - spec.energies[j]
         coupling = _divide_where(spec.du_dx * (a[i] * a[j]), gap, lambda: np.zeros(gap.shape))
         radial[i, j] = radial[j, i] = coupling * coupling  # ** 2 on a numpy scalar calls pow
-        phase[i, j] = phase[j, i] = ee2[i] * ee2[j] * (1.0 + gg[i] * gg[j]) ** 2
+        overlap = 1.0 + gg[i] * gg[j]
+        phase[i, j] = phase[j, i] = ee2[i] * ee2[j] * (overlap * overlap)
     others = ((1, 2), (0, 2), (0, 1))  # each label's two others, in label order
     radial = np.stack([radial[i, j] + radial[i, k] for i, (j, k) in enumerate(others)])
     phase = np.stack([n2[j] * phase[i, j] + n2[k] * phase[i, k] for i, (j, k) in enumerate(others)])

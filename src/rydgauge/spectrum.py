@@ -3,10 +3,8 @@
 The two-atom internal Hamiltonian decouples an antisymmetric dark state
 (energy exactly zero) from a 3x3 bright block.  This module solves the
 bright block's characteristic cubic in closed form with a stable labeling
-scheme and gives the eigenvectors' amplitude factors.
-``dense_hamiltonian`` builds the 4x4 Hamiltonian itself, in the same
-reduced units and the bare basis (ee, eg, ge, gg), as the reference for
-dense diagonalization.
+scheme and gives the eigenvectors' amplitude factors.  The dense 4x4
+Hamiltonian it is checked against lives in ``dense``.
 
 Dimensionless conventions used by the closed-form solvers:
     u = V/|Omega|   (interaction shift over Rabi magnitude)
@@ -220,31 +218,6 @@ def _clear_of_degeneracy(u, w) -> np.ndarray:
     dark = 0.5 * a > g * (3.0 * g * g + 2.0 * g * a + big_c)
     bright = (delta > 1e-8 * sigma) & (np.sqrt(delta) > 4.0 * g * r * r)
     return dark & bright
-
-
-def dense_hamiltonian(shift_ratio, detuning_ratio, phase_a=0.0, rabi_phase=0.0) -> np.ndarray:
-    """The 4x4 pair Hamiltonian in units of hbar|Omega|, in the bare basis
-    (ee, eg, ge, gg); ``validate`` diagonalizes it as the dense oracle of
-    the energies, A and phi.
-
-    Every argument broadcasts against the others; the result has the
-    broadcast shape plus two last axes of length 4.  The diagonal is
-    {u - w, 0, 0, w}.  Exciting atom a (ge -> ee, gg -> eg) carries
-    Omega/2 with the laser phase ``phase_a`` = k_L·r_a, exciting atom b
-    (eg -> ee, gg -> ge), at the origin, carries Omega/2, and
-    ``rabi_phase`` is arg(Omega).
-    """
-    u, w, phase_a, theta = np.broadcast_arrays(shift_ratio, detuning_ratio, phase_a, rabi_phase)
-    via_a = 0.5 * np.exp(1j * (theta + phase_a))
-    via_b = 0.5 * np.exp(1j * theta)
-    h = np.zeros(u.shape + (4, 4), dtype=complex)
-    h[..., 0, 0] = u - w
-    h[..., 3, 3] = w
-    h[..., 0, 1] = h[..., 2, 3] = via_b
-    h[..., 0, 2] = h[..., 1, 3] = via_a
-    h[..., 1, 0] = h[..., 3, 2] = np.conj(via_b)
-    h[..., 2, 0] = h[..., 3, 1] = np.conj(via_a)
-    return h
 
 
 def _check_label(label) -> None:

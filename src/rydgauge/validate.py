@@ -2,18 +2,18 @@
 
 Every check is deterministic (a fixed draw design, fixed grids) and
 returns a named pass/fail with a one-line detail, so two consecutive
-runs produce byte-identical reports.  The dense oracle diagonalizes
-``dense_hamiltonian`` with ``eigh`` and labels its states without
-``labeled_spectrum``; first-order couplings <j|dH|i>/(E_i - E_j) of its
-eigenvectors give A and phi, which the closed forms must match.  The
-energies are compared at the draws of :func:`_draws`: four fifths fill
-the box |u| <= 100, |w| <= 5 with a low-discrepancy sequence, one fifth
-lies in the band around the antiblockade line u = 2w at |w| in
-[50, 200].  The quick tier compares 2,000 dense spectra and checks A and
-phi at 6 points; the full tier compares 10,000 and checks 240 points (8
+runs produce byte-identical reports.  The closed forms are compared
+with the oracle in ``dense``, which cannot read them: this module keeps
+the draws, the point sets and the comparisons, and hands ``dense`` label
+rows (``spectrum._label_rows``) rather than names.  The energies are
+compared at the draws of :func:`_draws`: four fifths fill the box
+|u| <= 100, |w| <= 5 with a low-discrepancy sequence, one fifth lies in
+the band around the antiblockade line u = 2w at |w| in [50, 200].  The
+quick tier compares 2,000 dense spectra and checks A and phi at 6
+points; the full tier compares 10,000 and checks 240 points (8
 separations x 5 detunings x 2 interactions x 3 labels), as one batch per
 interaction kind with one drive per point: each closed form is one call
-per kind, and so is the oracle, one eigh that serves both A and phi.
+per kind, and so is the oracle, one eigensystem that serves A and phi.
 The acceptance tests run the same check functions at 10,000 draws and
 360 points (12 separations), the field symmetries on 9 separations
 instead of 7 and the COM split on 200 separations instead of 1.  The
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dense
 from .analysis import scan_1d
 from .com_frame import com_scalar_potentials, com_vector_potentials
 from .constants import TWOPI
@@ -55,17 +56,11 @@ from .regimes import (
     single_atom_gauge,
     weak_expansion,
 )
-from .spectrum import (
-    LABELS,
-    _label_rows,
-    dense_hamiltonian,
-    labeled_spectrum,
-)
+from .spectrum import LABELS, _label_rows, labeled_spectrum
 from .tables import scan_table, to_csv
 
 _DRAW_CHUNK = 1000  # eigenvalue draws checked at once
 _G = 1.1673039782614187  # real root of g**5 = g + 1, the generalized golden ratio of R_4
-_EXCITED_A = np.array([1.0, 1.0, 0.0, 0.0])  # atom a excited, in the bare basis (ee, eg, ge, gg)
 
 
 @dataclass(frozen=True)
@@ -86,96 +81,6 @@ def _model(kind: InteractionKind, sign: float) -> InteractionModel:
         InteractionKind.VDW: TWOPI * 300e9 * 1e-36,
     }[kind]
     return InteractionModel(kind=kind, coefficient=sign * coefficient)
-
-
-def _finite_stack(h: np.ndarray):
-    """(h, finite): a stack of Hermitian matrices with each one that has a
-    non-finite entry zeroed, and the mask of the others.  LAPACK is never
-    handed those: given one it raises or returns finite values, depending
-    on the build, and either would keep a NaN from failing the check that
-    asked."""
-    finite = np.isfinite(h).all(axis=(-2, -1))
-    if not finite.all():
-        h = np.where(finite[..., None, None], h, 0.0)
-    return h, finite
-
-
-def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh of a stack of Hermitian matrices; NaN for each one
-    with a non-finite entry."""
-    h, finite = _finite_stack(h)
-    return np.where(finite[..., None], np.linalg.eigvalsh(h), np.nan)
-
-
-def _eigensystem(u, w, phase_a=0.0, rabi_phase=0.0):
-    """Dense oracle of the pair's states: (energies, vectors, h).
-
-    ``h`` is :func:`dense_hamiltonian` and ``eigh``
-    diagonalizes it, so ``labeled_spectrum`` is never called.  The dark
-    state is the eigenvector of largest overlap with (0, e^{i phase_a},
-    -1, 0)/sqrt(2) and comes last; the other three are "1", "-", "+" by
-    descending energy.  Levels run along the last axis of ``energies``
-    (..., 4) and of ``vectors`` (..., 4, 4), whose columns are the states;
-    both are NaN where ``h`` has a non-finite entry.
-    """
-    h = dense_hamiltonian(u, w, phase_a, rabi_phase)
-    safe, finite = _finite_stack(h)
-    energies, vectors = np.linalg.eigh(safe)
-    energies = np.where(finite[..., None], energies, np.nan)
-    vectors = np.where(finite[..., None, None], vectors, np.nan)
-    phase_a = np.broadcast_to(phase_a, energies.shape[:-1])
-    dark = np.stack(np.broadcast_arrays(0.0, np.exp(1j * phase_a), -1.0, 0.0), axis=-1)
-    overlap = np.abs((dark.conj()[..., None, :] @ vectors)[..., 0, :])
-    is_dark = np.arange(4) == overlap.argmax(axis=-1)[..., None]
-    order = np.argsort(np.where(is_dark, np.inf, -energies), axis=-1, kind="stable")
-    return (np.take_along_axis(energies, order, -1),
-            np.take_along_axis(vectors, order[..., None, :], -1), h)
-
-
-def _couplings(energies, vectors, h):
-    """First-order couplings of the states of :func:`_eigensystem`.
-
-    Returns (radial, phase), each (..., 4, 4) with [..., j, i] =
-    <j|dH|i> / (E_i - E_j) and a zero diagonal: <j|d i> for dH = |ee><ee|,
-    per unit u, and for dH = i (n_a,row - n_a,col) H, per unit phase_a,
-    which enters H as e^{i phase_a} on each transition that excites atom a.
-    """
-    gap = energies[..., None, :] - energies[..., :, None]  # [j, i]: E_i - E_j
-    bra = vectors.conj().swapaxes(-1, -2)
-    radial = bra[..., :, :1] * vectors[..., None, 0, :]  # <j|ee><ee|i>
-    phase = bra @ (1j * (_EXCITED_A[:, None] - _EXCITED_A[None, :]) * h) @ vectors
-    inverse = np.divide(1.0, gap, out=np.zeros(gap.shape), where=~np.eye(4, dtype=bool))
-    return radial * inverse, phase * inverse
-
-
-def _dense_gauge(reduced: ReducedParameters, x, labels, rabi_phase: float = 0.0):
-    """A and phi of each point's own label from the dense oracle: (a, phi).
-
-    Atom a sits at separation ``x`` (crossover units) from atom b,
-    perpendicular to the beam, so a radial step moves only u (du/dx =
-    -p u/x) and a step along the beam only phase_a (by kappa).  A is
-    stated in the gauge where each state's |gg> coefficient c_gg has the
-    phase of Omega* (real positive for a real drive).  With C_j the
-    couplings of :func:`_couplings` along one direction, that gauge gives
-    A = Im(sum_j c_j,gg C_j / c_i,gg) / kappa:
-    ``a`` (..., 2) holds it along e_r and e_k in hbar·k_L.  ``phi`` is
-    sum_j |C_j|^2 / kappa^2 over both directions and every j != i, the
-    dark state included, in hbar^2·k_L^2/(2m).
-    """
-    u = reduced.shift_ratio(x)
-    kappa = np.broadcast_to(reduced.kappa, u.shape)
-    energies, vectors, h = _eigensystem(u, reduced.detuning_ratio, 0.0, rabi_phase)
-    own = _label_rows(labels)[..., None, None]
-    radial, phase = (np.take_along_axis(m, own, -1)[..., 0]
-                     for m in _couplings(energies, vectors, h))
-    coupling = np.stack([radial * (-reduced.power * u / x)[..., None],
-                         phase * kappa[..., None]], axis=-2)  # [..., direction, j]
-    gg = vectors[..., 3, :]
-    own_gg = np.take_along_axis(gg, own[..., 0], -1)
-    shift = (coupling @ gg[..., :, None])[..., 0] * own_gg.conj()  # times |c_i,gg|^2
-    a = shift.imag / ((own_gg.real ** 2 + own_gg.imag ** 2) * kappa[..., None])
-    phi = np.sum(coupling.real ** 2 + coupling.imag ** 2, axis=(-2, -1)) / kappa ** 2
-    return a, phi
 
 
 def _draws(n: int):
@@ -201,7 +106,7 @@ def _draws(n: int):
 
 
 def _check_eigenvalues(draws: int) -> CheckResult:
-    """Closed-form energies against eigvalsh, sorted with the dark zero, and
+    """Closed-form energies against the dense ones, sorted with the dark zero, and
     in label order: sorted equality plus E_1 >= E_- >= E_+ at every draw
     is equality label by label."""
     u, w, rabi_phase, phase_a = _draws(draws)
@@ -212,8 +117,8 @@ def _check_eigenvalues(draws: int) -> CheckResult:
         energies, _, _ = labeled_spectrum(u[part], w[part])
         ordered &= bool(np.all(energies[:-1] >= energies[1:]))
         analytic = np.sort(np.vstack([np.zeros(energies.shape[1]), energies]).T, axis=1)  # dark 0
-        numeric = _eigvalsh(
-            dense_hamiltonian(u[part], w[part], phase_a[part], rabi_phase[part]))
+        numeric = dense.eigvalsh(
+            dense.dense_hamiltonian(u[part], w[part], phase_a[part], rabi_phase[part]))
         chunk_worst.append(np.max(np.abs(numeric - analytic) / np.maximum(1.0, np.abs(analytic))))
     worst = float(np.max(chunk_worst))  # a NaN in any chunk propagates and fails the check
     return CheckResult(
@@ -246,19 +151,20 @@ def _kind_batches(points):
             yield _per_drive(_model(kind, -1.0), ws), np.array(xs, dtype=float), np.array(labels)
 
 
-def _own_rows(per_label: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each point's own label row of a (3, n) closed-form profile."""
-    return per_label[_label_rows(labels), np.arange(labels.size)]
+def _own_rows(per_label: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each point's own row of a (3, n) closed-form profile."""
+    return per_label[rows, np.arange(rows.size)]
 
 
 def _check_gauge(points) -> tuple[CheckResult, CheckResult]:
     """Closed-form A against the dense Berry connection and closed-form phi
-    against the dense coupling sum, from one eigh per interaction kind."""
+    against the dense coupling sum, from one eigensystem per interaction kind."""
     worst = []
     for reduced, x, labels in _kind_batches(points):
-        closed_a = _own_rows(connection_profile(x, reduced), labels)
-        closed_phi = _own_rows(scalar_profile(x, reduced), labels)
-        a, phi = _dense_gauge(reduced, x, labels)
+        rows = _label_rows(labels)
+        closed_a = _own_rows(connection_profile(x, reduced), rows)
+        closed_phi = _own_rows(scalar_profile(x, reduced), rows)
+        a, phi = dense.gauge_potentials(reduced, x, rows)
         worst.append([(np.hypot(a[:, 0], a[:, 1] - closed_a) / np.abs(closed_a)).max(),
                       (np.abs(phi - closed_phi) / np.abs(closed_phi)).max()])
     worst = np.max(worst, axis=0).tolist()  # a NaN in any batch propagates and fails its check
@@ -405,7 +311,7 @@ def _check_effective_hamiltonian() -> CheckResult:
     light_shift = 1.0 / (2.0 * (u - 4.0 * w / 3.0))
     trace_dev = abs(np.trace(h) + light_shift)
     dark_dev = abs(h[0, 0] + w / 3.0)
-    spectrum_dev = np.abs(_eigvalsh(h) - np.sort(blockade_effective(u, w))).max()
+    spectrum_dev = np.abs(dense.eigvalsh(h) - np.sort(blockade_effective(u, w))).max()
     worst = float(np.max([trace_dev, dark_dev, spectrum_dev]))  # a NaN propagates and fails
     return CheckResult(
         name="blockade_effective_spectrum",

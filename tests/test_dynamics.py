@@ -8,8 +8,7 @@ import re
 import numpy as np
 import pytest
 
-import dense_oracle
-from rydgauge import dynamics
+from rydgauge import dense, dynamics
 from rydgauge.constants import ELEMENTARY_CHARGE, TWOPI
 from rydgauge.dynamics import (
     Trajectory,
@@ -358,7 +357,13 @@ _ORACLE_RABI_PHASE = {GAETAN.name: 0.0, BEGUIN.name: 0.7}
 
 
 def _dense_adiabaticity(preset, label, positions, velocities):
-    """:func:`dense_oracle.adiabaticity` at positions in r_c and velocities in m/s."""
+    """Worst |<j|dH/dt|i>| / (E_i - E_j)^2 over j != i for ``label`` from
+    the dense oracle, the dark state included, at positions in r_c and
+    velocities in m/s; times in 1/|Omega|.
+
+    dH/dt = |ee><ee| du/dt + dH/dphase_a dphase_a/dt, where phase_a
+    enters H as e^{i phase_a} on every transition that excites atom a.
+    """
     drive = preset.drive
     reduced = reduced_parameters(drive, preset.interaction)
     r_c = ModelUnits.from_experiment(drive, preset.interaction).length_m
@@ -367,10 +372,17 @@ def _dense_adiabaticity(preset, label, positions, velocities):
     v = velocities / (r_c * drive.rabi_magnitude_rad_s)  # r_c·|Omega|
     u = reduced.shift_ratio(x)
     du_dt = -reduced.power * u / x * np.sum(v * positions, axis=-1) / x
-    return dense_oracle.adiabaticity(
+    dphase_dt = reduced.kappa * (v @ khat)
+    row = LABELS.index(label)
+    energies, vectors, h = dense.eigensystem(
         u, reduced.detuning_ratio, reduced.kappa * (positions @ khat),
-        _ORACLE_RABI_PHASE[preset.name], du_dt, reduced.kappa * (v @ khat), LABELS.index(label),
-    )
+        _ORACLE_RABI_PHASE[preset.name])
+    radial, phase = dense.couplings(energies, vectors, h)
+    rate = (np.asarray(du_dt)[..., None] * radial[..., :, row]
+            + np.asarray(dphase_dt)[..., None] * phase[..., :, row])
+    gap = energies[..., row, None] - energies
+    others = np.arange(4) != row
+    return (np.abs(rate[..., others]) / np.abs(gap[..., others])).max(axis=-1)
 
 
 def test_adiabaticity_matches_the_dense_oracle():

@@ -7,8 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-import dense_oracle
-from rydgauge import gauge, spectrum, validate
+from rydgauge import dense, gauge, spectrum
 from rydgauge.com_frame import com_scalar_potentials, com_vector_potentials
 from rydgauge.constants import TWOPI
 from rydgauge.dynamics import adiabaticity, deflection_scenario
@@ -27,7 +26,7 @@ from rydgauge.model import (
     reduced_parameters,
 )
 from rydgauge.regimes import blockade_gauge, effective_hamiltonian, single_atom_gauge
-from rydgauge.spectrum import LABEL_INDEX, LABELS
+from rydgauge.spectrum import LABEL_INDEX, LABELS, _label_rows
 
 GAETAN = get_preset("gaetan2009")
 VDW_ATT = InteractionModel(kind=InteractionKind.VDW, coefficient=-TWOPI * 300e9 * 1e-36)
@@ -71,10 +70,10 @@ def test_frozen_gauge_values(w, model, x, expected):
 
 def _dense_errors(drive, model, labels, x, rabi_phase=0.0):
     """Relative errors of A and phi of the closed form against
-    ``validate._dense_gauge`` at separations x, one label each, with the
+    ``dense.gauge_potentials`` at separations x, one label each, with the
     dense Hamiltonian's Omega at phase ``rabi_phase``."""
     reduced = reduced_parameters(drive, model)
-    a, phi = validate._dense_gauge(reduced, x, labels, rabi_phase)
+    a, phi = dense.gauge_potentials(reduced, x, _label_rows(labels), rabi_phase)
     rows = [LABEL_INDEX[label] for label in labels], np.arange(np.size(x))
     closed_a = connection_profile(x, reduced)[rows]
     closed_phi = scalar_profile(x, reduced)[rows]
@@ -136,12 +135,12 @@ def test_radial_part_of_phi_matches_high_precision_deep_in_blockade():
 
 
 def _dense_rows_match_single_points(reduced, x, labels, quantity):
-    """Every row of ``validate._dense_gauge``'s A (quantity 0) or phi (1)
+    """Every row of ``dense.gauge_potentials``' A (quantity 0) or phi (1)
     over the separations x has the bytes of its one-point call."""
-    batch = validate._dense_gauge(reduced, x, labels)[quantity]
+    batch = dense.gauge_potentials(reduced, x, _label_rows(labels))[quantity]
     assert batch.shape[0] == x.size
     for i, (label, r) in enumerate(zip(labels, x)):
-        one = validate._dense_gauge(reduced, float(r), label)[quantity]
+        one = dense.gauge_potentials(reduced, float(r), _label_rows(label))[quantity]
         assert batch[i].tobytes() == np.asarray(one).tobytes()
 
 
@@ -295,6 +294,22 @@ def _closed_connection(u, w):
     return spec.connection.T, (spec.da_dx / spec.du_dx).T
 
 
+def _dense_connection(u, w, phase_a=0.0, rabi_phase=0.0):
+    """(a, da/du) per bright label from the dense oracle, shape (..., 3):
+    a = -P_a, minus the probability that atom a is excited, and
+
+        da_i/du = -2 Re sum_j <i|Pi_a|j><j|ee><ee|i> / (E_i - E_j)
+
+    over the other bright states j; the dark state has <dark|ee> = 0."""
+    energies, vectors, h = dense.eigensystem(u, w, phase_a, rabi_phase)
+    radial, _ = dense.couplings(energies, vectors, h)
+    excited = vectors[..., :2, :3]  # the bright states' amplitudes with atom a excited
+    p_a = np.sum(np.abs(excited) ** 2, axis=-2)
+    pi_a = excited.conj().swapaxes(-1, -2) @ excited  # [i, j]: <i|Pi_a|j>
+    terms = (pi_a * radial[..., :3, :3].swapaxes(-1, -2)).real
+    return -p_a, -2.0 * np.sum(terms, axis=-1)
+
+
 def test_connection_and_its_slope_match_the_dense_oracle_at_seeded_random_draws():
     """a = -P_a and da/du at 10,000 seeded uniform draws of |u| <= 100,
     |w| <= 5 and both phases.  The bounds are these draws': the closed-form
@@ -304,7 +319,7 @@ def test_connection_and_its_slope_match_the_dense_oracle_at_seeded_random_draws(
     u = rng.uniform(-100.0, 100.0, size=w.size)
     rabi_phase, phase_a = rng.uniform(0.0, TWOPI, size=(w.size, 2)).T
     a, da_du = _closed_connection(u, w)
-    dense_a, dense_da_du = dense_oracle.connection(u, w, phase_a, rabi_phase)
+    dense_a, dense_da_du = _dense_connection(u, w, phase_a, rabi_phase)
     assert np.max(np.abs(a - dense_a)) <= 6.4e-13
     assert np.max(np.abs(da_du - dense_da_du) / np.abs(dense_da_du)) <= 4.5e-11
 
@@ -322,7 +337,7 @@ LINE_BOUNDS = [
 def test_connection_and_its_slope_near_the_defective_line(w, offset, a_bound, slope_bound):
     u = 2.0 * w * (1.0 + np.array([offset, -offset]))
     a, da_du = _closed_connection(u, np.full(2, w))
-    dense_a, dense_da_du = dense_oracle.connection(u, w)
+    dense_a, dense_da_du = _dense_connection(u, w)
     assert np.max(np.abs(a - dense_a)) <= a_bound
     assert np.max(np.abs(da_du - dense_da_du) / np.abs(dense_da_du)) <= slope_bound
 
@@ -471,9 +486,10 @@ def _fallback_batches():
     on vdW (x = 1e-110), the defective point u = 2w = 0 (x = inf at w = 0)
     and points on u = 2w, batches on both sides of the half-plane map
     (both signs of w, or of u at w = 0), both solver branches, and rows
-    whose ground amplitude takes the direct form.  In the last batch a pair
-    coupling c has pow(c, 2) != c * c, which a numpy scalar's ``** 2``
-    would give the point alone, and phi shows it.
+    whose ground amplitude takes the direct form.  In the last two batches a
+    pair coupling c, then a pair's phase overlap 1 + gg_i gg_j, has
+    pow(c, 2) != c * c, which a numpy scalar's ``** 2`` would give the
+    point alone, and phi shows it.
     """
     u = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 0.3, -0.3, 2.0, -2.0, 150.0, -150.0,
                   1e160, -1e160])
@@ -487,7 +503,9 @@ def _fallback_batches():
                         (GAETAN.interaction, 0.0,
                          [np.nan, -2.0, -0.5, 0.0, 0.5, 1.0, 2.0, np.inf]),
                         (GAETAN.interaction, 0.3,
-                         [0.06008862400353537, 1.9192641500282297, 3.060275142039819])):
+                         [0.06008862400353537, 1.9192641500282297, 3.060275142039819]),
+                        (GAETAN.interaction, 0.3,
+                         [0.2979661303129228, 0.7710695705218847, 1.7019362046503588])):
         reduced, x = reduced_parameters(_drive(w), model), np.array(x)
         yield x, reduced, lambda k, x=x, reduced=reduced: (x[k], reduced)
 
@@ -495,7 +513,7 @@ def _fallback_batches():
 # SHA-256 of the bytes of test_slopes_couplings_and_fallbacks_keep_their_bytes,
 # beside test_spectrum's _SOLVE_DIGEST: the masked fallbacks of the solve
 # and what gauge builds on it keep every bit through a rewrite for speed
-_FALLBACK_DIGEST = "db5f99a571be66cddff757de9ac8c1847bef8a8c7c0bb5cfb0dc5a9d149ec573"
+_FALLBACK_DIGEST = "44563354066649a2194887000bb9f1749b65f2062af28a25729e580cd8123532"
 
 
 def test_slopes_couplings_and_fallbacks_keep_their_bytes():

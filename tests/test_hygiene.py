@@ -1,13 +1,14 @@
 """Source hygiene of the package: no import left unused, no private name left
-unread, no public function without a caller, one oracle mechanism, no
-random numbers.
+unread, no public function without a caller, one oracle mechanism that
+cannot read the closed forms, no random numbers.
 
 The checks read the syntax trees of ``src/rydgauge``; a deletion that
 leaves an import, a ``_private`` helper, a public function, a field of a
 ``_Private`` dataclass or a field of a ``model.py`` dataclass unread
-fails here, and so does a finite-difference oracle, a diagonalization of
-the tests' own beside ``validate``'s dense oracle, or any use of
-``numpy.random`` in the package.
+fails here, and so does a finite-difference oracle, a diagonalization
+outside ``dense`` (in the package or in the tests' reductions of it), an
+import of ``dense`` beyond ``validate``, an import in ``dense`` beyond
+numpy and ``model``, or any use of ``numpy.random`` in the package.
 """
 
 import ast
@@ -17,7 +18,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rydgauge"
 MODULES = sorted(PACKAGE.glob("*.py"))
-DENSE_ORACLE = Path(__file__).resolve().parent / "dense_oracle.py"
+TESTS = Path(__file__).resolve().parent
+# the tests' reductions of the dense oracle, by the test module that reads each
+DENSE_REDUCTIONS = {"test_gauge.py": "_dense_connection", "test_dynamics.py": "_dense_adiabaticity"}
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
 
 
@@ -134,14 +137,66 @@ def test_every_model_field_is_read():
 
 def test_every_oracle_in_the_package_is_read_by_validate():
     """One oracle mechanism: no finite-difference oracle or step is left in
-    the package, and the tests' dense oracle reduces ``validate``'s
-    eigensystem instead of diagonalizing on its own."""
+    the package, and each of the tests' reductions of the dense oracle reads
+    ``dense``'s eigensystem and couplings instead of diagonalizing on its own."""
     defined = set().union(*(_definitions(tree) for tree in TREES.values()))
     stencils = [name for name in defined if name.endswith("_fd") or name.startswith("FD_")]
     assert sorted(stencils) == []
-    dense_oracle = ast.parse(DENSE_ORACLE.read_text(encoding="utf-8"))
-    assert "eigh" not in _loaded(dense_oracle)
-    assert {"_eigensystem", "_couplings"} <= _loaded(dense_oracle)
+    for module, function in DENSE_REDUCTIONS.items():
+        tree = ast.parse((TESTS / module).read_text(encoding="utf-8"))
+        [reduction] = [node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == function]
+        assert "eigh" not in _loaded(reduction), module
+        assert {"eigensystem", "couplings"} <= _loaded(reduction), module
+
+
+def _relative_imports(tree: ast.Module) -> set:
+    """The package modules a module imports: ``from .m import ...`` gives m,
+    ``from . import m`` gives m."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                modules.add(node.module)
+            else:
+                modules.update(alias.name for alias in node.names)
+    return modules
+
+
+def test_the_dense_oracle_imports_only_numpy_and_the_model():
+    """``dense`` cannot reach ``labeled_spectrum`` or anything built on it: it
+    imports numpy, ``constants`` and ``model``, nothing else."""
+    tree = TREES["dense.py"]
+    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert absolute - {"__future__"} <= {"numpy"}
+    assert _relative_imports(tree) <= {"constants", "model"}
+
+
+def test_only_validate_imports_the_dense_oracle():
+    """The closed forms never call the oracle that checks them; ``__init__``
+    re-exports ``dense_hamiltonian`` but reads nothing."""
+    importers = {name for name, tree in TREES.items() if "dense" in _relative_imports(tree)}
+    assert importers == {"__init__.py", "validate.py"}
+
+
+def test_only_the_dense_oracle_diagonalizes():
+    """``eigh`` and ``eigvalsh`` are called in ``dense`` alone; any other
+    module reaches them through ``dense``."""
+    calls = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            via_dense = (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                         and func.value.id == "dense")
+            if called in ("eigh", "eigvalsh") and not via_dense:
+                calls.append((name, called))
+    assert sorted(set(calls)) == [("dense.py", "eigh"), ("dense.py", "eigvalsh")]
 
 
 def test_no_module_uses_numpy_random():
@@ -185,7 +240,7 @@ def _masked_divides(tree: ast.Module) -> list:
 def test_the_solve_masks_a_divide_in_one_helper_only():
     """In ``spectrum`` and ``gauge`` a masked divide sits only in
     ``spectrum._divide_where``, whose count guard gives a batch wholly on one
-    side of the mask the plain divide or the fill alone.  ``validate`` is
+    side of the mask the plain divide or the fill alone.  ``dense`` is
     exempt: the oracle shares no code with what it checks."""
     found = [(name, function) for name in ("spectrum.py", "gauge.py")
              for function, _ in _masked_divides(TREES[name])]

@@ -9,16 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rydgauge.dense import dense_hamiltonian, eigensystem
 from rydgauge.gauge import _radial_spectrum
 from rydgauge.model import ReducedParameters, get_preset, reduced_parameters
 from rydgauge.spectrum import (
     DEFLATE_AT,
     DEGENERACY_TOL,
-    dense_hamiltonian,
     labeled_spectrum,
     near_degenerate,
 )
-from rydgauge.validate import _eigensystem
 
 GAETAN = get_preset("gaetan2009")
 
@@ -131,7 +130,7 @@ def test_hellmann_feynman_slope():
 def test_gauge_amplitudes_are_dense_populations():
     """The populations gauge reads from labeled_spectrum, n2 ee^2 on |ee>,
     n2 ee^2 gg^2 on |eg> and on |ge> and n2 gg^2 on |gg>, are the |V[k, i]|^2
-    of validate's dense eigh, label by label.
+    of the dense oracle's eigenvectors, label by label.
 
     Both solver branches (|u| up to 1e7), both signs of u and w, random
     laser phases.  Near the defective line u = 2w the '-' amplitudes lose
@@ -149,7 +148,7 @@ def test_gauge_amplitudes_are_dense_populations():
     spec = _gauge_spectrum(u, w)
     ee2, gg2 = spec.n2 * spec.ee ** 2, spec.n2 * spec.gg ** 2
     closed = np.stack([ee2, ee2 * spec.gg ** 2, ee2 * spec.gg ** 2, gg2])  # [k, label, point]
-    _, vectors, _ = _eigensystem(u, w, phase_a, theta)
+    _, vectors, _ = eigensystem(u, w, phase_a, theta)
     dense = np.abs(vectors[..., :3]) ** 2  # [point, k, label], the dark column dropped
     assert np.max(np.abs(dense - closed.transpose(2, 0, 1))) <= 1e-14
 
@@ -176,7 +175,7 @@ def test_labels_stay_descending_between_the_antiblockade_line_and_deflation():
     u, w = np.concatenate([u, -u]), np.concatenate([w, -w])
     energies, _, _ = labeled_spectrum(u, w)
     assert np.all(energies[0] >= energies[1]) and np.all(energies[1] >= energies[2])
-    dense, _, _ = _eigensystem(u, w)
+    dense, _, _ = eigensystem(u, w)
     labeled = dense[:, :3].T
     assert np.all(np.abs(energies - labeled) <= 1e-10 * np.maximum(1.0, np.abs(labeled)))
 

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import rydgauge
-from rydgauge import gauge, spectrum, validate
+from rydgauge import dense, gauge, spectrum, validate
 from rydgauge.cli import main
 from rydgauge.constants import TWOPI
 from rydgauge.model import InteractionKind, reduced_parameters
-from rydgauge.spectrum import DEFLATE_AT, LABELS
+from rydgauge.spectrum import DEFLATE_AT, LABELS, _label_rows
 
 RDD, VDW = InteractionKind.RDD, InteractionKind.VDW
 POINTS = [
@@ -70,7 +70,7 @@ CHECK_OF = {  # the check that reads each closed form
 )
 def test_checks_fail_on_a_closed_form_off_by_1e5(monkeypatch, name, perturb, check):
     """Each oracle check resolves a 1e-5 relative error of its closed form,
-    and the A and phi checks, which share one eigh, fail only on their own."""
+    and the A and phi checks, which share one eigensystem, fail only on their own."""
     assert all(r.passed for r in check())
     monkeypatch.setattr(validate, name, perturb(getattr(validate, name), 1.0 + 1e-5))
     assert [r.name for r in check() if not r.passed] == [CHECK_OF[name]]
@@ -166,7 +166,7 @@ def test_eigenvalue_check_reads_every_chunk(monkeypatch, bad):
 
 @pytest.mark.parametrize("rows", [[0, 1], [1, 2]], ids=["1-minus", "minus-plus"])
 def test_eigenvalue_check_fails_on_two_labels_swapped_at_one_draw(monkeypatch, rows):
-    """Sorted with the dark zero, swapped energies would still match eigvalsh;
+    """Sorted with the dark zero, swapped energies would still match the dense ones;
     the label order E_1 >= E_- >= E_+ catches them."""
     solve = validate.labeled_spectrum
 
@@ -202,7 +202,7 @@ def test_dense_oracle_does_not_use_the_closed_form(monkeypatch):
     monkeypatch.setattr(gauge, "_radial_spectrum", forbidden)
     with pytest.raises(AssertionError):
         gauge.connection_profile(x, reduced)
-    dense_a, dense_phi = validate._dense_gauge(reduced, x, labels)
+    dense_a, dense_phi = dense.gauge_potentials(reduced, x, _label_rows(labels))
     assert np.abs(dense_a[:, 1] / a - 1.0).max() < 1e-6
     assert np.abs(dense_a[:, 0]).max() < 1e-6 * np.abs(a).min()
     assert np.abs(dense_phi / phi - 1.0).max() < 1e-6
@@ -218,16 +218,19 @@ def test_full_tier_passes_with_its_report_names_in_order():
 
 
 def _nan_at_call(monkeypatch, name, first, edit):
-    """Patch validate.<name> so that its ``first``-th call (0-based) returns
-    ``edit`` of its value, a copy with one wrong entry, most often a NaN."""
-    original, calls = getattr(validate, name), []
+    """Patch ``name`` where the checks call it, in ``dense`` for the oracle's
+    functions and in ``validate`` for the others, so that its ``first``-th
+    call (0-based) returns ``edit`` of its value, a copy with one wrong
+    entry, most often a NaN."""
+    module = dense if hasattr(dense, name) else validate
+    original, calls = getattr(module, name), []
 
     def poisoned(*args, **kwargs):
         value = original(*args, **kwargs)
         calls.append(name)
         return edit(value) if len(calls) == first + 1 else value
 
-    monkeypatch.setattr(validate, name, poisoned)
+    monkeypatch.setattr(module, name, poisoned)
     return calls
 
 
@@ -241,7 +244,7 @@ def _nan_at(index):
 
 
 def _dense_nan(quantity, index):
-    """Edit of ``_dense_gauge``'s (a, phi): a NaN at ``index`` of one of them."""
+    """Edit of ``dense.gauge_potentials``' (a, phi): a NaN at ``index`` of one of them."""
     def edit(value):
         value = list(value)
         value[quantity] = _nan_at(index)(value[quantity])
@@ -257,10 +260,10 @@ _LAST = _nan_at((Ellipsis, -1))
     # A and phi: a NaN in the batch after the first, at the closed form or the
     # oracle, whose A has a component along the beam and a radial one
     (lambda: validate._check_gauge(POINTS)[0], "connection_profile", 1, _LAST),
-    (lambda: validate._check_gauge(POINTS)[0], "_dense_gauge", 1, _dense_nan(0, (-1, 1))),
-    (lambda: validate._check_gauge(POINTS)[0], "_dense_gauge", 1, _dense_nan(0, (-1, 0))),
+    (lambda: validate._check_gauge(POINTS)[0], "gauge_potentials", 1, _dense_nan(0, (-1, 1))),
+    (lambda: validate._check_gauge(POINTS)[0], "gauge_potentials", 1, _dense_nan(0, (-1, 0))),
     (lambda: validate._check_gauge(POINTS)[1], "scalar_profile", 1, _LAST),
-    (lambda: validate._check_gauge(POINTS)[1], "_dense_gauge", 1, _dense_nan(1, -1)),
+    (lambda: validate._check_gauge(POINTS)[1], "gauge_potentials", 1, _dense_nan(1, -1)),
     # the plateaus, both separations in one call: the near one ('+' sorts a
     # NaN last) and the far one
     (validate._check_plateaus, "connection_profile", 0, _nan_at((1, 0))),
@@ -333,14 +336,14 @@ def test_kind_batches_keep_the_bits_of_one_drive_calls():
     one call at its own drive and interaction."""
     columns = []
     for reduced, x, labels in validate._kind_batches(POINTS):
-        dense_a, dense_phi = validate._dense_gauge(reduced, x, labels)
+        dense_a, dense_phi = dense.gauge_potentials(reduced, x, _label_rows(labels))
         a, phi = gauge.connection_profile(x, reduced), gauge.scalar_profile(x, reduced)
         columns += zip(dense_a, dense_phi, a.T, phi.T)
     in_batch_order = [p for kind in InteractionKind for p in POINTS if p[2] is kind]
     assert len(columns) == len(in_batch_order) == len(POINTS)
     for (x, w, kind, label), batched in zip(in_batch_order, columns):
         reduced = reduced_parameters(validate._drive(w), validate._model(kind, -1.0))
-        single = (*validate._dense_gauge(reduced, x, label),
+        single = (*dense.gauge_potentials(reduced, x, _label_rows(label)),
                   gauge.connection_profile(x, reduced), gauge.scalar_profile(x, reduced))
         assert [v.tobytes() for v in batched] == [np.asarray(v).tobytes() for v in single]
 
@@ -350,13 +353,13 @@ def test_a_and_phi_share_one_eigh_per_kind(monkeypatch, quick):
     """A and phi at 6 or 240 points: one dense eigensystem per interaction
     kind serves both checks."""
     calls = []
-    solve = validate._eigensystem
+    solve = dense.eigensystem
 
     def counted(*args, **kwargs):
         calls.append(None)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(validate, "_eigensystem", counted)
+    monkeypatch.setattr(dense, "eigensystem", counted)
     results = [r for r in validate.run_checks(quick=quick) if r.name in SHARED_EIGH]
     assert [r.passed for r in results] == [True, True]
     assert len(calls) == 2
