@@ -208,17 +208,17 @@ def _lockstep(searches, func) -> list:
 
 
 def _bracket_grid(grid: np.ndarray, reduced: ReducedParameters):
-    """Indices of the grid points fit to bracket on, with B and dB/dx there.
+    """Indices of the grid points fit to bracket on, with B there.
 
-    One solve over the grid; points where some label's field is not
+    One solve of B over the grid; points where some label's field is not
     finite (u overflows or underflows to a defective point) or whose
     ladder is near degenerate are dropped, as ``scan_1d`` drops them.
     """
     with np.errstate(all="ignore"):  # non-finite points are dropped below
-        spec, slope = _field_slope(grid, reduced)
+        spec = _radial_spectrum(grid, reduced)
         keep = np.isfinite(spec.da_dx).all(axis=0) & ~near_degenerate(spec.energies)
     kept = np.flatnonzero(keep)
-    return kept, spec.da_dx[:, kept], slope[:, kept]
+    return kept, spec.da_dx[:, kept]
 
 
 def find_peaks(
@@ -232,10 +232,11 @@ def find_peaks(
 
     ``requests`` lists (drive, label, kind) with kind "max" or "min".  A log
     grid brackets each extremum (interior grid point beating both
-    neighbors), one solve of B and its closed-form slope dB/dx per distinct
-    drive; grid points with a non-finite field or a near-degenerate ladder
-    are skipped, and the slope at the extremum's own grid point halves its
-    bracket.  Brent's zeroin then finds the zero of the slope in every
+    neighbors), one solve of B per distinct drive; grid points with a
+    non-finite field or a near-degenerate ladder are skipped.  One solve
+    of the closed-form slope dB/dx at every interior extremum's grid point
+    and its two neighbors follows, and the slope at the grid point halves
+    its bracket.  Brent's zeroin then finds the zero of the slope in every
     bracket, all searches in lockstep with one solve per step, and reports
     B from the solve at the final abscissa.  Without an interior bracket,
     or where the slopes on the bracket are not finite or do not turn the
@@ -255,50 +256,29 @@ def find_peaks(
     grid = _positive_finite(np.geomspace(rmin, rmax, points), "bracket grid point")
     reduced = {drive: reduced_parameters(drive, model) for drive, _, _ in requests}
     brackets = {drive: _bracket_grid(grid, rp) for drive, rp in reduced.items()}
-    reports, open_ = [], []  # open_: one row per refined search
-    for drive, label, kind in requests:
-        kept, fields, slopes = brackets[drive]
+    # per request: grid (r, B), refined in place; note if not found; 3 points if interior
+    peaks, notes, near = [], {}, {}
+    for n, (drive, label, kind) in enumerate(requests):
+        kept, fields = brackets[drive]
         if not kept.size:
             raise ValueError(f"no finite, non-degenerate field on the bracket grid "
                              f"[{rmin}, {rmax}] at detuning ratio {drive.detuning_ratio}")
-        row, sgn = LABEL_INDEX[label], 1.0 if kind == "max" else -1.0
-        values = fields[row]
+        values = fields[LABEL_INDEX[label]]
         idx = int(np.argmax(values)) if kind == "max" else int(np.argmin(values))
-        note = ""
-        if not 0 < idx < kept.size - 1:
-            note = (f"no interior bracket on [{rmin}, {rmax}] with {points} points; "
-                    f"grid extremum at index {kept[idx]}")
-            if kept.size < points:
-                note += (f" of the {kept.size} points with a finite field and a "
-                         f"non-degenerate ladder")
+        peaks.append((float(grid[kept[idx]]), float(values[idx])))
+        if 0 < idx < kept.size - 1:
+            near[n] = kept[idx - 1 : idx + 2]
         else:
-            f = sgn * slopes[row, idx - 1 : idx + 2]  # at the extremum and its neighbors
-            lo, hi = grid[kept[idx - 1]], grid[kept[idx + 1]]
-            if not np.all(np.isfinite(f)):
-                note = f"slope of the field not finite on the bracket [{lo}, {hi}]"
-            elif not f[0] >= 0.0 >= f[2]:
-                note = f"slope of the field does not change sign over the bracket [{lo}, {hi}]"
-            else:
-                # the grid point's own slope halves the bracket
-                ends = [idx - 1, idx] if f[1] < 0.0 else [idx, idx + 1]
-                search = _zeroin(*grid[kept[ends]].tolist(), *(sgn * slopes[row, ends]).tolist(),
-                                 *values[ends].tolist())
-                rp = reduced[drive]  # each search keeps its own drive's scalar parameters
-                open_.append((len(reports), search, sgn, row,
-                              rp.detuning_ratio, rp.dressing_ratio, rp.kappa))
-        reports.append(PeakReport(
-            label=label,
-            kind=kind,
-            r_peak_over_rc=float(grid[kept[idx]]),
-            field_peak=float(values[idx]),
-            detuning_ratio=drive.detuning_ratio,
-            found=not note,
-            note=note,
-        ))
-    if not open_:
-        return reports
-    at, searches, sgn, rows, w, lam, kappa = zip(*open_)
-    sgn, rows, w, lam, kappa = (np.array(col) for col in (sgn, rows, w, lam, kappa))
+            notes[n] = (f"no interior bracket on [{rmin}, {rmax}] with {points} points; "
+                        f"grid extremum at index {kept[idx]}")
+            if kept.size < points:
+                notes[n] += (f" of the {kept.size} points with a finite field and a "
+                             f"non-degenerate ladder")
+    inner = list(near)  # each search keeps its own drive's scalar parameters
+    w, lam, kappa = (np.array([getattr(reduced[requests[n][0]], name) for n in inner])
+                     for name in ("detuning_ratio", "dressing_ratio", "kappa"))
+    rows = np.array([LABEL_INDEX[requests[n][1]] for n in inner], dtype=int)
+    sgn = np.array([1.0 if requests[n][2] == "max" else -1.0 for n in inner])
 
     def slope_at(x: np.ndarray, i: np.ndarray):
         part = ReducedParameters(w[i], lam[i], model.sign, model.power, kappa[i])
@@ -306,14 +286,32 @@ def find_peaks(
         cols = np.arange(i.size)
         return spec.da_dx[rows[i], cols], sgn[i] * slope[rows[i], cols]
 
-    for n, result in zip(at, _lockstep(searches, slope_at)):
-        if result is None:
-            reports[n] = dataclasses.replace(
-                reports[n], found=False, note="slope of the field not finite inside the bracket")
+    x = grid[np.array(list(near.values()), dtype=int).reshape(-1, 3)]
+    with np.errstate(all="ignore"):  # a slope that is not finite fails its bracket below
+        v, f = (col.reshape(x.shape) for col in slope_at(x.ravel(), np.arange(x.size) // 3))
+    searches, searched = [], []
+    for m, n in enumerate(inner):
+        lo, hi = x[m, 0], x[m, 2]
+        if not np.all(np.isfinite(f[m])):
+            notes[n] = f"slope of the field not finite on the bracket [{lo}, {hi}]"
+        elif not f[m, 0] >= 0.0 >= f[m, 2]:
+            notes[n] = f"slope of the field does not change sign over the bracket [{lo}, {hi}]"
         else:
-            reports[n] = dataclasses.replace(
-                reports[n], r_peak_over_rc=float(result[0]), field_peak=float(result[1]))
-    return reports
+            ends = [0, 1] if f[m, 1] < 0.0 else [1, 2]  # the grid point's own slope halves it
+            searches.append(_zeroin(*x[m, ends].tolist(), *f[m, ends].tolist(),
+                                    *v[m, ends].tolist()))
+            searched.append(m)
+    searched = np.array(searched, dtype=int)
+    results = _lockstep(searches, lambda at, i: slope_at(at, searched[i]))
+    for m, result in zip(searched.tolist(), results):
+        if result is None:
+            notes[inner[m]] = "slope of the field not finite inside the bracket"
+        else:
+            peaks[inner[m]] = result
+    return [PeakReport(label=label, kind=kind, r_peak_over_rc=r, field_peak=b,
+                       detuning_ratio=drive.detuning_ratio, found=n not in notes,
+                       note=notes.get(n, ""))
+            for n, ((drive, label, kind), (r, b)) in enumerate(zip(requests, peaks))]
 
 
 @dataclass(frozen=True)

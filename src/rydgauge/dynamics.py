@@ -261,12 +261,13 @@ def _dp54_records(config: TrajectoryConfig, engine: _Engine):
 
     def rhs(y: np.ndarray, out: np.ndarray) -> None:
         out[:3] = y[3:]
-        np.divide(_force(engine, y[:3], y[3:]), engine.mass_kg, out=out[3:])
+        out[3:] = _force(engine, y[:3], y[3:]) / engine.mass_kg
 
     def norm(v: np.ndarray, scale: np.ndarray) -> float:
         return math.sqrt(np.add.reduce((v / scale) ** 2) / v.size)  # np.mean's bits
 
     k = np.empty((7, 6))
+    stages = [(_DP_A[i, :i], k[:i], k[i]) for i in range(1, 7)]  # row, earlier slopes, slot
     rhs(y, k[0])
     # first step: Hairer's guess 0.01 |y| / |y'| in the error norm
     scale = atol + RTOL * np.abs(y)
@@ -280,9 +281,9 @@ def _dp54_records(config: TrajectoryConfig, engine: _Engine):
     while True:
         last = h >= t_end - t
         h_step = t_end - t if last else h
-        for i in range(1, 7):
-            y_new = y + h_step * (_DP_A[i, :i] @ k[:i])
-            rhs(y_new, k[i])
+        for row, slopes, slot in stages:
+            y_new = y + h_step * (row @ slopes)
+            rhs(y_new, slot)
         err = norm(h_step * (_DP_E @ k), atol + RTOL * np.maximum(np.abs(y), np.abs(y_new)))
         if err > 1.0:
             h = h_step / min(1.0 / _FAC_MIN, err**_PI_ALPHA / _SAFETY)

@@ -61,6 +61,11 @@ def _radial_solve(x: np.ndarray, reduced: ReducedParameters):
 
 
 def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
+    """One solve of the cubic plus closed-form radial derivatives; see ``_radial_terms``."""
+    return _radial_terms(x_over_rc, reduced)[0]
+
+
+def _radial_terms(x_over_rc, reduced: ReducedParameters):
     """One solve of the cubic plus closed-form radial derivatives.
 
     Hellmann-Feynman with dH/du = |ee><ee| gives dE/du = n2 ee^2, and
@@ -70,7 +75,9 @@ def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
         da_i/du = -n2_i ee_i sum_{j != i} n2_j ee_j (ee_i ee_j - gg_i gg_j) / (E_i - E_j),
 
     and the tridiagonal bright block has non-zero couplings, so its
-    energies never coincide.
+    energies never coincide.  Returns the spectrum and the sum's pair terms
+    weight = n2 ee and overlap [i, j] = ee_i ee_j - gg_i gg_j, which
+    ``_field_slope`` differentiates.
     """
     x = np.asarray(x_over_rc, dtype=float)[()]  # one point: a numpy scalar, as in the solve
     u, (energies, ee, gg) = _radial_solve(x, reduced)
@@ -79,14 +86,9 @@ def _radial_spectrum(x_over_rc, reduced: ReducedParameters) -> _RadialSpectrum:
     weight = n2 * ee
     overlap = ee[:, None] * ee - gg[:, None] * gg  # [i, j]: ee broadcasts as ee[None, :]
     da_du = -weight * np.add.reduce(_pair_quotients(weight * overlap, energies), axis=1)
-    return _RadialSpectrum(
-        energies=energies,
-        ee=ee,
-        gg=gg,
-        n2=n2,
-        du_dx=du_dx,
-        da_dx=da_du * du_dx,
-    )
+    spec = _RadialSpectrum(energies=energies, ee=ee, gg=gg, n2=n2, du_dx=du_dx,
+                           da_dx=da_du * du_dx)
+    return spec, weight, overlap
 
 
 def _pair_quotients(num, energies) -> np.ndarray:
@@ -105,18 +107,17 @@ def _field_slope(x_over_rc, reduced: ReducedParameters):
     -n2 gg^2 (1 + 2 ee^2) (formed without cancellation) and n2' by the
     quotient rule; then dB/dx = d^2a/du^2 (du/dx)^2 + da/du d^2u/dx^2,
     where d^2u/dx^2 = p (p + 1) u / x^2 makes the last term -(p + 1) B / x.
-    Only the peak search needs it.
+    Only ``find_peaks``' search slope reads it: at the grid points around
+    each extremum, then at every step of its searches.
     """
-    spec = _radial_spectrum(x_over_rc, reduced)
+    spec, weight, overlap = _radial_terms(x_over_rc, reduced)
     x = np.asarray(x_over_rc, dtype=float)
     energies, ee, gg, n2 = spec.energies, spec.ee, spec.gg, spec.n2
-    de = n2 * ee * ee  # dE/du = d ee/du
+    de = weight * ee  # dE/du = d ee/du = n2 ee^2
     dgg = -n2 * gg * gg * (1.0 + 2.0 * ee * ee)
     dn2 = -2.0 * n2 * n2 * (ee * de * (1.0 + 2.0 * gg * gg) + gg * dgg * (1.0 + 2.0 * ee * ee))
-    weight = n2 * ee
     dweight = dn2 * ee + n2 * de
     inverse = _pair_quotients(1.0, energies)
-    overlap = ee[:, None] * ee - gg[:, None] * gg
     doverlap = (de[:, None] * ee[None, :] + ee[:, None] * de[None, :]
                 - dgg[:, None] * gg[None, :] - gg[:, None] * dgg[None, :])
     term = weight[None] * overlap * inverse  # [i, j]: the j-th term of da_i/du over -weight_i

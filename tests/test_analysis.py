@@ -406,14 +406,16 @@ def test_zeroin_returns_the_value_of_its_abscissa_or_none_where_f_is_not_finite(
 
 def test_peaks_and_scaling_commands_solve_once_per_step(solves, capsys):
     assert main(["peaks", "--preset", "gaetan2009", "--labels", "1,-,+"]) == 0
-    # one bracket solve, then one per zeroin step for the four interior extrema (5 measured)
-    assert solves[0] == 200 and len(solves) <= 8 and max(solves[1:]) <= 4
+    # one bracket solve of B, one slope solve at the three grid points of each of the
+    # four interior extrema, then one per zeroin step (5 measured)
+    assert solves[:2] == [200, 12] and len(solves) <= 9 and max(solves[2:]) <= 4
     solves.clear()
     assert main(["scaling", "--preset", "beguin2013", "--labels", "-",
                  "--detuning-ratios=-10,-20,-40"]) == 0
-    # three bracket solves, then both kinds at every ratio in lockstep (28 measured;
-    # the searches near the defective line u = 2w take the most steps)
-    assert solves[:3] == [400] * 3 and len(solves) <= 35 and max(solves[3:]) <= 6
+    # three bracket solves, one slope solve around both kinds' extrema at every ratio,
+    # then their searches in lockstep (28 measured; the searches near the defective
+    # line u = 2w take the most steps)
+    assert solves[:4] == [400] * 3 + [18] and len(solves) <= 36 and max(solves[4:]) <= 6
     capsys.readouterr()
 
 

@@ -543,6 +543,44 @@ def test_sweep_commands_repeat_in_one_process(tmp_path, capsys):
     assert build_parser.cache_info().misses == 1
 
 
+# SHA-256 of each sweep command's output file: 14 peaks tables, 6 scaling tables, the map
+SWEEP_SHA256 = {
+    "peaks_gaetan2009_-3": "acff4a9a40c06526ae040fefcaeb5914119729dd83688cc29c22aaa8e2ab985b",
+    "peaks_gaetan2009_-1": "f95584b3ea1af0168b046dfa35a061af66730a3e48cf924ffacec3c057c05f72",
+    "peaks_gaetan2009_-0.3": "8f804d11020b51a2dbbb29f0e92b927e9e78e1ccd25250e1778fd83a78b1756d",
+    "peaks_gaetan2009_+0": "3de84d28d73ac731415feb0e49a8ddf32c94eaaefd7babee7406eca5bc868697",
+    "peaks_gaetan2009_+0.3": "028825271124c8ae0c47966eaeba3bc7c7e138340e78dc7130540bc438b78c4f",
+    "peaks_gaetan2009_+1": "52d8c4404da8fb5ec88960d4c83de123c7e91bf0493e097b05a0c2b4911105c5",
+    "peaks_gaetan2009_+3": "f591beb26b761935148a9862b86f00f2e88e4a2b5b4d2c1d99b7a84270663299",
+    "peaks_beguin2013_-3": "f8df1e83cf33353485bb1084814550907468838ac32c56c0c75ad9f929c66711",
+    "peaks_beguin2013_-1": "21bcd4bad9cde62195a3e9da7da4903666fbd96565a99aefa8da8fce4d591f50",
+    "peaks_beguin2013_-0.3": "195190ba7445a94b0ac1818498d980f97b4fdbd1413addcda618d2ecc8228ce5",
+    "peaks_beguin2013_+0": "3fecba904c0f4313161fc05bcc28083db3f1c3e101a8ee5f2cec856890c9235e",
+    "peaks_beguin2013_+0.3": "480fef445ea4e5bc626050d4093446ea6a905fa33a5fa795e7d5a26e96f3a328",
+    "peaks_beguin2013_+1": "24329cc0f027834b455e941c003b5a20a86079329544013a71c4f2c4cac90cee",
+    "peaks_beguin2013_+3": "55920666279c6c325efa1fc1c5b774810a7adbf9bc791d89c950b10aa18a4f51",
+    "scaling_gaetan2009_1": "15f4abc7b93afc80458740f9d1d8554a656fd47f849c9c94dbd4853e06a6398c",
+    "scaling_gaetan2009_minus": "80d2ba625a4f2d1c33fabdbcdef69f6647fd76b71412262794220e8dccd3eced",
+    "scaling_gaetan2009_plus": "6db430f34c0b46782618d68e46534fcca5e69c50a1eaa28c9281449672ec9d94",
+    "scaling_beguin2013_1": "a668c0278d3952672ff3d56d2d3bc34c8fd4db8b95b402b2cd98fc97241f41cb",
+    "scaling_beguin2013_minus": "f5ebb69718903fcf0c08f6634d0c696aa4a80dc67c2e3f7d00d66936e0748cb6",
+    "scaling_beguin2013_plus": "1072f9ef2a1e71e452405c559413f0b22cbe18a366136f65d26bbc3333197fd0",
+    "map": "36d5a224b294698d237a390e83d54ba81960c7f4318b825ada2da07aec3dbc18",
+}
+
+
+def test_sweep_outputs_keep_their_bytes(tmp_path, capsys):
+    """Each of the sweep workload's 21 commands writes its file with the pinned
+    SHA-256 and prints nothing."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench/workloads.py"))
+    digests = {}
+    for cmd in workloads["commands"]("sweep"):
+        assert main(workloads["argv_with_output"](cmd, tmp_path)) == 0
+        assert capsys.readouterr().out == ""
+        digests[cmd.name] = hashlib.sha256((tmp_path / cmd.output).read_bytes()).hexdigest()
+    assert digests == SWEEP_SHA256
+
+
 def test_presets_subcommand(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out

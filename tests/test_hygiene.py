@@ -8,7 +8,9 @@ leaves an import, a ``_private`` helper, a public function, a field of a
 fails here, and so does a finite-difference oracle, a diagonalization
 outside ``dense`` (in the package or in the tests' reductions of it), an
 import of ``dense`` beyond ``validate``, an import in ``dense`` beyond
-numpy and ``model``, or any use of ``numpy.random`` in the package.
+numpy and ``model``, a call of ``gauge._field_slope`` outside
+``find_peaks``' search slope function, or any use of ``numpy.random`` in
+the package.
 """
 
 import ast
@@ -182,6 +184,12 @@ def test_only_validate_imports_the_dense_oracle():
     assert importers == {"__init__.py", "validate.py"}
 
 
+def _called_name(call: ast.Call):
+    """The name a call reads last: ``f`` of ``f(...)`` and of ``m.f(...)``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def test_only_the_dense_oracle_diagonalizes():
     """``eigh`` and ``eigvalsh`` are called in ``dense`` alone; any other
     module reaches them through ``dense``."""
@@ -190,8 +198,7 @@ def test_only_the_dense_oracle_diagonalizes():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            func, called = node.func, _called_name(node)
             via_dense = (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
                          and func.value.id == "dense")
             if called in ("eigh", "eigvalsh") and not via_dense:
@@ -220,21 +227,29 @@ def test_no_module_uses_numpy_random():
     assert uses == []
 
 
-def _masked_divides(tree: ast.Module) -> list:
-    """(enclosing function, line) of each ``divide`` call given a ``where=``."""
+def _calls(tree: ast.Module, matches) -> list:
+    """(enclosing function, line) of each call that ``matches``; nested
+    functions are named by their path, ``outer.inner``."""
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "divide"
-                    and any(keyword.arg == "where" for keyword in child.keywords)):
+            if isinstance(child, ast.Call) and matches(child):
                 found.append((function, child.lineno))
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            inner = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name if function is None else f"{function}.{child.name}"
             visit(child, inner)
 
     visit(tree, None)
     return found
+
+
+def _masked_divides(tree: ast.Module) -> list:
+    """(enclosing function, line) of each ``divide`` call given a ``where=``."""
+    return _calls(tree, lambda call: isinstance(call.func, ast.Attribute)
+                  and call.func.attr == "divide"
+                  and any(keyword.arg == "where" for keyword in call.keywords))
 
 
 def test_the_solve_masks_a_divide_in_one_helper_only():
@@ -245,3 +260,12 @@ def test_the_solve_masks_a_divide_in_one_helper_only():
     found = [(name, function) for name in ("spectrum.py", "gauge.py")
              for function, _ in _masked_divides(TREES[name])]
     assert found == [("spectrum.py", "_divide_where")]
+
+
+def test_only_the_peak_search_reads_the_field_slope():
+    """dB/dx has one path: ``find_peaks``' search slope function reads it
+    around each grid extremum and at every zeroin step, and the bracket grid
+    solves B alone."""
+    found = [(name, function) for name, tree in TREES.items()
+             for function, _ in _calls(tree, lambda call: _called_name(call) == "_field_slope")]
+    assert found == [("analysis.py", "find_peaks.slope_at")]
